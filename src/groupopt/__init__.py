@@ -7,7 +7,7 @@ synthetic or libsvm data, a magnitude-pruning baseline, and an online
 regret measurement lab.
 """
 
-from .blocks import ParamBlock, group_l2_norms, make_rng, weighted_average_accumulate
+from .blocks import ParamBlock, group_l2_norms, make_rng
 from .data import Dataset, Sample, SynthSpec, generate, load_libsvm, write_libsvm
 from .metrics import auc, nonzero_groups, sparsity
 from .model import (
@@ -37,6 +37,7 @@ from .optimizers import (
     vanilla_step,
 )
 from .prox import (
+    NonpositiveDiagonalError,
     OracleResult,
     ProxProblem,
     group_shrink,
@@ -62,7 +63,7 @@ from .training import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ParamBlock", "group_l2_norms", "make_rng", "weighted_average_accumulate",
+    "ParamBlock", "group_l2_norms", "make_rng",
     "Dataset", "Sample", "SynthSpec", "generate", "load_libsvm", "write_libsvm",
     "auc", "nonzero_groups", "sparsity",
     "EMBEDDING", "ModelConfig", "backward", "forward", "init_params",
@@ -70,8 +71,8 @@ __all__ = [
     "FtrlOptimizer", "FtrlState", "GroupOptimizer", "MomentSchedule", "NO_REG",
     "OptimizerState", "PoisonedStateError", "RegConfig", "VanillaOptimizer",
     "ftrl_step", "make_optimizer", "step_group", "vanilla_step",
-    "OracleResult", "ProxProblem", "group_shrink", "prox_objective",
-    "prox_oracle", "prox_solve", "random_problem", "soft_threshold",
+    "NonpositiveDiagonalError", "OracleResult", "ProxProblem", "group_shrink",
+    "prox_objective", "prox_oracle", "prox_solve", "random_problem", "soft_threshold",
     "PruneSchedule", "magnitude_prune",
     "OnlineProblem", "RegretRun", "measure_bound_constants", "run_regret",
     "ExperimentConfig", "RunReport", "config_from_dict", "prune_baseline",

@@ -1,4 +1,4 @@
-"""Grouped parameter vectors, pinned RNG, and diagonal accumulators.
+"""Grouped parameter vectors and the pinned RNG.
 
 Everything downstream works on flat fp64 vectors. A block is either
 ungrouped (dense weights, biases) or split into contiguous fixed-size
@@ -66,15 +66,3 @@ def group_l2_norms(block: ParamBlock) -> np.ndarray:
     v = block.values.reshape(block.num_groups, block.group_size)
     return np.sqrt(np.einsum("ij,ij->i", v, v))
 
-
-def weighted_average_accumulate(
-    acc: np.ndarray, update: np.ndarray, decay: float
-) -> np.ndarray:
-    """One moment-accumulator step: decay * acc + update, elementwise."""
-    acc = np.asarray(acc, dtype=np.float64)
-    update = np.asarray(update, dtype=np.float64)
-    if acc.shape != update.shape:
-        raise ValueError(f"shape mismatch: {acc.shape} vs {update.shape}")
-    if not 0.0 <= decay <= 1.0:
-        raise ValueError(f"decay must be in [0, 1], got {decay}")
-    return decay * acc + update

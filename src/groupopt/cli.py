@@ -20,7 +20,7 @@ from .blocks import make_rng
 from .data import SynthSpec
 from .model import EMBEDDING, ModelConfig, save_checkpoint
 from .optimizers import PoisonedStateError, RegConfig
-from .prox import prox_oracle, prox_solve, random_problem
+from .prox import NonpositiveDiagonalError, prox_oracle, prox_solve, random_problem
 from .regret import OnlineProblem, measure_bound_constants, run_regret
 from .training import (
     ConfigError,
@@ -376,12 +376,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except (PoisonedStateError, NonpositiveDiagonalError, FloatingPointError) as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (PoisonedStateError, FloatingPointError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

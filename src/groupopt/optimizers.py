@@ -69,9 +69,11 @@ class MomentSchedule:
 class RegConfig:
     """Sparse-group-lasso penalties and which blocks they apply to.
 
-    apply_to=None applies the penalties to every grouped block; otherwise
-    only blocks whose name is listed are regularized and all other blocks
-    take the lambda = 0 path.
+    apply_to=None applies the penalties to every block: a grouped block is
+    penalized group by group, an ungrouped block (dense weights, biases) as
+    groups of size 1, so lambda1 and lambda21 both act per coordinate there.
+    Otherwise only blocks whose name is listed are regularized and all other
+    blocks take the lambda = 0 path.
     """
 
     lambda1: float = 0.0
@@ -105,7 +107,6 @@ class OptimizerState:
     z: np.ndarray = field(init=False)
     m_hat: np.ndarray = field(init=False)
     v_hat: np.ndarray = field(init=False)
-    v: np.ndarray = field(init=False)
     prev_scaled_root: np.ndarray = field(init=False)
     last_m: np.ndarray = field(init=False)
 
@@ -113,7 +114,6 @@ class OptimizerState:
         self.z = np.zeros(self.dim)
         self.m_hat = np.zeros(self.dim)
         self.v_hat = np.zeros(self.dim)
-        self.v = np.zeros(self.dim)
         self.prev_scaled_root = np.zeros(self.dim)
         self.last_m = np.zeros(self.dim)
 
@@ -136,12 +136,10 @@ def _advance_moments(state, grad, schedule, lr):
     kind = schedule.kind
     if kind == "sgd":
         m = grad
-        state.v = np.ones_like(grad)
         scaled_root = np.full_like(grad, np.sqrt(float(t)) / lr)
     elif kind == "momentum":
         state.m_hat = schedule.gamma * state.m_hat + grad
         m = state.m_hat
-        state.v = np.ones_like(grad)
         scaled_root = np.full_like(grad, 1.0 / lr)
     elif kind == "adagrad":
         inc = grad * grad
@@ -149,8 +147,7 @@ def _advance_moments(state, grad, schedule, lr):
             inc = inc + schedule.epsilon
         state.v_hat = state.v_hat + inc
         m = grad
-        state.v = state.v_hat
-        scaled_root = np.sqrt(state.v) / lr
+        scaled_root = np.sqrt(state.v_hat) / lr
     else:  # adam, amsgrad
         b1, b2 = schedule.beta1, schedule.beta2
         state.m_hat = b1 * state.m_hat + (1.0 - b1) * grad
@@ -161,10 +158,16 @@ def _advance_moments(state, grad, schedule, lr):
         bc1 = 1.0 - b1**t
         bc2 = 1.0 - b2**t
         m = state.m_hat / bc1
-        state.v = state.v_hat / bc2
+        v = state.v_hat / bc2
         eps_t = schedule.epsilon / np.sqrt(bc2)
-        scaled_root = (np.sqrt(state.v) + eps_t) / lr
+        scaled_root = (np.sqrt(v) + eps_t) / lr
     return m, scaled_root
+
+
+def _penalties(reg: RegConfig, block_name: str) -> tuple[float, float, float, str]:
+    if reg.applies_to(block_name):
+        return reg.lambda1, reg.lambda21, reg.lambda2, reg.variant
+    return 0.0, 0.0, 0.0, reg.variant
 
 
 def step_group(
@@ -178,14 +181,12 @@ def step_group(
     """One regularized dual-averaging step; mutates state and block in place.
 
     Blocks the reg config does not target take the lambda = 0 path, which is
-    the plain adaptive update. Ungrouped blocks are treated as group size 1.
+    the plain adaptive update. Targeted ungrouped blocks are penalized too,
+    as groups of size 1: lambda21 then shrinks each coordinate on its own.
     """
     grad = np.asarray(grad, dtype=np.float64)
     _check_step(state, block, grad, lr)
-    if reg.applies_to(block.name):
-        lam1, lam21, lam2, variant = reg.lambda1, reg.lambda21, reg.lambda2, reg.variant
-    else:
-        lam1, lam21, lam2, variant = 0.0, 0.0, 0.0, reg.variant
+    lam1, lam21, lam2, variant = _penalties(reg, block.name)
     group_size = block.group_size if block.grouped else 1
 
     m, scaled_root = _advance_moments(state, grad, schedule, lr)
@@ -200,6 +201,45 @@ def step_group(
     s = soft_threshold(state.z, lam1)
     block.values = group_shrink(s, scaled_root, group_size, lam21, lam2, variant)
     return state, block
+
+
+def _step_adagrad_rows(state: OptimizerState, block: ParamBlock, grad: np.ndarray,
+                       rows, lr: float, reg: RegConfig) -> None:
+    """The adagrad step_group on the groups listed in rows only.
+
+    From step 2 on, a group with zero gradient is a fixed point of the
+    adagrad dual step: v_hat gains 0, so R_t equals R_{t-1}, z gains 0 and
+    the prox returns the x it returned last time. Skipping such groups is
+    therefore exact. The touched groups run the same elementwise
+    expressions as _advance_moments and step_group on a k x d slice and
+    are written back in place.
+    """
+    grad = np.asarray(grad, dtype=np.float64)
+    _check_step(state, block, grad, lr)
+    lam1, lam21, lam2, variant = _penalties(reg, block.name)
+    d = block.group_size
+    shape = (block.num_groups, d)
+    u = np.unique(rows)
+    v_hat = state.v_hat.reshape(shape)
+    z = state.z.reshape(shape)
+    prev = state.prev_scaled_root.reshape(shape)
+    x = block.values.reshape(shape)
+
+    g = grad.reshape(shape)[u]
+    v_rows = v_hat[u] + g * g
+    root = np.sqrt(v_rows) / lr
+    z_rows = z[u] + g - (root - prev[u]) * x[u]
+    if not np.all(np.isfinite(z_rows)):
+        state.poisoned = True
+        raise PoisonedStateError(f"non-finite dual for block {block.name!r}")
+    v_hat[u] = v_rows
+    z[u] = z_rows
+    prev[u] = root
+    state.last_m = grad
+    state.t += 1
+
+    s = soft_threshold(z_rows.ravel(), lam1)
+    x[u] = group_shrink(s, root.ravel(), d, lam21, lam2, variant).reshape(-1, d)
 
 
 def vanilla_step(
@@ -312,11 +352,23 @@ class GroupOptimizer:
         self.reg = reg
         self.states: dict[str, OptimizerState] = {}
 
-    def step(self, block: ParamBlock, grad: np.ndarray) -> None:
+    def step(self, block: ParamBlock, grad: np.ndarray, rows=None) -> None:
+        """Step one block.
+
+        rows, if given, promises that grad is zero outside these group ids
+        (repeats allowed). Group-adagrad then steps only those groups of a
+        grouped block, which gives the same bits as the dense step from the
+        second step on; every other schedule, ungrouped blocks and the first
+        step take the dense step_group and ignore rows.
+        """
         st = self.states.get(block.name)
         if st is None:
             st = self.states[block.name] = OptimizerState(block.values.size)
-        step_group(st, block, grad, self.schedule, self.lr, self.reg)
+        if (rows is not None and self.schedule.kind == "adagrad" and block.grouped
+                and st.t > 0):
+            _step_adagrad_rows(st, block, grad, rows, self.lr, self.reg)
+        else:
+            step_group(st, block, grad, self.schedule, self.lr, self.reg)
 
 
 class VanillaOptimizer:
@@ -327,7 +379,9 @@ class VanillaOptimizer:
         self.lr = lr
         self.states: dict[str, OptimizerState] = {}
 
-    def step(self, block: ParamBlock, grad: np.ndarray) -> None:
+    def step(self, block: ParamBlock, grad: np.ndarray, rows=None) -> None:
+        """Step one block densely; rows is accepted for GroupOptimizer
+        compatibility and ignored."""
         st = self.states.get(block.name)
         if st is None:
             st = self.states[block.name] = OptimizerState(block.values.size)
@@ -342,7 +396,9 @@ class FtrlOptimizer:
         self.lambda1 = lambda1
         self.states: dict[str, FtrlState] = {}
 
-    def step(self, block: ParamBlock, grad: np.ndarray) -> None:
+    def step(self, block: ParamBlock, grad: np.ndarray, rows=None) -> None:
+        """Step one block densely; rows is accepted for GroupOptimizer
+        compatibility and ignored."""
         st = self.states.get(block.name)
         if st is None:
             st = self.states[block.name] = FtrlState(block.values.size)

@@ -41,6 +41,11 @@ ORACLE_BUDGET = 10**6
 ORACLE_TOL = 1e-7
 
 
+class NonpositiveDiagonalError(ValueError):
+    """The prox met a nonpositive effective diagonal where the dual carries
+    mass. Raised mid-run by a numeric failure, not by a bad argument."""
+
+
 def soft_threshold(z: np.ndarray, lambda1: float) -> np.ndarray:
     """Thresholded negation of the dual vector.
 
@@ -83,7 +88,7 @@ def group_shrink(
     denom = cum_diag + 2.0 * lambda2
     bad = (denom <= 0) & (s != 0.0)
     if np.any(bad):
-        raise ValueError("nonpositive effective diagonal")
+        raise NonpositiveDiagonalError("nonpositive effective diagonal")
 
     num_groups = s.size // group_size
     sg = s.reshape(num_groups, group_size)
@@ -105,7 +110,7 @@ def group_shrink(
         x = np.where(sg != 0.0, factor[:, None] * sg / denom.reshape(sg.shape), 0.0)
     x = x.ravel()
     if not np.all(np.isfinite(x)):
-        raise ValueError("nonpositive effective diagonal")
+        raise NonpositiveDiagonalError("nonpositive effective diagonal")
     return x
 
 

@@ -168,7 +168,9 @@ def _run_epochs(blocks, optimizer, dataset, config, epochs, shuffle_seed,
             cache = forward(blocks, ids[batch], config.model)
             grads = backward(cache, labels[batch], blocks)
             for name, block in blocks.items():
-                optimizer.step(block, grads[name])
+                # the embedding gradient is zero outside the rows the batch read
+                optimizer.step(block, grads[name],
+                               rows=cache.ids if name == EMBEDDING else None)
         wall_ms = 1000.0 * (time.perf_counter() - start)
         row = {"epoch": epoch + 1,
                **evaluate(blocks, dataset, config.model, features_seen),

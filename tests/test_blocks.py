@@ -3,12 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
-from groupopt.blocks import (
-    ParamBlock,
-    group_l2_norms,
-    make_rng,
-    weighted_average_accumulate,
-)
+from groupopt.blocks import ParamBlock, group_l2_norms, make_rng
 
 
 def naive_group_norms(values, group_size):
@@ -82,19 +77,3 @@ class TestGroupNorms:
         other = ParamBlock("e", shuffled, group_size=4)
         assert_allclose(group_l2_norms(block), group_l2_norms(other), rtol=1e-12)
 
-
-class TestWeightedAverageAccumulate:
-    def test_plain_sum_when_decay_one(self):
-        acc = np.array([1.0, 2.0])
-        out = weighted_average_accumulate(acc, np.array([3.0, 4.0]), 1.0)
-        assert_allclose(out, [4.0, 6.0])
-
-    def test_geometric_decay(self):
-        acc = np.zeros(1)
-        for _ in range(3):
-            acc = weighted_average_accumulate(acc, np.ones(1), 0.5)
-        assert_allclose(acc, [1.75])
-
-    def test_rejects_bad_decay(self):
-        with pytest.raises(ValueError):
-            weighted_average_accumulate(np.zeros(2), np.zeros(2), 1.5)

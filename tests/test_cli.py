@@ -1,10 +1,12 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from groupopt.cli import (
     EXIT_CONFIG,
+    EXIT_NUMERIC,
     EXIT_OK,
     GRIDS,
     METRIC_COLUMNS,
@@ -263,3 +265,20 @@ class TestRegretCommand:
     def test_bad_optimizer_exits_2(self):
         assert main(["regret", "--horizon", "64",
                      "--optimizer", "rmsprop"]) == EXIT_CONFIG
+
+
+class TestExitCodes:
+    def test_prox_failure_mid_run_exits_3(self, tmp_path, monkeypatch, capsys):
+        # a zero curvature diagonal under live dual mass is a numeric failure
+        # of the run, not a config error
+        import groupopt.optimizers as optimizers
+
+        real = optimizers.group_shrink
+        monkeypatch.setattr(
+            optimizers, "group_shrink",
+            lambda s, cum_diag, *args: real(s, np.zeros_like(cum_diag), *args))
+        code = main(["train", "--config", write_tiny_config(tmp_path),
+                     "--optimizer", "group-adagrad", "--lambda2", "0"])
+        assert code == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "numeric failure: nonpositive effective diagonal" in err

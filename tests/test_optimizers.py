@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from groupopt.blocks import ParamBlock, make_rng
@@ -246,12 +247,99 @@ class TestRegTargeting:
             plain.step(b, quadratic_grad(b.values, center))
         assert np.max(np.abs(a.values - b.values)) <= 1e-9
 
+    def test_apply_to_none_penalizes_ungrouped_blocks_as_size_one_groups(self):
+        # g=[2, 0.1], lr=1, eps=0: R=|g|, s=-g; each coordinate is its own
+        # group, so lambda21=0.5 zeroes the small one alone: x=[0.75*-2/2, 0]
+        schedule = MomentSchedule(kind="adagrad", epsilon=0.0)
+        opt = GroupOptimizer(schedule, 1.0, RegConfig(lambda21=0.5))
+        block = ParamBlock("dense0_b", np.zeros(2))
+        opt.step(block, np.array([2.0, 0.1]))
+        assert_allclose(block.values, [-0.75, 0.0])
+
+        opt = GroupOptimizer(MomentSchedule(kind="adagrad"), 0.5, RegConfig(lambda1=10.0))
+        block = ParamBlock("dense0_b", np.zeros(2))
+        opt.step(block, np.array([0.5, -0.5]))
+        assert np.array_equal(block.values, [0.0, 0.0])
+
     def test_targeted_block_is_regularized(self):
         reg = RegConfig(lambda1=5.0, apply_to=frozenset({"embedding"}))
         opt = GroupOptimizer(MomentSchedule(kind="adagrad"), 0.5, reg)
         block = ParamBlock("embedding", np.zeros(2), group_size=1)
         opt.step(block, np.array([0.5, -0.5]))
         assert_allclose(block.values, [0.0, 0.0])
+
+
+def sparse_row_stream(seed, num_groups, group_size, steps):
+    """Gradients that are zero outside a few random rows; row ids repeat."""
+    rng = make_rng(seed)
+    for _ in range(steps):
+        rows = rng.integers(0, num_groups, size=int(rng.integers(0, 2 * num_groups)))
+        grad = np.zeros((num_groups, group_size))
+        grad[rows] = rng.normal(scale=10.0 ** rng.uniform(-2, 1), size=(rows.size, group_size))
+        yield grad.ravel(), rows
+
+
+def state_bits(opt, block):
+    state = opt.states[block.name]
+    return [a.tobytes() for a in (block.values, state.z, state.v_hat, state.prev_scaled_root)]
+
+
+penalty = st.one_of(st.just(0.0), st.floats(1e-4, 1.0))
+
+
+class TestRowPath:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), num_groups=st.integers(1, 12),
+           group_size=st.integers(1, 4), steps=st.integers(1, 12),
+           epsilon=st.sampled_from([0.0, 1e-8]),
+           variant=st.sampled_from(["practical", "exact"]),
+           lambda1=penalty, lambda21=penalty, lambda2=penalty)
+    def test_adagrad_rows_match_dense_bit_for_bit(self, seed, num_groups, group_size,
+                                                  steps, epsilon, variant,
+                                                  lambda1, lambda21, lambda2):
+        reg = RegConfig(lambda1=lambda1, lambda21=lambda21, lambda2=lambda2,
+                        variant=variant)
+        schedule = MomentSchedule(kind="adagrad", epsilon=epsilon)
+        x0 = make_rng(seed + 1).uniform(-0.5, 0.5, num_groups * group_size)
+        opts = [GroupOptimizer(schedule, 0.3, reg) for _ in range(2)]
+        blocks = [ParamBlock("e", x0.copy(), group_size=group_size) for _ in range(2)]
+        for grad, rows in sparse_row_stream(seed, num_groups, group_size, steps):
+            opts[0].step(blocks[0], grad, rows=rows)
+            opts[1].step(blocks[1], grad)
+            assert state_bits(opts[0], blocks[0]) == state_bits(opts[1], blocks[1])
+
+    def test_adagrad_steps_only_the_listed_rows(self):
+        # rows is a promise about the gradient; breaking it shows the row path ran
+        opt = GroupOptimizer(MomentSchedule(kind="adagrad"), 0.1)
+        block = ParamBlock("e", np.zeros(6), group_size=2)
+        opt.step(block, np.ones(6), rows=np.array([0]))  # step 1 is dense
+        before = block.values.copy()
+        opt.step(block, np.ones(6), rows=np.array([2, 2]))
+        assert np.array_equal(block.values[:4], before[:4])
+        assert not np.array_equal(block.values[4:], before[4:])
+
+    @pytest.mark.parametrize("name", ["group-sgd", "group-momentum", "group-adam",
+                                      "group-amsgrad", "adagrad", "adam", "ftrl"])
+    def test_rows_have_no_effect_elsewhere(self, name):
+        reg = RegConfig(lambda1=1e-3, lambda21=0.05, lambda2=1e-4)
+        opts = [make_optimizer(name, 0.1, reg) for _ in range(2)]
+        blocks = [ParamBlock("e", np.full(20, 0.1), group_size=4) for _ in range(2)]
+        for grad, rows in sparse_row_stream(5, 5, 4, 10):
+            opts[0].step(blocks[0], grad, rows=rows)
+            opts[1].step(blocks[1], grad)
+        assert blocks[0].values.tobytes() == blocks[1].values.tobytes()
+
+    def test_nan_outside_rows_poisons(self):
+        opt = GroupOptimizer(MomentSchedule(kind="adagrad"), 0.1)
+        block = ParamBlock("e", np.zeros(6), group_size=2)
+        opt.step(block, np.ones(6), rows=np.arange(3))
+        grad = np.zeros(6)
+        grad[5] = np.nan
+        with pytest.raises(PoisonedStateError):
+            opt.step(block, grad, rows=np.array([0]))
+        assert opt.states["e"].poisoned
+        with pytest.raises(PoisonedStateError):
+            opt.step(block, np.zeros(6), rows=np.array([0]))
 
 
 class TestDeterminism:

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 
 from groupopt.blocks import make_rng
 from groupopt.prox import (
+    NonpositiveDiagonalError,
     ProxProblem,
     group_shrink,
     prox_objective,
@@ -58,6 +59,12 @@ class TestGroupShrink:
     def test_zero_diag_with_mass_rejected(self):
         with pytest.raises(ValueError, match="nonpositive effective diagonal"):
             group_shrink(np.array([1.0, 2.0]), np.array([0.0, 1.0]), 1, 0.0, 0.0)
+
+    def test_zero_diag_with_mass_is_a_typed_numeric_error(self):
+        for variant in ("practical", "exact"):
+            with pytest.raises(NonpositiveDiagonalError):
+                group_shrink(np.array([1.0, 2.0]), np.array([0.0, 1.0]), 1, 0.0, 0.0,
+                             variant=variant)
 
     def test_zero_diag_without_mass_passes(self):
         x = group_shrink(np.array([0.0, 2.0]), np.array([0.0, 1.0]), 1, 0.0, 0.0)

@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from groupopt.data import SynthSpec, to_samples, write_libsvm
 from groupopt.metrics import nonzero_groups
 from groupopt.model import EMBEDDING, ModelConfig
-from groupopt.optimizers import RegConfig
+from groupopt.optimizers import GroupOptimizer, RegConfig
 from groupopt.pruning import PruneSchedule
 from groupopt.training import (
     ConfigError,
@@ -91,6 +91,23 @@ class TestTrainModel:
         sparse = train_model(tiny_config(reg=RegConfig(lambda21=5e-2, lambda2=1e-5,
                                                        apply_to=frozenset({EMBEDDING}))))
         assert sparse.final["nonzero_groups"] < dense.final["nonzero_groups"]
+
+    def test_group_adagrad_row_steps_match_dense_steps(self, monkeypatch):
+        config = tiny_config(
+            model=ModelConfig(num_features=600, embed_dim=4, num_fields=3, hidden_dims=(8,)),
+            data=SynthSpec(num_fields=3, vocab_per_field=200, num_samples=600, skew=1.3, seed=1),
+            optimizer="group-adagrad", lr=0.05, epochs=2,
+            reg=RegConfig(lambda1=1e-3, lambda21=0.05, lambda2=1e-5, variant="exact",
+                          apply_to=frozenset({EMBEDDING})))
+        lazy = train_model(config)
+        dense_step = GroupOptimizer.step
+        monkeypatch.setattr(GroupOptimizer, "step",
+                            lambda self, block, grad, rows=None: dense_step(self, block, grad))
+        dense = train_model(config)
+        assert lazy.blocks.keys() == dense.blocks.keys()
+        for name in lazy.blocks:
+            assert lazy.blocks[name].values.tobytes() == dense.blocks[name].values.tobytes()
+        assert 0 < lazy.final["nonzero_groups"] < 600
 
 
 class TestRunRepeated:
