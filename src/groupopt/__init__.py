@@ -23,7 +23,6 @@ from .model import (
 )
 from .optimizers import (
     FtrlOptimizer,
-    FtrlState,
     GroupOptimizer,
     MomentSchedule,
     NO_REG,
@@ -68,7 +67,7 @@ __all__ = [
     "auc", "nonzero_groups", "sparsity",
     "EMBEDDING", "ModelConfig", "backward", "forward", "init_params",
     "load_checkpoint", "logloss", "predict_proba", "save_checkpoint",
-    "FtrlOptimizer", "FtrlState", "GroupOptimizer", "MomentSchedule", "NO_REG",
+    "FtrlOptimizer", "GroupOptimizer", "MomentSchedule", "NO_REG",
     "OptimizerState", "PoisonedStateError", "RegConfig", "VanillaOptimizer",
     "ftrl_step", "make_optimizer", "step_group", "vanilla_step",
     "NonpositiveDiagonalError", "OracleResult", "ProxProblem", "group_shrink",

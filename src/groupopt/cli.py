@@ -19,13 +19,12 @@ import numpy as np
 from .blocks import make_rng
 from .data import SynthSpec
 from .model import EMBEDDING, ModelConfig, save_checkpoint
-from .optimizers import PoisonedStateError, RegConfig
+from .optimizers import GROUP_NAMES, PoisonedStateError, RegConfig
 from .prox import NonpositiveDiagonalError, prox_oracle, prox_solve, random_problem
 from .regret import OnlineProblem, measure_bound_constants, run_regret
 from .training import (
     ConfigError,
     ExperimentConfig,
-    GROUP_NAMES,
     config_from_dict,
     load_dataset,
     prune_baseline,

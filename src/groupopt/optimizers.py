@@ -38,6 +38,9 @@ from .blocks import ParamBlock
 from .prox import group_shrink, soft_threshold
 
 SCHEDULE_KINDS = ("sgd", "momentum", "adagrad", "adam", "amsgrad")
+VANILLA_NAMES = SCHEDULE_KINDS + ("ftrl",)
+GROUP_NAMES = tuple(f"group-{k}" for k in SCHEDULE_KINDS)
+OPTIMIZER_NAMES = VANILLA_NAMES + GROUP_NAMES
 
 
 class PoisonedStateError(RuntimeError):
@@ -87,6 +90,8 @@ class RegConfig:
             raise ValueError("penalties must be >= 0")
         if self.variant not in ("practical", "exact"):
             raise ValueError(f"unknown variant {self.variant!r}")
+        if isinstance(self.apply_to, str):
+            raise ValueError(f"apply_to must be a set of block names, not {self.apply_to!r}")
         if self.apply_to is not None:
             self.apply_to = frozenset(self.apply_to)
 
@@ -99,7 +104,7 @@ NO_REG = RegConfig()
 
 @dataclass
 class OptimizerState:
-    """Per-block optimizer state for both the group and vanilla paths."""
+    """Per-block optimizer state for the group, vanilla and FTRL paths."""
 
     dim: int
     t: int = 0
@@ -118,7 +123,8 @@ class OptimizerState:
         self.last_m = np.zeros(self.dim)
 
 
-def _check_step(state: OptimizerState, block: ParamBlock, grad: np.ndarray, lr: float):
+def _check_step(state: OptimizerState, block: ParamBlock, grad, lr: float) -> np.ndarray:
+    grad = np.asarray(grad, dtype=np.float64)
     if state.poisoned:
         raise PoisonedStateError("optimizer state is poisoned")
     if lr <= 0:
@@ -128,6 +134,7 @@ def _check_step(state: OptimizerState, block: ParamBlock, grad: np.ndarray, lr: 
     if not np.all(np.isfinite(grad)):
         state.poisoned = True
         raise PoisonedStateError(f"non-finite gradient for block {block.name!r}")
+    return grad
 
 
 def _advance_moments(state, grad, schedule, lr):
@@ -177,15 +184,14 @@ def step_group(
     schedule: MomentSchedule,
     lr: float,
     reg: RegConfig = NO_REG,
-) -> tuple[OptimizerState, ParamBlock]:
+) -> None:
     """One regularized dual-averaging step; mutates state and block in place.
 
     Blocks the reg config does not target take the lambda = 0 path, which is
     the plain adaptive update. Targeted ungrouped blocks are penalized too,
     as groups of size 1: lambda21 then shrinks each coordinate on its own.
     """
-    grad = np.asarray(grad, dtype=np.float64)
-    _check_step(state, block, grad, lr)
+    grad = _check_step(state, block, grad, lr)
     lam1, lam21, lam2, variant = _penalties(reg, block.name)
     group_size = block.group_size if block.grouped else 1
 
@@ -200,7 +206,6 @@ def step_group(
 
     s = soft_threshold(state.z, lam1)
     block.values = group_shrink(s, scaled_root, group_size, lam21, lam2, variant)
-    return state, block
 
 
 def _step_adagrad_rows(state: OptimizerState, block: ParamBlock, grad: np.ndarray,
@@ -214,12 +219,15 @@ def _step_adagrad_rows(state: OptimizerState, block: ParamBlock, grad: np.ndarra
     expressions as _advance_moments and step_group on a k x d slice and
     are written back in place.
     """
-    grad = np.asarray(grad, dtype=np.float64)
-    _check_step(state, block, grad, lr)
+    u = np.unique(rows)
+    # checked here, as numpy would wrap a negative id to another row
+    if u.size and not (u.dtype.kind in "iu" and u[0] >= 0 and u[-1] < block.num_groups):
+        raise ValueError(f"rows must be integer group ids in [0, {block.num_groups})")
+    u = u.astype(np.intp, copy=False)
+    grad = _check_step(state, block, grad, lr)
     lam1, lam21, lam2, variant = _penalties(reg, block.name)
     d = block.group_size
     shape = (block.num_groups, d)
-    u = np.unique(rows)
     v_hat = state.v_hat.reshape(shape)
     z = state.z.reshape(shape)
     prev = state.prev_scaled_root.reshape(shape)
@@ -248,15 +256,14 @@ def vanilla_step(
     grad: np.ndarray,
     schedule: MomentSchedule,
     lr: float,
-) -> tuple[OptimizerState, ParamBlock]:
+) -> None:
     """Reference unregularized update x <- x - alpha_t * m_t / denom_t.
 
     Written in the conventional direct form (uncorrected moments, bias
     corrections folded into the step size for adam/amsgrad) so it shares no
     algebra with the dual path of step_group.
     """
-    grad = np.asarray(grad, dtype=np.float64)
-    _check_step(state, block, grad, lr)
+    grad = _check_step(state, block, grad, lr)
     t = state.t + 1
     kind = schedule.kind
     if kind == "sgd":
@@ -279,72 +286,45 @@ def vanilla_step(
         state.v_hat = raw
         alpha_t = lr * np.sqrt(1.0 - b2**t) / (1.0 - b1**t)
         delta = alpha_t * state.m_hat / (np.sqrt(state.v_hat) + schedule.epsilon)
-    state.last_m = state.m_hat if kind != "sgd" and kind != "adagrad" else grad
     state.t = t
     block.values = block.values - delta
     if not np.all(np.isfinite(block.values)):
         state.poisoned = True
         raise PoisonedStateError(f"non-finite parameters for block {block.name!r}")
-    return state, block
-
-
-@dataclass
-class FtrlState:
-    """Per-coordinate accumulators for the follow-the-regularized-leader path."""
-
-    dim: int
-    t: int = 0
-    poisoned: bool = False
-    z: np.ndarray = field(init=False)
-    n: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.z = np.zeros(self.dim)
-        self.n = np.zeros(self.dim)
 
 
 def ftrl_step(
-    state: FtrlState,
+    state: OptimizerState,
     block: ParamBlock,
     grad: np.ndarray,
     lr: float,
     lambda1: float = 0.0,
-) -> tuple[FtrlState, ParamBlock]:
-    """Proximal FTRL coordinate update with an l1 dead zone.
+) -> None:
+    """Proximal FTRL coordinate update with an l1 dead zone; mutates in place.
 
     Per coordinate: sigma_t = (sqrt(n + g^2) - sqrt(n)) / lr, z += g - sigma*x,
     n += g^2, then x = 0 where |z| <= lambda1 and (sign(z)*lambda1 - z)*lr/sqrt(n)
-    elsewhere. With lambda1 = 0 this is the adagrad trajectory.
+    elsewhere. With lambda1 = 0 this is the adagrad trajectory. n lives in
+    state.v_hat: it is the running sum of g^2 that adagrad keeps with eps = 0.
     """
-    grad = np.asarray(grad, dtype=np.float64)
-    if state.poisoned:
-        raise PoisonedStateError("optimizer state is poisoned")
-    if lr <= 0:
-        raise ValueError("lr must be > 0")
-    if grad.shape != block.values.shape:
-        raise ValueError("gradient/block dimension mismatch")
-    if not np.all(np.isfinite(grad)):
-        state.poisoned = True
-        raise PoisonedStateError(f"non-finite gradient for block {block.name!r}")
-
-    n_next = state.n + grad * grad
-    sigma = (np.sqrt(n_next) - np.sqrt(state.n)) / lr
+    grad = _check_step(state, block, grad, lr)
+    n_next = state.v_hat + grad * grad
+    sigma = (np.sqrt(n_next) - np.sqrt(state.v_hat)) / lr
     state.z = state.z + grad - sigma * block.values
-    state.n = n_next
+    state.v_hat = n_next
     state.t += 1
     with np.errstate(divide="ignore", invalid="ignore"):
         x = np.where(
             np.abs(state.z) <= lambda1,
             0.0,
-            (np.sign(state.z) * lambda1 - state.z) * lr / np.sqrt(state.n),
+            (np.sign(state.z) * lambda1 - state.z) * lr / np.sqrt(state.v_hat),
         )
     # coordinates never touched by any gradient stay at the dead-zone zero
-    block.values = np.where(state.n > 0.0, x, 0.0)
-    return state, block
+    block.values = np.where(state.v_hat > 0.0, x, 0.0)
 
 
 class GroupOptimizer:
-    """Driver holding one OptimizerState per block name."""
+    """Driver holding one OptimizerState per block name; subclasses replace _update."""
 
     def __init__(self, schedule: MomentSchedule, lr: float, reg: RegConfig = NO_REG):
         self.schedule = schedule
@@ -358,51 +338,41 @@ class GroupOptimizer:
         rows, if given, promises that grad is zero outside these group ids
         (repeats allowed). Group-adagrad then steps only those groups of a
         grouped block, which gives the same bits as the dense step from the
-        second step on; every other schedule, ungrouped blocks and the first
-        step take the dense step_group and ignore rows.
+        second step on; every other schedule, ungrouped blocks, the first
+        step and the vanilla and FTRL drivers step densely and ignore rows.
         """
         st = self.states.get(block.name)
         if st is None:
             st = self.states[block.name] = OptimizerState(block.values.size)
+        self._update(st, block, grad, rows)
+
+    def _update(self, state: OptimizerState, block: ParamBlock, grad, rows) -> None:
         if (rows is not None and self.schedule.kind == "adagrad" and block.grouped
-                and st.t > 0):
-            _step_adagrad_rows(st, block, grad, rows, self.lr, self.reg)
+                and state.t > 0):
+            _step_adagrad_rows(state, block, grad, rows, self.lr, self.reg)
         else:
-            step_group(st, block, grad, self.schedule, self.lr, self.reg)
+            step_group(state, block, grad, self.schedule, self.lr, self.reg)
 
 
-class VanillaOptimizer:
+class VanillaOptimizer(GroupOptimizer):
     """Driver for the unregularized reference updates."""
 
     def __init__(self, schedule: MomentSchedule, lr: float):
-        self.schedule = schedule
-        self.lr = lr
-        self.states: dict[str, OptimizerState] = {}
+        super().__init__(schedule, lr)
 
-    def step(self, block: ParamBlock, grad: np.ndarray, rows=None) -> None:
-        """Step one block densely; rows is accepted for GroupOptimizer
-        compatibility and ignored."""
-        st = self.states.get(block.name)
-        if st is None:
-            st = self.states[block.name] = OptimizerState(block.values.size)
-        vanilla_step(st, block, grad, self.schedule, self.lr)
+    def _update(self, state: OptimizerState, block: ParamBlock, grad, rows) -> None:
+        vanilla_step(state, block, grad, self.schedule, self.lr)
 
 
-class FtrlOptimizer:
-    """Driver for the proximal FTRL reference."""
+class FtrlOptimizer(GroupOptimizer):
+    """Driver for the proximal FTRL reference: adagrad with eps = 0 plus l1."""
 
     def __init__(self, lr: float, lambda1: float = 0.0):
-        self.lr = lr
-        self.lambda1 = lambda1
-        self.states: dict[str, FtrlState] = {}
+        super().__init__(MomentSchedule(kind="adagrad", epsilon=0.0), lr,
+                         RegConfig(lambda1=lambda1))
 
-    def step(self, block: ParamBlock, grad: np.ndarray, rows=None) -> None:
-        """Step one block densely; rows is accepted for GroupOptimizer
-        compatibility and ignored."""
-        st = self.states.get(block.name)
-        if st is None:
-            st = self.states[block.name] = FtrlState(block.values.size)
-        ftrl_step(st, block, grad, self.lr, self.lambda1)
+    def _update(self, state: OptimizerState, block: ParamBlock, grad, rows) -> None:
+        ftrl_step(state, block, grad, self.lr, self.reg.lambda1)
 
 
 def make_optimizer(name: str, lr: float, reg: RegConfig = NO_REG,

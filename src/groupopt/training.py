@@ -18,12 +18,8 @@ from .blocks import make_rng
 from .data import Dataset, SynthSpec, generate, load_libsvm, samples_to_arrays
 from .metrics import auc, nonzero_groups, sparsity
 from .model import EMBEDDING, ModelConfig, backward, forward, init_params, logloss
-from .optimizers import RegConfig, make_optimizer
+from .optimizers import OPTIMIZER_NAMES, RegConfig, make_optimizer
 from .pruning import PruneSchedule, magnitude_prune
-
-VANILLA_NAMES = ("sgd", "momentum", "adagrad", "adam", "amsgrad", "ftrl")
-GROUP_NAMES = tuple(f"group-{k}" for k in ("sgd", "momentum", "adagrad", "adam", "amsgrad"))
-OPTIMIZER_NAMES = VANILLA_NAMES + GROUP_NAMES
 
 SCHEMA_VERSION = 1
 
@@ -97,10 +93,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     elif not isinstance(data, str):
         raise ConfigError("data: must be a spec object or a file path")
     reg_doc = dict(doc.pop("reg", {}))
-    if "apply_to" in reg_doc and reg_doc["apply_to"] is not None:
-        reg_doc["apply_to"] = frozenset(reg_doc["apply_to"])
-    else:
-        reg_doc.setdefault("apply_to", frozenset({EMBEDDING}))
+    reg_doc.setdefault("apply_to", frozenset({EMBEDDING}))
     reg = build(RegConfig, reg_doc, "reg")
     try:
         return ExperimentConfig(model=model, data=data, reg=reg, **doc)
@@ -151,12 +144,11 @@ def evaluate(blocks: dict, dataset: Dataset, model_config: ModelConfig,
     }
 
 
-def _run_epochs(blocks, optimizer, dataset, config, epochs, shuffle_seed,
+def _run_epochs(blocks, optimizer, dataset, config, epochs, shuffle_seed, features_seen,
                 ids=None, labels=None) -> list[dict]:
     """Train in place; returns per-epoch metric rows."""
     ids = dataset.train_ids if ids is None else ids
     labels = dataset.train_labels if labels is None else labels
-    features_seen = np.unique(ids)
     rng = make_rng(shuffle_seed)
     rows = []
     n = len(labels)
@@ -188,9 +180,9 @@ def train_model(config: ExperimentConfig, dataset: Dataset | None = None,
     blocks = init_params(replace(config.model, seed=run_seed))
     optimizer = make_optimizer(config.optimizer, config.lr, config.reg,
                                config.schedule_args())
-    rows = _run_epochs(blocks, optimizer, dataset, config, config.epochs,
-                       shuffle_seed=run_seed + 1)
     features_seen = np.unique(dataset.train_ids)
+    rows = _run_epochs(blocks, optimizer, dataset, config, config.epochs,
+                       shuffle_seed=run_seed + 1, features_seen=features_seen)
     report = RunReport(config=config.to_dict(), epochs=rows, final=dict(rows[-1]),
                        blocks=blocks, features_seen=features_seen)
     report.final.pop("epoch", None)
@@ -217,16 +209,9 @@ def sweep(config: ExperimentConfig, lambda21_grid) -> list[RunReport]:
     dataset = load_dataset(config)
     reports = []
     for lam21 in lambda21_grid:
-        reg = RegConfig(lambda1=config.reg.lambda1, lambda21=float(lam21),
-                        lambda2=config.reg.lambda2, variant=config.reg.variant,
-                        apply_to=config.reg.apply_to)
-        point = ExperimentConfig(**{**_config_kwargs(config), "reg": reg})
+        point = replace(config, reg=replace(config.reg, lambda21=float(lam21)))
         reports.append(train_model(point, dataset=dataset))
     return reports
-
-
-def _config_kwargs(config: ExperimentConfig) -> dict:
-    return {name: getattr(config, name) for name in ExperimentConfig.__dataclass_fields__}
 
 
 def finetune(blocks: dict, dataset: Dataset, fraction: float,
@@ -243,7 +228,7 @@ def finetune(blocks: dict, dataset: Dataset, fraction: float,
     optimizer = make_optimizer(config.optimizer, config.lr, config.reg,
                                config.schedule_args())
     _run_epochs(blocks, optimizer, dataset, config, 1, shuffle_seed=config.seed + 7919,
-                ids=ids, labels=labels)
+                features_seen=np.unique(ids), ids=ids, labels=labels)
 
 
 def prune_finetune_prune(blocks: dict, dataset: Dataset, schedule: PruneSchedule,

@@ -174,6 +174,11 @@ class TestTrainCommand:
     def test_missing_config_file_exits_2(self):
         assert main(["train", "--config", "/nonexistent/c.json"]) == EXIT_CONFIG
 
+    def test_string_apply_to_exits_2(self, tmp_path, capsys):
+        path = write_tiny_config(tmp_path, reg={"lambda21": 0.1, "apply_to": "embedding"})
+        assert main(["train", "--config", path]) == EXIT_CONFIG
+        assert "reg: apply_to" in capsys.readouterr().err
+
     def test_invalid_json_exits_2(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

@@ -6,10 +6,10 @@ from numpy.testing import assert_allclose
 from groupopt.blocks import ParamBlock, make_rng
 from groupopt.optimizers import (
     FtrlOptimizer,
-    FtrlState,
     GroupOptimizer,
     MomentSchedule,
     NO_REG,
+    OPTIMIZER_NAMES,
     OptimizerState,
     PoisonedStateError,
     RegConfig,
@@ -144,7 +144,7 @@ class TestFtrlIdentity:
         assert np.max(np.abs(a.values - b.values)) <= 1e-9
 
     def test_dead_zone(self):
-        state = FtrlState(2)
+        state = OptimizerState(2)
         block = ParamBlock("w", np.zeros(2))
         ftrl_step(state, block, np.array([0.01, -0.02]), 1.0, lambda1=10.0)
         assert_allclose(block.values, [0.0, 0.0])
@@ -231,7 +231,26 @@ class TestStateSafety:
             MomentSchedule(kind="nope")
 
 
+class TestDriverChecks:
+    @pytest.mark.parametrize("name", OPTIMIZER_NAMES)
+    def test_every_driver_checks_its_steps(self, name):
+        opt = make_optimizer(name, 0.1, RegConfig(lambda1=1e-3))
+        block = ParamBlock("w", np.zeros(3))
+        with pytest.raises(ValueError):
+            opt.step(block, np.zeros(4))
+        with pytest.raises(PoisonedStateError):
+            opt.step(block, np.array([0.0, np.nan, 0.0]))
+        with pytest.raises(PoisonedStateError):
+            opt.step(block, np.zeros(3))
+
+
 class TestRegTargeting:
+    def test_string_apply_to_rejected(self):
+        # a string would become a set of its characters and match no block
+        with pytest.raises(ValueError, match="apply_to"):
+            RegConfig(lambda21=0.1, apply_to="embedding")
+        assert RegConfig(apply_to=["embedding"]).applies_to("embedding")
+
     def test_untargeted_block_takes_plain_path(self):
         reg = RegConfig(lambda1=5.0, lambda21=5.0, lambda2=5.0,
                         apply_to=frozenset({"embedding"}))
@@ -328,6 +347,27 @@ class TestRowPath:
             opts[0].step(blocks[0], grad, rows=rows)
             opts[1].step(blocks[1], grad)
         assert blocks[0].values.tobytes() == blocks[1].values.tobytes()
+
+    @pytest.mark.parametrize("rows", [[-3], [3], [1, 3], [1.0], np.array([0.5])])
+    def test_bad_row_ids_rejected_before_any_change(self, rows):
+        opt = GroupOptimizer(MomentSchedule(kind="adagrad"), 0.1)
+        block = ParamBlock("e", np.zeros(6), group_size=2)
+        opt.step(block, np.ones(6))
+        before = state_bits(opt, block)
+        with pytest.raises(ValueError, match="group ids"):
+            opt.step(block, np.ones(6), rows=rows)
+        assert state_bits(opt, block) == before
+        assert opt.states["e"].t == 1 and not opt.states["e"].poisoned
+        opt.step(block, np.ones(6), rows=[0, 1, 2])
+
+    @pytest.mark.parametrize("rows", [[], np.array([], dtype=np.int64)])
+    def test_empty_rows_step_nothing(self, rows):
+        opt = GroupOptimizer(MomentSchedule(kind="adagrad"), 0.1)
+        block = ParamBlock("e", np.zeros(6), group_size=2)
+        opt.step(block, np.ones(6))
+        before = state_bits(opt, block)
+        opt.step(block, np.zeros(6), rows=rows)
+        assert state_bits(opt, block) == before
 
     def test_nan_outside_rows_poisons(self):
         opt = GroupOptimizer(MomentSchedule(kind="adagrad"), 0.1)

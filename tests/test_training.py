@@ -52,6 +52,12 @@ class TestExperimentConfig:
         rebuilt = config_from_dict(config.to_dict())
         assert rebuilt == config
 
+    def test_string_apply_to_rejected(self):
+        doc = tiny_config().to_dict()
+        doc["reg"]["apply_to"] = "embedding"
+        with pytest.raises(ConfigError, match="reg: apply_to"):
+            config_from_dict(doc)
+
     def test_schedule_args_carry_all_knobs(self):
         args = tiny_config(beta1=0.8, gamma=0.7).schedule_args()
         assert args == {"beta1": 0.8, "beta2": 0.999, "gamma": 0.7,
