@@ -8,7 +8,7 @@ regret measurement lab.
 """
 
 from .blocks import ParamBlock, group_l2_norms, make_rng
-from .data import Dataset, Sample, SynthSpec, generate, load_libsvm, write_libsvm
+from .data import Dataset, SynthSpec, generate, load_libsvm, write_libsvm
 from .metrics import auc, nonzero_groups, sparsity
 from .model import (
     EMBEDDING,
@@ -63,7 +63,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ParamBlock", "group_l2_norms", "make_rng",
-    "Dataset", "Sample", "SynthSpec", "generate", "load_libsvm", "write_libsvm",
+    "Dataset", "SynthSpec", "generate", "load_libsvm", "write_libsvm",
     "auc", "nonzero_groups", "sparsity",
     "EMBEDDING", "ModelConfig", "backward", "forward", "init_params",
     "load_checkpoint", "logloss", "predict_proba", "save_checkpoint",

@@ -144,30 +144,25 @@ def build_config(args, default_lambda2: bool = True) -> ExperimentConfig:
     return config_from_dict(doc)
 
 
-def _ensure_outdir(config) -> Path | None:
-    out = config.output_dir if hasattr(config, "output_dir") else config
-    if out is None:
-        return None
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+def _write_artifacts(output_dir, payload: dict, json_name: str,
+                     csv_name: str | None = None, columns=(), rows=()) -> Path | None:
+    """Print the JSON payload, or write it and an optional CSV into output_dir.
 
-
-def _emit_json(payload: dict, outdir: Path | None, filename: str) -> None:
+    Returns the directory written to, or None when the payload was printed.
+    """
     text = json.dumps(payload, indent=2)
-    if outdir is None:
+    if output_dir is None:
         print(text)
-    else:
-        (outdir / filename).write_text(text + "\n")
-
-
-def _write_metrics_csv(path: Path, reports) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(METRIC_COLUMNS)
-        for report in reports:
-            for row in report.epochs:
-                writer.writerow([row[c] for c in METRIC_COLUMNS])
+        return None
+    outdir = Path(output_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    (outdir / json_name).write_text(text + "\n")
+    if csv_name is not None:
+        with (outdir / csv_name).open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(columns)
+            writer.writerows(rows)
+    return outdir
 
 
 def cmd_train(args) -> int:
@@ -179,13 +174,11 @@ def cmd_train(args) -> int:
         "runs": [r.to_dict() for r in reports],
         "summary": summary,
     }
-    outdir = _ensure_outdir(config)
-    _emit_json(payload, outdir, "report.json")
-    if outdir is not None:
-        _write_metrics_csv(outdir / "metrics.csv", reports)
-        if args.save_checkpoint:
-            save_checkpoint(outdir / "checkpoint.json", config.model,
-                            reports[0].blocks)
+    rows = ([row[c] for c in METRIC_COLUMNS] for r in reports for row in r.epochs)
+    outdir = _write_artifacts(config.output_dir, payload, "report.json",
+                              "metrics.csv", METRIC_COLUMNS, rows)
+    if outdir is not None and args.save_checkpoint:
+        save_checkpoint(outdir / "checkpoint.json", config.model, reports[0].blocks)
     final = reports[0].final
     print(f"train: auc={final['auc']:.4f} logloss={final['logloss']:.4f} "
           f"sparsity={final['sparsity']:.4f}", file=sys.stderr)
@@ -208,24 +201,16 @@ def cmd_sweep(args) -> int:
     config = build_config(args, default_lambda2=False)
     grid = _parse_grid(args.grid)
     reports = sweep(config, grid)
-    table = []
-    for lam21, report in zip(grid, reports):
-        table.append({"lambda21": lam21, **report.final})
+    table = [{"lambda21": lam21, **report.final} for lam21, report in zip(grid, reports)]
     payload = {
         "schema_version": reports[0].schema_version,
         "config": config.to_dict(),
         "grid": grid,
         "points": table,
     }
-    outdir = _ensure_outdir(config)
-    _emit_json(payload, outdir, "sweep.json")
-    if outdir is not None:
-        with (outdir / "sweep.csv").open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            columns = ("lambda21", "logloss", "auc", "sparsity", "nonzero_groups")
-            writer.writerow(columns)
-            for row in table:
-                writer.writerow([row[c] for c in columns])
+    columns = ("lambda21", "logloss", "auc", "sparsity", "nonzero_groups")
+    _write_artifacts(config.output_dir, payload, "sweep.json", "sweep.csv", columns,
+                     ([row[c] for c in columns] for row in table))
     return EXIT_OK
 
 
@@ -240,8 +225,7 @@ def cmd_prune_baseline(args) -> int:
     else:
         raise ConfigError("target: pass --target-keep or --target-sparsity")
     report = prune_baseline(config, keep, dataset=dataset, base_report=base)
-    outdir = _ensure_outdir(config)
-    _emit_json(report, outdir, "prune_baseline.json")
+    _write_artifacts(config.output_dir, report, "prune_baseline.json")
     best = report["best"]
     print(f"prune-baseline: keep={keep} best auc={best['auc']:.4f} "
           f"at finetune_fraction={best['finetune_fraction']}", file=sys.stderr)
@@ -285,13 +269,8 @@ def cmd_regret(args) -> int:
                      step_decay=args.step_decay)
     constants = measure_bound_constants(run)
     payload = {**run.to_dict(), "bound": constants}
-    outdir = _ensure_outdir(args.output_dir)
-    _emit_json(payload, outdir, "regret.json")
-    if outdir is not None:
-        with (outdir / "regret.csv").open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("t", "regret"))
-            writer.writerows(run.rows())
+    _write_artifacts(args.output_dir, payload, "regret.json", "regret.csv",
+                     ("t", "regret"), run.rows())
     print(f"regret: slope={run.slope:.3f} R_T={run.regret_final:.3f} "
           f"condition_met={constants['condition_met']}", file=sys.stderr)
     return EXIT_OK

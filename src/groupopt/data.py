@@ -21,12 +21,6 @@ from .model import sigmoid
 
 
 @dataclass
-class Sample:
-    feature_ids: list
-    label: int
-
-
-@dataclass
 class SynthSpec:
     num_fields: int = 10
     vocab_per_field: int = 500
@@ -105,13 +99,13 @@ def generate(spec: SynthSpec) -> Dataset:
     )
 
 
-def to_samples(ids: np.ndarray, labels: np.ndarray) -> list[Sample]:
-    return [Sample(list(map(int, row)), int(y)) for row, y in zip(ids, labels)]
+def load_libsvm(path) -> tuple[np.ndarray, np.ndarray]:
+    """Parse "label id:1 id:1 ..." lines into (ids, labels) int64 arrays.
 
-
-def load_libsvm(path) -> list[Sample]:
-    """Parse "label id:1 id:1 ..." lines; labels {0,1} or {-1,+1}, one-hot only."""
-    samples = []
+    Labels are {0,1} or {-1,+1}, values one-hot only, and every line must
+    name as many ids as the first; blank lines are skipped.
+    """
+    rows, labels = [], []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -140,24 +134,18 @@ def load_libsvm(path) -> list[Sample]:
                 if val != 1.0:
                     raise ValueError(f"non-one-hot value at line {lineno}")
                 ids.append(idx)
-            samples.append(Sample(ids, label))
-    return samples
+            if rows and len(ids) != len(rows[0]):
+                raise ValueError(f"{len(ids)} fields at line {lineno}, "
+                                 f"the first sample has {len(rows[0])}")
+            rows.append(ids)
+            labels.append(label)
+    if not rows:
+        raise ValueError(f"no samples in {path}")
+    return np.array(rows, dtype=np.int64), np.array(labels, dtype=np.int64)
 
 
-def write_libsvm(path, samples: list[Sample]) -> None:
+def write_libsvm(path, ids: np.ndarray, labels: np.ndarray) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for s in samples:
-            pairs = " ".join(f"{i}:1" for i in s.feature_ids)
-            fh.write(f"{s.label} {pairs}\n" if pairs else f"{s.label}\n")
-
-
-def samples_to_arrays(samples: list[Sample]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack equal-field-count samples into (ids, labels) arrays."""
-    if not samples:
-        raise ValueError("no samples")
-    width = len(samples[0].feature_ids)
-    if any(len(s.feature_ids) != width for s in samples):
-        raise ValueError("samples have differing field counts")
-    ids = np.array([s.feature_ids for s in samples], dtype=np.int64)
-    labels = np.array([s.label for s in samples], dtype=np.int64)
-    return ids, labels
+        for row, label in zip(ids, labels):
+            pairs = " ".join(f"{i}:1" for i in row)
+            fh.write(f"{label} {pairs}\n" if pairs else f"{label}\n")

@@ -113,14 +113,12 @@ class OptimizerState:
     m_hat: np.ndarray = field(init=False)
     v_hat: np.ndarray = field(init=False)
     prev_scaled_root: np.ndarray = field(init=False)
-    last_m: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.z = np.zeros(self.dim)
         self.m_hat = np.zeros(self.dim)
         self.v_hat = np.zeros(self.dim)
         self.prev_scaled_root = np.zeros(self.dim)
-        self.last_m = np.zeros(self.dim)
 
 
 def _check_step(state: OptimizerState, block: ParamBlock, grad, lr: float) -> np.ndarray:
@@ -184,8 +182,9 @@ def step_group(
     schedule: MomentSchedule,
     lr: float,
     reg: RegConfig = NO_REG,
-) -> None:
-    """One regularized dual-averaging step; mutates state and block in place.
+) -> tuple[np.ndarray, np.ndarray]:
+    """One regularized dual-averaging step; mutates state and block in place
+    and returns the step's (m_t, R_t).
 
     Blocks the reg config does not target take the lambda = 0 path, which is
     the plain adaptive update. Targeted ungrouped blocks are penalized too,
@@ -201,11 +200,11 @@ def step_group(
         state.poisoned = True
         raise PoisonedStateError(f"non-finite dual for block {block.name!r}")
     state.prev_scaled_root = scaled_root
-    state.last_m = m
     state.t += 1
 
     s = soft_threshold(state.z, lam1)
     block.values = group_shrink(s, scaled_root, group_size, lam21, lam2, variant)
+    return m, scaled_root
 
 
 def _step_adagrad_rows(state: OptimizerState, block: ParamBlock, grad: np.ndarray,
@@ -243,7 +242,6 @@ def _step_adagrad_rows(state: OptimizerState, block: ParamBlock, grad: np.ndarra
     v_hat[u] = v_rows
     z[u] = z_rows
     prev[u] = root
-    state.last_m = grad
     state.t += 1
 
     s = soft_threshold(z_rows.ravel(), lam1)

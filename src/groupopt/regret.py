@@ -252,14 +252,12 @@ def run_regret(problem: OnlineProblem, kind: str = "adagrad", lr: float = 0.5,
             raise FloatingPointError("divergent trajectory: non-finite loss")
 
         lr_t = lr / np.sqrt(float(t)) if step_decay == "sqrt_t" else lr
-        root_prev = state.prev_scaled_root.copy()
-        step_group(state, block, grad, schedule, lr_t, reg)
-        root_new = state.prev_scaled_root
+        ms[t - 1], root_new = step_group(state, block, grad, schedule, lr_t, reg)
         if t >= 2:
             ratio = np.divide(root_prev, root_new,
                               out=np.zeros_like(root_new), where=root_new > 0)
             kappa = max(kappa, float(np.max(ratio**2)))
-        ms[t - 1] = state.last_m
+        root_prev = root_new
 
         if t == checkpoints[next_cp]:
             if problem.kind == "quadratic":

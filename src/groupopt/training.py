@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, asdict, replace
 import numpy as np
 
 from .blocks import make_rng
-from .data import Dataset, SynthSpec, generate, load_libsvm, samples_to_arrays
+from .data import Dataset, SynthSpec, generate, load_libsvm
 from .metrics import auc, nonzero_groups, sparsity
 from .model import EMBEDDING, ModelConfig, backward, forward, init_params, logloss
 from .optimizers import OPTIMIZER_NAMES, RegConfig, make_optimizer
@@ -104,8 +104,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 def load_dataset(config: ExperimentConfig) -> Dataset:
     if isinstance(config.data, SynthSpec):
         return generate(config.data)
-    samples = load_libsvm(config.data)
-    ids, labels = samples_to_arrays(samples)
+    ids, labels = load_libsvm(config.data)
     if ids.shape[1] != config.model.num_fields:
         raise ConfigError(
             f"data: file has {ids.shape[1]} fields, model expects {config.model.num_fields}")
@@ -144,31 +143,17 @@ def evaluate(blocks: dict, dataset: Dataset, model_config: ModelConfig,
     }
 
 
-def _run_epochs(blocks, optimizer, dataset, config, epochs, shuffle_seed, features_seen,
-                ids=None, labels=None) -> list[dict]:
-    """Train in place; returns per-epoch metric rows."""
-    ids = dataset.train_ids if ids is None else ids
-    labels = dataset.train_labels if labels is None else labels
-    rng = make_rng(shuffle_seed)
-    rows = []
-    n = len(labels)
-    for epoch in range(epochs):
-        start = time.perf_counter()
-        order = rng.permutation(n)
-        for lo in range(0, n, config.batch_size):
-            batch = order[lo:lo + config.batch_size]
-            cache = forward(blocks, ids[batch], config.model)
-            grads = backward(cache, labels[batch], blocks)
-            for name, block in blocks.items():
-                # the embedding gradient is zero outside the rows the batch read
-                optimizer.step(block, grads[name],
-                               rows=cache.ids if name == EMBEDDING else None)
-        wall_ms = 1000.0 * (time.perf_counter() - start)
-        row = {"epoch": epoch + 1,
-               **evaluate(blocks, dataset, config.model, features_seen),
-               "wall_ms": wall_ms}
-        rows.append(row)
-    return rows
+def _train_epoch(blocks, optimizer, ids, labels, config, rng) -> None:
+    """One shuffled pass over (ids, labels); trains blocks in place."""
+    order = rng.permutation(len(labels))
+    for lo in range(0, len(labels), config.batch_size):
+        batch = order[lo:lo + config.batch_size]
+        cache = forward(blocks, ids[batch], config.model)
+        grads = backward(cache, labels[batch], blocks)
+        for name, block in blocks.items():
+            # the embedding gradient is zero outside the rows the batch read
+            optimizer.step(block, grads[name],
+                           rows=cache.ids if name == EMBEDDING else None)
 
 
 def train_model(config: ExperimentConfig, dataset: Dataset | None = None,
@@ -181,8 +166,15 @@ def train_model(config: ExperimentConfig, dataset: Dataset | None = None,
     optimizer = make_optimizer(config.optimizer, config.lr, config.reg,
                                config.schedule_args())
     features_seen = np.unique(dataset.train_ids)
-    rows = _run_epochs(blocks, optimizer, dataset, config, config.epochs,
-                       shuffle_seed=run_seed + 1, features_seen=features_seen)
+    rng = make_rng(run_seed + 1)
+    rows = []
+    for epoch in range(config.epochs):
+        start = time.perf_counter()
+        _train_epoch(blocks, optimizer, dataset.train_ids, dataset.train_labels, config, rng)
+        wall_ms = 1000.0 * (time.perf_counter() - start)
+        rows.append({"epoch": epoch + 1,
+                     **evaluate(blocks, dataset, config.model, features_seen),
+                     "wall_ms": wall_ms})
     report = RunReport(config=config.to_dict(), epochs=rows, final=dict(rows[-1]),
                        blocks=blocks, features_seen=features_seen)
     report.final.pop("epoch", None)
@@ -216,19 +208,18 @@ def sweep(config: ExperimentConfig, lambda21_grid) -> list[RunReport]:
 
 def finetune(blocks: dict, dataset: Dataset, fraction: float,
              config: ExperimentConfig) -> None:
-    """Train in place on the chronologically last fraction of train samples."""
+    """Train one epoch in place on the chronologically last fraction of train
+    samples; nothing is evaluated."""
     if fraction <= 0:
         return
     n = dataset.num_train
     lo = n - int(fraction * n)
-    ids = dataset.train_ids[lo:]
-    labels = dataset.train_labels[lo:]
-    if len(labels) == 0:
+    if lo == n:
         return
     optimizer = make_optimizer(config.optimizer, config.lr, config.reg,
                                config.schedule_args())
-    _run_epochs(blocks, optimizer, dataset, config, 1, shuffle_seed=config.seed + 7919,
-                features_seen=np.unique(ids), ids=ids, labels=labels)
+    _train_epoch(blocks, optimizer, dataset.train_ids[lo:], dataset.train_labels[lo:],
+                 config, make_rng(config.seed + 7919))
 
 
 def prune_finetune_prune(blocks: dict, dataset: Dataset, schedule: PruneSchedule,

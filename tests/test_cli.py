@@ -179,6 +179,15 @@ class TestTrainCommand:
         assert main(["train", "--config", path]) == EXIT_CONFIG
         assert "reg: apply_to" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("body", ["2 0:1 20:1 40:1\n", "1 oops\n", "1 -3:1\n",
+                                      "1 0:0.5 20:1 40:1\n", "1 0:1 20:1 40:1\n0 0:1\n", ""])
+    def test_malformed_libsvm_exits_2(self, tmp_path, capsys, body):
+        path = tmp_path / "d.libsvm"
+        path.write_text(body)
+        code = main(["train", "--config", write_tiny_config(tmp_path), "--data", str(path)])
+        assert code == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
     def test_invalid_json_exits_2(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

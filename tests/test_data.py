@@ -4,15 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from groupopt.data import (
-    Sample,
-    SynthSpec,
-    generate,
-    load_libsvm,
-    samples_to_arrays,
-    to_samples,
-    write_libsvm,
-)
+from groupopt.data import SynthSpec, generate, load_libsvm, write_libsvm
 
 
 class TestSynthSpec:
@@ -72,27 +64,40 @@ class TestGenerate:
 
 class TestLibsvm:
     def test_round_trip(self, tmp_path):
-        spec = SynthSpec(num_samples=50, seed=7)
-        data = generate(spec)
-        samples = to_samples(data.train_ids, data.train_labels)
+        data = generate(SynthSpec(num_samples=50, seed=7))
         path = tmp_path / "train.libsvm"
-        write_libsvm(path, samples)
-        loaded = load_libsvm(path)
-        assert loaded == samples
-        ids, labels = samples_to_arrays(loaded)
+        write_libsvm(path, data.train_ids, data.train_labels)
+        ids, labels = load_libsvm(path)
+        assert ids.dtype == labels.dtype == np.int64
         assert np.array_equal(ids, data.train_ids)
         assert np.array_equal(labels, data.train_labels)
 
     def test_label_conventions(self, tmp_path):
         path = tmp_path / "f.libsvm"
         path.write_text("+1 3:1\n-1 4:1\n1 5:1\n0 6:1\n")
-        samples = load_libsvm(path)
-        assert [s.label for s in samples] == [1, 0, 1, 0]
+        ids, labels = load_libsvm(path)
+        assert labels.tolist() == [1, 0, 1, 0]
+        assert ids.tolist() == [[3], [4], [5], [6]]
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "f.libsvm"
         path.write_text("1 1:1\n\n0 2:1\n")
-        assert len(load_libsvm(path)) == 2
+        ids, labels = load_libsvm(path)
+        assert ids.tolist() == [[1], [2]]
+        assert labels.tolist() == [1, 0]
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "f.libsvm"
+        for body in ("", "\n\n"):
+            path.write_text(body)
+            with pytest.raises(ValueError, match="no samples"):
+                load_libsvm(path)
+
+    def test_ragged_rejected(self, tmp_path):
+        path = tmp_path / "f.libsvm"
+        path.write_text("1 1:1 2:1\n\n0 1:1\n")
+        with pytest.raises(ValueError, match="1 fields at line 3"):
+            load_libsvm(path)
 
     def test_bad_label(self, tmp_path):
         path = tmp_path / "f.libsvm"
@@ -117,16 +122,6 @@ class TestLibsvm:
         path.write_text("1 3:0.5\n")
         with pytest.raises(ValueError, match="non-one-hot value at line 1"):
             load_libsvm(path)
-
-
-class TestSamplesToArrays:
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            samples_to_arrays([])
-
-    def test_ragged_rejected(self):
-        with pytest.raises(ValueError):
-            samples_to_arrays([Sample([1, 2], 0), Sample([1], 1)])
 
 
 class TestSkew:

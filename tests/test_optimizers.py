@@ -210,6 +210,33 @@ class TestStateSafety:
         with pytest.raises(PoisonedStateError):
             step_group(state, block, np.zeros(2), schedule, 0.1)
 
+    def test_overflowing_dual_poisons_dense_step(self):
+        # finite gradients whose running dual overflows to inf on step 2
+        state = OptimizerState(2)
+        block = ParamBlock("w", np.zeros(2))
+        schedule = MomentSchedule(kind="sgd")
+        grad = np.full(2, 1e308)
+        step_group(state, block, grad, schedule, 0.1)
+        with np.errstate(over="ignore"), pytest.raises(PoisonedStateError, match="dual"):
+            step_group(state, block, grad, schedule, 0.1)
+        assert state.poisoned
+        with pytest.raises(PoisonedStateError):
+            step_group(state, block, np.zeros(2), schedule, 0.1)
+
+    def test_overflowing_dual_poisons_row_step(self):
+        # a 1e200 row squares to inf, so R_t and the dual of that row are not finite
+        opt = GroupOptimizer(MomentSchedule(kind="adagrad"), 0.1)
+        block = ParamBlock("e", np.zeros(6), group_size=2)
+        opt.step(block, np.ones(6))
+        grad = np.zeros(6)
+        grad[:2] = 1e200
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(PoisonedStateError, match="dual"):
+            opt.step(block, grad, rows=[0])
+        assert opt.states["e"].poisoned
+        with pytest.raises(PoisonedStateError):
+            opt.step(block, np.zeros(6), rows=[0])
+
     def test_dimension_mismatch(self):
         state = OptimizerState(2)
         block = ParamBlock("w", np.zeros(3))

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from groupopt.optimizers import RegConfig
-from groupopt.regret import OnlineProblem, measure_bound_constants, run_regret
+from groupopt.regret import OnlineProblem, _make_stream, measure_bound_constants, run_regret
 
 
 class TestOnlineProblem:
@@ -83,6 +83,18 @@ class TestQuadraticRegret:
         assert doc["optimizer"] == "adagrad"
         assert doc["step_decay"] == "none"
         assert doc["regrets"] == [float(r) for r in run.regrets]
+
+
+class TestRecordedMoments:
+    @pytest.mark.parametrize("lambda1, kappa", [(0.0, 0.9999999976841174),
+                                                (0.05, 0.999999999076937)])
+    def test_adagrad_moments_are_the_gradients(self, lambda1, kappa):
+        # adagrad's m_t is g_t, which on a quadratic stream is x_t - a_t
+        problem = OnlineProblem(kind="quadratic", dim=4, horizon=512, seed=3)
+        run = run_regret(problem, kind="adagrad", lr=0.5, reg=RegConfig(lambda1=lambda1))
+        targets = _make_stream(problem)["targets"]
+        assert run.ms.tobytes() == (run.xs - targets).tobytes()
+        assert run.kappa == kappa
 
 
 class TestStepDecay:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from groupopt.data import SynthSpec, to_samples, write_libsvm
+from groupopt import training
+from groupopt.data import SynthSpec, write_libsvm
 from groupopt.metrics import nonzero_groups
 from groupopt.model import EMBEDDING, ModelConfig
 from groupopt.optimizers import GroupOptimizer, RegConfig
@@ -164,7 +165,7 @@ class TestLoadDataset:
         path = tmp_path / "d.libsvm"
         all_ids = np.vstack([raw.train_ids, raw.test_ids])
         all_labels = np.concatenate([raw.train_labels, raw.test_labels])
-        write_libsvm(path, to_samples(all_ids, all_labels))
+        write_libsvm(path, all_ids, all_labels)
         config = tiny_config(data=str(path))
         data = load_dataset(config)
         assert data.num_train == 90
@@ -213,3 +214,16 @@ class TestPruneBaseline:
         report = prune_baseline(self.config, keep, fractions=(0.0,),
                                 dataset=self.dataset, base_report=self.base)
         assert_allclose(report["fractions"][0]["auc"], self.base.final["auc"])
+
+    def test_finetune_trains_without_evaluating(self, monkeypatch):
+        calls = []
+        real = training.evaluate
+        monkeypatch.setattr(training, "evaluate", lambda *args: calls.append(1) or real(*args))
+        config = tiny_config(optimizer="adagrad", reg=RegConfig(), epochs=2)
+        report = prune_baseline(config, 15)
+        # one evaluation per training epoch and one per fine-tune fraction
+        assert len(calls) == 2 + 4
+        best = report["best"]
+        assert (best["finetune_fraction"], best["nonzero_groups"]) == (0.3, 15)
+        assert best["auc"] == 0.7638888888888888
+        assert_allclose(best["logloss"], 0.6539972838479251, rtol=1e-12)
