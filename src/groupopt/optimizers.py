@@ -218,7 +218,12 @@ def _step_adagrad_rows(state: OptimizerState, block: ParamBlock, grad: np.ndarra
     expressions as _advance_moments and step_group on a k x d slice and
     are written back in place.
     """
-    u = np.unique(rows)
+    u = np.sort(rows, axis=None)
+    if u.size:  # np.unique without its overhead: keep the first of each run
+        keep = np.empty(u.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(u[1:], u[:-1], out=keep[1:])
+        u = u[keep]
     # checked here, as numpy would wrap a negative id to another row
     if u.size and not (u.dtype.kind in "iu" and u[0] >= 0 and u[-1] < block.num_groups):
         raise ValueError(f"rows must be integer group ids in [0, {block.num_groups})")
@@ -321,6 +326,19 @@ def ftrl_step(
     block.values = np.where(state.v_hat > 0.0, x, 0.0)
 
 
+def _blame_member(exc: PoisonedStateError, pack: ParamBlock, grad, state: OptimizerState,
+                  names: list, ends) -> PoisonedStateError:
+    """The pack's error renamed to the member holding the first non-finite
+    value: in the gradient, else the dual, else the parameters, the order in
+    which the step checks them."""
+    for values in (grad, state.z, pack.values):
+        bad = ~np.isfinite(values)
+        if bad.any():
+            member = names[int(np.searchsorted(ends, np.argmax(bad), side="right"))]
+            return PoisonedStateError(str(exc).replace(repr(pack.name), repr(member)))
+    return exc
+
+
 class GroupOptimizer:
     """Driver holding one OptimizerState per block name; subclasses replace _update."""
 
@@ -343,6 +361,42 @@ class GroupOptimizer:
         if st is None:
             st = self.states[block.name] = OptimizerState(block.values.size)
         self._update(st, block, grad, rows)
+
+    def step_all(self, blocks: dict, grads: dict, rows=None) -> None:
+        """Step every block of blocks with its gradient grads[name].
+
+        Grouped blocks are stepped one by one, each with rows. The ungrouped
+        blocks are concatenated, in dict order, into at most two packs, one
+        per penalty setting, and each pack takes one step: the updates are
+        elementwise, so this gives the same bits as a step per block at the
+        fixed cost of one. A pack is named after its first member, so the
+        penalties follow from its name as for a block and its state is kept
+        under that name. The pack is rebuilt on every call; afterwards each
+        member's values is a view of its slice of the pack's new values.
+        """
+        packs: dict[bool, list] = {}
+        for name, block in blocks.items():
+            if block.grouped:
+                self.step(block, grads[name], rows=rows)
+            else:
+                packs.setdefault(self.reg.applies_to(block.name), []).append(
+                    (block, grads[name]))
+        for members in packs.values():
+            for block, grad in members:
+                if np.shape(grad) != block.values.shape:
+                    raise ValueError(f"gradient/block dimension mismatch for block "
+                                     f"{block.name!r}")
+            ends = np.cumsum([block.values.size for block, _ in members])
+            pack = ParamBlock(members[0][0].name,
+                              np.concatenate([block.values for block, _ in members]))
+            grad = np.concatenate([grad for _, grad in members])
+            try:
+                self.step(pack, grad)
+            except PoisonedStateError as exc:
+                raise _blame_member(exc, pack, grad, self.states[pack.name],
+                                    [block.name for block, _ in members], ends) from None
+            for (block, _), hi in zip(members, ends):
+                block.values = pack.values[hi - block.values.size:hi]
 
     def _update(self, state: OptimizerState, block: ParamBlock, grad, rows) -> None:
         if (rows is not None and self.schedule.kind == "adagrad" and block.grouped

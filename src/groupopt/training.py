@@ -109,6 +109,11 @@ def load_dataset(config: ExperimentConfig) -> Dataset:
         raise ConfigError(
             f"data: file has {ids.shape[1]} fields, model expects {config.model.num_fields}")
     n_train = int(0.9 * len(labels))
+    # AUC, the headline metric, is undefined on a split with one class
+    for split, part in (("train", labels[:n_train]), ("test", labels[n_train:])):
+        if np.unique(part).size < 2:
+            raise ConfigError(f"data: the {split} split ({part.size} of {len(labels)} "
+                              f"samples) holds fewer than two label classes")
     return Dataset(ids[:n_train], labels[:n_train], ids[n_train:], labels[n_train:],
                    support=frozenset())
 
@@ -150,10 +155,9 @@ def _train_epoch(blocks, optimizer, ids, labels, config, rng) -> None:
         batch = order[lo:lo + config.batch_size]
         cache = forward(blocks, ids[batch], config.model)
         grads = backward(cache, labels[batch], blocks)
-        for name, block in blocks.items():
-            # the embedding gradient is zero outside the rows the batch read
-            optimizer.step(block, grads[name],
-                           rows=cache.ids if name == EMBEDDING else None)
+        # the embedding, the only grouped block, has zero gradient outside
+        # the rows the batch read
+        optimizer.step_all(blocks, grads, rows=cache.ids)
 
 
 def train_model(config: ExperimentConfig, dataset: Dataset | None = None,
@@ -183,8 +187,11 @@ def train_model(config: ExperimentConfig, dataset: Dataset | None = None,
 
 
 def run_repeated(config: ExperimentConfig) -> tuple[list[RunReport], dict]:
-    """config.repeats independent runs (seed, seed+1, ...) plus mean/std summary."""
-    reports = [train_model(config, seed_offset=i) for i in range(config.repeats)]
+    """config.repeats runs (seed, seed+1, ...) on one loaded dataset plus
+    mean/std summary."""
+    dataset = load_dataset(config)
+    reports = [train_model(config, dataset=dataset, seed_offset=i)
+               for i in range(config.repeats)]
     keys = ("logloss", "auc", "sparsity", "nonzero_groups")
     summary = {}
     for key in keys:

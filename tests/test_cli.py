@@ -15,6 +15,7 @@ from groupopt.cli import (
     build_parser,
     main,
 )
+from groupopt import training
 from groupopt.model import load_checkpoint
 from groupopt.training import ConfigError
 
@@ -187,6 +188,23 @@ class TestTrainCommand:
         code = main(["train", "--config", write_tiny_config(tmp_path), "--data", str(path)])
         assert code == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("labels, split", [("1" * 20, "train"),
+                                               ("01" * 9 + "11", "test")])
+    def test_one_class_split_exits_2_before_training(self, tmp_path, capsys, monkeypatch,
+                                                     labels, split):
+        def never(*args, **kwargs):
+            raise AssertionError("train_model entered")
+
+        monkeypatch.setattr(training, "train_model", never)
+        path = tmp_path / "d.libsvm"
+        path.write_text("".join(f"{label} {i % 20}:1 {20 + i}:1 40:1\n"
+                                for i, label in enumerate(labels)))
+        model = {"num_features": 60, "num_fields": 3, "embed_dim": 4, "hidden_dims": [8]}
+        code = main(["train", "--config", write_tiny_config(tmp_path, model=model),
+                     "--data", str(path)])
+        assert code == EXIT_CONFIG
+        assert f"config error: data: the {split} split" in capsys.readouterr().err
 
     def test_invalid_json_exits_2(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from groupopt.blocks import ParamBlock, make_rng
+from groupopt.model import EMBEDDING, ModelConfig, init_params
 from groupopt.optimizers import (
     FtrlOptimizer,
     GroupOptimizer,
@@ -407,6 +408,153 @@ class TestRowPath:
         assert opt.states["e"].poisoned
         with pytest.raises(PoisonedStateError):
             opt.step(block, np.zeros(6), rows=np.array([0]))
+
+
+def model_blocks(seed, num_features=12, embed_dim=3, num_fields=2, hidden_dims=(5, 4)):
+    """A blocks dict shaped like the CTR model's: the embedding table, then
+    dense0_w, dense0_b, dense1_w, ... in model order."""
+    return init_params(ModelConfig(num_features=num_features, embed_dim=embed_dim,
+                                   num_fields=num_fields, hidden_dims=hidden_dims,
+                                   seed=seed))
+
+
+def model_grad_stream(seed, blocks, steps):
+    """Per step, the batch's embedding rows and one gradient per block: the
+    embedding zero outside those rows, dense blocks at a random scale and
+    now and then all zero."""
+    rng = make_rng(seed)
+    emb = blocks[EMBEDDING]
+    for _ in range(steps):
+        grads = {}
+        rows = None
+        for name, block in blocks.items():
+            scale = 10.0 ** rng.uniform(-3, 1)
+            if block.grouped:
+                grad, rows = next(sparse_row_stream(int(rng.integers(2**31)),
+                                                    emb.num_groups, emb.group_size, 1))
+                grads[name] = scale * grad
+            elif rng.random() < 0.1:
+                grads[name] = np.zeros(block.values.size)
+            else:
+                grads[name] = rng.normal(scale=scale, size=block.values.size)
+        yield grads, rows
+
+
+def pack_slices(opt, blocks):
+    """(member name, pack state, slice) for every ungrouped block: packs are
+    split by penalty in dict order and keep their state under the name of
+    their first member."""
+    packs = {}
+    for block in blocks.values():
+        if not block.grouped:
+            packs.setdefault(opt.reg.applies_to(block.name), []).append(block)
+    for members in packs.values():
+        state, lo = opt.states[members[0].name], 0
+        for block in members:
+            yield block.name, state, slice(lo, lo + block.values.size)
+            lo += block.values.size
+
+
+STATE_ARRAYS = ("z", "m_hat", "v_hat", "prev_scaled_root")
+APPLY_TO = [None, frozenset({EMBEDDING}), frozenset({EMBEDDING, "dense1_w"}),
+            frozenset({EMBEDDING, "dense0_w", "dense1_b"})]
+
+
+class TestStepAll:
+    @pytest.mark.parametrize("apply_to", APPLY_TO,
+                             ids=["all", "embedding", "two-packs", "two-shared-packs"])
+    @pytest.mark.parametrize("name", OPTIMIZER_NAMES)
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), steps=st.integers(1, 6),
+           variant=st.sampled_from(["practical", "exact"]),
+           lambda1=penalty, lambda21=penalty, lambda2=penalty)
+    def test_matches_a_step_per_block_bit_for_bit(self, name, apply_to, seed, steps,
+                                                  variant, lambda1, lambda21, lambda2):
+        reg = RegConfig(lambda1=lambda1, lambda21=lambda21, lambda2=lambda2,
+                        variant=variant, apply_to=apply_to)
+        packed, per_block = (make_optimizer(name, 0.05, reg) for _ in range(2))
+        blocks_a, blocks_b = model_blocks(seed % 1000), model_blocks(seed % 1000)
+        for grads, rows in model_grad_stream(seed, blocks_a, steps):
+            packed.step_all(blocks_a, grads, rows=rows)
+            for key, block in blocks_b.items():
+                per_block.step(block, grads[key], rows=rows if block.grouped else None)
+        for key in blocks_a:
+            assert blocks_a[key].values.tobytes() == blocks_b[key].values.tobytes(), key
+        assert state_bits(packed, blocks_a[EMBEDDING]) == state_bits(per_block,
+                                                                     blocks_b[EMBEDDING])
+        for member, state, part in pack_slices(packed, blocks_a):
+            ref = per_block.states[member]
+            assert state.t == ref.t
+            for array in STATE_ARRAYS:
+                assert (getattr(state, array)[part].tobytes()
+                        == getattr(ref, array).tobytes()), (member, array)
+
+    def test_two_penalty_settings_make_two_packs(self):
+        opt = make_optimizer("group-adam", 0.05, RegConfig(
+            lambda21=0.1, apply_to=frozenset({EMBEDDING, "dense0_w", "dense1_b"})))
+        blocks = model_blocks(0)
+        grads, rows = next(model_grad_stream(0, blocks, 1))
+        opt.step_all(blocks, grads, rows=rows)
+        sizes = {name: block.values.size for name, block in blocks.items()}
+        assert {name: state.dim for name, state in opt.states.items()} == {
+            EMBEDDING: sizes[EMBEDDING],
+            "dense0_w": sizes["dense0_w"] + sizes["dense1_b"],
+            "dense0_b": sizes["dense0_b"] + sizes["dense1_w"] + sizes["dense2_w"]
+            + sizes["dense2_b"]}
+        # members are views of their slice of the pack's values
+        assert blocks["dense1_b"].values.base is blocks["dense0_w"].values.base
+
+    @pytest.mark.parametrize("name", OPTIMIZER_NAMES)
+    def test_nan_gradient_names_the_member_and_poisons_the_pack(self, name):
+        opt = make_optimizer(name, 0.05, RegConfig(lambda21=0.1,
+                                                   apply_to=frozenset({EMBEDDING})))
+        blocks = model_blocks(1)
+        grads, rows = next(model_grad_stream(1, blocks, 1))
+        opt.step_all(blocks, grads, rows=rows)
+        before = {key: block.values.copy() for key, block in blocks.items()}
+        grads["dense1_b"][2] = np.nan
+        with pytest.raises(PoisonedStateError, match="gradient for block 'dense1_b'"):
+            opt.step_all(blocks, grads, rows=rows)
+        for key in ("dense0_w", "dense1_b", "dense2_b"):
+            assert np.array_equal(blocks[key].values, before[key])
+        assert opt.states["dense0_w"].poisoned
+        grads["dense1_b"][2] = 0.0
+        with pytest.raises(PoisonedStateError):
+            opt.step_all(blocks, grads, rows=rows)
+
+    def test_overflowing_dual_names_the_member(self):
+        opt = make_optimizer("group-sgd", 0.1)
+        blocks = model_blocks(2)
+        grads = {key: np.zeros(block.values.size) for key, block in blocks.items()}
+        grads["dense1_b"][:] = 1e308
+        opt.step_all(blocks, grads)
+        with np.errstate(over="ignore"), \
+                pytest.raises(PoisonedStateError, match="dual for block 'dense1_b'"):
+            opt.step_all(blocks, grads)
+        with pytest.raises(PoisonedStateError):
+            opt.step_all(blocks, grads)
+
+    def test_overflowing_vanilla_parameters_name_the_member(self):
+        opt = make_optimizer("sgd", 1e10)
+        blocks = model_blocks(3)
+        grads = {key: np.zeros(block.values.size) for key, block in blocks.items()}
+        grads["dense2_w"][0] = 1e300
+        with np.errstate(over="ignore"), \
+                pytest.raises(PoisonedStateError, match="parameters for block 'dense2_w'"):
+            opt.step_all(blocks, grads)
+        with pytest.raises(PoisonedStateError):
+            opt.step_all(blocks, grads)
+
+    def test_member_gradient_shape_checked(self):
+        opt = make_optimizer("group-adam", 0.05)
+        blocks = model_blocks(4)
+        grads = {key: np.zeros(block.values.size) for key, block in blocks.items()}
+        # one too few and one too many coordinates: the pack's total still fits
+        grads["dense0_b"] = np.zeros(blocks["dense0_b"].values.size - 1)
+        grads["dense1_b"] = np.zeros(blocks["dense1_b"].values.size + 1)
+        with pytest.raises(ValueError, match="'dense0_b'"):
+            opt.step_all(blocks, grads)
+        assert "dense0_w" not in opt.states
 
 
 class TestDeterminism:

@@ -117,6 +117,28 @@ class TestTrainModel:
         assert 0 < lazy.final["nonzero_groups"] < 600
 
 
+    @pytest.mark.parametrize("apply_to, calls", [({EMBEDDING}, 2),
+                                                 ({EMBEDDING, "dense1_w"}, 3)])
+    def test_one_step_per_grouped_block_and_pack(self, monkeypatch, apply_to, calls):
+        # the embedding, plus one pack of dense blocks per penalty setting
+        counts = {"step": 0, "batch": 0}
+        real_step, real_backward = GroupOptimizer.step, training.backward
+
+        def step(self, *args, **kwargs):
+            counts["step"] += 1
+            return real_step(self, *args, **kwargs)
+
+        def backward(*args):
+            counts["batch"] += 1
+            return real_backward(*args)
+
+        monkeypatch.setattr(GroupOptimizer, "step", step)
+        monkeypatch.setattr(training, "backward", backward)
+        train_model(tiny_config(reg=RegConfig(lambda21=1e-3, apply_to=frozenset(apply_to))))
+        assert counts["batch"] == 9
+        assert counts["step"] == calls * counts["batch"]
+
+
 class TestRunRepeated:
     def test_summary_matches_reports(self):
         config = tiny_config(optimizer="adagrad", reg=RegConfig(), repeats=3)
@@ -176,6 +198,16 @@ class TestLoadDataset:
         path = tmp_path / "d.libsvm"
         path.write_text("1 0:1 1:1\n0 2:1 3:1\n")
         with pytest.raises(ConfigError, match="2 fields, model expects 3"):
+            load_dataset(tiny_config(data=str(path)))
+
+
+    @pytest.mark.parametrize("labels, split", [([1] * 20, "train"),
+                                               ([0, 1] * 9 + [1, 1], "test")])
+    def test_one_class_split_rejected(self, tmp_path, labels, split):
+        path = tmp_path / "d.libsvm"
+        ids = np.arange(60).reshape(20, 3)
+        write_libsvm(path, ids, np.array(labels))
+        with pytest.raises(ConfigError, match=f"data: the {split} split"):
             load_dataset(tiny_config(data=str(path)))
 
 
