@@ -104,15 +104,12 @@ def _apply_preset(doc: dict, name: str | None) -> dict:
 
 
 def _apply_flags(doc: dict, args) -> dict:
-    direct = ("optimizer", "lr", "epochs", "seed", "repeats", "output_dir")
+    direct = ("optimizer", "lr", "epochs", "batch_size", "seed", "repeats", "data",
+              "output_dir")
     for key in direct:
         value = getattr(args, key, None)
         if value is not None:
             doc[key] = value
-    if getattr(args, "batch_size", None) is not None:
-        doc["batch_size"] = args.batch_size
-    if getattr(args, "data", None) is not None:
-        doc["data"] = args.data
     for key in ("lambda1", "lambda21", "lambda2", "variant"):
         value = getattr(args, key, None)
         if value is not None:
@@ -216,14 +213,19 @@ def cmd_sweep(args) -> int:
 
 def cmd_prune_baseline(args) -> int:
     config = build_config(args)
+    if args.target_keep is None and args.target_sparsity is None:
+        raise ConfigError("target: pass --target-keep or --target-sparsity")
+    if args.target_keep is not None and args.target_keep < 0:
+        raise ConfigError(f"target: --target-keep must be >= 0, got {args.target_keep}")
+    if args.target_sparsity is not None and not 0.0 <= args.target_sparsity <= 1.0:
+        raise ConfigError("target: --target-sparsity must be in [0, 1], "
+                          f"got {args.target_sparsity}")
     dataset = load_dataset(config)
     base = train_model(config, dataset=dataset)
     if args.target_keep is not None:
         keep = args.target_keep
-    elif args.target_sparsity is not None:
-        keep = max(0, round(args.target_sparsity * len(base.features_seen)))
     else:
-        raise ConfigError("target: pass --target-keep or --target-sparsity")
+        keep = round(args.target_sparsity * len(base.features_seen))
     report = prune_baseline(config, keep, dataset=dataset, base_report=base)
     _write_artifacts(config.output_dir, report, "prune_baseline.json")
     best = report["best"]

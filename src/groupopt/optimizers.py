@@ -207,52 +207,6 @@ def step_group(
     return m, scaled_root
 
 
-def _step_adagrad_rows(state: OptimizerState, block: ParamBlock, grad: np.ndarray,
-                       rows, lr: float, reg: RegConfig) -> None:
-    """The adagrad step_group on the groups listed in rows only.
-
-    From step 2 on, a group with zero gradient is a fixed point of the
-    adagrad dual step: v_hat gains 0, so R_t equals R_{t-1}, z gains 0 and
-    the prox returns the x it returned last time. Skipping such groups is
-    therefore exact. The touched groups run the same elementwise
-    expressions as _advance_moments and step_group on a k x d slice and
-    are written back in place.
-    """
-    u = np.sort(rows, axis=None)
-    if u.size:  # np.unique without its overhead: keep the first of each run
-        keep = np.empty(u.size, dtype=bool)
-        keep[0] = True
-        np.not_equal(u[1:], u[:-1], out=keep[1:])
-        u = u[keep]
-    # checked here, as numpy would wrap a negative id to another row
-    if u.size and not (u.dtype.kind in "iu" and u[0] >= 0 and u[-1] < block.num_groups):
-        raise ValueError(f"rows must be integer group ids in [0, {block.num_groups})")
-    u = u.astype(np.intp, copy=False)
-    grad = _check_step(state, block, grad, lr)
-    lam1, lam21, lam2, variant = _penalties(reg, block.name)
-    d = block.group_size
-    shape = (block.num_groups, d)
-    v_hat = state.v_hat.reshape(shape)
-    z = state.z.reshape(shape)
-    prev = state.prev_scaled_root.reshape(shape)
-    x = block.values.reshape(shape)
-
-    g = grad.reshape(shape)[u]
-    v_rows = v_hat[u] + g * g
-    root = np.sqrt(v_rows) / lr
-    z_rows = z[u] + g - (root - prev[u]) * x[u]
-    if not np.all(np.isfinite(z_rows)):
-        state.poisoned = True
-        raise PoisonedStateError(f"non-finite dual for block {block.name!r}")
-    v_hat[u] = v_rows
-    z[u] = z_rows
-    prev[u] = root
-    state.t += 1
-
-    s = soft_threshold(z_rows.ravel(), lam1)
-    x[u] = group_shrink(s, root.ravel(), d, lam21, lam2, variant).reshape(-1, d)
-
-
 def vanilla_step(
     state: OptimizerState,
     block: ParamBlock,
@@ -339,6 +293,14 @@ def _blame_member(exc: PoisonedStateError, pack: ParamBlock, grad, state: Optimi
     return exc
 
 
+def _shallow_copy(obj, **attrs):
+    """copy.copy(obj) with attrs replaced, at a quarter of its cost; like
+    copy.copy it skips __init__ and its checks."""
+    new = object.__new__(type(obj))
+    new.__dict__.update(obj.__dict__, **attrs)
+    return new
+
+
 class GroupOptimizer:
     """Driver holding one OptimizerState per block name; subclasses replace _update."""
 
@@ -352,15 +314,46 @@ class GroupOptimizer:
         """Step one block.
 
         rows, if given, promises that grad is zero outside these group ids
-        (repeats allowed). Group-adagrad then steps only those groups of a
-        grouped block, which gives the same bits as the dense step from the
-        second step on; every other schedule, ungrouped blocks, the first
-        step and the vanilla and FTRL drivers step densely and ignore rows.
+        (repeats allowed). Every adagrad-schedule driver (group-adagrad,
+        vanilla adagrad, FTRL) then steps only those groups of a grouped
+        block from its second step on: there a group with zero gradient is a
+        fixed point, as its accumulator gains 0, so its root, dual and
+        parameters stay put. Skipping such groups is the lazy update of
+        McMahan et al. (KDD 2013) and gives the same bits as the dense step.
+        The listed groups are gathered into a k-group state and block,
+        stepped by _update and scattered back. Other schedules, ungrouped
+        blocks and the first step are stepped densely and ignore rows.
         """
         st = self.states.get(block.name)
         if st is None:
             st = self.states[block.name] = OptimizerState(block.values.size)
-        self._update(st, block, grad, rows)
+        if rows is None or self.schedule.kind != "adagrad" or not block.grouped or st.t == 0:
+            self._update(st, block, grad)
+            return
+        u = np.sort(rows, axis=None)
+        if u.size:  # np.unique without its overhead: keep the first of each run
+            keep = np.empty(u.size, dtype=bool)
+            keep[0] = True
+            np.not_equal(u[1:], u[:-1], out=keep[1:])
+            u = u[keep]
+        # checked here, as numpy would wrap a negative id to another row
+        if u.size and not (u.dtype.kind in "iu" and u[0] >= 0 and u[-1] < block.num_groups):
+            raise ValueError(f"rows must be integer group ids in [0, {block.num_groups})")
+        u = u.astype(np.intp, copy=False)
+        grad = _check_step(st, block, grad, self.lr)
+        shape = (block.num_groups, block.group_size)
+        full = [a.reshape(shape) for a in (st.z, st.v_hat, st.prev_scaled_root, block.values)]
+        # take copies rows as a[u] would, at a third of its cost
+        z, v_hat, prev, values = (a.take(u, axis=0).ravel() for a in full)
+        sub = _shallow_copy(st, dim=z.size, z=z, v_hat=v_hat, prev_scaled_root=prev)
+        sub_block = _shallow_copy(block, values=values)
+        try:
+            self._update(sub, sub_block, grad.reshape(shape).take(u, axis=0).ravel())
+        finally:
+            st.poisoned = sub.poisoned
+        for a, new in zip(full, (sub.z, sub.v_hat, sub.prev_scaled_root, sub_block.values)):
+            a[u] = new.reshape(-1, block.group_size)
+        st.t += 1
 
     def step_all(self, blocks: dict, grads: dict, rows=None) -> None:
         """Step every block of blocks with its gradient grads[name].
@@ -398,12 +391,8 @@ class GroupOptimizer:
             for (block, _), hi in zip(members, ends):
                 block.values = pack.values[hi - block.values.size:hi]
 
-    def _update(self, state: OptimizerState, block: ParamBlock, grad, rows) -> None:
-        if (rows is not None and self.schedule.kind == "adagrad" and block.grouped
-                and state.t > 0):
-            _step_adagrad_rows(state, block, grad, rows, self.lr, self.reg)
-        else:
-            step_group(state, block, grad, self.schedule, self.lr, self.reg)
+    def _update(self, state: OptimizerState, block: ParamBlock, grad) -> None:
+        step_group(state, block, grad, self.schedule, self.lr, self.reg)
 
 
 class VanillaOptimizer(GroupOptimizer):
@@ -412,7 +401,7 @@ class VanillaOptimizer(GroupOptimizer):
     def __init__(self, schedule: MomentSchedule, lr: float):
         super().__init__(schedule, lr)
 
-    def _update(self, state: OptimizerState, block: ParamBlock, grad, rows) -> None:
+    def _update(self, state: OptimizerState, block: ParamBlock, grad) -> None:
         vanilla_step(state, block, grad, self.schedule, self.lr)
 
 
@@ -423,7 +412,7 @@ class FtrlOptimizer(GroupOptimizer):
         super().__init__(MomentSchedule(kind="adagrad", epsilon=0.0), lr,
                          RegConfig(lambda1=lambda1))
 
-    def _update(self, state: OptimizerState, block: ParamBlock, grad, rows) -> None:
+    def _update(self, state: OptimizerState, block: ParamBlock, grad) -> None:
         ftrl_step(state, block, grad, self.lr, self.reg.lambda1)
 
 

@@ -23,7 +23,6 @@ from .optimizers import (
     NO_REG,
     OptimizerState,
     RegConfig,
-    SCHEDULE_KINDS,
     step_group,
 )
 
@@ -195,8 +194,7 @@ STEP_DECAYS = ("none", "sqrt_t")
 
 
 def run_regret(problem: OnlineProblem, kind: str = "adagrad", lr: float = 0.5,
-               schedule_args: dict | None = None, reg: RegConfig = NO_REG,
-               step_decay: str = "none") -> RegretRun:
+               reg: RegConfig = NO_REG, step_decay: str = "none") -> RegretRun:
     """Play the update against the stream and measure regret at checkpoints.
 
     step_decay="sqrt_t" feeds the update lr/sqrt(t) at step t. The sgd and
@@ -206,11 +204,9 @@ def run_regret(problem: OnlineProblem, kind: str = "adagrad", lr: float = 0.5,
     on noisy streams. The dual update telescopes correctly under any
     positive step sequence.
     """
-    if kind not in SCHEDULE_KINDS:
-        raise ValueError(f"unknown schedule kind {kind!r}")
     if step_decay not in STEP_DECAYS:
         raise ValueError(f"unknown step decay {step_decay!r}")
-    schedule = MomentSchedule(kind=kind, **(schedule_args or {}))
+    schedule = MomentSchedule(kind=kind)
     stream = _make_stream(problem)
     T, d = problem.horizon, problem.dim
 

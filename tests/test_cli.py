@@ -15,7 +15,7 @@ from groupopt.cli import (
     build_parser,
     main,
 )
-from groupopt import training
+from groupopt import cli, training
 from groupopt.model import load_checkpoint
 from groupopt.training import ConfigError
 
@@ -25,6 +25,8 @@ TINY = {
     "epochs": 1,
     "batch_size": 32,
 }
+# TINY's model given explicitly, as a libsvm file does not size it
+TINY_MODEL = {"num_features": 60, "num_fields": 3, "embed_dim": 4, "hidden_dims": [8]}
 
 
 def parse(argv):
@@ -183,11 +185,20 @@ class TestTrainCommand:
     @pytest.mark.parametrize("body", ["2 0:1 20:1 40:1\n", "1 oops\n", "1 -3:1\n",
                                       "1 0:0.5 20:1 40:1\n", "1 0:1 20:1 40:1\n0 0:1\n", ""])
     def test_malformed_libsvm_exits_2(self, tmp_path, capsys, body):
+        parser_message = {
+            "2 0:1 20:1 40:1\n": "bad label '2' at line 1",
+            "1 oops\n": "malformed pair 'oops' at line 1",
+            "1 -3:1\n": "negative index at line 1",
+            "1 0:0.5 20:1 40:1\n": "non-one-hot value at line 1",
+            "1 0:1 20:1 40:1\n0 0:1\n": "1 fields at line 2, the first sample has 3",
+            "": "no samples in",
+        }[body]
         path = tmp_path / "d.libsvm"
         path.write_text(body)
-        code = main(["train", "--config", write_tiny_config(tmp_path), "--data", str(path)])
+        code = main(["train", "--config", write_tiny_config(tmp_path, model=TINY_MODEL),
+                     "--data", str(path)])
         assert code == EXIT_CONFIG
-        assert "config error" in capsys.readouterr().err
+        assert f"config error: {parser_message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("labels, split", [("1" * 20, "train"),
                                                ("01" * 9 + "11", "test")])
@@ -200,8 +211,7 @@ class TestTrainCommand:
         path = tmp_path / "d.libsvm"
         path.write_text("".join(f"{label} {i % 20}:1 {20 + i}:1 40:1\n"
                                 for i, label in enumerate(labels)))
-        model = {"num_features": 60, "num_fields": 3, "embed_dim": 4, "hidden_dims": [8]}
-        code = main(["train", "--config", write_tiny_config(tmp_path, model=model),
+        code = main(["train", "--config", write_tiny_config(tmp_path, model=TINY_MODEL),
                      "--data", str(path)])
         assert code == EXIT_CONFIG
         assert f"config error: data: the {split} split" in capsys.readouterr().err
@@ -258,6 +268,24 @@ class TestPruneBaselineCommand:
     def test_missing_target_exits_2(self, tmp_path):
         assert main(["prune-baseline", "--config",
                      write_tiny_config(tmp_path)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("flags, message", [
+        ([], "pass --target-keep or --target-sparsity"),
+        (["--target-keep", "-1"], "--target-keep must be >= 0"),
+        (["--target-sparsity", "1.5"], "--target-sparsity must be in [0, 1]"),
+        (["--target-sparsity", "-0.5"], "--target-sparsity must be in [0, 1]"),
+        (["--target-keep", "5", "--target-sparsity", "2"], "--target-sparsity must be in"),
+    ])
+    def test_bad_target_exits_2_before_training(self, tmp_path, capsys, monkeypatch,
+                                                flags, message):
+        def never(*args, **kwargs):
+            raise AssertionError("training entered")
+
+        monkeypatch.setattr(cli, "load_dataset", never)
+        monkeypatch.setattr(cli, "train_model", never)
+        code = main(["prune-baseline", "--config", write_tiny_config(tmp_path), *flags])
+        assert code == EXIT_CONFIG
+        assert f"config error: target: {message}" in capsys.readouterr().err
 
 
 class TestProxSelftestCommand:
