@@ -30,6 +30,7 @@ correction reuse the adam lines with the max-accumulated second moment.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,7 +130,7 @@ def _check_step(state: OptimizerState, block: ParamBlock, grad, lr: float) -> np
         raise ValueError("lr must be > 0")
     if grad.shape != block.values.shape or state.dim != grad.size:
         raise ValueError("gradient/block/state dimension mismatch")
-    if not np.all(np.isfinite(grad)):
+    if not np.isfinite(grad).all():
         state.poisoned = True
         raise PoisonedStateError(f"non-finite gradient for block {block.name!r}")
     return grad
@@ -141,18 +142,19 @@ def _advance_moments(state, grad, schedule, lr):
     kind = schedule.kind
     if kind == "sgd":
         m = grad
-        scaled_root = np.full_like(grad, np.sqrt(float(t)) / lr)
+        scaled_root = np.full(grad.shape, math.sqrt(t) / lr)
     elif kind == "momentum":
         state.m_hat = schedule.gamma * state.m_hat + grad
         m = state.m_hat
-        scaled_root = np.full_like(grad, 1.0 / lr)
+        scaled_root = np.full(grad.shape, 1.0 / lr)
     elif kind == "adagrad":
         inc = grad * grad
         if t == 1:
-            inc = inc + schedule.epsilon
+            inc += schedule.epsilon
         state.v_hat = state.v_hat + inc
         m = grad
-        scaled_root = np.sqrt(state.v_hat) / lr
+        scaled_root = np.sqrt(state.v_hat)
+        scaled_root /= lr
     else:  # adam, amsgrad
         b1, b2 = schedule.beta1, schedule.beta2
         state.m_hat = b1 * state.m_hat + (1.0 - b1) * grad
@@ -196,7 +198,7 @@ def step_group(
 
     m, scaled_root = _advance_moments(state, grad, schedule, lr)
     state.z = state.z + m - (scaled_root - state.prev_scaled_root) * block.values
-    if not np.all(np.isfinite(state.z)):
+    if not np.isfinite(state.z).all():
         state.poisoned = True
         raise PoisonedStateError(f"non-finite dual for block {block.name!r}")
     state.prev_scaled_root = scaled_root
@@ -231,9 +233,12 @@ def vanilla_step(
     elif kind == "adagrad":
         inc = grad * grad
         if t == 1:
-            inc = inc + schedule.epsilon
+            inc += schedule.epsilon
         state.v_hat = state.v_hat + inc
-        delta = lr * grad / np.sqrt(state.v_hat)
+        # a coordinate that never had a gradient (v_hat = 0 at epsilon 0)
+        # stays put, as it does on the group path, instead of taking 0/0
+        delta = np.divide(lr * grad, np.sqrt(state.v_hat), out=np.zeros(grad.shape),
+                          where=state.v_hat != 0.0)
     else:  # adam, amsgrad
         b1, b2 = schedule.beta1, schedule.beta2
         state.m_hat = b1 * state.m_hat + (1.0 - b1) * grad
@@ -245,7 +250,7 @@ def vanilla_step(
         delta = alpha_t * state.m_hat / (np.sqrt(state.v_hat) + schedule.epsilon)
     state.t = t
     block.values = block.values - delta
-    if not np.all(np.isfinite(block.values)):
+    if not np.isfinite(block.values).all():
         state.poisoned = True
         raise PoisonedStateError(f"non-finite parameters for block {block.name!r}")
 

@@ -23,6 +23,16 @@ Two gating norms n_g are supported:
   It keeps the same dead zone, sign, and whole-group-zeroing structure but
   is not the exact minimizer unless A is the identity.
 
+``group_shrink`` skips the coordinates without dual mass and the dead
+groups with masked ufuncs (``where=``) instead of computing them under
+``np.errstate`` and discarding them, and ``soft_threshold`` is a clip and a
+subtraction. Both return the same bits and raise the same errors as their
+plain ``np.where`` form, which ``tests/test_prox_bits.py`` keeps as a
+frozen oracle. With finite
+penalties they emit no RuntimeWarning (a zero diagonal without dual mass
+included) unless a quotient is infinite: the result, which then raises, or
+the exact gate's rescaled dual at |s| above ~1e146 or a diagonal of 5e-324.
+
 ``prox_oracle`` is an independent check: proximal-gradient iteration in the
 transformed coordinates, then a subgradient-optimality certificate evaluated
 from scratch on the original objective. It certifies the exact variant only.
@@ -30,6 +40,7 @@ from scratch on the original objective. It certifies the exact variant only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +66,14 @@ def soft_threshold(z: np.ndarray, lambda1: float) -> np.ndarray:
     if lambda1 < 0:
         raise ValueError("lambda1 must be >= 0")
     z = np.asarray(z, dtype=np.float64)
+    if not lambda1:
+        # the dead zone is z = ±0, which 0.0 - z maps to +0.0 as well
+        return 0.0 - z
+    if lambda1 < math.inf:
+        # clipping z to [-lambda1, lambda1] gives sign(z)*lambda1 outside the
+        # dead zone and z inside it, where z - z is +0.0
+        return np.minimum(np.maximum(z, -lambda1), lambda1) - z
+    # lambda1 inf or NaN: the clip would give inf - inf at z = ±inf
     return np.where(np.abs(z) <= lambda1, 0.0, np.sign(z) * lambda1 - z)
 
 
@@ -69,10 +88,11 @@ def group_shrink(
     """Per-group multiplicative shrink of the thresholded dual s.
 
     Groups whose gating norm is at or below sqrt(group_size)*lambda21 come
-    out exactly zero; a zero gating norm also gives a zero group. Raises on
-    a nonpositive effective diagonal wherever it would actually matter
-    (coordinates carrying zero dual mass are allowed a zero diagonal and
-    stay at zero).
+    out exactly zero; a zero gating norm also gives a zero group, which is
+    why a group of tiny s (|s| below about 1e-162, whose squares underflow)
+    is zeroed even with every penalty 0. Raises on a nonpositive effective
+    diagonal wherever it would actually matter (coordinates carrying zero
+    dual mass are allowed a zero diagonal and stay at zero).
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -85,31 +105,35 @@ def group_shrink(
     if s.size % group_size != 0:
         raise ValueError("length is not a multiple of group_size")
 
-    denom = cum_diag + 2.0 * lambda2
-    bad = (denom <= 0) & (s != 0.0)
-    if np.any(bad):
+    # cum_diag + 0.0 only turns -0.0 into +0.0, which the result never shows
+    denom = cum_diag + 2.0 * lambda2 if lambda2 else cum_diag
+    mass = s != 0.0
+    if not (denom > 0.0).all() and ((denom <= 0.0) & mass).any():
         raise NonpositiveDiagonalError("nonpositive effective diagonal")
 
-    num_groups = s.size // group_size
-    sg = s.reshape(num_groups, group_size)
-
     if variant == "exact":
-        half = 0.5 * cum_diag + lambda2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rescaled = np.where(s != 0.0, s / np.sqrt(half), 0.0)
-        gate = rescaled.reshape(num_groups, group_size)
+        gate = np.zeros(s.shape)
+        np.sqrt(0.5 * cum_diag + lambda2, out=gate, where=mass)
+        np.divide(s, gate, out=gate, where=mass)
     else:
-        gate = sg
+        gate = s
+    gate = gate.reshape(-1, group_size)
     norms = np.sqrt(np.einsum("ij,ij->i", gate, gate))
 
-    threshold = np.sqrt(group_size) * lambda21
-    with np.errstate(divide="ignore", invalid="ignore"):
-        factor = np.where(norms > 0.0, np.maximum(1.0 - threshold / norms, 0.0), 0.0)
-        # norms can be inf when a zero-diagonal coordinate carries mass in the
-        # exact gate; the division below then blows up and is rejected here.
-        x = np.where(sg != 0.0, factor[:, None] * sg / denom.reshape(sg.shape), 0.0)
+    live = norms > 0.0
+    if lambda21:
+        # a dead group keeps the ratio 1, so its factor is max(1 - 1, 0) = +0.0
+        ratio = np.divide(math.sqrt(group_size) * lambda21, norms,
+                          out=(~live).astype(np.float64), where=live)
+        factor = np.maximum(1.0 - ratio, 0.0)
+    else:
+        factor = live.astype(np.float64)  # max(1 - 0/norm, 0) is 1 for a live group
+    # x overflows where the diagonal is tiny against the dual, and is then
+    # rejected with the nonpositive diagonals
+    x = np.divide(factor[:, None] * s.reshape(gate.shape), denom.reshape(gate.shape),
+                  out=np.zeros(gate.shape), where=mass.reshape(gate.shape))
     x = x.ravel()
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NonpositiveDiagonalError("nonpositive effective diagonal")
     return x
 

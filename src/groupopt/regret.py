@@ -13,6 +13,7 @@ Newton method on the prefix objective.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -243,16 +244,15 @@ def run_regret(problem: OnlineProblem, kind: str = "adagrad", lr: float = 0.5,
             margin = y * float(b @ x)
             cum_loss += float(np.logaddexp(0.0, -margin))
             grad = -y * b * np.exp(-np.logaddexp(0.0, margin))
-        grad_bound = max(grad_bound, float(np.max(np.abs(grad))))
-        if not np.isfinite(cum_loss):
+        grad_bound = max(grad_bound, float(np.abs(grad).max()))
+        if not math.isfinite(cum_loss):
             raise FloatingPointError("divergent trajectory: non-finite loss")
 
         lr_t = lr / np.sqrt(float(t)) if step_decay == "sqrt_t" else lr
         ms[t - 1], root_new = step_group(state, block, grad, schedule, lr_t, reg)
         if t >= 2:
-            ratio = np.divide(root_prev, root_new,
-                              out=np.zeros_like(root_new), where=root_new > 0)
-            kappa = max(kappa, float(np.max(ratio**2)))
+            ratio = np.divide(root_prev, root_new, out=np.zeros(d), where=root_new > 0)
+            kappa = max(kappa, float((ratio**2).max()))
         root_prev = root_new
 
         if t == checkpoints[next_cp]:

@@ -153,6 +153,13 @@ class TestTrainCommand:
         with (out / "metrics.csv").open() as fh:
             assert len(list(csv.reader(fh))) == 3
 
+    def test_vanilla_adagrad_at_epsilon_zero_trains(self, tmp_path, capsys):
+        # rows of the table no batch has touched yet must not take 0/0
+        code = main(["train", "--config", write_tiny_config(tmp_path, epsilon=0.0),
+                     "--optimizer", "adagrad", "--lr", "1e-2"])
+        assert code == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["config"]["epsilon"] == 0.0
+
     def test_stdout_json_without_outdir(self, tmp_path, capsys):
         code = main(["train", "--config", write_tiny_config(tmp_path),
                      "--optimizer", "sgd", "--lr", "1e-2"])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -89,6 +91,19 @@ class TestHandSteps:
         for g in ([1.0], [0.25], [-2.0]):
             step_group(state, block, np.array(g), schedule, 0.1)
             assert_allclose(state.prev_scaled_root, [10.0])
+
+    def test_vanilla_adagrad_epsilon_zero_leaves_unseen_coordinates(self):
+        # at epsilon 0 a coordinate with no gradient yet has v_hat = 0; it
+        # stays put instead of taking 0/0 and poisoning the state
+        opt = make_optimizer("adagrad", 0.1, schedule_args={"epsilon": 0.0})
+        block = ParamBlock("e", np.full(4, 0.5), group_size=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            opt.step(block, np.array([0.0, 0.0, 1.0, 2.0]))
+            assert block.values.tolist() == [0.5, 0.5, 0.4, 0.4]
+            opt.step(block, np.array([0.0, -3.0, 0.0, 0.0]), rows=[0])
+        assert block.values.tolist() == [0.5, 0.6, 0.4, 0.4]
+        assert not opt.states["e"].poisoned
 
     def test_huge_group_penalty_zeroes_in_one_step(self):
         state = OptimizerState(6)
@@ -342,8 +357,7 @@ def steps_alike(opts, blocks, grad, rows):
     raised = []
     for opt, block, kwargs in zip(opts, blocks, ({"rows": rows}, {})):
         try:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                opt.step(block, grad, **kwargs)
+            opt.step(block, grad, **kwargs)
         except PoisonedStateError:
             raised.append(True)
         else:
@@ -363,8 +377,7 @@ class TestRowPath:
     def test_adagrad_rows_match_dense_bit_for_bit(self, name, seed, num_groups, group_size,
                                                   steps, epsilon, variant,
                                                   lambda1, lambda21, lambda2):
-        # vanilla adagrad with epsilon 0 poisons itself on the first step
-        # when a coordinate has zero gradient; both paths must then raise
+        # a step that poisons one path must poison the other
         reg = RegConfig(lambda1=lambda1, lambda21=lambda21, lambda2=lambda2,
                         variant=variant)
         x0 = make_rng(seed + 1).uniform(-0.5, 0.5, num_groups * group_size)
