@@ -55,6 +55,14 @@ class ParamBlock:
             raise ValueError(f"block {self.name!r} is not grouped")
         return self.values.size // self.group_size
 
+    def scatter_rows(self, values, rows) -> np.ndarray:
+        """A flat zero vector of the block's size whose groups rows (distinct
+        ids in [0, num_groups)) hold values, len(rows) * group_size values
+        in the order of rows."""
+        out = np.zeros((self.num_groups, self.group_size))
+        out[rows] = np.reshape(values, (-1, self.group_size))
+        return out.ravel()
+
     def copy(self) -> "ParamBlock":
         return ParamBlock(self.name, self.values.copy(), self.group_size)
 

@@ -4,13 +4,17 @@ One sample is a list of feature ids, one per field; each id selects an
 embedding row, rows are concatenated and fed through fully connected ReLU
 layers to a single logit. Forward and backward are hand-written numpy; the
 embedding table is the only grouped block (one group per feature row) and is
-the target of the sparse-group penalties during training.
+the target of the sparse-group penalties during training. A batch reads few
+of the table's rows, so backward returns the embedding gradient
+row-compact: the gradients of the batch's rows only, never a table-shaped
+array.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
+from functools import cached_property
 
 import numpy as np
 
@@ -78,6 +82,32 @@ class ForwardCache:
     logits: np.ndarray
     config: ModelConfig
 
+    @cached_property
+    def _unique_ids(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, inverse): the sorted unique ids of the batch, and for each
+        entry of ids.ravel() its index in rows. np.unique with
+        return_inverse, without its overhead: one sort and a neighbour mask.
+        Computed on first use, so forward and evaluation do not pay for it."""
+        flat = self.ids.ravel()
+        order = flat.argsort()
+        ordered = flat[order]
+        first = np.empty(flat.size, dtype=bool)
+        first[0] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        # the row index of each sorted id: the number of firsts before it
+        run = first.astype(np.intp)
+        run[0] = 0
+        np.cumsum(run, out=run)
+        inverse = np.empty(flat.size, dtype=np.intp)
+        inverse[order] = run
+        return ordered[first], inverse
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The embedding rows the batch read, sorted, each once: the groups
+        whose gradients backward returns."""
+        return self._unique_ids[0]
+
 
 def forward(blocks: dict, ids: np.ndarray, config: ModelConfig) -> ForwardCache:
     """Batch forward pass. ids has shape (batch, num_fields)."""
@@ -109,8 +139,11 @@ def forward(blocks: dict, ids: np.ndarray, config: ModelConfig) -> ForwardCache:
 def backward(cache: ForwardCache, labels: np.ndarray, blocks: dict) -> dict[str, np.ndarray]:
     """Exact gradients of the mean logistic loss for every block.
 
-    The embedding gradient is a dense table-shaped array, nonzero only at
-    rows the batch touched.
+    The embedding gradient is row-compact: the flat k x embed_dim gradients
+    of the k rows in cache.rows, in that order; every other row's gradient
+    is zero. block.scatter_rows(grad, cache.rows) gives the table-shaped
+    form. Each row sums its fields' gradients in batch order from 0.0, as
+    np.add.at into the table would, so the scattered form has its bits.
     """
     labels = np.asarray(labels, dtype=np.float64)
     batch = cache.logits.size
@@ -131,11 +164,14 @@ def backward(cache: ForwardCache, labels: np.ndarray, blocks: dict) -> dict[str,
         w = blocks[f"dense{i}_w"].values.reshape(fan_in, fan_out)
         delta = delta @ w.T
 
-    # delta now holds d(loss)/d(concatenated embeddings)
-    emb_grad = np.zeros((config.num_features, config.embed_dim))
-    slices = delta.reshape(batch, config.num_fields, config.embed_dim)
-    np.add.at(emb_grad, cache.ids, slices)
-    grads[EMBEDDING] = emb_grad.ravel()
+    # delta now holds d(loss)/d(concatenated embeddings); coordinate j of
+    # the field slice with id inverse[i] goes to bin inverse[i]*d + j.
+    # bincount adds its weights in input order (np.add.reduceat does not)
+    rows, inverse = cache._unique_ids
+    d = config.embed_dim
+    bins = (inverse * d)[:, None] + np.arange(d)
+    grads[EMBEDDING] = np.bincount(bins.ravel(), weights=delta.ravel(),
+                                   minlength=rows.size * d)
     return grads
 
 

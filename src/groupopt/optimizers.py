@@ -65,7 +65,7 @@ class MomentSchedule:
             v = getattr(self, name)
             if not 0.0 <= v < 1.0:
                 raise ValueError(f"{name} must be in [0, 1), got {v}")
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:  # NaN fails too
             raise ValueError("epsilon must be >= 0")
 
 
@@ -87,8 +87,8 @@ class RegConfig:
     apply_to: frozenset | None = None
 
     def __post_init__(self):
-        if self.lambda1 < 0 or self.lambda21 < 0 or self.lambda2 < 0:
-            raise ValueError("penalties must be >= 0")
+        if not (self.lambda1 >= 0 and self.lambda21 >= 0 and self.lambda2 >= 0):
+            raise ValueError("penalties must be >= 0")  # NaN included
         if self.variant not in ("practical", "exact"):
             raise ValueError(f"unknown variant {self.variant!r}")
         if isinstance(self.apply_to, str):
@@ -126,7 +126,7 @@ def _check_step(state: OptimizerState, block: ParamBlock, grad, lr: float) -> np
     grad = np.asarray(grad, dtype=np.float64)
     if state.poisoned:
         raise PoisonedStateError("optimizer state is poisoned")
-    if lr <= 0:
+    if not lr > 0:  # NaN fails too
         raise ValueError("lr must be > 0")
     if grad.shape != block.values.shape or state.dim != grad.size:
         raise ValueError("gradient/block/state dimension mismatch")
@@ -298,6 +298,21 @@ def _blame_member(exc: PoisonedStateError, pack: ParamBlock, grad, state: Optimi
     return exc
 
 
+def _check_rows(block: ParamBlock, grad, rows) -> np.ndarray:
+    """rows as intp ids, once grad is known to hold exactly the gradients of
+    these groups of block; checked here, as numpy would wrap a negative id
+    to another row."""
+    rows = np.asarray(rows)
+    n = block.num_groups
+    if rows.size and not (rows.ndim == 1 and rows.dtype.kind in "iu" and rows[0] >= 0
+                          and rows[-1] < n and (rows[1:] > rows[:-1]).all()):
+        raise ValueError(f"rows must be strictly increasing integer group ids in [0, {n})")
+    if np.shape(grad) != (rows.size * block.group_size,):
+        raise ValueError(f"rows: gradient of shape {np.shape(grad)} for {rows.size} "
+                         f"groups of {block.group_size}")
+    return rows.astype(np.intp, copy=False)
+
+
 def _shallow_copy(obj, **attrs):
     """copy.copy(obj) with attrs replaced, at a quarter of its cost; like
     copy.copy it skips __init__ and its checks."""
@@ -318,56 +333,56 @@ class GroupOptimizer:
     def step(self, block: ParamBlock, grad: np.ndarray, rows=None) -> None:
         """Step one block.
 
-        rows, if given, promises that grad is zero outside these group ids
-        (repeats allowed). Every adagrad-schedule driver (group-adagrad,
-        vanilla adagrad, FTRL) then steps only those groups of a grouped
-        block from its second step on: there a group with zero gradient is a
-        fixed point, as its accumulator gains 0, so its root, dual and
-        parameters stay put. Skipping such groups is the lazy update of
-        McMahan et al. (KDD 2013) and gives the same bits as the dense step.
-        The listed groups are gathered into a k-group state and block,
-        stepped by _update and scattered back. Other schedules, ungrouped
-        blocks and the first step are stepped densely and ignore rows.
+        rows, if given, says that grad holds exactly these groups' gradients
+        and that every other group's gradient is zero: rows are strictly
+        increasing integer ids of groups of a grouped block, and grad holds
+        len(rows) * group_size values in their order, as model.backward
+        returns the embedding gradient. This is checked before any state
+        changes. Every adagrad-schedule driver (group-adagrad, vanilla
+        adagrad, FTRL) then steps only those groups from its second step on:
+        there a group with zero gradient is a fixed point, as its
+        accumulator gains 0, so its root, dual and parameters stay put.
+        Skipping such groups is the lazy update of McMahan et al. (KDD 2013)
+        and gives the same bits as the dense step. The listed groups are
+        gathered into a k-group state and block, stepped by _update (whose
+        checks see k * group_size values) and scattered back. Other
+        schedules and the first step scatter grad into the block's dense
+        gradient and take the dense step.
         """
+        if rows is not None:
+            rows = _check_rows(block, grad, rows)
         st = self.states.get(block.name)
         if st is None:
             st = self.states[block.name] = OptimizerState(block.values.size)
-        if rows is None or self.schedule.kind != "adagrad" or not block.grouped or st.t == 0:
+        if rows is None:
             self._update(st, block, grad)
             return
-        u = np.sort(rows, axis=None)
-        if u.size:  # np.unique without its overhead: keep the first of each run
-            keep = np.empty(u.size, dtype=bool)
-            keep[0] = True
-            np.not_equal(u[1:], u[:-1], out=keep[1:])
-            u = u[keep]
-        # checked here, as numpy would wrap a negative id to another row
-        if u.size and not (u.dtype.kind in "iu" and u[0] >= 0 and u[-1] < block.num_groups):
-            raise ValueError(f"rows must be integer group ids in [0, {block.num_groups})")
-        u = u.astype(np.intp, copy=False)
-        grad = _check_step(st, block, grad, self.lr)
+        if self.schedule.kind != "adagrad" or st.t == 0:
+            self._update(st, block, block.scatter_rows(grad, rows))
+            return
         shape = (block.num_groups, block.group_size)
         full = [a.reshape(shape) for a in (st.z, st.v_hat, st.prev_scaled_root, block.values)]
-        # take copies rows as a[u] would, at a third of its cost
-        z, v_hat, prev, values = (a.take(u, axis=0).ravel() for a in full)
+        # take copies rows as a[rows] would, at a third of its cost
+        z, v_hat, prev, values = (a.take(rows, axis=0).ravel() for a in full)
         sub = _shallow_copy(st, dim=z.size, z=z, v_hat=v_hat, prev_scaled_root=prev)
         sub_block = _shallow_copy(block, values=values)
         try:
-            self._update(sub, sub_block, grad.reshape(shape).take(u, axis=0).ravel())
+            self._update(sub, sub_block, grad)
         finally:
             st.poisoned = sub.poisoned
         for a, new in zip(full, (sub.z, sub.v_hat, sub.prev_scaled_root, sub_block.values)):
-            a[u] = new.reshape(-1, block.group_size)
+            a[rows] = new.reshape(-1, block.group_size)
         st.t += 1
 
     def step_all(self, blocks: dict, grads: dict, rows=None) -> None:
         """Step every block of blocks with its gradient grads[name].
 
-        Grouped blocks are stepped one by one, each with rows. The ungrouped
-        blocks are concatenated, in dict order, into at most two packs, one
-        per penalty setting, and each pack takes one step: the updates are
-        elementwise, so this gives the same bits as a step per block at the
-        fixed cost of one. A pack is named after its first member, so the
+        Grouped blocks are stepped one by one, each with rows, the groups
+        its gradient holds (see step). The ungrouped blocks are
+        concatenated, in dict order, into at most two packs, one per penalty
+        setting, and each pack takes one step: the updates are elementwise,
+        so this gives the same bits as a step per block at the fixed cost of
+        one. A pack is named after its first member, so the
         penalties follow from its name as for a block and its state is kept
         under that name. The pack is rebuilt on every call; afterwards each
         member's values is a view of its slice of the pack's new values.

@@ -30,7 +30,8 @@ subtraction. Both return the same bits and raise the same errors as their
 plain ``np.where`` form, which ``tests/test_prox_bits.py`` keeps as a
 frozen oracle. With finite
 penalties they emit no RuntimeWarning (a zero diagonal without dual mass
-included) unless a quotient is infinite: the result, which then raises, or
+included), nor does ``soft_threshold`` at an infinite lambda1, unless a
+quotient is infinite: the result, which then raises, or
 the exact gate's rescaled dual at |s| above ~1e146 or a diagonal of 5e-324.
 
 ``prox_oracle`` is an independent check: proximal-gradient iteration in the
@@ -73,8 +74,11 @@ def soft_threshold(z: np.ndarray, lambda1: float) -> np.ndarray:
         # clipping z to [-lambda1, lambda1] gives sign(z)*lambda1 outside the
         # dead zone and z inside it, where z - z is +0.0
         return np.minimum(np.maximum(z, -lambda1), lambda1) - z
-    # lambda1 inf or NaN: the clip would give inf - inf at z = ±inf
-    return np.where(np.abs(z) <= lambda1, 0.0, np.sign(z) * lambda1 - z)
+    # lambda1 inf or NaN: the clip would give inf - inf at z = ±inf. At an
+    # infinite lambda1 the discarded branch is sign(0) * inf at every zero of
+    # z and inf - inf at z = ±inf, so its invalid-value warnings mean nothing
+    with np.errstate(invalid="ignore"):
+        return np.where(np.abs(z) <= lambda1, 0.0, np.sign(z) * lambda1 - z)
 
 
 def group_shrink(

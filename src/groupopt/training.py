@@ -48,7 +48,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.optimizer not in OPTIMIZER_NAMES:
             raise ConfigError(f"optimizer: unknown name {self.optimizer!r}")
-        if self.lr <= 0:
+        if not self.lr > 0:  # NaN fails too
             raise ConfigError("lr: must be > 0")
         if self.epochs < 1 or self.batch_size < 1 or self.repeats < 1:
             raise ConfigError("epochs, batch_size, repeats: must be >= 1")
@@ -155,9 +155,9 @@ def _train_epoch(blocks, optimizer, ids, labels, config, rng) -> None:
         batch = order[lo:lo + config.batch_size]
         cache = forward(blocks, ids[batch], config.model)
         grads = backward(cache, labels[batch], blocks)
-        # the embedding, the only grouped block, has zero gradient outside
-        # the rows the batch read
-        optimizer.step_all(blocks, grads, rows=cache.ids)
+        # the embedding, the only grouped block, has its gradient in the
+        # row-compact form of the rows the batch read
+        optimizer.step_all(blocks, grads, rows=cache.rows)
 
 
 def train_model(config: ExperimentConfig, dataset: Dataset | None = None,

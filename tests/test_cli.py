@@ -223,6 +223,19 @@ class TestTrainCommand:
         assert code == EXIT_CONFIG
         assert f"config error: data: the {split} split" in capsys.readouterr().err
 
+    # NaN passes a check written as x < 0; json writes and reads it as NaN
+    @pytest.mark.parametrize("extra, message", [
+        ({"lr": float("nan")}, "lr: must be > 0"),
+        ({"reg": {"lambda1": float("nan")}}, "reg: penalties must be >= 0"),
+        ({"reg": {"lambda21": float("nan")}}, "reg: penalties must be >= 0"),
+        ({"reg": {"lambda2": float("nan")}}, "reg: penalties must be >= 0"),
+        ({"epsilon": float("nan"), "optimizer": "group-adagrad"}, "epsilon must be >= 0"),
+    ])
+    def test_nan_hyperparameter_exits_2(self, tmp_path, capsys, extra, message):
+        code = main(["train", "--config", write_tiny_config(tmp_path, **extra)])
+        assert code == EXIT_CONFIG
+        assert f"config error: {message}" in capsys.readouterr().err
+
     def test_invalid_json_exits_2(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -332,6 +345,13 @@ class TestRegretCommand:
     def test_bad_optimizer_exits_2(self):
         assert main(["regret", "--horizon", "64",
                      "--optimizer", "rmsprop"]) == EXIT_CONFIG
+
+    # the regret lab's lr reaches the optimizer step's own check
+    @pytest.mark.parametrize("flag, message", [("--lr", "lr must be > 0"),
+                                               ("--lambda21", "penalties must be >= 0")])
+    def test_nan_hyperparameter_exits_2(self, capsys, flag, message):
+        assert main(["regret", "--horizon", "64", flag, "nan"]) == EXIT_CONFIG
+        assert f"config error: {message}" in capsys.readouterr().err
 
 
 class TestExitCodes:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from groupopt.blocks import ParamBlock, make_rng
@@ -109,6 +110,9 @@ class TestBackward:
             ids, labels = random_batch(rng, config)
             cache = forward(blocks, ids, config)
             grads = backward(cache, labels, blocks)
+            # every row of the table, so a row the compact form drops fails
+            # against its numeric derivative, and an untouched row must be 0
+            grads[EMBEDDING] = blocks[EMBEDDING].scatter_rows(grads[EMBEDDING], cache.rows)
             for name in blocks:
                 numeric = numeric_gradient(blocks, name, ids, labels, config)
                 scale = np.maximum(np.abs(numeric), 1e-3)
@@ -127,8 +131,10 @@ class TestBackward:
         labels = np.array([0.0])
         cache = forward(blocks, ids, config)
         grads = backward(cache, labels, blocks)
-        emb = grads[EMBEDDING]
         p = sigmoid(cache.logits)[0]
+        assert cache.rows.tolist() == [1]
+        assert_allclose(grads[EMBEDDING], [2.0 * p], rtol=1e-12)
+        emb = blocks[EMBEDDING].scatter_rows(grads[EMBEDDING], cache.rows)
         assert_allclose(emb, [0.0, 2.0 * p, 0.0], rtol=1e-12)
 
     def test_labels_shape_checked(self):
@@ -138,6 +144,84 @@ class TestBackward:
         cache = forward(blocks, ids, config)
         with pytest.raises(ValueError):
             backward(cache, labels[:-1], blocks)
+
+
+def frozen_dense_backward(cache, labels, blocks):
+    """backward as it was before its embedding gradient went row-compact:
+    np.add.at into a zeroed table-shaped array. Kept as the oracle that pins
+    the compact form's bits."""
+    labels = np.asarray(labels, dtype=np.float64)
+    batch = cache.logits.size
+    config = cache.config
+    grads = {}
+    widths = [config.num_fields * config.embed_dim, *config.hidden_dims, 1]
+    dims = list(zip(widths[:-1], widths[1:]))
+    delta = ((sigmoid(cache.logits) - labels) / batch)[:, None]
+    for i in range(len(dims) - 1, -1, -1):
+        fan_in, fan_out = dims[i]
+        if i != len(dims) - 1:
+            delta = delta * (cache.pre_activations[i] > 0.0)
+        h = cache.layer_inputs[i]
+        grads[f"dense{i}_w"] = (h.T @ delta).ravel()
+        grads[f"dense{i}_b"] = delta.sum(axis=0)
+        w = blocks[f"dense{i}_w"].values.reshape(fan_in, fan_out)
+        delta = delta @ w.T
+    emb_grad = np.zeros((config.num_features, config.embed_dim))
+    slices = delta.reshape(batch, config.num_fields, config.embed_dim)
+    np.add.at(emb_grad, cache.ids, slices)
+    grads[EMBEDDING] = emb_grad.ravel()
+    return grads
+
+
+class TestCompactBackward:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), num_features=st.integers(1, 8), embed_dim=st.integers(1, 4),
+           num_fields=st.integers(1, 4), batch=st.integers(1, 6),
+           hidden_dims=st.sampled_from([(), (3,), (4, 2)]),
+           seed=st.integers(0, 2**31 - 1), scale=st.floats(1e-3, 10.0),
+           layout=st.sampled_from(["drawn", "one id per sample", "one id"]))
+    def test_scattered_gradient_matches_frozen_dense_bits(self, data, num_features, embed_dim,
+                                                          num_fields, batch, hidden_dims, seed,
+                                                          scale, layout):
+        # repeated ids within a sample and across samples, every field on one
+        # id, batch size 1, a table of one row; the parameters' scale and the
+        # labels make delta random
+        config = ModelConfig(num_features=num_features, embed_dim=embed_dim,
+                             num_fields=num_fields, hidden_dims=hidden_dims, seed=seed % 1000)
+        blocks = init_params(config)
+        rng = make_rng(seed)
+        for block in blocks.values():
+            block.values = rng.normal(scale=scale, size=block.values.size)
+        ids = np.array(data.draw(st.lists(
+            st.lists(st.integers(0, num_features - 1), min_size=num_fields,
+                     max_size=num_fields), min_size=batch, max_size=batch)))
+        if layout == "one id per sample":
+            ids[:] = ids[:, :1]
+        elif layout == "one id":
+            ids[:] = ids[0, 0]
+        labels = (rng.random(batch) < 0.5).astype(np.float64)
+        cache = forward(blocks, ids, config)
+        grads = backward(cache, labels, blocks)
+        frozen = frozen_dense_backward(cache, labels, blocks)
+        assert cache.rows.tolist() == sorted(set(ids.ravel().tolist()))
+        assert grads[EMBEDDING].shape == (cache.rows.size * embed_dim,)
+        dense = blocks[EMBEDDING].scatter_rows(grads[EMBEDDING], cache.rows)
+        assert dense.tobytes() == frozen[EMBEDDING].tobytes()
+        assert grads.keys() == frozen.keys()
+        for name in grads:
+            if name != EMBEDDING:
+                assert grads[name].tobytes() == frozen[name].tobytes(), name
+
+    def test_rows_are_computed_only_when_asked(self):
+        config = small_config()
+        blocks = init_params(config)
+        ids, labels = random_batch(make_rng(1), config)
+        cache = forward(blocks, ids, config)
+        assert "_unique_ids" not in vars(cache)
+        backward(cache, labels, blocks)
+        rows = cache.rows
+        assert rows.tolist() == np.unique(ids).tolist()
+        assert cache.rows is rows
 
 
 class TestTrainingBehavior:
@@ -157,8 +241,9 @@ class TestTrainingBehavior:
             batch = slice(lo, lo + 32)
             cache = forward(blocks, ids[batch], config)
             grads = backward(cache, labels[batch], blocks)
+            rows = np.unique(ids[batch])
             for name, block in blocks.items():
-                opt.step(block, grads[name])
+                opt.step(block, grads[name], rows=rows if block.grouped else None)
         after = logloss(forward(blocks, ids, config).logits, labels)
         assert after < before
 
@@ -177,8 +262,9 @@ class TestTrainingBehavior:
             batch = slice(lo, lo + 16)
             cache = forward(blocks, ids[batch], config)
             grads = backward(cache, labels[batch], blocks)
+            rows = np.unique(ids[batch])
             for name, block in blocks.items():
-                opt.step(block, grads[name])
+                opt.step(block, grads[name], rows=rows if block.grouped else None)
         table = blocks[EMBEDDING].values.reshape(config.num_features, config.embed_dim)
         assert np.all(table[5:] == 0.0)
 

@@ -101,7 +101,7 @@ class TestHandSteps:
             warnings.simplefilter("error")
             opt.step(block, np.array([0.0, 0.0, 1.0, 2.0]))
             assert block.values.tolist() == [0.5, 0.5, 0.4, 0.4]
-            opt.step(block, np.array([0.0, -3.0, 0.0, 0.0]), rows=[0])
+            opt.step(block, np.array([0.0, -3.0]), rows=[0])
         assert block.values.tolist() == [0.5, 0.6, 0.4, 0.4]
         assert not opt.states["e"].poisoned
 
@@ -244,14 +244,12 @@ class TestStateSafety:
         opt = GroupOptimizer(MomentSchedule(kind="adagrad"), 0.1)
         block = ParamBlock("e", np.zeros(6), group_size=2)
         opt.step(block, np.ones(6))
-        grad = np.zeros(6)
-        grad[:2] = 1e200
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(PoisonedStateError, match="dual"):
-            opt.step(block, grad, rows=[0])
+            opt.step(block, np.full(2, 1e200), rows=[0])
         assert opt.states["e"].poisoned
         with pytest.raises(PoisonedStateError):
-            opt.step(block, np.zeros(6), rows=[0])
+            opt.step(block, np.zeros(2), rows=[0])
 
     def test_dimension_mismatch(self):
         state = OptimizerState(2)
@@ -264,6 +262,20 @@ class TestStateSafety:
         block = ParamBlock("w", np.zeros(1))
         with pytest.raises(ValueError):
             step_group(state, block, np.ones(1), MomentSchedule(kind="sgd"), 0.0)
+
+    def test_nan_hyperparameters_rejected(self):
+        # NaN passes a check written as x < 0
+        nan = float("nan")
+        for penalty_name in ("lambda1", "lambda21", "lambda2"):
+            with pytest.raises(ValueError, match="penalties"):
+                RegConfig(**{penalty_name: nan})
+        with pytest.raises(ValueError, match="epsilon"):
+            MomentSchedule(kind="adagrad", epsilon=nan)
+        state = OptimizerState(1)
+        block = ParamBlock("w", np.zeros(1))
+        with pytest.raises(ValueError, match="lr"):
+            step_group(state, block, np.ones(1), MomentSchedule(kind="sgd"), nan)
+        assert state.t == 0 and not state.poisoned
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
@@ -341,6 +353,13 @@ def sparse_row_stream(seed, num_groups, group_size, steps):
         yield grad.ravel(), rows
 
 
+def row_form(grad, rows, group_size):
+    """(the rows' gradients, the sorted unique rows): the form in which step
+    takes rows, as model.backward returns the embedding gradient."""
+    rows = np.unique(rows)
+    return grad.reshape(-1, group_size)[rows].ravel(), rows
+
+
 def state_bits(opt, block):
     state = opt.states[block.name]
     return [a.tobytes() for a in (block.values, state.z, state.v_hat, state.prev_scaled_root)]
@@ -350,14 +369,18 @@ penalty = st.one_of(st.just(0.0), st.floats(1e-4, 1.0))
 
 
 ADAGRAD_FAMILY = ("group-adagrad", "adagrad", "ftrl")
+# the lazy row step, and the dense step it falls back to
+ROW_CHECKED = (*ADAGRAD_FAMILY, "group-adam")
 
 
 def steps_alike(opts, blocks, grad, rows):
-    """Step opts[0] with rows and opts[1] densely; both must raise alike."""
+    """Step opts[0] with the rows' gradients and opts[1] densely; both must
+    raise alike."""
     raised = []
-    for opt, block, kwargs in zip(opts, blocks, ({"rows": rows}, {})):
+    compact, rows = row_form(grad, rows, blocks[0].group_size)
+    for opt, block, args in zip(opts, blocks, ((compact, rows), (grad, None))):
         try:
-            opt.step(block, grad, **kwargs)
+            opt.step(block, *args)
         except PoisonedStateError:
             raised.append(True)
         else:
@@ -390,13 +413,18 @@ class TestRowPath:
             assert opts[0].states["e"].t == opts[1].states["e"].t
 
     def test_adagrad_steps_only_the_listed_rows(self):
-        # rows is a promise about the gradient; breaking it shows the row path ran
+        # the update sees the whole block on step 1 and the listed row after
         for name in ADAGRAD_FAMILY:
             opt = make_optimizer(name, 0.1)
+            seen = []
+            update = opt._update
+            opt._update = lambda state, block, grad: (seen.append(state.dim),
+                                                      update(state, block, grad))
             block = ParamBlock("e", np.zeros(6), group_size=2)
-            opt.step(block, np.ones(6), rows=np.array([0]))  # step 1 is dense
+            opt.step(block, np.ones(2), rows=np.array([0]))
             before = block.values.copy()
-            opt.step(block, np.ones(6), rows=np.array([2, 2]))
+            opt.step(block, np.ones(2), rows=np.array([2]))
+            assert seen == [6, 2], name
             assert np.array_equal(block.values[:4], before[:4]), name
             assert not np.array_equal(block.values[4:], before[4:]), name
 
@@ -407,21 +435,45 @@ class TestRowPath:
         opts = [make_optimizer(name, 0.1, reg) for _ in range(2)]
         blocks = [ParamBlock("e", np.full(20, 0.1), group_size=4) for _ in range(2)]
         for grad, rows in sparse_row_stream(5, 5, 4, 10):
-            opts[0].step(blocks[0], grad, rows=rows)
+            opts[0].step(blocks[0], *row_form(grad, rows, 4))
             opts[1].step(blocks[1], grad)
         assert blocks[0].values.tobytes() == blocks[1].values.tobytes()
 
-    @pytest.mark.parametrize("rows", [[-3], [3], [1, 3], [1.0], np.array([0.5])])
+    # out of range, not integer, repeated, unsorted
+    @pytest.mark.parametrize("rows", [[-3], [3], [1, 3], [1.0], np.array([0.5]),
+                                      [1, 1], [2, 0], [[0, 1]]])
     def test_bad_row_ids_rejected_before_any_change(self, rows):
-        opt = GroupOptimizer(MomentSchedule(kind="adagrad"), 0.1)
-        block = ParamBlock("e", np.zeros(6), group_size=2)
-        opt.step(block, np.ones(6))
-        before = state_bits(opt, block)
-        with pytest.raises(ValueError, match="group ids"):
-            opt.step(block, np.ones(6), rows=rows)
-        assert state_bits(opt, block) == before
-        assert opt.states["e"].t == 1 and not opt.states["e"].poisoned
-        opt.step(block, np.ones(6), rows=[0, 1, 2])
+        for name in ROW_CHECKED:
+            opt = make_optimizer(name, 0.1)
+            block = ParamBlock("e", np.zeros(6), group_size=2)
+            opt.step(block, np.ones(6))
+            before = state_bits(opt, block)
+            with pytest.raises(ValueError, match="group ids"):
+                opt.step(block, np.ones(2 * np.size(rows)), rows=rows)
+            assert state_bits(opt, block) == before, name
+            assert opt.states["e"].t == 1 and not opt.states["e"].poisoned, name
+            opt.step(block, np.ones(6), rows=[0, 1, 2])
+
+    @pytest.mark.parametrize("size", [0, 2, 5, 6])
+    def test_wrongly_sized_gradient_rejected_before_any_change(self, size):
+        # two rows of two need four values, the dense six among others
+        for name in ROW_CHECKED:
+            opt = make_optimizer(name, 0.1)
+            block = ParamBlock("e", np.zeros(6), group_size=2)
+            opt.step(block, np.ones(6))
+            before = state_bits(opt, block)
+            with pytest.raises(ValueError, match="rows"):
+                opt.step(block, np.ones(size), rows=[0, 2])
+            with pytest.raises(ValueError, match="rows"):
+                opt.step(block, np.ones((2, 2)), rows=[0, 2])
+            assert state_bits(opt, block) == before, name
+            assert opt.states["e"].t == 1 and not opt.states["e"].poisoned, name
+
+    def test_rows_of_an_ungrouped_block_rejected(self):
+        opt = make_optimizer("group-adagrad", 0.1)
+        with pytest.raises(ValueError, match="not grouped"):
+            opt.step(ParamBlock("w", np.zeros(3)), np.ones(1), rows=[0])
+        assert not opt.states
 
     @pytest.mark.parametrize("rows", [[], np.array([], dtype=np.int64)])
     def test_empty_rows_step_nothing(self, rows):
@@ -429,21 +481,19 @@ class TestRowPath:
         block = ParamBlock("e", np.zeros(6), group_size=2)
         opt.step(block, np.ones(6))
         before = state_bits(opt, block)
-        opt.step(block, np.zeros(6), rows=rows)
+        opt.step(block, np.zeros(0), rows=rows)
         assert state_bits(opt, block) == before
 
-    def test_nan_outside_rows_poisons(self):
-        for name in ADAGRAD_FAMILY:
+    def test_nan_in_a_listed_row_poisons(self):
+        for name in ROW_CHECKED:
             opt = make_optimizer(name, 0.1)
             block = ParamBlock("e", np.zeros(6), group_size=2)
             opt.step(block, np.ones(6), rows=np.arange(3))
-            grad = np.zeros(6)
-            grad[5] = np.nan
-            with pytest.raises(PoisonedStateError):
-                opt.step(block, grad, rows=np.array([0]))
+            with pytest.raises(PoisonedStateError, match="gradient"):
+                opt.step(block, np.array([0.0, np.nan]), rows=np.array([2]))
             assert opt.states["e"].poisoned, name
             with pytest.raises(PoisonedStateError):
-                opt.step(block, np.zeros(6), rows=np.array([0]))
+                opt.step(block, np.zeros(2), rows=np.array([0]))
 
 
 def model_blocks(seed, num_features=12, embed_dim=3, num_fields=2, hidden_dims=(5, 4)):
@@ -456,8 +506,8 @@ def model_blocks(seed, num_features=12, embed_dim=3, num_fields=2, hidden_dims=(
 
 def model_grad_stream(seed, blocks, steps):
     """Per step, the batch's embedding rows and one gradient per block: the
-    embedding zero outside those rows, dense blocks at a random scale and
-    now and then all zero."""
+    embedding's as the gradients of those rows, dense blocks at a random
+    scale and now and then all zero."""
     rng = make_rng(seed)
     emb = blocks[EMBEDDING]
     for _ in range(steps):
@@ -466,8 +516,9 @@ def model_grad_stream(seed, blocks, steps):
         for name, block in blocks.items():
             scale = 10.0 ** rng.uniform(-3, 1)
             if block.grouped:
-                grad, rows = next(sparse_row_stream(int(rng.integers(2**31)),
-                                                    emb.num_groups, emb.group_size, 1))
+                grad, rows = row_form(*next(sparse_row_stream(
+                    int(rng.integers(2**31)), emb.num_groups, emb.group_size, 1)),
+                    emb.group_size)
                 grads[name] = scale * grad
             elif rng.random() < 0.1:
                 grads[name] = np.zeros(block.values.size)

@@ -155,3 +155,13 @@ class TestNoWarnings:
             soft_threshold(s, 0.5)
         assert x.tobytes() == frozen_group_shrink(s, cum_diag, 2, lambda21, 0.0,
                                                   variant).tobytes()
+
+    @pytest.mark.parametrize("lambda1", [np.inf, np.nan])
+    def test_soft_threshold_at_non_finite_lambda1(self, lambda1):
+        # the frozen form computes sign(0) * inf at every zero and discards it
+        z = np.array([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, np.inf, -np.inf, np.nan])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = soft_threshold(z, lambda1)
+        with np.errstate(invalid="ignore"):
+            assert x.tobytes() == frozen_soft_threshold(z, lambda1).tobytes()

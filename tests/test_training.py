@@ -108,8 +108,9 @@ class TestTrainModel:
                           apply_to=frozenset({EMBEDDING})))
         lazy = train_model(config)
         dense_step = GroupOptimizer.step
-        monkeypatch.setattr(GroupOptimizer, "step",
-                            lambda self, block, grad, rows=None: dense_step(self, block, grad))
+        # the rows' gradients scattered into the table: the dense step
+        monkeypatch.setattr(GroupOptimizer, "step", lambda self, block, grad, rows=None: dense_step(
+            self, block, grad if rows is None else block.scatter_rows(grad, rows)))
         dense = train_model(config)
         assert lazy.blocks.keys() == dense.blocks.keys()
         for name in lazy.blocks:
