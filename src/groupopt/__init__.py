@@ -1,10 +1,10 @@
 """Adaptive optimizers with sparse-group-lasso regularization.
 
 The package provides the closed-form proximal update and its certified
-oracle, the family of regularized dual-averaging optimizers with their
-vanilla and FTRL references, a small embedding+MLP training harness on
-synthetic or libsvm data, a magnitude-pruning baseline, and an online
-regret measurement lab.
+oracle, the family of regularized dual-averaging optimizers (the plain
+optimizers and FTRL-Proximal are its zero-penalty and l1-only members), a
+small embedding+MLP training harness on synthetic or libsvm data, a
+magnitude-pruning baseline, and an online regret measurement lab.
 """
 
 from .blocks import ParamBlock, group_l2_norms, make_rng
@@ -22,18 +22,14 @@ from .model import (
     save_checkpoint,
 )
 from .optimizers import (
-    FtrlOptimizer,
     GroupOptimizer,
     MomentSchedule,
     NO_REG,
     OptimizerState,
     PoisonedStateError,
     RegConfig,
-    VanillaOptimizer,
-    ftrl_step,
     make_optimizer,
     step_group,
-    vanilla_step,
 )
 from .prox import (
     NonpositiveDiagonalError,
@@ -67,9 +63,8 @@ __all__ = [
     "auc", "nonzero_groups", "sparsity",
     "EMBEDDING", "ModelConfig", "backward", "forward", "init_params",
     "load_checkpoint", "logloss", "predict_proba", "save_checkpoint",
-    "FtrlOptimizer", "GroupOptimizer", "MomentSchedule", "NO_REG",
-    "OptimizerState", "PoisonedStateError", "RegConfig", "VanillaOptimizer",
-    "ftrl_step", "make_optimizer", "step_group", "vanilla_step",
+    "GroupOptimizer", "MomentSchedule", "NO_REG", "OptimizerState",
+    "PoisonedStateError", "RegConfig", "make_optimizer", "step_group",
     "NonpositiveDiagonalError", "OracleResult", "ProxProblem", "group_shrink",
     "prox_objective", "prox_oracle", "prox_solve", "random_problem", "soft_threshold",
     "PruneSchedule", "magnitude_prune",

@@ -7,12 +7,15 @@ schedule's stabilizer). One step is
     z <- z + m_t - (R_t - R_{t-1}) * x_t
     x <- group_shrink(soft_threshold(z, lambda1), R_t, ...)
 
-so R_t doubles as the prox's cumulative diagonal. With all penalties zero
-the dual telescopes to z_t = m_t - R_t * x_t and the update collapses to the
-plain adaptive step x <- x - m_t / R_t; the vanilla references below compute
-that step through an independent algebraic route (uncorrected moments with a
-step-size schedule instead of corrected moments with a constant step), and
-the trajectory equality is pinned by tests at 1e-9.
+so R_t doubles as the prox's cumulative diagonal. This is the only update
+rule: every optimizer name runs it. With all penalties zero the dual
+telescopes to z_t = m_t - R_t * x_t and the update collapses to the plain
+adaptive step x <- x - m_t / R_t, so "adam", "sgd", ... are their group
+twins with the penalties off; FTRL-Proximal is the adagrad schedule at
+eps = 0 with lambda1 alone. The plain and FTRL updates written out directly
+(uncorrected moments with a step-size schedule instead of corrected moments
+with a constant step) are test oracles in tests/oracles.py; tests pin the
+trajectory equality at 1e-9.
 
 Supported moment schedules:
 
@@ -36,12 +39,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blocks import ParamBlock
-from .prox import group_shrink, soft_threshold
+from .prox import NonpositiveDiagonalError, group_shrink, soft_threshold
 
 SCHEDULE_KINDS = ("sgd", "momentum", "adagrad", "adam", "amsgrad")
-VANILLA_NAMES = SCHEDULE_KINDS + ("ftrl",)
 GROUP_NAMES = tuple(f"group-{k}" for k in SCHEDULE_KINDS)
-OPTIMIZER_NAMES = VANILLA_NAMES + GROUP_NAMES
+OPTIMIZER_NAMES = SCHEDULE_KINDS + ("ftrl",) + GROUP_NAMES
 
 
 class PoisonedStateError(RuntimeError):
@@ -105,7 +107,10 @@ NO_REG = RegConfig()
 
 @dataclass
 class OptimizerState:
-    """Per-block optimizer state for the group, vanilla and FTRL paths."""
+    """Per-block state of the dual-averaging step: the dual z, the moment
+    accumulators m_hat and v_hat, R_{t-1} as prev_scaled_root, and the step
+    count t. poisoned is set for good once a step meets a non-finite value
+    or a prox failure."""
 
     dim: int
     t: int = 0
@@ -191,6 +196,9 @@ def step_group(
     Blocks the reg config does not target take the lambda = 0 path, which is
     the plain adaptive update. Targeted ungrouped blocks are penalized too,
     as groups of size 1: lambda21 then shrinks each coordinate on its own.
+    A non-finite gradient or dual, or a prox that cannot form finite
+    parameters, poisons the state and raises PoisonedStateError naming the
+    block; the block's values are then left as they were.
     """
     grad = _check_step(state, block, grad, lr)
     lam1, lam21, lam2, variant = _penalties(reg, block.name)
@@ -205,96 +213,38 @@ def step_group(
     state.t += 1
 
     s = soft_threshold(state.z, lam1)
-    block.values = group_shrink(s, scaled_root, group_size, lam21, lam2, variant)
+    try:
+        block.values = group_shrink(s, scaled_root, group_size, lam21, lam2, variant)
+    except NonpositiveDiagonalError as exc:
+        state.poisoned = True
+        raise PoisonedStateError(
+            f"{exc}: no finite parameters for block {block.name!r}") from exc
     return m, scaled_root
 
 
-def vanilla_step(
-    state: OptimizerState,
-    block: ParamBlock,
-    grad: np.ndarray,
-    schedule: MomentSchedule,
-    lr: float,
-) -> None:
-    """Reference unregularized update x <- x - alpha_t * m_t / denom_t.
-
-    Written in the conventional direct form (uncorrected moments, bias
-    corrections folded into the step size for adam/amsgrad) so it shares no
-    algebra with the dual path of step_group.
-    """
-    grad = _check_step(state, block, grad, lr)
-    t = state.t + 1
-    kind = schedule.kind
-    if kind == "sgd":
-        delta = (lr / np.sqrt(float(t))) * grad
-    elif kind == "momentum":
-        state.m_hat = schedule.gamma * state.m_hat + grad
-        delta = lr * state.m_hat
-    elif kind == "adagrad":
-        inc = grad * grad
-        if t == 1:
-            inc += schedule.epsilon
-        state.v_hat = state.v_hat + inc
-        # a coordinate that never had a gradient (v_hat = 0 at epsilon 0)
-        # stays put, as it does on the group path, instead of taking 0/0
-        delta = np.divide(lr * grad, np.sqrt(state.v_hat), out=np.zeros(grad.shape),
-                          where=state.v_hat != 0.0)
-    else:  # adam, amsgrad
-        b1, b2 = schedule.beta1, schedule.beta2
-        state.m_hat = b1 * state.m_hat + (1.0 - b1) * grad
-        raw = b2 * state.v_hat + (1.0 - b2) * grad * grad
-        if kind == "amsgrad":
-            raw = np.maximum(state.v_hat, raw)
-        state.v_hat = raw
-        alpha_t = lr * np.sqrt(1.0 - b2**t) / (1.0 - b1**t)
-        delta = alpha_t * state.m_hat / (np.sqrt(state.v_hat) + schedule.epsilon)
-    state.t = t
-    block.values = block.values - delta
-    if not np.isfinite(block.values).all():
-        state.poisoned = True
-        raise PoisonedStateError(f"non-finite parameters for block {block.name!r}")
-
-
-def ftrl_step(
-    state: OptimizerState,
-    block: ParamBlock,
-    grad: np.ndarray,
-    lr: float,
-    lambda1: float = 0.0,
-) -> None:
-    """Proximal FTRL coordinate update with an l1 dead zone; mutates in place.
-
-    Per coordinate: sigma_t = (sqrt(n + g^2) - sqrt(n)) / lr, z += g - sigma*x,
-    n += g^2, then x = 0 where |z| <= lambda1 and (sign(z)*lambda1 - z)*lr/sqrt(n)
-    elsewhere. With lambda1 = 0 this is the adagrad trajectory. n lives in
-    state.v_hat: it is the running sum of g^2 that adagrad keeps with eps = 0.
-    """
-    grad = _check_step(state, block, grad, lr)
-    n_next = state.v_hat + grad * grad
-    sigma = (np.sqrt(n_next) - np.sqrt(state.v_hat)) / lr
-    state.z = state.z + grad - sigma * block.values
-    state.v_hat = n_next
-    state.t += 1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x = np.where(
-            np.abs(state.z) <= lambda1,
-            0.0,
-            (np.sign(state.z) * lambda1 - state.z) * lr / np.sqrt(state.v_hat),
-        )
-    # coordinates never touched by any gradient stay at the dead-zone zero
-    block.values = np.where(state.v_hat > 0.0, x, 0.0)
-
-
 def _blame_member(exc: PoisonedStateError, pack: ParamBlock, grad, state: OptimizerState,
-                  names: list, ends) -> PoisonedStateError:
-    """The pack's error renamed to the member holding the first non-finite
-    value: in the gradient, else the dual, else the parameters, the order in
-    which the step checks them."""
-    for values in (grad, state.z, pack.values):
+                  reg: RegConfig, names: list, ends) -> PoisonedStateError:
+    """The pack's error renamed to the member holding the first failing
+    coordinate: a non-finite gradient, else a non-finite dual, else one the
+    prox rejects, the order in which the step checks them. A pack's prox is
+    elementwise, so it is rerun member by member on the step's dual and root."""
+    if repr(pack.name) not in str(exc):
+        return exc  # a step refused on a poisoned state names no block
+
+    def blame(member):
+        return PoisonedStateError(str(exc).replace(repr(pack.name), repr(member)))
+
+    for values in (grad, state.z):
         bad = ~np.isfinite(values)
         if bad.any():
-            member = names[int(np.searchsorted(ends, np.argmax(bad), side="right"))]
-            return PoisonedStateError(str(exc).replace(repr(pack.name), repr(member)))
+            return blame(names[int(np.searchsorted(ends, np.argmax(bad), side="right"))])
+    lam1, lam21, lam2, variant = _penalties(reg, pack.name)
+    for lo, hi, member in zip(np.concatenate(([0], ends[:-1])), ends, names):
+        try:
+            group_shrink(soft_threshold(state.z[lo:hi], lam1), state.prev_scaled_root[lo:hi],
+                         1, lam21, lam2, variant)
+        except NonpositiveDiagonalError:
+            return blame(member)
     return exc
 
 
@@ -322,7 +272,8 @@ def _shallow_copy(obj, **attrs):
 
 
 class GroupOptimizer:
-    """Driver holding one OptimizerState per block name; subclasses replace _update."""
+    """Driver holding one OptimizerState per block name; every block steps
+    through step_group."""
 
     def __init__(self, schedule: MomentSchedule, lr: float, reg: RegConfig = NO_REG):
         self.schedule = schedule
@@ -338,27 +289,27 @@ class GroupOptimizer:
         increasing integer ids of groups of a grouped block, and grad holds
         len(rows) * group_size values in their order, as model.backward
         returns the embedding gradient. This is checked before any state
-        changes. Every adagrad-schedule driver (group-adagrad, vanilla
-        adagrad, FTRL) then steps only those groups from its second step on:
-        there a group with zero gradient is a fixed point, as its
-        accumulator gains 0, so its root, dual and parameters stay put.
-        Skipping such groups is the lazy update of McMahan et al. (KDD 2013)
-        and gives the same bits as the dense step. The listed groups are
-        gathered into a k-group state and block, stepped by _update (whose
-        checks see k * group_size values) and scattered back. Other
-        schedules and the first step scatter grad into the block's dense
-        gradient and take the dense step.
+        changes. On the adagrad schedule (group-adagrad, adagrad, ftrl) the
+        driver then steps only those groups from its second step on: there
+        a group with zero gradient is a fixed point, as its accumulator
+        gains 0, so its root, dual and parameters stay put. Skipping such
+        groups is the lazy update of McMahan et al. (KDD 2013) and gives the
+        same bits as the dense step. The listed groups are gathered into a
+        k-group state and block, stepped by step_group (whose checks see
+        k * group_size values) and scattered back; if that step raises, the
+        state is poisoned and nothing is scattered. Other schedules and the
+        first step scatter grad into the block's dense gradient and take
+        the dense step.
         """
         if rows is not None:
             rows = _check_rows(block, grad, rows)
         st = self.states.get(block.name)
         if st is None:
             st = self.states[block.name] = OptimizerState(block.values.size)
+        if rows is not None and (self.schedule.kind != "adagrad" or st.t == 0):
+            grad, rows = block.scatter_rows(grad, rows), None
         if rows is None:
-            self._update(st, block, grad)
-            return
-        if self.schedule.kind != "adagrad" or st.t == 0:
-            self._update(st, block, block.scatter_rows(grad, rows))
+            step_group(st, block, grad, self.schedule, self.lr, self.reg)
             return
         shape = (block.num_groups, block.group_size)
         full = [a.reshape(shape) for a in (st.z, st.v_hat, st.prev_scaled_root, block.values)]
@@ -367,7 +318,7 @@ class GroupOptimizer:
         sub = _shallow_copy(st, dim=z.size, z=z, v_hat=v_hat, prev_scaled_root=prev)
         sub_block = _shallow_copy(block, values=values)
         try:
-            self._update(sub, sub_block, grad)
+            step_group(sub, sub_block, grad, self.schedule, self.lr, self.reg)
         finally:
             st.poisoned = sub.poisoned
         for a, new in zip(full, (sub.z, sub.v_hat, sub.prev_scaled_root, sub_block.values)):
@@ -406,47 +357,35 @@ class GroupOptimizer:
             try:
                 self.step(pack, grad)
             except PoisonedStateError as exc:
-                raise _blame_member(exc, pack, grad, self.states[pack.name],
+                raise _blame_member(exc, pack, grad, self.states[pack.name], self.reg,
                                     [block.name for block, _ in members], ends) from None
             for (block, _), hi in zip(members, ends):
                 block.values = pack.values[hi - block.values.size:hi]
 
-    def _update(self, state: OptimizerState, block: ParamBlock, grad) -> None:
-        step_group(state, block, grad, self.schedule, self.lr, self.reg)
 
-
-class VanillaOptimizer(GroupOptimizer):
-    """Driver for the unregularized reference updates."""
-
-    def __init__(self, schedule: MomentSchedule, lr: float):
-        super().__init__(schedule, lr)
-
-    def _update(self, state: OptimizerState, block: ParamBlock, grad) -> None:
-        vanilla_step(state, block, grad, self.schedule, self.lr)
-
-
-class FtrlOptimizer(GroupOptimizer):
-    """Driver for the proximal FTRL reference: adagrad with eps = 0 plus l1."""
-
-    def __init__(self, lr: float, lambda1: float = 0.0):
-        super().__init__(MomentSchedule(kind="adagrad", epsilon=0.0), lr,
-                         RegConfig(lambda1=lambda1))
-
-    def _update(self, state: OptimizerState, block: ParamBlock, grad) -> None:
-        ftrl_step(state, block, grad, self.lr, self.reg.lambda1)
+def name_reg(name: str, reg: RegConfig) -> RegConfig:
+    """The penalties the optimizer name runs with, given reg: all of reg for
+    "group-adam" etc., none for "adam", "sgd", ..., and reg.lambda1 alone,
+    on every block, for "ftrl"."""
+    if name.startswith("group-"):
+        return reg
+    if name == "ftrl":
+        return RegConfig(lambda1=reg.lambda1)
+    return NO_REG
 
 
 def make_optimizer(name: str, lr: float, reg: RegConfig = NO_REG,
-                   schedule_args: dict | None = None):
-    """Build a driver from a family-prefixed name.
+                   schedule_args: dict | None = None) -> GroupOptimizer:
+    """Build the driver for a family-prefixed name; every name runs
+    step_group, with the penalties name_reg(name, reg).
 
-    "adam", "sgd", ... are the vanilla references; "group-adam" etc. take
-    the regularized path; "ftrl" is the proximal FTRL reference (its l1
-    strength comes from reg.lambda1).
+    "group-adam" etc. take the schedule from schedule_args; "adam", "sgd",
+    ... are their group twins with every penalty off; "ftrl" is
+    FTRL-Proximal, the adagrad schedule at epsilon 0 (schedule_args are not
+    used) with l1 on every block.
     """
-    args = schedule_args or {}
+    reg = name_reg(name, reg)
     if name == "ftrl":
-        return FtrlOptimizer(lr, reg.lambda1)
-    if name.startswith("group-"):
-        return GroupOptimizer(MomentSchedule(kind=name[len("group-"):], **args), lr, reg)
-    return VanillaOptimizer(MomentSchedule(kind=name, **args), lr)
+        return GroupOptimizer(MomentSchedule(kind="adagrad", epsilon=0.0), lr, reg)
+    kind = name.removeprefix("group-")
+    return GroupOptimizer(MomentSchedule(kind=kind, **(schedule_args or {})), lr, reg)

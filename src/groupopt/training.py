@@ -18,7 +18,7 @@ from .blocks import make_rng
 from .data import Dataset, SynthSpec, generate, load_libsvm
 from .metrics import auc, nonzero_groups, sparsity
 from .model import EMBEDDING, ModelConfig, backward, forward, init_params, logloss
-from .optimizers import OPTIMIZER_NAMES, RegConfig, make_optimizer
+from .optimizers import OPTIMIZER_NAMES, RegConfig, make_optimizer, name_reg
 from .pruning import PruneSchedule, magnitude_prune
 
 SCHEMA_VERSION = 1
@@ -48,6 +48,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.optimizer not in OPTIMIZER_NAMES:
             raise ConfigError(f"optimizer: unknown name {self.optimizer!r}")
+        # a penalty the optimizer would not apply would still be reported
+        used = name_reg(self.optimizer, self.reg)
+        unused = [k for k in ("lambda1", "lambda21", "lambda2")
+                  if getattr(self.reg, k) != getattr(used, k)]
+        if unused:
+            raise ConfigError(f"reg: {self.optimizer!r} applies no {', '.join(unused)}; "
+                              f"set it to 0 or use a group- optimizer")
         if not self.lr > 0:  # NaN fails too
             raise ConfigError("lr: must be > 0")
         if self.epochs < 1 or self.batch_size < 1 or self.repeats < 1:
@@ -108,6 +115,10 @@ def load_dataset(config: ExperimentConfig) -> Dataset:
     if ids.shape[1] != config.model.num_fields:
         raise ConfigError(
             f"data: file has {ids.shape[1]} fields, model expects {config.model.num_fields}")
+    top = int(ids.max())
+    if top >= config.model.num_features:
+        raise ConfigError(f"data: feature id {top} is out of range for "
+                          f"model.num_features {config.model.num_features}")
     n_train = int(0.9 * len(labels))
     # AUC, the headline metric, is undefined on a split with one class
     for split, part in (("train", labels[:n_train]), ("test", labels[n_train:])):
@@ -205,12 +216,11 @@ def sweep(config: ExperimentConfig, lambda21_grid) -> list[RunReport]:
     """One run per grid value at fixed seed; reg otherwise unchanged."""
     if len(lambda21_grid) == 0:
         raise ConfigError("lambda21 grid: must be nonempty")
+    # every point's config is checked before the first run
+    points = [replace(config, reg=replace(config.reg, lambda21=float(lam21)))
+              for lam21 in lambda21_grid]
     dataset = load_dataset(config)
-    reports = []
-    for lam21 in lambda21_grid:
-        point = replace(config, reg=replace(config.reg, lambda21=float(lam21)))
-        reports.append(train_model(point, dataset=dataset))
-    return reports
+    return [train_model(point, dataset=dataset) for point in points]
 
 
 def finetune(blocks: dict, dataset: Dataset, fraction: float,

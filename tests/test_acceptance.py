@@ -23,13 +23,11 @@ from groupopt.model import (
     logloss,
 )
 from groupopt.optimizers import (
-    FtrlOptimizer,
     GroupOptimizer,
     MomentSchedule,
     OptimizerState,
     RegConfig,
     step_group,
-    vanilla_step,
 )
 from groupopt.prox import prox_oracle, prox_solve, random_problem
 from groupopt.regret import OnlineProblem, measure_bound_constants, run_regret
@@ -40,6 +38,7 @@ from groupopt.training import (
     sweep,
     train_model,
 )
+from oracles import ftrl_step, vanilla_step
 
 pytestmark = pytest.mark.acceptance
 
@@ -203,12 +202,12 @@ def test_03_size_one_group_adagrad_is_ftrl_proximal(capsys):
         lam1 = float(rng.uniform(0.0, 0.5))
         group = GroupOptimizer(MomentSchedule(kind="adagrad", epsilon=0.0),
                                0.5, RegConfig(lambda1=lam1))
-        ftrl = FtrlOptimizer(0.5, lambda1=lam1)
+        ftrl = OptimizerState(dim)
         a = ParamBlock("w", np.zeros(dim), group_size=1)
         b = ParamBlock("w", np.zeros(dim))
         for _ in range(100):
             group.step(a, quadratic_grad(a.values, center))
-            ftrl.step(b, quadratic_grad(b.values, center))
+            ftrl_step(ftrl, b, quadratic_grad(b.values, center), 0.5, lam1)
             worst = max(worst, float(np.max(np.abs(a.values - b.values))))
     ok = worst <= 1e-9
     _say(capsys, ok, "03 ftrl-proximal-identity",

@@ -223,6 +223,34 @@ class TestTrainCommand:
         assert code == EXIT_CONFIG
         assert f"config error: data: the {split} split" in capsys.readouterr().err
 
+    def test_feature_id_out_of_range_exits_2_before_training(self, tmp_path, capsys,
+                                                             monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("train_model entered")
+
+        monkeypatch.setattr(training, "train_model", never)
+        path = tmp_path / "d.libsvm"
+        # id 60 is past TINY_MODEL's 60-row table, on the last (test) line only
+        path.write_text("".join(f"{i % 2} {i % 20}:1 {20 + i}:1 {40 if i < 19 else 60}:1\n"
+                                for i in range(20)))
+        code = main(["train", "--config", write_tiny_config(tmp_path, model=TINY_MODEL),
+                     "--data", str(path)])
+        assert code == EXIT_CONFIG
+        assert ("config error: data: feature id 60 is out of range for "
+                "model.num_features 60") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, unused", [
+        (["--optimizer", "adam", "--lambda1", "0.1", "--lambda21", "0.5"], "'adam' applies no "
+                                                                          "lambda1, lambda21"),
+        (["--optimizer", "ftrl", "--lambda1", "0.1", "--lambda2", "1e-5"], "'ftrl' applies no "
+                                                                          "lambda2"),
+    ])
+    def test_penalty_the_optimizer_does_not_apply_exits_2(self, tmp_path, capsys, flags,
+                                                          unused):
+        code = main(["train", "--config", write_tiny_config(tmp_path), *flags])
+        assert code == EXIT_CONFIG
+        assert f"config error: reg: {unused};" in capsys.readouterr().err
+
     # NaN passes a check written as x < 0; json writes and reads it as NaN
     @pytest.mark.parametrize("extra, message", [
         ({"lr": float("nan")}, "lr: must be > 0"),
@@ -258,6 +286,17 @@ class TestSweepCommand:
             rows = list(csv.reader(fh))
         assert rows[0] == ["lambda21", "logloss", "auc", "sparsity", "nonzero_groups"]
         assert len(rows) == 3
+
+    def test_nonzero_grid_for_a_plain_optimizer_exits_2_before_training(
+            self, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("train_model entered")
+
+        monkeypatch.setattr(training, "train_model", never)
+        code = main(["sweep", "--config", write_tiny_config(tmp_path),
+                     "--optimizer", "adam", "--grid", "0,2.5e-2"])
+        assert code == EXIT_CONFIG
+        assert "config error: reg: 'adam' applies no lambda21;" in capsys.readouterr().err
 
     def test_bad_grid_exits_2(self, tmp_path):
         assert main(["sweep", "--config", write_tiny_config(tmp_path),

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from groupopt import optimizers
 from groupopt.blocks import ParamBlock, make_rng
 from groupopt.model import EMBEDDING, ModelConfig, init_params
 from groupopt.optimizers import (
-    FtrlOptimizer,
     GroupOptimizer,
     MomentSchedule,
     NO_REG,
@@ -16,12 +16,10 @@ from groupopt.optimizers import (
     OptimizerState,
     PoisonedStateError,
     RegConfig,
-    VanillaOptimizer,
-    ftrl_step,
     make_optimizer,
     step_group,
-    vanilla_step,
 )
+from oracles import ftrl_step, vanilla_step
 
 KINDS = ("sgd", "momentum", "adagrad", "adam", "amsgrad")
 
@@ -93,16 +91,33 @@ class TestHandSteps:
             assert_allclose(state.prev_scaled_root, [10.0])
 
     def test_vanilla_adagrad_epsilon_zero_leaves_unseen_coordinates(self):
-        # at epsilon 0 a coordinate with no gradient yet has v_hat = 0; it
-        # stays put instead of taking 0/0 and poisoning the state
-        opt = make_optimizer("adagrad", 0.1, schedule_args={"epsilon": 0.0})
+        # at epsilon 0 a coordinate with no gradient yet has v_hat = 0; the
+        # oracle keeps it put instead of taking 0/0 and poisoning the state
+        state = OptimizerState(4)
         block = ParamBlock("e", np.full(4, 0.5), group_size=2)
+        schedule = MomentSchedule(kind="adagrad", epsilon=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vanilla_step(state, block, np.array([0.0, 0.0, 1.0, 2.0]), schedule, 0.1)
+            assert block.values.tolist() == [0.5, 0.5, 0.4, 0.4]
+            vanilla_step(state, block, np.array([0.0, -3.0, 0.0, 0.0]), schedule, 0.1)
+        assert block.values.tolist() == [0.5, 0.6, 0.4, 0.4]
+        assert not state.poisoned
+
+    @pytest.mark.parametrize("name", ["adagrad", "ftrl"])
+    def test_adagrad_epsilon_zero_zeroes_unseen_coordinates(self, name):
+        # on the dual path a coordinate with no gradient yet has no dual mass
+        # and a zero root, so it sits at 0 from the first step, as under FTRL
+        opt = make_optimizer(name, 0.1, schedule_args={"epsilon": 0.0})
+        block = ParamBlock("e", np.full(4, 0.5), group_size=2)
+        ftrl_state, ftrl_block = OptimizerState(4), ParamBlock("e", np.full(4, 0.5))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             opt.step(block, np.array([0.0, 0.0, 1.0, 2.0]))
-            assert block.values.tolist() == [0.5, 0.5, 0.4, 0.4]
+            ftrl_step(ftrl_state, ftrl_block, np.array([0.0, 0.0, 1.0, 2.0]), 0.1)
+            assert block.values.tolist() == ftrl_block.values.tolist() == [0.0, 0.0, 0.4, 0.4]
             opt.step(block, np.array([0.0, -3.0]), rows=[0])
-        assert block.values.tolist() == [0.5, 0.6, 0.4, 0.4]
+        assert block.values.tolist() == [0.0, 0.1, 0.4, 0.4]
         assert not opt.states["e"].poisoned
 
     def test_huge_group_penalty_zeroes_in_one_step(self):
@@ -136,27 +151,27 @@ class TestFtrlIdentity:
             center = rng.normal(size=dim)
             group = GroupOptimizer(MomentSchedule(kind="adagrad", epsilon=0.0), 0.5,
                                    RegConfig(lambda1=lam1))
-            ftrl = FtrlOptimizer(0.5, lambda1=lam1)
+            ftrl = OptimizerState(dim)
             a = ParamBlock("w", np.zeros(dim), group_size=1)
             b = ParamBlock("w", np.zeros(dim))
             for _ in range(100):
                 ga = quadratic_grad(a.values, center)
                 gb = quadratic_grad(b.values, center)
                 group.step(a, ga)
-                ftrl.step(b, gb)
+                ftrl_step(ftrl, b, gb, 0.5, lam1)
                 assert np.max(np.abs(a.values - b.values)) <= 1e-9
 
     def test_zero_l1_matches_vanilla_cumulative(self):
         rng = make_rng(9)
         dim = 4
         center = rng.normal(size=dim)
-        ftrl = FtrlOptimizer(0.5)
-        vanilla = VanillaOptimizer(MomentSchedule(kind="adagrad", epsilon=0.0), 0.5)
+        ftrl, vanilla = OptimizerState(dim), OptimizerState(dim)
+        schedule = MomentSchedule(kind="adagrad", epsilon=0.0)
         a = ParamBlock("w", np.zeros(dim))
         b = ParamBlock("w", np.zeros(dim))
         for _ in range(100):
-            ftrl.step(a, quadratic_grad(a.values, center))
-            vanilla.step(b, quadratic_grad(b.values, center))
+            ftrl_step(ftrl, a, quadratic_grad(a.values, center), 0.5)
+            vanilla_step(vanilla, b, quadratic_grad(b.values, center), schedule, 0.5)
         assert np.max(np.abs(a.values - b.values)) <= 1e-9
 
     def test_dead_zone(self):
@@ -251,6 +266,35 @@ class TestStateSafety:
         with pytest.raises(PoisonedStateError):
             opt.step(block, np.zeros(2), rows=[0])
 
+    def test_prox_failure_poisons_dense_step(self):
+        # R = 1/lr = 1e-10 under a dual of 1e300: x = -z/R overflows
+        state = OptimizerState(2)
+        block = ParamBlock("w", np.ones(2))
+        schedule = MomentSchedule(kind="sgd")
+        with np.errstate(over="ignore"), pytest.raises(
+                PoisonedStateError,
+                match="nonpositive effective diagonal: no finite parameters for block 'w'"):
+            step_group(state, block, np.array([0.0, 1e300]), schedule, 1e10)
+        assert state.poisoned
+        assert block.values.tolist() == [1.0, 1.0]
+        with pytest.raises(PoisonedStateError, match="poisoned"):
+            step_group(state, block, np.zeros(2), schedule, 1e10)
+
+    def test_prox_failure_poisons_row_step(self):
+        # at epsilon 0 a gradient of 1e-170 squares to 0: dual mass on a zero root
+        opt = GroupOptimizer(MomentSchedule(kind="adagrad", epsilon=0.0), 0.1)
+        block = ParamBlock("e", np.zeros(6), group_size=2)
+        opt.step(block, np.ones(2), rows=[0])
+        before = block.values.copy()
+        with pytest.raises(PoisonedStateError,
+                           match="nonpositive effective diagonal: no finite parameters "
+                                 "for block 'e'"):
+            opt.step(block, np.array([1e-170, 0.0]), rows=[2])
+        assert opt.states["e"].poisoned
+        assert np.array_equal(block.values, before)
+        with pytest.raises(PoisonedStateError, match="poisoned"):
+            opt.step(block, np.zeros(2), rows=[0])
+
     def test_dimension_mismatch(self):
         state = OptimizerState(2)
         block = ParamBlock("w", np.zeros(3))
@@ -313,12 +357,12 @@ class TestRegTargeting:
         center = make_rng(2).normal(size=3)
 
         regularized = GroupOptimizer(schedule, 0.5, reg)
-        plain = VanillaOptimizer(schedule, 0.5)
+        plain = OptimizerState(3)
         a = ParamBlock("dense", np.zeros(3))
         b = ParamBlock("dense", np.zeros(3))
         for _ in range(30):
             regularized.step(a, quadratic_grad(a.values, center))
-            plain.step(b, quadratic_grad(b.values, center))
+            vanilla_step(plain, b, quadratic_grad(b.values, center), schedule, 0.5)
         assert np.max(np.abs(a.values - b.values)) <= 1e-9
 
     def test_apply_to_none_penalizes_ungrouped_blocks_as_size_one_groups(self):
@@ -412,14 +456,15 @@ class TestRowPath:
             assert state_bits(opts[0], blocks[0]) == state_bits(opts[1], blocks[1])
             assert opts[0].states["e"].t == opts[1].states["e"].t
 
-    def test_adagrad_steps_only_the_listed_rows(self):
+    def test_adagrad_steps_only_the_listed_rows(self, monkeypatch):
         # the update sees the whole block on step 1 and the listed row after
+        seen = []
+        update = optimizers.step_group
+        monkeypatch.setattr(optimizers, "step_group",
+                            lambda state, *args: (seen.append(state.dim), update(state, *args)))
         for name in ADAGRAD_FAMILY:
             opt = make_optimizer(name, 0.1)
-            seen = []
-            update = opt._update
-            opt._update = lambda state, block, grad: (seen.append(state.dim),
-                                                      update(state, block, grad))
+            seen.clear()
             block = ParamBlock("e", np.zeros(6), group_size=2)
             opt.step(block, np.ones(2), rows=np.array([0]))
             before = block.values.copy()
@@ -632,6 +677,25 @@ class TestStepAll:
         with pytest.raises(PoisonedStateError):
             opt.step_all(blocks, grads)
 
+    def test_prox_failure_names_the_member_and_keeps_values(self):
+        # dense1_b, a middle member: a dual of 1e300 over R = 1e-10 overflows
+        opt = make_optimizer("group-sgd", 1e10, RegConfig(lambda21=0.1,
+                                                          apply_to=frozenset({EMBEDDING})))
+        blocks = model_blocks(5)
+        grads = {key: np.zeros(block.values.size) for key, block in blocks.items()}
+        grads["dense1_b"][1] = 1e300
+        before = {key: block.values.copy() for key, block in blocks.items()}
+        with np.errstate(over="ignore"), \
+                pytest.raises(PoisonedStateError, match="nonpositive effective diagonal: "
+                              "no finite parameters for block 'dense1_b'"):
+            opt.step_all(blocks, grads)
+        for key, block in blocks.items():
+            if not block.grouped:
+                assert np.array_equal(block.values, before[key]), key
+        assert opt.states["dense0_w"].poisoned
+        with pytest.raises(PoisonedStateError, match="poisoned"):
+            opt.step_all(blocks, grads)
+
     def test_member_gradient_shape_checked(self):
         opt = make_optimizer("group-adam", 0.05)
         blocks = model_blocks(4)
@@ -661,9 +725,19 @@ class TestDeterminism:
 
 class TestMakeOptimizer:
     def test_name_parsing(self):
-        assert isinstance(make_optimizer("ftrl", 0.1), FtrlOptimizer)
-        assert isinstance(make_optimizer("adam", 0.1), VanillaOptimizer)
-        assert isinstance(make_optimizer("group-sgd", 0.1), GroupOptimizer)
+        reg = RegConfig(lambda1=0.1, lambda21=0.2, lambda2=0.3,
+                        apply_to=frozenset({EMBEDDING}))
+        ftrl = make_optimizer("ftrl", 0.1, reg, {"epsilon": 1e-3})
+        assert ftrl.schedule == MomentSchedule(kind="adagrad", epsilon=0.0)
+        assert ftrl.reg == RegConfig(lambda1=0.1)
+        adam = make_optimizer("adam", 0.1, reg, {"beta1": 0.5})
+        assert adam.schedule == MomentSchedule(kind="adam", beta1=0.5)
+        assert adam.reg == NO_REG
+        group_sgd = make_optimizer("group-sgd", 0.1, reg)
+        assert group_sgd.schedule == MomentSchedule(kind="sgd")
+        assert group_sgd.reg == reg
+        for name in OPTIMIZER_NAMES:
+            assert type(make_optimizer(name, 0.1)) is GroupOptimizer
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

@@ -59,6 +59,20 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="reg: apply_to"):
             config_from_dict(doc)
 
+    @pytest.mark.parametrize("optimizer, penalties, unused", [
+        ("adam", {"lambda1": 0.1, "lambda21": 0.5}, "lambda1, lambda21"),
+        ("sgd", {"lambda2": 1e-5}, "lambda2"),
+        ("ftrl", {"lambda1": 0.1, "lambda21": 0.5}, "lambda21"),
+        ("ftrl", {"lambda2": 1e-5}, "lambda2"),
+    ])
+    def test_penalties_the_optimizer_does_not_apply_rejected(self, optimizer, penalties,
+                                                             unused):
+        with pytest.raises(ConfigError, match=f"reg: '{optimizer}' applies no {unused};"):
+            tiny_config(optimizer=optimizer, reg=RegConfig(**penalties))
+
+    def test_ftrl_takes_lambda1(self):
+        assert tiny_config(optimizer="ftrl", reg=RegConfig(lambda1=0.1)).reg.lambda1 == 0.1
+
     def test_schedule_args_carry_all_knobs(self):
         args = tiny_config(beta1=0.8, gamma=0.7).schedule_args()
         assert args == {"beta1": 0.8, "beta2": 0.999, "gamma": 0.7,
@@ -140,6 +154,21 @@ class TestTrainModel:
         assert counts["step"] == calls * counts["batch"]
 
 
+class TestOptimizerNames:
+    @pytest.mark.parametrize("kind", ["sgd", "momentum", "adagrad", "adam", "amsgrad"])
+    def test_plain_name_is_its_group_twin_without_penalties(self, kind):
+        plain = train_model(tiny_config(optimizer=kind, reg=RegConfig()))
+        group = train_model(tiny_config(optimizer=f"group-{kind}", reg=RegConfig()))
+        for name in plain.blocks:
+            assert plain.blocks[name].values.tobytes() == group.blocks[name].values.tobytes()
+
+    def test_adagrad_at_epsilon_zero_is_ftrl_without_l1(self):
+        adagrad = train_model(tiny_config(optimizer="adagrad", epsilon=0.0, reg=RegConfig()))
+        ftrl = train_model(tiny_config(optimizer="ftrl", reg=RegConfig()))
+        for name in adagrad.blocks:
+            assert adagrad.blocks[name].values.tobytes() == ftrl.blocks[name].values.tobytes()
+
+
 class TestRunRepeated:
     def test_summary_matches_reports(self):
         config = tiny_config(optimizer="adagrad", reg=RegConfig(), repeats=3)
@@ -174,6 +203,14 @@ class TestSweep:
         with pytest.raises(ConfigError):
             sweep(tiny_config(), [])
 
+    def test_nonzero_grid_for_a_plain_optimizer_rejected_before_training(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("train_model entered")
+
+        monkeypatch.setattr(training, "train_model", never)
+        with pytest.raises(ConfigError, match="reg: 'adam' applies no lambda21"):
+            sweep(tiny_config(optimizer="adam", reg=RegConfig()), [0.0, 1e-3])
+
 
 class TestLoadDataset:
     def test_synthetic(self):
@@ -201,6 +238,16 @@ class TestLoadDataset:
         with pytest.raises(ConfigError, match="2 fields, model expects 3"):
             load_dataset(tiny_config(data=str(path)))
 
+
+    def test_feature_id_out_of_range_rejected(self, tmp_path):
+        # the largest id sits in the test split, which only evaluation reads
+        path = tmp_path / "d.libsvm"
+        ids = np.arange(60).reshape(20, 3)
+        ids[-1, 2] = 75
+        write_libsvm(path, ids, np.array([0, 1] * 10))
+        with pytest.raises(ConfigError, match="data: feature id 75 is out of range for "
+                                              "model.num_features 60"):
+            load_dataset(tiny_config(data=str(path)))
 
     @pytest.mark.parametrize("labels, split", [([1] * 20, "train"),
                                                ([0, 1] * 9 + [1, 1], "test")])
