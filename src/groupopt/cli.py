@@ -19,7 +19,8 @@ import numpy as np
 from .blocks import make_rng
 from .data import SynthSpec
 from .model import EMBEDDING, ModelConfig, save_checkpoint
-from .optimizers import GROUP_NAMES, PoisonedStateError, RegConfig
+from .optimizers import (GROUP_NAMES, SCHEDULE_KINDS, PoisonedStateError, RegConfig,
+                         check_name_reg)
 from .prox import NonpositiveDiagonalError, prox_oracle, prox_solve, random_problem
 from .regret import OnlineProblem, measure_bound_constants, run_regret
 from .training import (
@@ -264,11 +265,12 @@ def cmd_regret(args) -> int:
                             seed=args.seed, mode=args.mode)
     reg = RegConfig(lambda1=args.lambda1, lambda21=args.lambda21,
                     lambda2=args.lambda2)
-    kind = args.optimizer
-    if kind.startswith("group-"):
-        kind = kind[len("group-"):]
-    run = run_regret(problem, kind=kind, lr=args.lr, reg=reg,
-                     step_decay=args.step_decay)
+    try:
+        check_name_reg(args.optimizer, reg)
+    except ValueError as exc:
+        raise ConfigError(f"reg: {exc}") from None
+    run = run_regret(problem, kind=args.optimizer.removeprefix("group-"), lr=args.lr,
+                     reg=reg, step_decay=args.step_decay)
     constants = measure_bound_constants(run)
     payload = {**run.to_dict(), "bound": constants}
     _write_artifacts(args.output_dir, payload, "regret.json", "regret.csv",
@@ -332,7 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     regret_cmd.add_argument("--mode",
                             choices=("stochastic", "stationary", "alternating", "zero"),
                             default="stochastic")
-    regret_cmd.add_argument("--optimizer", default="adagrad")
+    regret_cmd.add_argument("--optimizer", choices=SCHEDULE_KINDS + GROUP_NAMES,
+                            default="adagrad")
     regret_cmd.add_argument("--lr", type=float, default=0.5)
     regret_cmd.add_argument("--step-decay", dest="step_decay",
                             choices=("none", "sqrt_t"), default="none")
@@ -350,7 +353,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage error (2) or help (0)
+        return exc.code
     try:
         return args.func(args)
     except ConfigError as exc:

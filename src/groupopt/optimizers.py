@@ -135,7 +135,7 @@ def _check_step(state: OptimizerState, block: ParamBlock, grad, lr: float) -> np
         raise ValueError("lr must be > 0")
     if grad.shape != block.values.shape or state.dim != grad.size:
         raise ValueError("gradient/block/state dimension mismatch")
-    if not np.isfinite(grad).all():
+    if not np.logical_and.reduce(np.isfinite(grad), axis=None):
         state.poisoned = True
         raise PoisonedStateError(f"non-finite gradient for block {block.name!r}")
     return grad
@@ -205,8 +205,13 @@ def step_group(
     group_size = block.group_size if block.grouped else 1
 
     m, scaled_root = _advance_moments(state, grad, schedule, lr)
-    state.z = state.z + m - (scaled_root - state.prev_scaled_root) * block.values
-    if not np.isfinite(state.z).all():
+    # z + m - (R_t - R_{t-1}) * x in its left-to-right order, on fresh arrays
+    drift = scaled_root - state.prev_scaled_root
+    drift *= block.values
+    z = state.z + m
+    z -= drift
+    state.z = z
+    if not np.logical_and.reduce(np.isfinite(z), axis=None):
         state.poisoned = True
         raise PoisonedStateError(f"non-finite dual for block {block.name!r}")
     state.prev_scaled_root = scaled_root
@@ -372,6 +377,17 @@ def name_reg(name: str, reg: RegConfig) -> RegConfig:
     if name == "ftrl":
         return RegConfig(lambda1=reg.lambda1)
     return NO_REG
+
+
+def check_name_reg(name: str, reg: RegConfig) -> None:
+    """Raise ValueError if reg sets a penalty that the optimizer name does
+    not apply (see name_reg): a run would report it, yet never use it."""
+    used = name_reg(name, reg)
+    unused = [k for k in ("lambda1", "lambda21", "lambda2")
+              if getattr(reg, k) != getattr(used, k)]
+    if unused:
+        raise ValueError(f"{name!r} applies no {', '.join(unused)}; "
+                         f"set it to 0 or use a group- optimizer")
 
 
 def make_optimizer(name: str, lr: float, reg: RegConfig = NO_REG,

@@ -25,10 +25,12 @@ Two gating norms n_g are supported:
 
 ``group_shrink`` skips the coordinates without dual mass and the dead
 groups with masked ufuncs (``where=``) instead of computing them under
-``np.errstate`` and discarding them, and ``soft_threshold`` is a clip and a
-subtraction. Both return the same bits and raise the same errors as their
-plain ``np.where`` form, which ``tests/test_prox_bits.py`` keeps as a
-frozen oracle. With finite
+``np.errstate`` and discarding them. With groups of one coordinate and
+lambda21 = 0 (an ungrouped block without a group penalty) it works
+elementwise: a coordinate's gate norm is positive where |s| >
+``SQUARE_UNDERFLOW``. ``soft_threshold`` is a clip and a subtraction. Both
+return the same bits and raise the same errors as their plain ``np.where``
+form, which ``tests/test_prox_bits.py`` keeps as a frozen oracle. With finite
 penalties they emit no RuntimeWarning (a zero diagonal without dual mass
 included), nor does ``soft_threshold`` at an infinite lambda1, unless a
 quotient is infinite: the result, which then raises, or
@@ -51,6 +53,10 @@ VARIANTS = ("practical", "exact")
 ORACLE_MAX_DIM = 64
 ORACLE_BUDGET = 10**6
 ORACLE_TOL = 1e-7
+
+# the largest double whose square rounds to 0: x * x > 0 exactly where
+# |x| > SQUARE_UNDERFLOW (NaN is neither)
+SQUARE_UNDERFLOW = float.fromhex("0x1.6a09e667f3bccp-538")
 
 
 class NonpositiveDiagonalError(ValueError):
@@ -112,7 +118,8 @@ def group_shrink(
     # cum_diag + 0.0 only turns -0.0 into +0.0, which the result never shows
     denom = cum_diag + 2.0 * lambda2 if lambda2 else cum_diag
     mass = s != 0.0
-    if not (denom > 0.0).all() and ((denom <= 0.0) & mass).any():
+    if (not np.logical_and.reduce(denom > 0.0, axis=None)
+            and ((denom <= 0.0) & mass).any()):
         raise NonpositiveDiagonalError("nonpositive effective diagonal")
 
     if variant == "exact":
@@ -121,23 +128,31 @@ def group_shrink(
         np.divide(s, gate, out=gate, where=mass)
     else:
         gate = s
-    gate = gate.reshape(-1, group_size)
-    norms = np.sqrt(np.einsum("ij,ij->i", gate, gate))
-
-    live = norms > 0.0
-    if lambda21:
-        # a dead group keeps the ratio 1, so its factor is max(1 - 1, 0) = +0.0
-        ratio = np.divide(math.sqrt(group_size) * lambda21, norms,
-                          out=(~live).astype(np.float64), where=live)
-        factor = np.maximum(1.0 - ratio, 0.0)
+    if group_size == 1 and not lambda21:
+        # groups of one coordinate and no group penalty, elementwise: a
+        # coordinate is live where gate * gate > 0, which is where |gate| >
+        # SQUARE_UNDERFLOW. The comparison skips einsum's dispatch, and
+        # unlike gate * gate it never warns of an overflow
+        factor = (np.abs(gate) > SQUARE_UNDERFLOW).astype(np.float64)
+        x = np.divide(factor * s, denom, out=np.zeros(s.shape), where=mass)
     else:
-        factor = live.astype(np.float64)  # max(1 - 0/norm, 0) is 1 for a live group
+        gate = gate.reshape(-1, group_size)
+        # einsum, unlike gate * gate, does not warn where a square overflows
+        squares = np.einsum("ij,ij->i", gate, gate)
+        live = squares > 0.0  # as the norm sqrt(squares) > 0.0
+        if lambda21:
+            # a dead group keeps the ratio 1, so its factor is max(1 - 1, 0) = +0.0
+            ratio = np.divide(math.sqrt(group_size) * lambda21, np.sqrt(squares),
+                              out=(~live).astype(np.float64), where=live)
+            factor = np.maximum(1.0 - ratio, 0.0)
+        else:
+            factor = live.astype(np.float64)  # max(1 - 0/norm, 0) is 1 for a live group
+        x = np.divide(factor[:, None] * s.reshape(gate.shape), denom.reshape(gate.shape),
+                      out=np.zeros(gate.shape), where=mass.reshape(gate.shape))
     # x overflows where the diagonal is tiny against the dual, and is then
     # rejected with the nonpositive diagonals
-    x = np.divide(factor[:, None] * s.reshape(gate.shape), denom.reshape(gate.shape),
-                  out=np.zeros(gate.shape), where=mass.reshape(gate.shape))
     x = x.ravel()
-    if not np.isfinite(x).all():
+    if not np.logical_and.reduce(np.isfinite(x), axis=None):
         raise NonpositiveDiagonalError("nonpositive effective diagonal")
     return x
 

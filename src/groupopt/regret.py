@@ -151,6 +151,9 @@ class RegretRun:
     xs: np.ndarray = field(repr=False)
     ms: np.ndarray = field(repr=False)
     step_decay: str = "none"
+    # (step t, coordinate, g_t there) where kappa is first reached; None
+    # while kappa is 0
+    kappa_at: tuple | None = None
 
     @property
     def x_star(self) -> np.ndarray:
@@ -159,6 +162,12 @@ class RegretRun:
     @property
     def regret_final(self) -> float:
         return float(self.regrets[-1])
+
+    def kappa_location(self) -> dict:
+        """kappa_at as the keys kappa_step, kappa_coord and kappa_grad, each
+        None where kappa_at is."""
+        step, coord, grad = self.kappa_at or (None, None, None)
+        return {"kappa_step": step, "kappa_coord": coord, "kappa_grad": grad}
 
     def rows(self):
         """(t, R_t) pairs for CSV emission."""
@@ -176,6 +185,7 @@ class RegretRun:
             "regrets": [float(r) for r in self.regrets],
             "slope": self.slope,
             "kappa": self.kappa,
+            **self.kappa_location(),
             "monotone_checked": self.monotone_checked,
             "monotone_violations": self.monotone_violations,
         }
@@ -192,6 +202,26 @@ def _interval_loss_at(x, stream, kind, lo, hi, prefix_sum, prefix_sq):
 
 
 STEP_DECAYS = ("none", "sqrt_t")
+
+# steps whose gradients and roots run_regret keeps between two folds
+CHUNK = 1024
+
+
+def _fold(first: int, grads: np.ndarray, roots: np.ndarray) -> tuple[float, float, tuple]:
+    """grad_bound and kappa over a chunk of steps first, first + 1, ...:
+    (the largest |g_t|, the largest (R_{t-1}/R_t)^2, and the first step,
+    coordinate and g_t there). grads holds the steps' gradients, roots[1:]
+    their roots R_t after roots[0], the root of step first - 1; a zero R_t
+    counts as the ratio 0. Both maxima take the values a per-step max
+    would, and a step with a NaN ratio is left out of kappa, as
+    max(kappa, float(ratio_t.max())) leaves it."""
+    ratio = np.divide(roots[:-1], roots[1:], out=np.zeros(grads.shape), where=roots[1:] > 0)
+    ratio **= 2
+    per_step = ratio.max(axis=1)
+    kappa = float(np.fmax.reduce(per_step))
+    i = int(np.argmax(per_step == kappa))
+    j = int(np.argmax(ratio[i] == kappa))
+    return float(np.abs(grads).max()), kappa, (first + i, j, float(grads[i, j]))
 
 
 def run_regret(problem: OnlineProblem, kind: str = "adagrad", lr: float = 0.5,
@@ -221,16 +251,22 @@ def run_regret(problem: OnlineProblem, kind: str = "adagrad", lr: float = 0.5,
     block = ParamBlock("x", np.zeros(d))
     state = OptimizerState(d)
     checkpoints = _checkpoints(T)
+    checkpoint_ts = checkpoints.tolist()
     xs = np.zeros((T, d))
     ms = np.zeros((T, d))
+    # a chunk's gradients, and its roots after row 0, R of the step before
+    # it: 0 before step 1, whose ratio 0 then leaves kappa as it is
+    grads = np.zeros((CHUNK, d))
+    roots = np.zeros((CHUNK + 1, d))
     cum_loss = 0.0
-    kappa = 0.0
-    grad_bound = 0.0
+    grad_bound = kappa = 0.0
+    kappa_at = None  # (step, coordinate, gradient) where kappa is first reached
     cum_at, minima, comparators = [], [], []
     next_cp = 0
 
     warm = np.zeros(d)
     for t in range(1, T + 1):
+        i = (t - 1) % CHUNK  # the step's row in grads, roots[i + 1] in roots
         x = block.values
         xs[t - 1] = x
         if problem.kind == "quadratic":
@@ -244,18 +280,20 @@ def run_regret(problem: OnlineProblem, kind: str = "adagrad", lr: float = 0.5,
             margin = y * float(b @ x)
             cum_loss += float(np.logaddexp(0.0, -margin))
             grad = -y * b * np.exp(-np.logaddexp(0.0, margin))
-        grad_bound = max(grad_bound, float(np.abs(grad).max()))
+        grads[i] = grad
         if not math.isfinite(cum_loss):
             raise FloatingPointError("divergent trajectory: non-finite loss")
 
         lr_t = lr / np.sqrt(float(t)) if step_decay == "sqrt_t" else lr
-        ms[t - 1], root_new = step_group(state, block, grad, schedule, lr_t, reg)
-        if t >= 2:
-            ratio = np.divide(root_prev, root_new, out=np.zeros(d), where=root_new > 0)
-            kappa = max(kappa, float((ratio**2).max()))
-        root_prev = root_new
+        ms[t - 1], roots[i + 1] = step_group(state, block, grad, schedule, lr_t, reg)
+        if i == CHUNK - 1 or t == T:
+            chunk_bound, chunk_kappa, chunk_at = _fold(t - i, grads[:i + 1], roots[:i + 2])
+            grad_bound = max(grad_bound, chunk_bound)
+            if chunk_kappa > kappa:
+                kappa, kappa_at = chunk_kappa, chunk_at
+            roots[0] = roots[i + 1]
 
-        if t == checkpoints[next_cp]:
+        if t == checkpoint_ts[next_cp]:
             if problem.kind == "quadratic":
                 value, x_star = _quadratic_prefix_min(prefix_sum[t], prefix_sq[t], t)
             else:
@@ -298,7 +336,7 @@ def run_regret(problem: OnlineProblem, kind: str = "adagrad", lr: float = 0.5,
                      minima=minima, comparators=comparators, slope=slope,
                      kappa=kappa, grad_bound=grad_bound, monotone_checked=checked,
                      monotone_violations=violations, xs=xs, ms=ms,
-                     step_decay=step_decay)
+                     step_decay=step_decay, kappa_at=kappa_at)
 
 
 def measure_bound_constants(run: RegretRun) -> dict:
@@ -349,4 +387,5 @@ def measure_bound_constants(run: RegretRun) -> dict:
         "regret_T": run.regret_final,
         "bound_holds": bound_holds,
         "premise_fraction": premise_fraction,
+        **run.kappa_location(),
     }

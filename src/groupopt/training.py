@@ -18,7 +18,8 @@ from .blocks import make_rng
 from .data import Dataset, SynthSpec, generate, load_libsvm
 from .metrics import auc, nonzero_groups, sparsity
 from .model import EMBEDDING, ModelConfig, backward, forward, init_params, logloss
-from .optimizers import OPTIMIZER_NAMES, RegConfig, make_optimizer, name_reg
+from .optimizers import (OPTIMIZER_NAMES, RegConfig, check_name_reg, make_optimizer,
+                         name_reg)
 from .pruning import PruneSchedule, magnitude_prune
 
 SCHEMA_VERSION = 1
@@ -48,13 +49,14 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.optimizer not in OPTIMIZER_NAMES:
             raise ConfigError(f"optimizer: unknown name {self.optimizer!r}")
-        # a penalty the optimizer would not apply would still be reported
-        used = name_reg(self.optimizer, self.reg)
-        unused = [k for k in ("lambda1", "lambda21", "lambda2")
-                  if getattr(self.reg, k) != getattr(used, k)]
-        if unused:
-            raise ConfigError(f"reg: {self.optimizer!r} applies no {', '.join(unused)}; "
-                              f"set it to 0 or use a group- optimizer")
+        try:
+            check_name_reg(self.optimizer, self.reg)
+        except ValueError as exc:
+            raise ConfigError(f"reg: {exc}") from None
+        if self.optimizer == "ftrl":
+            # the config reports what runs: l1 on every block, at epsilon 0
+            self.reg = name_reg("ftrl", self.reg)
+            self.epsilon = 0.0
         if not self.lr > 0:  # NaN fails too
             raise ConfigError("lr: must be > 0")
         if self.epochs < 1 or self.batch_size < 1 or self.repeats < 1:

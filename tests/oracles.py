@@ -1,4 +1,5 @@
-"""Reference updates the production dual-averaging step is checked against.
+"""Reference updates the production dual-averaging step is checked against,
+and the per-step bookkeeping of the regret lab.
 
 groupopt runs one update rule, optimizers.step_group. These two updates are
 written in their conventional direct form and share no algebra with it:
@@ -10,12 +11,21 @@ written in their conventional direct form and share no algebra with it:
   1e-9.
 
 Both step an optimizers.OptimizerState in place and run its input checks.
+
+per_step_regret is regret.run_regret's loop as it was before the loop kept
+a chunk of gradients and roots and folded grad_bound and kappa once per
+chunk: it updates both after every step. run_regret must give its bits.
 """
+
+import math
 
 import numpy as np
 
 from groupopt.blocks import ParamBlock
-from groupopt.optimizers import MomentSchedule, OptimizerState, _check_step
+from groupopt.optimizers import (NO_REG, MomentSchedule, OptimizerState, PoisonedStateError,
+                                 RegConfig, _check_step, step_group)
+from groupopt.regret import (OnlineProblem, _checkpoints, _logistic_prefix_min,
+                             _make_stream, _quadratic_prefix_min)
 
 
 def vanilla_step(
@@ -92,3 +102,68 @@ def ftrl_step(
         )
     # coordinates never touched by any gradient stay at the dead-zone zero
     block.values = np.where(state.v_hat > 0.0, x, 0.0)
+
+
+def per_step_regret(problem: OnlineProblem, kind: str = "adagrad", lr: float = 0.5,
+                    reg: RegConfig = NO_REG, step_decay: str = "none"):
+    """(xs, ms, regrets, kappa, grad_bound) of run_regret, with grad_bound
+    and kappa = max (R_{t-1}/R_t)^2 updated after every step."""
+    schedule = MomentSchedule(kind=kind)
+    stream = _make_stream(problem)
+    T, d = problem.horizon, problem.dim
+
+    if problem.kind == "quadratic":
+        targets = stream["targets"]
+        prefix_sum = np.vstack([np.zeros(d), np.cumsum(targets, axis=0)])
+        prefix_sq = np.concatenate([[0.0], np.cumsum(np.sum(targets**2, axis=1))])
+
+    block = ParamBlock("x", np.zeros(d))
+    state = OptimizerState(d)
+    checkpoints = _checkpoints(T)
+    xs = np.zeros((T, d))
+    ms = np.zeros((T, d))
+    cum_loss = 0.0
+    kappa = 0.0
+    grad_bound = 0.0
+    cum_at, minima = [], []
+    next_cp = 0
+
+    warm = np.zeros(d)
+    for t in range(1, T + 1):
+        x = block.values
+        xs[t - 1] = x
+        if problem.kind == "quadratic":
+            a = targets[t - 1]
+            diff = x - a
+            cum_loss += 0.5 * float(diff @ diff)
+            grad = diff
+        else:
+            b = stream["features"][t - 1]
+            y = stream["labels"][t - 1]
+            margin = y * float(b @ x)
+            cum_loss += float(np.logaddexp(0.0, -margin))
+            grad = -y * b * np.exp(-np.logaddexp(0.0, margin))
+        grad_bound = max(grad_bound, float(np.abs(grad).max()))
+        if not math.isfinite(cum_loss):
+            raise FloatingPointError("divergent trajectory: non-finite loss")
+
+        lr_t = lr / np.sqrt(float(t)) if step_decay == "sqrt_t" else lr
+        ms[t - 1], root_new = step_group(state, block, grad, schedule, lr_t, reg)
+        if t >= 2:
+            ratio = np.divide(root_prev, root_new, out=np.zeros(d), where=root_new > 0)
+            kappa = max(kappa, float((ratio**2).max()))
+        root_prev = root_new
+
+        if t == checkpoints[next_cp]:
+            if problem.kind == "quadratic":
+                value, x_star = _quadratic_prefix_min(prefix_sum[t], prefix_sq[t], t)
+            else:
+                value, x_star = _logistic_prefix_min(
+                    stream["features"][:t], stream["labels"][:t], warm)
+                warm = x_star
+            cum_at.append(cum_loss)
+            minima.append(value)
+            next_cp += 1
+
+    regrets = np.array(cum_at) - np.array(minima)
+    return xs, ms, regrets, kappa, grad_bound

@@ -385,6 +385,25 @@ class TestRegretCommand:
         assert main(["regret", "--horizon", "64",
                      "--optimizer", "rmsprop"]) == EXIT_CONFIG
 
+    def test_ftrl_is_refused_with_the_choices(self, capsys):
+        # ftrl is a training optimizer name, not one the regret lab runs
+        assert main(["regret", "--horizon", "64", "--optimizer", "ftrl"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "invalid choice: 'ftrl'" in err and "'group-adagrad'" in err
+
+    def test_penalty_the_optimizer_does_not_apply_exits_2(self, capsys):
+        # a plain name runs no penalty, so it must not run group-adam's
+        code = main(["regret", "--horizon", "64", "--optimizer", "adam", "--lambda1", "0.1"])
+        assert code == EXIT_CONFIG
+        assert "config error: reg: 'adam' applies no lambda1;" in capsys.readouterr().err
+
+    def test_reports_where_kappa_is_reached(self, capsys):
+        assert main(["regret", "--horizon", "64"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        keys = ("kappa_step", "kappa_coord", "kappa_grad")
+        assert [payload[k] for k in keys] == [payload["bound"][k] for k in keys]
+        assert 2 <= payload["kappa_step"] <= 64 and 0 <= payload["kappa_coord"] < 8
+
     # the regret lab's lr reaches the optimizer step's own check
     @pytest.mark.parametrize("flag, message", [("--lr", "lr must be > 0"),
                                                ("--lambda21", "penalties must be >= 0")])

@@ -1,9 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from groupopt.optimizers import RegConfig
-from groupopt.regret import OnlineProblem, _make_stream, measure_bound_constants, run_regret
+from groupopt import regret
+from groupopt.optimizers import SCHEDULE_KINDS, RegConfig
+from groupopt.regret import (MODES, PROBLEM_KINDS, STEP_DECAYS, OnlineProblem, _make_stream,
+                             measure_bound_constants, run_regret)
+from oracles import per_step_regret
 
 
 class TestOnlineProblem:
@@ -201,3 +207,102 @@ class TestLogisticRegret:
         run = run_regret(problem, kind="adagrad", lr=0.5)
         assert np.isfinite(run.minima).all()
         assert np.all(run.minima >= 0.0)
+
+
+class TestChunkedFold:
+    """run_regret keeps a chunk of gradients and roots and folds grad_bound
+    and kappa once per chunk; the per-step loop it replaced is the oracle."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(chunk=st.sampled_from([1, 2, 3, 7]), chunks=st.integers(1, 3),
+           offset=st.sampled_from([-1, 0, 1]), kind=st.sampled_from(SCHEDULE_KINDS),
+           problem_kind=st.sampled_from(PROBLEM_KINDS), mode=st.sampled_from(MODES),
+           step_decay=st.sampled_from(STEP_DECAYS), lambda1=st.sampled_from([0.0, 0.05]),
+           dim=st.integers(1, 4), seed=st.integers(0, 50))
+    def test_same_bits_as_the_per_step_loop(self, chunk, chunks, offset, kind, problem_kind,
+                                            mode, step_decay, lambda1, dim, seed):
+        if problem_kind == "logistic" and mode == "zero":
+            mode = "stochastic"
+        # horizons on both sides of a chunk boundary
+        problem = OnlineProblem(kind=problem_kind, dim=dim, mode=mode, seed=seed,
+                                horizon=max(2, chunk * chunks + offset))
+        args = (problem, kind, 0.3, RegConfig(lambda1=lambda1), step_decay)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(regret, "CHUNK", chunk)
+            run = run_regret(*args)
+        xs, ms, regrets, kappa, grad_bound = per_step_regret(*args)
+        assert run.xs.tobytes() == xs.tobytes()
+        assert run.ms.tobytes() == ms.tobytes()
+        assert run.regrets.tobytes() == regrets.tobytes()
+        assert (run.kappa, run.grad_bound) == (kappa, grad_bound)
+
+    def test_memory_stays_at_the_per_step_loop(self):
+        # the run holds four T x d arrays (targets, their prefix sums, xs and
+        # ms), 4 MiB here; the per-step loop peaked at 4.13 MiB, and a fifth
+        # T x d array would add 1 MiB
+        run_regret(OnlineProblem(dim=8, horizon=64))  # lazy imports allocate too
+        problem = OnlineProblem(kind="quadratic", dim=8, horizon=2**14, seed=0)
+        tracemalloc.start()
+        try:
+            run_regret(problem, kind="adagrad", lr=0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (4.13 + 0.5) * 2**20
+
+
+def adagrad_roots(run):
+    """The roots R_t of an adagrad run, rebuilt from its moments, which are
+    its gradients: R_t = sqrt(eps + sum g^2)/lr, summed in step order as the
+    step does."""
+    inc = run.ms * run.ms
+    inc[0] += run.schedule.epsilon
+    return np.sqrt(np.cumsum(inc, axis=0)) / run.lr
+
+
+class TestKappaLocation:
+    @pytest.mark.parametrize("seed, at_one", [(0, False), (1, True), (3, True),
+                                              (7, False), (12, True)])
+    def test_where_adagrad_reaches_kappa(self, seed, at_one):
+        problem = OnlineProblem(kind="quadratic", dim=8, horizon=2**14, seed=seed)
+        run = run_regret(problem, kind="adagrad", lr=0.5)
+        step, coord, grad = run.kappa_at
+        roots = adagrad_roots(run)
+        ratio = roots[:-1] / roots[1:]
+        sq = ratio * ratio  # over the steps t = 2..T
+        assert run.kappa == sq.max()
+        # the first step and coordinate where the maximum is reached
+        assert np.flatnonzero(sq.ravel() == sq.max())[0] == (step - 2) * 8 + coord
+        assert grad == run.ms[step - 1, coord]
+        assert (run.kappa == 1.0) == at_one
+        if at_one:
+            # a nonzero g^2 rounded away: R_t = R_{t-1} all the same
+            assert grad != 0.0
+            assert roots[step - 1, coord] == roots[step - 2, coord]
+        else:
+            assert run.kappa < 1.0
+
+    def test_reported_in_the_run_and_the_bound(self):
+        problem = OnlineProblem(kind="quadratic", dim=4, horizon=300, seed=1)
+        run = run_regret(problem, kind="adagrad", lr=0.5)
+        step, coord, grad = run.kappa_at
+        keys = {"kappa_step": step, "kappa_coord": coord, "kappa_grad": grad}
+        assert {k: run.to_dict()[k] for k in keys} == keys
+        constants = measure_bound_constants(run)
+        assert {k: constants[k] for k in keys} == keys
+        assert constants["condition_met"] == (constants["kappa"] < 1.0)
+
+    def test_constant_root_reaches_one_at_step_two(self):
+        # on a zero stream the gradient is 0 and adagrad's root stays at
+        # sqrt(eps)/lr: kappa is 1.0 from step 2 on, with no rounding at all
+        problem = OnlineProblem(kind="quadratic", dim=2, horizon=8, mode="zero")
+        run = run_regret(problem, kind="adagrad", lr=0.5)
+        assert run.kappa == 1.0
+        assert run.kappa_at == (2, 0, 0.0)
+
+    def test_none_while_kappa_is_zero(self):
+        # an infinite lr makes every root 0, which counts as the ratio 0
+        problem = OnlineProblem(kind="quadratic", dim=2, horizon=8, mode="zero")
+        run = run_regret(problem, kind="adagrad", lr=np.inf)
+        assert run.kappa == 0.0 and run.kappa_at is None
+        assert run.to_dict()["kappa_step"] is None

@@ -73,6 +73,15 @@ class TestExperimentConfig:
     def test_ftrl_takes_lambda1(self):
         assert tiny_config(optimizer="ftrl", reg=RegConfig(lambda1=0.1)).reg.lambda1 == 0.1
 
+    def test_ftrl_config_reports_what_runs(self):
+        # l1 on every block, at epsilon 0, whatever apply_to and epsilon say
+        config = tiny_config(optimizer="ftrl", epsilon=1e-8,
+                             reg=RegConfig(lambda1=0.1, apply_to=frozenset({EMBEDDING})))
+        doc = config.to_dict()
+        assert doc["reg"]["apply_to"] is None
+        assert doc["epsilon"] == 0.0
+        assert config_from_dict(doc) == config
+
     def test_schedule_args_carry_all_knobs(self):
         args = tiny_config(beta1=0.8, gamma=0.7).schedule_args()
         assert args == {"beta1": 0.8, "beta2": 0.999, "gamma": 0.7,
