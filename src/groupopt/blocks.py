@@ -22,6 +22,19 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
+def is_integer(value) -> bool:
+    """An int or a numpy integer; never a bool, nor a float such as 4.0."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def require_integers(obj, names, error=ValueError) -> None:
+    """Raise error unless each attribute of obj in names is_integer."""
+    for name in names:
+        value = getattr(obj, name)
+        if not is_integer(value):
+            raise error(f"{name}: must be an integer, got {value!r}")
+
+
 @dataclass
 class ParamBlock:
     """A named fp64 parameter vector, optionally grouped."""
@@ -34,7 +47,7 @@ class ParamBlock:
         self.values = np.ascontiguousarray(self.values, dtype=np.float64)
         if self.values.ndim != 1:
             self.values = self.values.ravel()
-        if not np.all(np.isfinite(self.values)):
+        if not np.logical_and.reduce(np.isfinite(self.values), axis=None):
             raise ValueError(f"block {self.name!r}: values must be finite")
         if self.group_size is not None:
             if self.group_size <= 0:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import make_rng
+from .blocks import make_rng, require_integers
 from .model import sigmoid
 
 
@@ -31,6 +31,7 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        require_integers(self, ("num_fields", "vocab_per_field", "num_samples", "seed"))
         if not 0.0 < self.informative_fraction <= 1.0:
             raise ValueError("informative_fraction must be in (0, 1]")
         if self.noise < 0:

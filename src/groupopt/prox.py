@@ -23,18 +23,18 @@ Two gating norms n_g are supported:
   It keeps the same dead zone, sign, and whole-group-zeroing structure but
   is not the exact minimizer unless A is the identity.
 
-``group_shrink`` skips the coordinates without dual mass and the dead
-groups with masked ufuncs (``where=``) instead of computing them under
-``np.errstate`` and discarding them. With groups of one coordinate and
-lambda21 = 0 (an ungrouped block without a group penalty) it works
-elementwise: a coordinate's gate norm is positive where |s| >
-``SQUARE_UNDERFLOW``. ``soft_threshold`` is a clip and a subtraction. Both
-return the same bits and raise the same errors as their plain ``np.where``
-form, which ``tests/test_prox_bits.py`` keeps as a frozen oracle. With finite
-penalties they emit no RuntimeWarning (a zero diagonal without dual mass
-included), nor does ``soft_threshold`` at an infinite lambda1, unless a
-quotient is infinite: the result, which then raises, or
-the exact gate's rescaled dual at |s| above ~1e146 or a diagonal of 5e-324.
+``group_shrink`` is unmasked but for the dead groups' ratio (``where=``):
+s + 0.0 turns -0.0 into +0.0, so a coordinate without dual mass comes out
++0.0; only if a diagonal is not positive does it look for mass there, raise
+if there is any, and divide the massless coordinates by 1.0 instead. With
+groups of one coordinate and lambda21 = 0 it works elementwise: a gate norm
+is positive where |s| > ``SQUARE_UNDERFLOW``. ``soft_threshold`` is a clip
+and a subtraction. Both return the same bits and raise the same errors as
+their plain ``np.where`` form, which ``tests/test_prox_bits.py`` keeps as a
+frozen oracle. With finite penalties they emit no RuntimeWarning (a zero
+diagonal without dual mass included), nor does ``soft_threshold`` at an
+infinite lambda1, unless a quotient is infinite: the result, which then
+raises, or the exact gate's rescaled dual at |s| > ~1e146 or diagonal 5e-324.
 
 ``prox_oracle`` is an independent check: proximal-gradient iteration in the
 transformed coordinates, then a subgradient-optimality certificate evaluated
@@ -47,6 +47,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .blocks import is_integer
 
 VARIANTS = ("practical", "exact")
 
@@ -112,29 +114,28 @@ def group_shrink(
     cum_diag = np.asarray(cum_diag, dtype=np.float64)
     if s.shape != cum_diag.shape:
         raise ValueError("s and cum_diag must have equal length")
-    if s.size % group_size != 0:
-        raise ValueError("length is not a multiple of group_size")
+    if not is_integer(group_size) or group_size < 1 or s.size % group_size:
+        raise ValueError(f"group_size {group_size!r} is not a positive integer "
+                         f"dividing the length {s.size}")
 
+    s = s + 0.0  # -0.0 to +0.0: x is +0.0 wherever s is, over a positive denom
     # cum_diag + 0.0 only turns -0.0 into +0.0, which the result never shows
     denom = cum_diag + 2.0 * lambda2 if lambda2 else cum_diag
-    mass = s != 0.0
-    if (not np.logical_and.reduce(denom > 0.0, axis=None)
-            and ((denom <= 0.0) & mass).any()):
-        raise NonpositiveDiagonalError("nonpositive effective diagonal")
+    # half > 0 implies denom > 0, so the exact gate checks only half
+    half = 0.5 * cum_diag + lambda2 if variant == "exact" else denom
+    if not np.logical_and.reduce(half > 0.0, axis=None):
+        empty = s == 0.0
+        if ((denom <= 0.0) & ~empty).any():
+            raise NonpositiveDiagonalError("nonpositive effective diagonal")
+        # a massless coordinate may have any diagonal: divide it by 1.0
+        denom, half = np.where(empty, 1.0, denom), np.where(empty, 1.0, half)
 
-    if variant == "exact":
-        gate = np.zeros(s.shape)
-        np.sqrt(0.5 * cum_diag + lambda2, out=gate, where=mass)
-        np.divide(s, gate, out=gate, where=mass)
-    else:
-        gate = s
+    gate = s / np.sqrt(half) if variant == "exact" else s
     if group_size == 1 and not lambda21:
-        # groups of one coordinate and no group penalty, elementwise: a
-        # coordinate is live where gate * gate > 0, which is where |gate| >
-        # SQUARE_UNDERFLOW. The comparison skips einsum's dispatch, and
-        # unlike gate * gate it never warns of an overflow
-        factor = (np.abs(gate) > SQUARE_UNDERFLOW).astype(np.float64)
-        x = np.divide(factor * s, denom, out=np.zeros(s.shape), where=mass)
+        # groups of one coordinate, no group penalty: live where gate * gate > 0, that is
+        # |gate| > SQUARE_UNDERFLOW, without einsum's dispatch or an overflow warning
+        x = (np.abs(gate) > SQUARE_UNDERFLOW).astype(np.float64)
+        x *= s
     else:
         gate = gate.reshape(-1, group_size)
         # einsum, unlike gate * gate, does not warn where a square overflows
@@ -147,10 +148,9 @@ def group_shrink(
             factor = np.maximum(1.0 - ratio, 0.0)
         else:
             factor = live.astype(np.float64)  # max(1 - 0/norm, 0) is 1 for a live group
-        x = np.divide(factor[:, None] * s.reshape(gate.shape), denom.reshape(gate.shape),
-                      out=np.zeros(gate.shape), where=mass.reshape(gate.shape))
-    # x overflows where the diagonal is tiny against the dual, and is then
-    # rejected with the nonpositive diagonals
+        x = factor[:, None] * s.reshape(gate.shape)
+    # x overflows where the diagonal is tiny against the dual, and is rejected
+    x /= denom.reshape(x.shape)
     x = x.ravel()
     if not np.logical_and.reduce(np.isfinite(x), axis=None):
         raise NonpositiveDiagonalError("nonpositive effective diagonal")

@@ -14,10 +14,11 @@ from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
-from .blocks import make_rng
+from .blocks import make_rng, require_integers
 from .data import Dataset, SynthSpec, generate, load_libsvm
 from .metrics import auc, nonzero_groups, sparsity
-from .model import EMBEDDING, ModelConfig, backward, forward, init_params, logloss
+from .model import (EMBEDDING, ModelConfig, backward, check_ids, forward, init_params,
+                    logloss)
 from .optimizers import (OPTIMIZER_NAMES, RegConfig, check_name_reg, make_optimizer,
                          name_reg)
 from .pruning import PruneSchedule, magnitude_prune
@@ -47,6 +48,7 @@ class ExperimentConfig:
     repeats: int = 1
 
     def __post_init__(self):
+        require_integers(self, ("epochs", "batch_size", "repeats", "seed"), ConfigError)
         if self.optimizer not in OPTIMIZER_NAMES:
             raise ConfigError(f"optimizer: unknown name {self.optimizer!r}")
         try:
@@ -173,6 +175,16 @@ def _train_epoch(blocks, optimizer, ids, labels, config, rng) -> None:
         optimizer.step_all(blocks, grads, rows=cache.rows)
 
 
+def _features_seen(ids: np.ndarray, model: ModelConfig) -> np.ndarray:
+    """np.unique(ids), from a boolean mark over the table's rows instead of
+    a sort; an id out of range raises forward's ValueError."""
+    if ids.size:
+        check_ids(ids, model)
+    seen = np.zeros(model.num_features, dtype=bool)
+    seen[ids] = True
+    return np.flatnonzero(seen)
+
+
 def train_model(config: ExperimentConfig, dataset: Dataset | None = None,
                 seed_offset: int = 0) -> RunReport:
     """One full training run; returns the report with blocks attached."""
@@ -182,7 +194,7 @@ def train_model(config: ExperimentConfig, dataset: Dataset | None = None,
     blocks = init_params(replace(config.model, seed=run_seed))
     optimizer = make_optimizer(config.optimizer, config.lr, config.reg,
                                config.schedule_args())
-    features_seen = np.unique(dataset.train_ids)
+    features_seen = _features_seen(dataset.train_ids, config.model)
     rng = make_rng(run_seed + 1)
     rows = []
     for epoch in range(config.epochs):

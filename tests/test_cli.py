@@ -264,6 +264,36 @@ class TestTrainCommand:
         assert code == EXIT_CONFIG
         assert f"config error: {message}" in capsys.readouterr().err
 
+    # a count that is not an integer, or a bool (which json writes as true),
+    # is refused before any data is generated or read
+    @pytest.mark.parametrize("extra, message", [
+        ({"batch_size": 32.5}, "batch_size: must be an integer, got 32.5"),
+        ({"epochs": 1.5}, "epochs: must be an integer, got 1.5"),
+        ({"epochs": True}, "epochs: must be an integer, got True"),
+        ({"repeats": 2.5}, "repeats: must be an integer, got 2.5"),
+        ({"seed": 1.5}, "seed: must be an integer, got 1.5"),
+        ({"model": {"embed_dim": 4.0, "hidden_dims": [8]}},
+         "model: embed_dim: must be an integer, got 4.0"),
+        ({"model": {"embed_dim": 4, "hidden_dims": [8.5]}},
+         "model: hidden_dims: must be integers, got [8.5]"),
+        ({"model": {**TINY_MODEL, "num_features": 60.0}},
+         "model: num_features: must be an integer, got 60.0"),
+        ({"model": {**TINY_MODEL, "num_fields": True}},
+         "model: num_fields: must be an integer, got True"),
+        ({"data": {**TINY["data"], "num_samples": 300.5}},
+         "num_samples: must be an integer, got 300.5"),
+    ])
+    def test_non_integer_count_exits_2_before_loading_data(self, tmp_path, capsys,
+                                                           monkeypatch, extra, message):
+        def never(*args, **kwargs):
+            raise AssertionError("the data were loaded")
+
+        monkeypatch.setattr(training, "load_dataset", never)
+        monkeypatch.setattr(training, "generate", never)
+        code = main(["train", "--config", write_tiny_config(tmp_path, **extra)])
+        assert code == EXIT_CONFIG
+        assert f"config error: {message}" in capsys.readouterr().err
+
     def test_invalid_json_exits_2(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

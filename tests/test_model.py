@@ -19,6 +19,17 @@ from groupopt.model import (
 from groupopt.optimizers import GroupOptimizer, MomentSchedule, RegConfig
 
 
+def frozen_sigmoid(x):
+    """The boolean-mask sigmoid that model.sigmoid replaced, frozen."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 def numeric_gradient(blocks, name, ids, labels, config, h=1e-5):
     """Central finite differences of the mean logistic loss."""
     values = blocks[name].values
@@ -85,6 +96,24 @@ class TestForward:
         with pytest.raises(ValueError):
             forward(blocks, np.array([[0, config.num_features]]), config)
 
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 40))
+    def test_logits_match_a_fancy_index_gather(self, seed, batch):
+        # forward gathers with take; table[ids] is the gather it replaced.
+        # Ids come from 4 rows of 12, so a batch repeats ids within and
+        # across its samples
+        config = small_config(seed=seed % 1000)
+        blocks = init_params(config)
+        rng = make_rng(seed)
+        ids = rng.choice(rng.choice(config.num_features, 4), size=(batch, config.num_fields))
+        table = blocks[EMBEDDING].values.reshape(config.num_features, config.embed_dim)
+        h = table[ids].reshape(batch, -1)
+        for i in range(len(config.hidden_dims) + 1):
+            w = blocks[f"dense{i}_w"].values.reshape(h.shape[1], -1)
+            pre = h @ w + blocks[f"dense{i}_b"].values
+            h = pre if i == len(config.hidden_dims) else np.maximum(pre, 0.0)
+        assert forward(blocks, ids, config).logits.tobytes() == h[:, 0].tobytes()
+
 
 class TestLoss:
     def test_hand_value(self):
@@ -96,6 +125,17 @@ class TestLoss:
         out = sigmoid(np.array([-800.0, 0.0, 800.0]))
         assert_allclose(out, [0.0, 0.5, 1.0], atol=1e-12)
         assert np.all(np.isfinite(out))
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.lists(st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.floats(-800.0, 800.0),
+        st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+                         709.8, -709.8, 710.0, -710.0, 745.2, -745.2, 1e308, -1e308])),
+        max_size=40))
+    def test_sigmoid_keeps_the_bits_of_its_masked_form(self, x):
+        x = np.array(x, dtype=np.float64)
+        assert sigmoid(x).tobytes() == frozen_sigmoid(x).tobytes()
 
 
 class TestBackward:

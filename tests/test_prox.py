@@ -70,6 +70,19 @@ class TestGroupShrink:
         x = group_shrink(np.array([0.0, 2.0]), np.array([0.0, 1.0]), 1, 0.0, 0.0)
         assert_allclose(x, [0.0, 2.0])
 
+    @pytest.mark.parametrize("variant", ["practical", "exact"])
+    @pytest.mark.parametrize("group_size", [0, -8, -1, 2.0, 1.5, True, None, "2"])
+    def test_group_size_must_be_a_positive_integer(self, group_size, variant):
+        # as ProxProblem rejects it: a ValueError, never a ZeroDivisionError
+        # or a numpy reshape error
+        with pytest.raises(ValueError, match="group_size") as info:
+            group_shrink(np.ones(8), np.ones(8), group_size, 0.1, 0.0, variant)
+        assert not isinstance(info.value, NonpositiveDiagonalError)
+
+    def test_numpy_integer_group_size_accepted(self):
+        x = group_shrink(np.array([2.0, 4.0]), np.array([2.0, 4.0]), np.int64(2), 0.0, 0.0)
+        assert_allclose(x, [1.0, 1.0])
+
 
 class TestProxSolve:
     def test_l1_dead_zone_everywhere(self):

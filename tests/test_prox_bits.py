@@ -1,7 +1,7 @@
 """The prox pinned bit for bit to a frozen copy of its original closed form.
 
 soft_threshold and group_shrink are written to cost little more than their
-arithmetic: masked ufuncs instead of np.errstate and np.where temporaries.
+arithmetic: no np.errstate and no np.where temporaries.
 The frozen functions below are the straightforward bodies they replaced; the
 rewrite must return the same bits and raise the same exception types, and
 must not warn where the frozen form did not.
@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from groupopt.prox import VARIANTS, NonpositiveDiagonalError, group_shrink, soft_threshold
 
@@ -104,8 +104,40 @@ def prox_inputs(draw):
     return z, cum_diag, group_size
 
 
+def f64(*values):
+    return np.array(values, dtype=np.float64)
+
+
+# inputs that reach the prox's nonpositive-diagonal branch: a zero diagonal
+# with and without dual mass, a diagonal whose half rounds to 0 (5e-324 at
+# lambda2 = 0; with mass there the exact gate divides by 0 and warns, see
+# the edge cases), a diagonal of -2 * lambda2, and s = -0.0 over a zero diagonal
+NONPOSITIVE_DIAGONAL_EXAMPLES = [
+    ((f64(1.0, 2.0), f64(0.0, 1.0), 1), 0.0, 0.0, 0.0),
+    ((f64(1.0, 2.0, 0.5, 0.0), f64(1.0, 0.0, 1.0, 1.0), 2), 0.0, 0.1, 0.0),
+    ((f64(0.0, 2.0, 0.0, 0.0), f64(0.0, 1.0, -1.0, -0.0), 2), 0.0, 0.1, 0.0),
+    ((f64(0.0, 2.0, 0.0, 3.0), f64(0.0, 1.0, 0.0, 2.0), 1), 1e-3, 0.0, 0.0),
+    ((f64(0.0, 1.5, 0.0, -1.0), f64(5e-324, 2.0, 5e-324, 1.0), 2), 0.0, 0.1, 0.0),
+    ((f64(0.0, 1.5), f64(5e-324, 2.0), 1), 0.0, 0.0, 0.0),
+    ((f64(0.0, 1.0, -0.5), f64(-0.2, 1.0, 1.0), 3), 0.0, 0.1, 0.1),
+    ((f64(-0.0, 1.0), f64(0.0, 1.0), 2), 0.0, 0.0, 0.0),
+    ((f64(-0.0, -0.0, 1.0), f64(0.0, -0.0, 1.0), 1), 0.0, 0.1, 0.0),
+]
+
+
+def with_examples(cases):
+    def decorate(test):
+        for inputs, lambda1, lambda21, lambda2 in cases:
+            for variant in VARIANTS:
+                test = example(inputs=inputs, variant=variant, lambda1=lambda1,
+                               lambda21=lambda21, lambda2=lambda2)(test)
+        return test
+    return decorate
+
+
 class TestFrozenBits:
     @settings(max_examples=400, deadline=None)
+    @with_examples(NONPOSITIVE_DIAGONAL_EXAMPLES)
     @given(inputs=prox_inputs(), variant=st.sampled_from(VARIANTS),
            lambda1=penalty, lambda21=penalty, lambda2=penalty)
     def test_same_bits_and_errors(self, inputs, variant, lambda1, lambda21, lambda2):
@@ -131,6 +163,10 @@ class TestFrozenBits:
         ([1.0, 2.0], [1.0, np.nan], 2, 0.1, 0.0, "exact"),
         ([1e-300, 1.0], [1e-300, 1.0], 1, 0.0, 0.0, "practical"),
         ([], [], 4, 0.1, 0.1, "exact"),
+        # dual mass over a diagonal whose half rounds to 0: the exact gate is
+        # s / 0, finite x where s is tiny enough, else an overflow that raises
+        ([1e-320, 0.5], [5e-324, 1.0], 2, 0.1, 0.0, "exact"),
+        ([1.0, 0.5], [5e-324, 1.0], 2, 0.1, 0.0, "exact"),
     ])
     def test_same_bits_and_errors_on_edge_cases(self, args):
         s, cum_diag = np.array(args[0]), np.array(args[1])

@@ -48,6 +48,16 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             tiny_config(repeats=0)
 
+    @pytest.mark.parametrize("field", ["epochs", "batch_size", "repeats", "seed"])
+    @pytest.mark.parametrize("value", [2.0, 2.5, True, "2", None])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field}: must be an integer"):
+            tiny_config(**{field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        config = tiny_config(epochs=np.int64(2), seed=np.int32(3))
+        assert (config.epochs, config.seed) == (2, 3)
+
     def test_dict_round_trip(self):
         config = tiny_config()
         rebuilt = config_from_dict(config.to_dict())
@@ -114,6 +124,24 @@ class TestTrainModel:
         doc = report.to_dict()
         assert doc["schema_version"] == 1
         assert set(doc) == {"schema_version", "config", "epochs", "final"}
+
+    def test_features_seen_are_the_sorted_distinct_train_ids(self):
+        # the data use ids 0..59 of an 80-row table, so some rows are never seen
+        config = tiny_config(model=ModelConfig(num_features=80, embed_dim=4, num_fields=3,
+                                               hidden_dims=(8,)))
+        data = load_dataset(config)
+        seen = train_model(config, dataset=data).features_seen
+        expected = np.unique(data.train_ids)
+        assert seen.dtype == expected.dtype and np.array_equal(seen, expected)
+        assert expected.size < config.model.num_features
+
+    @pytest.mark.parametrize("bad_id", [60, 1000, -1])
+    def test_train_id_out_of_range_raises_forwards_error(self, bad_id):
+        config = tiny_config()
+        data = load_dataset(config)
+        data.train_ids[-1, 0] = bad_id
+        with pytest.raises(ValueError, match="^feature id out of range$"):
+            train_model(config, dataset=data)
 
     def test_group_penalty_actually_prunes(self):
         dense = train_model(tiny_config(reg=RegConfig(apply_to=frozenset({EMBEDDING}),
