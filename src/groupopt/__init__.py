@@ -11,6 +11,7 @@ from .blocks import ParamBlock, group_l2_norms, make_rng
 from .data import Dataset, SynthSpec, generate, load_libsvm, write_libsvm
 from .metrics import auc, nonzero_groups, sparsity
 from .model import (
+    DENSE,
     EMBEDDING,
     ModelConfig,
     backward,
@@ -61,7 +62,7 @@ __all__ = [
     "ParamBlock", "group_l2_norms", "make_rng",
     "Dataset", "SynthSpec", "generate", "load_libsvm", "write_libsvm",
     "auc", "nonzero_groups", "sparsity",
-    "EMBEDDING", "ModelConfig", "backward", "forward", "init_params",
+    "DENSE", "EMBEDDING", "ModelConfig", "backward", "forward", "init_params",
     "load_checkpoint", "logloss", "predict_proba", "save_checkpoint",
     "GroupOptimizer", "MomentSchedule", "NO_REG", "OptimizerState",
     "PoisonedStateError", "RegConfig", "make_optimizer", "step_group",

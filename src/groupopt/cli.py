@@ -27,6 +27,7 @@ from .training import (
     ConfigError,
     ExperimentConfig,
     config_from_dict,
+    config_section,
     load_dataset,
     prune_baseline,
     run_repeated,
@@ -122,8 +123,7 @@ def _fill_defaults(doc: dict, default_lambda2: bool) -> dict:
     """Desk-scale defaults: synthetic data and a model sized to its vocab."""
     doc.setdefault("data", {})
     if isinstance(doc["data"], dict):
-        spec = SynthSpec(**{k: v for k, v in doc["data"].items()
-                            if k in SynthSpec.__dataclass_fields__})
+        spec = config_section(SynthSpec, doc["data"], "data")
         doc.setdefault("model", {})
         doc["model"].setdefault("num_features", spec.vocab)
         doc["model"].setdefault("num_fields", spec.num_fields)

@@ -40,6 +40,8 @@ class SynthSpec:
             raise ValueError("skew must be >= 0")
         if self.num_fields <= 0 or self.vocab_per_field <= 0 or self.num_samples <= 0:
             raise ValueError("num_fields, vocab_per_field, num_samples must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed: must be >= 0, got {self.seed}")
 
     @property
     def vocab(self) -> int:

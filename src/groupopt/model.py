@@ -7,7 +7,8 @@ embedding table is the only grouped block (one group per feature row) and is
 the target of the sparse-group penalties during training. A batch reads few
 of the table's rows, so backward returns the embedding gradient
 row-compact: the gradients of the batch's rows only, never a table-shaped
-array.
+array. The MLP is one ungrouped block, dense: every layer's weights and
+then its biases, flat, layer after layer (w0, b0, w1, b1, ...).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 from .blocks import ParamBlock, is_integer, make_rng, require_integers
 
 EMBEDDING = "embedding"
+DENSE = "dense"
 
 
 @dataclass
@@ -40,6 +42,8 @@ class ModelConfig:
             raise ValueError("num_features, embed_dim, num_fields must be positive")
         if any(h <= 0 for h in self.hidden_dims):
             raise ValueError("hidden dims must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed: must be >= 0, got {self.seed}")
 
 
 def _layer_dims(config: ModelConfig) -> list[tuple[int, int]]:
@@ -47,17 +51,28 @@ def _layer_dims(config: ModelConfig) -> list[tuple[int, int]]:
     return list(zip(dims[:-1], dims[1:]))
 
 
+def _layers(dense: np.ndarray, config: ModelConfig) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each layer's (weights, biases) as views of the flat dense vector:
+    weights (fan_in, fan_out), biases (fan_out,)."""
+    layers = []
+    lo = 0
+    for fan_in, fan_out in _layer_dims(config):
+        mid = lo + fan_in * fan_out
+        layers.append((dense[lo:mid].reshape(fan_in, fan_out), dense[mid:mid + fan_out]))
+        lo = mid + fan_out
+    return layers
+
+
 def init_params(config: ModelConfig) -> dict[str, ParamBlock]:
     """Embeddings uniform in (-0.01, 0.01); dense layers Kaiming; zero biases."""
     rng = make_rng(config.seed)
-    blocks: dict[str, ParamBlock] = {}
     emb = rng.uniform(-0.01, 0.01, config.num_features * config.embed_dim)
-    blocks[EMBEDDING] = ParamBlock(EMBEDDING, emb, group_size=config.embed_dim)
-    for i, (fan_in, fan_out) in enumerate(_layer_dims(config)):
-        w = rng.normal(0.0, np.sqrt(2.0 / fan_in), fan_in * fan_out)
-        blocks[f"dense{i}_w"] = ParamBlock(f"dense{i}_w", w)
-        blocks[f"dense{i}_b"] = ParamBlock(f"dense{i}_b", np.zeros(fan_out))
-    return blocks
+    parts = []
+    for fan_in, fan_out in _layer_dims(config):
+        parts.append(rng.normal(0.0, np.sqrt(2.0 / fan_in), fan_in * fan_out))
+        parts.append(np.zeros(fan_out))
+    return {EMBEDDING: ParamBlock(EMBEDDING, emb, group_size=config.embed_dim),
+            DENSE: ParamBlock(DENSE, np.concatenate(parts))}
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -132,11 +147,9 @@ def forward(blocks: dict, ids: np.ndarray, config: ModelConfig) -> ForwardCache:
 
     layer_inputs = []
     pre_activations = []
-    dims = _layer_dims(config)
-    last = len(dims) - 1
-    for i, (fan_in, fan_out) in enumerate(dims):
-        w = blocks[f"dense{i}_w"].values.reshape(fan_in, fan_out)
-        b = blocks[f"dense{i}_b"].values
+    layers = _layers(blocks[DENSE].values, config)
+    last = len(layers) - 1
+    for i, (w, b) in enumerate(layers):
         layer_inputs.append(h)
         pre = h @ w + b
         pre_activations.append(pre)
@@ -147,6 +160,8 @@ def forward(blocks: dict, ids: np.ndarray, config: ModelConfig) -> ForwardCache:
 
 def backward(cache: ForwardCache, labels: np.ndarray, blocks: dict) -> dict[str, np.ndarray]:
     """Exact gradients of the mean logistic loss for every block.
+
+    The dense gradient is flat in the dense block's layout.
 
     The embedding gradient is row-compact: the flat k x embed_dim gradients
     of the k rows in cache.rows, in that order; every other row's gradient
@@ -159,19 +174,17 @@ def backward(cache: ForwardCache, labels: np.ndarray, blocks: dict) -> dict[str,
     if labels.size != batch:
         raise ValueError("labels do not match cached batch")
     config = cache.config
-    grads: dict[str, np.ndarray] = {}
 
     delta = ((sigmoid(cache.logits) - labels) / batch)[:, None]
-    dims = _layer_dims(config)
-    for i in range(len(dims) - 1, -1, -1):
-        fan_in, fan_out = dims[i]
-        if i != len(dims) - 1:
+    layers = _layers(blocks[DENSE].values, config)
+    parts = []  # the dense gradient's pieces, last layer first
+    for i in range(len(layers) - 1, -1, -1):
+        if i != len(layers) - 1:
             delta = delta * (cache.pre_activations[i] > 0.0)
         h = cache.layer_inputs[i]
-        grads[f"dense{i}_w"] = (h.T @ delta).ravel()
-        grads[f"dense{i}_b"] = delta.sum(axis=0)
-        w = blocks[f"dense{i}_w"].values.reshape(fan_in, fan_out)
-        delta = delta @ w.T
+        parts.append(delta.sum(axis=0))
+        parts.append((h.T @ delta).ravel())
+        delta = delta @ layers[i][0].T
 
     # delta now holds d(loss)/d(concatenated embeddings); coordinate j of
     # the field slice with id inverse[i] goes to bin inverse[i]*d + j.
@@ -179,9 +192,9 @@ def backward(cache: ForwardCache, labels: np.ndarray, blocks: dict) -> dict[str,
     rows, inverse = cache._unique_ids
     d = config.embed_dim
     bins = (inverse * d)[:, None] + np.arange(d)
-    grads[EMBEDDING] = np.bincount(bins.ravel(), weights=delta.ravel(),
-                                   minlength=rows.size * d)
-    return grads
+    return {EMBEDDING: np.bincount(bins.ravel(), weights=delta.ravel(),
+                                   minlength=rows.size * d),
+            DENSE: np.concatenate(parts[::-1])}
 
 
 def predict_proba(blocks: dict, ids: np.ndarray, config: ModelConfig) -> np.ndarray:
@@ -210,4 +223,11 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict]:
         name: ParamBlock(name, np.array(spec["values"]), spec["group_size"])
         for name, spec in doc["blocks"].items()
     }
+    # a file of another layout would load, then fail in forward or train wrong
+    layout, found = ({name: (b.values.size, b.group_size) for name, b in bs.items()}
+                     for bs in (init_params(config), blocks))
+    for name in sorted(layout.keys() | found.keys()):
+        if found.get(name) != layout.get(name):
+            raise ValueError(f"checkpoint block {name!r}: (size, group_size) is "
+                             f"{found.get(name)}, the model's is {layout.get(name)}")
     return config, blocks

@@ -76,10 +76,10 @@ class RegConfig:
     """Sparse-group-lasso penalties and which blocks they apply to.
 
     apply_to=None applies the penalties to every block: a grouped block is
-    penalized group by group, an ungrouped block (dense weights, biases) as
-    groups of size 1, so lambda1 and lambda21 both act per coordinate there.
-    Otherwise only blocks whose name is listed are regularized and all other
-    blocks take the lambda = 0 path.
+    penalized group by group, an ungrouped block (the model's dense block of
+    MLP weights and biases) as groups of size 1, so lambda1 and lambda21
+    both act per coordinate there. Otherwise only blocks whose name is
+    listed are regularized and all other blocks take the lambda = 0 path.
     """
 
     lambda1: float = 0.0
@@ -134,7 +134,7 @@ def _check_step(state: OptimizerState, block: ParamBlock, grad, lr: float) -> np
     if not lr > 0:  # NaN fails too
         raise ValueError("lr must be > 0")
     if grad.shape != block.values.shape or state.dim != grad.size:
-        raise ValueError("gradient/block/state dimension mismatch")
+        raise ValueError(f"gradient/block/state dimension mismatch for block {block.name!r}")
     if not np.logical_and.reduce(np.isfinite(grad), axis=None):
         state.poisoned = True
         raise PoisonedStateError(f"non-finite gradient for block {block.name!r}")
@@ -227,34 +227,6 @@ def step_group(
     return m, scaled_root
 
 
-def _blame_member(exc: PoisonedStateError, pack: ParamBlock, grad, state: OptimizerState,
-                  reg: RegConfig, members: list) -> PoisonedStateError:
-    """The pack's error renamed to the member block holding the first failing
-    coordinate: a non-finite gradient, else a non-finite dual, else one the
-    prox rejects, the order in which the step checks them. A pack's prox is
-    elementwise, so it is rerun member by member on the step's dual and root."""
-    if repr(pack.name) not in str(exc):
-        return exc  # a step refused on a poisoned state names no block
-    names = [block.name for block in members]
-    ends = np.cumsum([block.values.size for block in members])
-
-    def blame(member):
-        return PoisonedStateError(str(exc).replace(repr(pack.name), repr(member)))
-
-    for values in (grad, state.z):
-        bad = ~np.isfinite(values)
-        if bad.any():
-            return blame(names[int(np.searchsorted(ends, np.argmax(bad), side="right"))])
-    lam1, lam21, lam2, variant = _penalties(reg, pack.name)
-    for lo, hi, member in zip(np.concatenate(([0], ends[:-1])), ends, names):
-        try:
-            group_shrink(soft_threshold(state.z[lo:hi], lam1), state.prev_scaled_root[lo:hi],
-                         1, lam21, lam2, variant)
-        except NonpositiveDiagonalError:
-            return blame(member)
-    return exc
-
-
 def _check_rows(block: ParamBlock, grad, rows) -> np.ndarray:
     """rows as intp ids, once grad is known to hold exactly the gradients of
     these groups of block; checked here, as numpy would wrap a negative id
@@ -331,45 +303,6 @@ class GroupOptimizer:
         for a, new in zip(full, (sub.z, sub.v_hat, sub.prev_scaled_root, sub_block.values)):
             a[rows] = new.reshape(-1, block.group_size)
         st.t += 1
-
-    def step_all(self, blocks: dict, grads: dict, rows=None) -> None:
-        """Step every block of blocks with its gradient grads[name].
-
-        Grouped blocks are stepped one by one, each with rows, the groups
-        its gradient holds (see step). The ungrouped blocks are
-        concatenated, in dict order, into at most two packs, one per penalty
-        setting, and each pack takes one step: the updates are elementwise,
-        so this gives the same bits as a step per block at the fixed cost of
-        one. A pack is named after its first member, so the
-        penalties follow from its name as for a block and its state is kept
-        under that name. The pack is rebuilt on every call; afterwards each
-        member's values is a view of its slice of the pack's new values.
-        """
-        packs: dict[bool, list] = {}
-        for name, block in blocks.items():
-            if block.grouped:
-                self.step(block, grads[name], rows=rows)
-            else:
-                packs.setdefault(self.reg.applies_to(block.name), []).append(
-                    (block, grads[name]))
-        for members in packs.values():
-            for block, grad in members:
-                if np.shape(grad) != block.values.shape:
-                    raise ValueError(f"gradient/block dimension mismatch for block "
-                                     f"{block.name!r}")
-            pack = ParamBlock(members[0][0].name,
-                              np.concatenate([block.values for block, _ in members]))
-            grad = np.concatenate([grad for _, grad in members])
-            try:
-                self.step(pack, grad)
-            except PoisonedStateError as exc:
-                raise _blame_member(exc, pack, grad, self.states[pack.name], self.reg,
-                                    [block for block, _ in members]) from None
-            lo = 0
-            for block, _ in members:
-                hi = lo + block.values.size
-                block.values = pack.values[lo:hi]
-                lo = hi
 
 
 def name_reg(name: str, reg: RegConfig) -> RegConfig:

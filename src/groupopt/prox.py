@@ -123,14 +123,18 @@ def group_shrink(
     denom = cum_diag + 2.0 * lambda2 if lambda2 else cum_diag
     # half > 0 implies denom > 0, so the exact gate checks only half
     half = 0.5 * cum_diag + lambda2 if variant == "exact" else denom
-    if not np.logical_and.reduce(half > 0.0, axis=None):
+    if np.logical_and.reduce(half > 0.0, axis=None):
+        gate = s / np.sqrt(half) if variant == "exact" else s
+    else:
         empty = s == 0.0
         if ((denom <= 0.0) & ~empty).any():
             raise NonpositiveDiagonalError("nonpositive effective diagonal")
         # a massless coordinate may have any diagonal: divide it by 1.0
         denom, half = np.where(empty, 1.0, denom), np.where(empty, 1.0, half)
-
-    gate = s / np.sqrt(half) if variant == "exact" else s
+        # a positive diagonal whose half rounds to 0 (5e-324 at lambda2 = 0)
+        # gates dual mass as s / 0, an infinite norm; the division is meant
+        with np.errstate(divide="ignore"):
+            gate = s / np.sqrt(half) if variant == "exact" else s
     if group_size == 1 and not lambda21:
         # groups of one coordinate, no group penalty: live where gate * gate > 0, that is
         # |gate| > SQUARE_UNDERFLOW, without einsum's dispatch or an overflow warning

@@ -17,8 +17,8 @@ import numpy as np
 from .blocks import make_rng, require_integers
 from .data import Dataset, SynthSpec, generate, load_libsvm
 from .metrics import auc, nonzero_groups, sparsity
-from .model import (EMBEDDING, ModelConfig, backward, check_ids, forward, init_params,
-                    logloss)
+from .model import (DENSE, EMBEDDING, ModelConfig, backward, check_ids, forward,
+                    init_params, logloss)
 from .optimizers import (OPTIMIZER_NAMES, RegConfig, check_name_reg, make_optimizer,
                          name_reg)
 from .pruning import PruneSchedule, magnitude_prune
@@ -49,12 +49,19 @@ class ExperimentConfig:
 
     def __post_init__(self):
         require_integers(self, ("epochs", "batch_size", "repeats", "seed"), ConfigError)
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
         if self.optimizer not in OPTIMIZER_NAMES:
             raise ConfigError(f"optimizer: unknown name {self.optimizer!r}")
         try:
             check_name_reg(self.optimizer, self.reg)
         except ValueError as exc:
             raise ConfigError(f"reg: {exc}") from None
+        # a name that is no block of the model would silently penalize nothing
+        unknown = sorted(self.reg.apply_to - {EMBEDDING, DENSE}) if self.reg.apply_to else []
+        if unknown:
+            raise ConfigError(f"reg: apply_to: no block named {', '.join(map(repr, unknown))}; "
+                              f"the model's blocks are {EMBEDDING!r} and {DENSE!r}")
         if self.optimizer == "ftrl":
             # the config reports what runs: l1 on every block, at epsilon 0
             self.reg = name_reg("ftrl", self.reg)
@@ -75,19 +82,21 @@ class ExperimentConfig:
         return d
 
 
+def config_section(cls, sub: dict, path: str):
+    """cls(**sub) for the section of a JSON document at path; an unknown
+    field or an invalid value is a ConfigError that names the path."""
+    allowed = set(cls.__dataclass_fields__)
+    for key in sub:
+        if key not in allowed:
+            raise ConfigError(f"{path}.{key}: unknown field")
+    try:
+        return cls(**sub)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Build a config from a JSON document, rejecting unknown fields."""
-
-    def build(cls, sub: dict, path: str):
-        allowed = set(cls.__dataclass_fields__)
-        for key in sub:
-            if key not in allowed:
-                raise ConfigError(f"{path}.{key}: unknown field")
-        try:
-            return cls(**sub)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-
     doc = dict(doc)
     known = set(ExperimentConfig.__dataclass_fields__)
     for key in doc:
@@ -95,17 +104,17 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             raise ConfigError(f"{key}: unknown field")
     if "model" not in doc:
         raise ConfigError("model: required")
-    model = build(ModelConfig, dict(doc.pop("model")), "model")
+    model = config_section(ModelConfig, dict(doc.pop("model")), "model")
     data = doc.pop("data", None)
     if data is None:
         raise ConfigError("data: required")
     if isinstance(data, dict):
-        data = build(SynthSpec, dict(data), "data")
+        data = config_section(SynthSpec, dict(data), "data")
     elif not isinstance(data, str):
         raise ConfigError("data: must be a spec object or a file path")
     reg_doc = dict(doc.pop("reg", {}))
     reg_doc.setdefault("apply_to", frozenset({EMBEDDING}))
-    reg = build(RegConfig, reg_doc, "reg")
+    reg = config_section(RegConfig, reg_doc, "reg")
     try:
         return ExperimentConfig(model=model, data=data, reg=reg, **doc)
     except TypeError as exc:
@@ -170,9 +179,9 @@ def _train_epoch(blocks, optimizer, ids, labels, config, rng) -> None:
         batch = order[lo:lo + config.batch_size]
         cache = forward(blocks, ids[batch], config.model)
         grads = backward(cache, labels[batch], blocks)
-        # the embedding, the only grouped block, has its gradient in the
-        # row-compact form of the rows the batch read
-        optimizer.step_all(blocks, grads, rows=cache.rows)
+        # the embedding gradient is row-compact: the rows the batch read
+        optimizer.step(blocks[EMBEDDING], grads[EMBEDDING], rows=cache.rows)
+        optimizer.step(blocks[DENSE], grads[DENSE])
 
 
 def _features_seen(ids: np.ndarray, model: ModelConfig) -> np.ndarray:

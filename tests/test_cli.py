@@ -40,6 +40,17 @@ def write_tiny_config(tmp_path, **extra):
     return str(path)
 
 
+def train_without_data(tmp_path, monkeypatch, extra):
+    """The exit code of train on TINY updated by extra, where loading or
+    generating the data fails the test."""
+    def never(*args, **kwargs):
+        raise AssertionError("the data were loaded")
+
+    monkeypatch.setattr(training, "load_dataset", never)
+    monkeypatch.setattr(training, "generate", never)
+    return main(["train", "--config", write_tiny_config(tmp_path, **extra)])
+
+
 class TestBuildConfig:
     def test_preset_group_adam_dcn(self):
         config = build_config(parse(["train", "--preset", "group-adam-dcn"]))
@@ -189,6 +200,15 @@ class TestTrainCommand:
         assert main(["train", "--config", path]) == EXIT_CONFIG
         assert "reg: apply_to" in capsys.readouterr().err
 
+    # a name that is no block of the model, a typo or a layer of a per-layer
+    # layout, would train with no penalty at all
+    @pytest.mark.parametrize("name", ["embeddings", "dense1_w"])
+    def test_apply_to_unknown_block_exits_2(self, tmp_path, capsys, name):
+        path = write_tiny_config(tmp_path, reg={"lambda21": 0.5, "apply_to": [name]})
+        assert main(["train", "--config", path]) == EXIT_CONFIG
+        assert (f"config error: reg: apply_to: no block named {name!r}"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("body", ["2 0:1 20:1 40:1\n", "1 oops\n", "1 -3:1\n",
                                       "1 0:0.5 20:1 40:1\n", "1 0:1 20:1 40:1\n0 0:1\n", ""])
     def test_malformed_libsvm_exits_2(self, tmp_path, capsys, body):
@@ -281,17 +301,21 @@ class TestTrainCommand:
         ({"model": {**TINY_MODEL, "num_fields": True}},
          "model: num_fields: must be an integer, got True"),
         ({"data": {**TINY["data"], "num_samples": 300.5}},
-         "num_samples: must be an integer, got 300.5"),
+         "data: num_samples: must be an integer, got 300.5"),
     ])
     def test_non_integer_count_exits_2_before_loading_data(self, tmp_path, capsys,
                                                            monkeypatch, extra, message):
-        def never(*args, **kwargs):
-            raise AssertionError("the data were loaded")
+        assert train_without_data(tmp_path, monkeypatch, extra) == EXIT_CONFIG
+        assert f"config error: {message}" in capsys.readouterr().err
 
-        monkeypatch.setattr(training, "load_dataset", never)
-        monkeypatch.setattr(training, "generate", never)
-        code = main(["train", "--config", write_tiny_config(tmp_path, **extra)])
-        assert code == EXIT_CONFIG
+    @pytest.mark.parametrize("extra, message", [
+        ({"seed": -1}, "seed: must be >= 0, got -1"),
+        ({"model": {**TINY["model"], "seed": -1}}, "model: seed: must be >= 0, got -1"),
+        ({"data": {**TINY["data"], "seed": -1}}, "data: seed: must be >= 0, got -1"),
+    ])
+    def test_negative_seed_exits_2_before_loading_data(self, tmp_path, capsys,
+                                                       monkeypatch, extra, message):
+        assert train_without_data(tmp_path, monkeypatch, extra) == EXIT_CONFIG
         assert f"config error: {message}" in capsys.readouterr().err
 
     def test_invalid_json_exits_2(self, tmp_path):

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 
 from groupopt.blocks import ParamBlock, make_rng
 from groupopt.model import (
+    DENSE,
     EMBEDDING,
     ModelConfig,
     backward,
@@ -50,6 +51,20 @@ def small_config(seed=0):
                        hidden_dims=(5,), seed=seed)
 
 
+def frozen_layers(blocks, config):
+    """Each layer's (weights, biases), read from the flat dense block in
+    its layout: w0, b0, w1, b1, ..., weights as (fan_in, fan_out)."""
+    widths = [config.num_fields * config.embed_dim, *config.hidden_dims, 1]
+    dense, lo, layers = blocks[DENSE].values, 0, []
+    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+        w = dense[lo:lo + fan_in * fan_out].reshape(fan_in, fan_out)
+        lo += fan_in * fan_out
+        layers.append((w, dense[lo:lo + fan_out]))
+        lo += fan_out
+    assert lo == dense.size
+    return layers
+
+
 def random_batch(rng, config, batch=6):
     ids = rng.integers(0, config.num_features, size=(batch, config.num_fields))
     labels = (rng.random(batch) < 0.5).astype(np.float64)
@@ -71,8 +86,7 @@ class TestForward:
                              hidden_dims=(), seed=0)
         blocks = {
             EMBEDDING: ParamBlock(EMBEDDING, np.array([0.5, -2.0]), group_size=1),
-            "dense0_w": ParamBlock("dense0_w", np.array([3.0])),
-            "dense0_b": ParamBlock("dense0_b", np.array([0.25])),
+            DENSE: ParamBlock(DENSE, np.array([3.0, 0.25])),  # w0, b0
         }
         cache = forward(blocks, np.array([[0], [1]]), config)
         assert_allclose(cache.logits, [1.75, -5.75])
@@ -82,10 +96,7 @@ class TestForward:
                              hidden_dims=(1,), seed=0)
         blocks = {
             EMBEDDING: ParamBlock(EMBEDDING, np.array([1.0, -1.0]), group_size=1),
-            "dense0_w": ParamBlock("dense0_w", np.array([2.0])),
-            "dense0_b": ParamBlock("dense0_b", np.array([0.0])),
-            "dense1_w": ParamBlock("dense1_w", np.array([5.0])),
-            "dense1_b": ParamBlock("dense1_b", np.array([0.5])),
+            DENSE: ParamBlock(DENSE, np.array([2.0, 0.0, 5.0, 0.5])),  # w0, b0, w1, b1
         }
         cache = forward(blocks, np.array([[0], [1]]), config)
         assert_allclose(cache.logits, [10.5, 0.5])
@@ -108,9 +119,8 @@ class TestForward:
         ids = rng.choice(rng.choice(config.num_features, 4), size=(batch, config.num_fields))
         table = blocks[EMBEDDING].values.reshape(config.num_features, config.embed_dim)
         h = table[ids].reshape(batch, -1)
-        for i in range(len(config.hidden_dims) + 1):
-            w = blocks[f"dense{i}_w"].values.reshape(h.shape[1], -1)
-            pre = h @ w + blocks[f"dense{i}_b"].values
+        for i, (w, b) in enumerate(frozen_layers(blocks, config)):
+            pre = h @ w + b
             h = pre if i == len(config.hidden_dims) else np.maximum(pre, 0.0)
         assert forward(blocks, ids, config).logits.tobytes() == h[:, 0].tobytes()
 
@@ -164,8 +174,7 @@ class TestBackward:
                              hidden_dims=(), seed=0)
         blocks = {
             EMBEDDING: ParamBlock(EMBEDDING, np.array([0.1, 0.2, 0.3]), group_size=1),
-            "dense0_w": ParamBlock("dense0_w", np.array([1.0, 1.0])),
-            "dense0_b": ParamBlock("dense0_b", np.array([0.0])),
+            DENSE: ParamBlock(DENSE, np.array([1.0, 1.0, 0.0])),  # w0, b0
         }
         ids = np.array([[1, 1]])
         labels = np.array([0.0])
@@ -188,29 +197,27 @@ class TestBackward:
 
 def frozen_dense_backward(cache, labels, blocks):
     """backward as it was before its embedding gradient went row-compact:
-    np.add.at into a zeroed table-shaped array. Kept as the oracle that pins
-    the compact form's bits."""
+    np.add.at into a zeroed table-shaped array, one gradient per layer.
+    Kept as the oracle that pins the compact form's bits; the layers'
+    gradients are laid out as the dense block is."""
     labels = np.asarray(labels, dtype=np.float64)
     batch = cache.logits.size
     config = cache.config
-    grads = {}
-    widths = [config.num_fields * config.embed_dim, *config.hidden_dims, 1]
-    dims = list(zip(widths[:-1], widths[1:]))
+    layers = frozen_layers(blocks, config)
+    weights, biases = [None] * len(layers), [None] * len(layers)
     delta = ((sigmoid(cache.logits) - labels) / batch)[:, None]
-    for i in range(len(dims) - 1, -1, -1):
-        fan_in, fan_out = dims[i]
-        if i != len(dims) - 1:
+    for i in range(len(layers) - 1, -1, -1):
+        if i != len(layers) - 1:
             delta = delta * (cache.pre_activations[i] > 0.0)
         h = cache.layer_inputs[i]
-        grads[f"dense{i}_w"] = (h.T @ delta).ravel()
-        grads[f"dense{i}_b"] = delta.sum(axis=0)
-        w = blocks[f"dense{i}_w"].values.reshape(fan_in, fan_out)
-        delta = delta @ w.T
+        weights[i] = (h.T @ delta).ravel()
+        biases[i] = delta.sum(axis=0)
+        delta = delta @ layers[i][0].T
     emb_grad = np.zeros((config.num_features, config.embed_dim))
     slices = delta.reshape(batch, config.num_fields, config.embed_dim)
     np.add.at(emb_grad, cache.ids, slices)
-    grads[EMBEDDING] = emb_grad.ravel()
-    return grads
+    return {EMBEDDING: emb_grad.ravel(),
+            DENSE: np.concatenate([g for pair in zip(weights, biases) for g in pair])}
 
 
 class TestCompactBackward:
@@ -248,9 +255,7 @@ class TestCompactBackward:
         dense = blocks[EMBEDDING].scatter_rows(grads[EMBEDDING], cache.rows)
         assert dense.tobytes() == frozen[EMBEDDING].tobytes()
         assert grads.keys() == frozen.keys()
-        for name in grads:
-            if name != EMBEDDING:
-                assert grads[name].tobytes() == frozen[name].tobytes(), name
+        assert grads[DENSE].tobytes() == frozen[DENSE].tobytes()
 
     def test_rows_are_computed_only_when_asked(self):
         config = small_config()
@@ -321,3 +326,21 @@ class TestCheckpoint:
         for name in blocks:
             assert np.array_equal(loaded[name].values, blocks[name].values)
             assert loaded[name].group_size == blocks[name].group_size
+
+    @pytest.mark.parametrize("layout", ["per-layer blocks", "short dense block"])
+    def test_other_layout_refused(self, tmp_path, layout):
+        # a file written when each layer was its own block (dense0_w,
+        # dense0_b, ...), or with a dense block of the wrong size
+        config = small_config(seed=9)
+        blocks = init_params(config)
+        if layout == "per-layer blocks":
+            dense = blocks.pop(DENSE)
+            for i, (w, b) in enumerate(frozen_layers({DENSE: dense}, config)):
+                blocks[f"dense{i}_w"] = ParamBlock(f"dense{i}_w", w)
+                blocks[f"dense{i}_b"] = ParamBlock(f"dense{i}_b", b)
+        else:
+            blocks[DENSE] = ParamBlock(DENSE, blocks[DENSE].values[:-1])
+        path = tmp_path / "model.json"
+        save_checkpoint(path, config, blocks)
+        with pytest.raises(ValueError, match="^checkpoint block 'dense': "):
+            load_checkpoint(path)

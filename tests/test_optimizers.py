@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 
 from groupopt import optimizers
 from groupopt.blocks import ParamBlock, make_rng
-from groupopt.model import EMBEDDING, ModelConfig, init_params
+from groupopt.model import DENSE, EMBEDDING, ModelConfig, init_params
 from groupopt.optimizers import (
     GroupOptimizer,
     MomentSchedule,
@@ -370,12 +370,12 @@ class TestRegTargeting:
         # group, so lambda21=0.5 zeroes the small one alone: x=[0.75*-2/2, 0]
         schedule = MomentSchedule(kind="adagrad", epsilon=0.0)
         opt = GroupOptimizer(schedule, 1.0, RegConfig(lambda21=0.5))
-        block = ParamBlock("dense0_b", np.zeros(2))
+        block = ParamBlock("dense", np.zeros(2))
         opt.step(block, np.array([2.0, 0.1]))
         assert_allclose(block.values, [-0.75, 0.0])
 
         opt = GroupOptimizer(MomentSchedule(kind="adagrad"), 0.5, RegConfig(lambda1=10.0))
-        block = ParamBlock("dense0_b", np.zeros(2))
+        block = ParamBlock("dense", np.zeros(2))
         opt.step(block, np.array([0.5, -0.5]))
         assert np.array_equal(block.values, [0.0, 0.0])
 
@@ -542,59 +542,60 @@ class TestRowPath:
 
 
 def model_blocks(seed, num_features=12, embed_dim=3, num_fields=2, hidden_dims=(5, 4)):
-    """A blocks dict shaped like the CTR model's: the embedding table, then
-    dense0_w, dense0_b, dense1_w, ... in model order."""
-    return init_params(ModelConfig(num_features=num_features, embed_dim=embed_dim,
-                                   num_fields=num_fields, hidden_dims=hidden_dims,
-                                   seed=seed))
+    """The CTR model's blocks, the embedding table and the flat dense block,
+    and the dense block's members: (name, slice) of each layer's weights and
+    biases in its layout w0, b0, w1, b1, ..."""
+    config = ModelConfig(num_features=num_features, embed_dim=embed_dim,
+                         num_fields=num_fields, hidden_dims=hidden_dims, seed=seed)
+    widths = [num_fields * embed_dim, *hidden_dims, 1]
+    members, lo = [], 0
+    for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
+        for kind, size in (("w", fan_in * fan_out), ("b", fan_out)):
+            members.append((f"{kind}{i}", slice(lo, lo + size)))
+            lo += size
+    blocks = init_params(config)
+    assert lo == blocks[DENSE].values.size
+    return blocks, dict(members)
 
 
-def model_grad_stream(seed, blocks, steps):
+def model_grad_stream(seed, blocks, members, steps):
     """Per step, the batch's embedding rows and one gradient per block: the
-    embedding's as the gradients of those rows, dense blocks at a random
-    scale and now and then all zero."""
+    embedding's as the gradients of those rows, and the dense one member by
+    member at a random scale and now and then all zero."""
     rng = make_rng(seed)
     emb = blocks[EMBEDDING]
     for _ in range(steps):
-        grads = {}
-        rows = None
-        for name, block in blocks.items():
-            scale = 10.0 ** rng.uniform(-3, 1)
-            if block.grouped:
-                grad, rows = row_form(*next(sparse_row_stream(
-                    int(rng.integers(2**31)), emb.num_groups, emb.group_size, 1)),
-                    emb.group_size)
-                grads[name] = scale * grad
-            elif rng.random() < 0.1:
-                grads[name] = np.zeros(block.values.size)
-            else:
-                grads[name] = rng.normal(scale=scale, size=block.values.size)
+        grad, rows = row_form(*next(sparse_row_stream(
+            int(rng.integers(2**31)), emb.num_groups, emb.group_size, 1)), emb.group_size)
+        grads = {EMBEDDING: 10.0 ** rng.uniform(-3, 1) * grad,
+                 DENSE: np.zeros(blocks[DENSE].values.size)}
+        for part in members.values():
+            if rng.random() >= 0.1:
+                grads[DENSE][part] = rng.normal(scale=10.0 ** rng.uniform(-3, 1),
+                                                size=part.stop - part.start)
         yield grads, rows
 
 
-def pack_slices(opt, blocks):
-    """(member name, pack state, slice) for every ungrouped block: packs are
-    split by penalty in dict order and keep their state under the name of
-    their first member."""
-    packs = {}
-    for block in blocks.values():
-        if not block.grouped:
-            packs.setdefault(opt.reg.applies_to(block.name), []).append(block)
-    for members in packs.values():
-        state, lo = opt.states[members[0].name], 0
-        for block in members:
-            yield block.name, state, slice(lo, lo + block.values.size)
-            lo += block.values.size
+def step_batch(opt, blocks, grads, rows=None):
+    """A training batch's steps: the embedding with its rows, then dense."""
+    opt.step(blocks[EMBEDDING], grads[EMBEDDING], rows=rows)
+    opt.step(blocks[DENSE], grads[DENSE])
+
+
+def zero_grads(blocks):
+    return {key: np.zeros(block.values.size) for key, block in blocks.items()}
 
 
 STATE_ARRAYS = ("z", "m_hat", "v_hat", "prev_scaled_root")
-APPLY_TO = [None, frozenset({EMBEDDING}), frozenset({EMBEDDING, "dense1_w"}),
-            frozenset({EMBEDDING, "dense0_w", "dense1_b"})]
+APPLY_TO = [None, frozenset({EMBEDDING})]
 
 
 class TestStepAll:
-    @pytest.mark.parametrize("apply_to", APPLY_TO,
-                             ids=["all", "embedding", "two-packs", "two-shared-packs"])
+    """Stepping all of the model's blocks as a training batch does. The
+    dense block packs every layer's weights and biases, its members, into
+    one flat vector that takes one step; an error names the block."""
+
+    @pytest.mark.parametrize("apply_to", APPLY_TO, ids=["all", "embedding"])
     @pytest.mark.parametrize("name", OPTIMIZER_NAMES)
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), steps=st.integers(1, 6),
@@ -602,110 +603,101 @@ class TestStepAll:
            lambda1=penalty, lambda21=penalty, lambda2=penalty)
     def test_matches_a_step_per_block_bit_for_bit(self, name, apply_to, seed, steps,
                                                   variant, lambda1, lambda21, lambda2):
+        # the flat dense block against each member stepped as a block of its own
         reg = RegConfig(lambda1=lambda1, lambda21=lambda21, lambda2=lambda2,
                         variant=variant, apply_to=apply_to)
         packed, per_block = (make_optimizer(name, 0.05, reg) for _ in range(2))
-        blocks_a, blocks_b = model_blocks(seed % 1000), model_blocks(seed % 1000)
-        for grads, rows in model_grad_stream(seed, blocks_a, steps):
-            packed.step_all(blocks_a, grads, rows=rows)
-            for key, block in blocks_b.items():
-                per_block.step(block, grads[key], rows=rows if block.grouped else None)
-        for key in blocks_a:
-            assert blocks_a[key].values.tobytes() == blocks_b[key].values.tobytes(), key
-        assert state_bits(packed, blocks_a[EMBEDDING]) == state_bits(per_block,
-                                                                     blocks_b[EMBEDDING])
-        for member, state, part in pack_slices(packed, blocks_a):
+        blocks, members = model_blocks(seed % 1000)
+        emb = ParamBlock(EMBEDDING, blocks[EMBEDDING].values.copy(),
+                         group_size=blocks[EMBEDDING].group_size)
+        parts = {member: ParamBlock(member, blocks[DENSE].values[part].copy())
+                 for member, part in members.items()}
+        for grads, rows in model_grad_stream(seed, blocks, members, steps):
+            step_batch(packed, blocks, grads, rows)
+            per_block.step(emb, grads[EMBEDDING], rows=rows)
+            for member, part in members.items():
+                per_block.step(parts[member], grads[DENSE][part])
+        assert state_bits(packed, blocks[EMBEDDING]) == state_bits(per_block, emb)
+        state = packed.states[DENSE]
+        for member, part in members.items():
+            assert (blocks[DENSE].values[part].tobytes()
+                    == parts[member].values.tobytes()), member
             ref = per_block.states[member]
             assert state.t == ref.t
             for array in STATE_ARRAYS:
                 assert (getattr(state, array)[part].tobytes()
                         == getattr(ref, array).tobytes()), (member, array)
 
-    def test_two_penalty_settings_make_two_packs(self):
-        opt = make_optimizer("group-adam", 0.05, RegConfig(
-            lambda21=0.1, apply_to=frozenset({EMBEDDING, "dense0_w", "dense1_b"})))
-        blocks = model_blocks(0)
-        grads, rows = next(model_grad_stream(0, blocks, 1))
-        opt.step_all(blocks, grads, rows=rows)
-        sizes = {name: block.values.size for name, block in blocks.items()}
-        assert {name: state.dim for name, state in opt.states.items()} == {
-            EMBEDDING: sizes[EMBEDDING],
-            "dense0_w": sizes["dense0_w"] + sizes["dense1_b"],
-            "dense0_b": sizes["dense0_b"] + sizes["dense1_w"] + sizes["dense2_w"]
-            + sizes["dense2_b"]}
-        # members are views of their slice of the pack's values
-        assert blocks["dense1_b"].values.base is blocks["dense0_w"].values.base
-
     @pytest.mark.parametrize("name", OPTIMIZER_NAMES)
     def test_nan_gradient_names_the_member_and_poisons_the_pack(self, name):
         opt = make_optimizer(name, 0.05, RegConfig(lambda21=0.1,
                                                    apply_to=frozenset({EMBEDDING})))
-        blocks = model_blocks(1)
-        grads, rows = next(model_grad_stream(1, blocks, 1))
-        opt.step_all(blocks, grads, rows=rows)
-        before = {key: block.values.copy() for key, block in blocks.items()}
-        grads["dense1_b"][2] = np.nan
-        with pytest.raises(PoisonedStateError, match="gradient for block 'dense1_b'"):
-            opt.step_all(blocks, grads, rows=rows)
-        for key in ("dense0_w", "dense1_b", "dense2_b"):
-            assert np.array_equal(blocks[key].values, before[key])
-        assert opt.states["dense0_w"].poisoned
-        grads["dense1_b"][2] = 0.0
-        with pytest.raises(PoisonedStateError):
-            opt.step_all(blocks, grads, rows=rows)
+        blocks, members = model_blocks(1)
+        grads, rows = next(model_grad_stream(1, blocks, members, 1))
+        step_batch(opt, blocks, grads, rows)
+        before = blocks[DENSE].values.copy()
+        grads[DENSE][members["b1"].start + 2] = np.nan
+        with pytest.raises(PoisonedStateError, match="gradient for block 'dense'"):
+            step_batch(opt, blocks, grads, rows)
+        assert np.array_equal(blocks[DENSE].values, before)
+        assert opt.states[DENSE].poisoned and not opt.states[EMBEDDING].poisoned
+        grads[DENSE][members["b1"].start + 2] = 0.0
+        with pytest.raises(PoisonedStateError, match="poisoned"):
+            step_batch(opt, blocks, grads, rows)
 
     def test_overflowing_dual_names_the_member(self):
         opt = make_optimizer("group-sgd", 0.1)
-        blocks = model_blocks(2)
-        grads = {key: np.zeros(block.values.size) for key, block in blocks.items()}
-        grads["dense1_b"][:] = 1e308
-        opt.step_all(blocks, grads)
+        blocks, members = model_blocks(2)
+        grads = zero_grads(blocks)
+        grads[DENSE][members["b1"]] = 1e308
+        step_batch(opt, blocks, grads)
         with np.errstate(over="ignore"), \
-                pytest.raises(PoisonedStateError, match="dual for block 'dense1_b'"):
-            opt.step_all(blocks, grads)
+                pytest.raises(PoisonedStateError, match="dual for block 'dense'"):
+            step_batch(opt, blocks, grads)
         with pytest.raises(PoisonedStateError):
-            opt.step_all(blocks, grads)
+            step_batch(opt, blocks, grads)
 
     def test_overflowing_vanilla_parameters_name_the_member(self):
         opt = make_optimizer("sgd", 1e10)
-        blocks = model_blocks(3)
-        grads = {key: np.zeros(block.values.size) for key, block in blocks.items()}
-        grads["dense2_w"][0] = 1e300
+        blocks, members = model_blocks(3)
+        grads = zero_grads(blocks)
+        grads[DENSE][members["w2"].start] = 1e300
         with np.errstate(over="ignore"), \
-                pytest.raises(PoisonedStateError, match="parameters for block 'dense2_w'"):
-            opt.step_all(blocks, grads)
+                pytest.raises(PoisonedStateError, match="parameters for block 'dense'"):
+            step_batch(opt, blocks, grads)
         with pytest.raises(PoisonedStateError):
-            opt.step_all(blocks, grads)
+            step_batch(opt, blocks, grads)
 
     def test_prox_failure_names_the_member_and_keeps_values(self):
-        # dense1_b, a middle member: a dual of 1e300 over R = 1e-10 overflows
+        # a middle member of dense: a dual of 1e300 over R = 1e-10 overflows
         opt = make_optimizer("group-sgd", 1e10, RegConfig(lambda21=0.1,
                                                           apply_to=frozenset({EMBEDDING})))
-        blocks = model_blocks(5)
-        grads = {key: np.zeros(block.values.size) for key, block in blocks.items()}
-        grads["dense1_b"][1] = 1e300
-        before = {key: block.values.copy() for key, block in blocks.items()}
+        blocks, members = model_blocks(5)
+        grads = zero_grads(blocks)
+        grads[DENSE][members["b1"].start + 1] = 1e300
+        before = blocks[DENSE].values.copy()
         with np.errstate(over="ignore"), \
                 pytest.raises(PoisonedStateError, match="nonpositive effective diagonal: "
-                              "no finite parameters for block 'dense1_b'"):
-            opt.step_all(blocks, grads)
-        for key, block in blocks.items():
-            if not block.grouped:
-                assert np.array_equal(block.values, before[key]), key
-        assert opt.states["dense0_w"].poisoned
+                              "no finite parameters for block 'dense'"):
+            step_batch(opt, blocks, grads)
+        assert np.array_equal(blocks[DENSE].values, before)
+        assert opt.states[DENSE].poisoned
         with pytest.raises(PoisonedStateError, match="poisoned"):
-            opt.step_all(blocks, grads)
+            step_batch(opt, blocks, grads)
 
     def test_member_gradient_shape_checked(self):
+        # a gradient laid out per member, or one coordinate short or long,
+        # does not fit the flat block
         opt = make_optimizer("group-adam", 0.05)
-        blocks = model_blocks(4)
-        grads = {key: np.zeros(block.values.size) for key, block in blocks.items()}
-        # one too few and one too many coordinates: the pack's total still fits
-        grads["dense0_b"] = np.zeros(blocks["dense0_b"].values.size - 1)
-        grads["dense1_b"] = np.zeros(blocks["dense1_b"].values.size + 1)
-        with pytest.raises(ValueError, match="'dense0_b'"):
-            opt.step_all(blocks, grads)
-        assert "dense0_w" not in opt.states
+        blocks, members = model_blocks(4)
+        before = blocks[DENSE].values.copy()
+        size = before.size
+        for grad in (np.zeros(members["w0"].stop), np.zeros(size - 1), np.zeros(size + 1),
+                     np.zeros((1, size))):
+            with pytest.raises(ValueError, match="for block 'dense'"):
+                opt.step(blocks[DENSE], grad)
+        assert np.array_equal(blocks[DENSE].values, before)
+        assert opt.states[DENSE].t == 0 and not opt.states[DENSE].poisoned
 
 
 class TestDeterminism:

@@ -110,8 +110,8 @@ def f64(*values):
 
 # inputs that reach the prox's nonpositive-diagonal branch: a zero diagonal
 # with and without dual mass, a diagonal whose half rounds to 0 (5e-324 at
-# lambda2 = 0; with mass there the exact gate divides by 0 and warns, see
-# the edge cases), a diagonal of -2 * lambda2, and s = -0.0 over a zero diagonal
+# lambda2 = 0; with mass there the exact gate divides by 0, see the edge
+# cases), a diagonal of -2 * lambda2, and s = -0.0 over a zero diagonal
 NONPOSITIVE_DIAGONAL_EXAMPLES = [
     ((f64(1.0, 2.0), f64(0.0, 1.0), 1), 0.0, 0.0, 0.0),
     ((f64(1.0, 2.0, 0.5, 0.0), f64(1.0, 0.0, 1.0, 1.0), 2), 0.0, 0.1, 0.0),
@@ -191,6 +191,16 @@ class TestNoWarnings:
             soft_threshold(s, 0.5)
         assert x.tobytes() == frozen_group_shrink(s, cum_diag, 2, lambda21, 0.0,
                                                   variant).tobytes()
+
+    def test_dual_mass_over_a_diagonal_whose_half_rounds_to_zero(self):
+        # the exact gate is 1e-300 / sqrt(0.5 * 5e-324) = 1e-300 / 0, an
+        # infinite norm that keeps the coordinate: x = 1e-300 / 5e-324
+        args = (np.array([1e-300, 0.0]), np.array([5e-324, 1.0]), 1, 0.0, 0.0, "exact")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = group_shrink(*args)
+        assert x.tobytes() == frozen_group_shrink(*args).tobytes()
+        assert x[0] == 1e-300 / 5e-324
 
     @pytest.mark.parametrize("lambda1", [np.inf, np.nan])
     def test_soft_threshold_at_non_finite_lambda1(self, lambda1):

@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from groupopt import training
 from groupopt.data import SynthSpec, write_libsvm
 from groupopt.metrics import nonzero_groups
-from groupopt.model import EMBEDDING, ModelConfig
+from groupopt.model import DENSE, EMBEDDING, ModelConfig
 from groupopt.optimizers import GroupOptimizer, RegConfig
 from groupopt.pruning import PruneSchedule
 from groupopt.training import (
@@ -169,16 +169,16 @@ class TestTrainModel:
         assert 0 < lazy.final["nonzero_groups"] < 600
 
 
-    @pytest.mark.parametrize("apply_to, calls", [({EMBEDDING}, 2),
-                                                 ({EMBEDDING, "dense1_w"}, 3)])
-    def test_one_step_per_grouped_block_and_pack(self, monkeypatch, apply_to, calls):
-        # the embedding, plus one pack of dense blocks per penalty setting
-        counts = {"step": 0, "batch": 0}
+    @pytest.mark.parametrize("apply_to", [frozenset({EMBEDDING}), None],
+                             ids=["embedding", "all"])
+    def test_two_step_calls_per_batch(self, monkeypatch, apply_to):
+        # the embedding, then the dense block, whatever the penalties cover
+        counts = {"step": [], "batch": 0}
         real_step, real_backward = GroupOptimizer.step, training.backward
 
-        def step(self, *args, **kwargs):
-            counts["step"] += 1
-            return real_step(self, *args, **kwargs)
+        def step(self, block, *args, **kwargs):
+            counts["step"].append(block.name)
+            return real_step(self, block, *args, **kwargs)
 
         def backward(*args):
             counts["batch"] += 1
@@ -186,9 +186,9 @@ class TestTrainModel:
 
         monkeypatch.setattr(GroupOptimizer, "step", step)
         monkeypatch.setattr(training, "backward", backward)
-        train_model(tiny_config(reg=RegConfig(lambda21=1e-3, apply_to=frozenset(apply_to))))
+        train_model(tiny_config(reg=RegConfig(lambda21=1e-3, apply_to=apply_to)))
         assert counts["batch"] == 9
-        assert counts["step"] == calls * counts["batch"]
+        assert counts["step"] == [EMBEDDING, DENSE] * counts["batch"]
 
 
 class TestOptimizerNames:
