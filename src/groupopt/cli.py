@@ -236,6 +236,11 @@ def cmd_prune_baseline(args) -> int:
 
 
 def cmd_prox_selftest(args) -> int:
+    # zero cases would certify nothing and still pass
+    if args.cases < 1:
+        raise ConfigError(f"cases: --cases must be >= 1, got {args.cases}")
+    if args.seed < 0:
+        raise ConfigError(f"seed: --seed must be >= 0, got {args.seed}")
     rng = make_rng(args.seed)
     agree = 0
     uncertified = 0

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import make_rng, require_integers
-from .model import sigmoid
+from .model import EVAL_ROWS, sigmoid
 
 
 @dataclass
@@ -70,27 +70,31 @@ def generate(spec: SynthSpec) -> Dataset:
     weights = np.zeros(vocab)
     weights[support] = rng.uniform(1.0, 3.0, k) * rng.choice([-1.0, 1.0], k)
 
-    offsets = np.arange(spec.num_fields) * spec.vocab_per_field
+    n, fields = spec.num_samples, spec.num_fields
+    offsets = np.arange(fields) * spec.vocab_per_field
+    # one (n, fields) id matrix, filled in place; every other array the
+    # draw holds is one column or one row chunk long
     if spec.skew == 0:
-        ids = rng.integers(0, spec.vocab_per_field, (spec.num_samples, spec.num_fields))
+        ids = rng.integers(0, spec.vocab_per_field, (n, fields))
+        ids += offsets
     else:
         # Zipf-like impression frequencies: rank r drawn with p ~ (r+1)^-skew,
         # ranks mapped to ids by a per-field permutation so the informative
         # support lands anywhere in the frequency spectrum.
         probs = (np.arange(spec.vocab_per_field) + 1.0) ** -spec.skew
         probs /= probs.sum()
-        cols = []
-        for _ in range(spec.num_fields):
+        ids = np.empty((n, fields), dtype=np.int64)
+        for f in range(fields):
             perm = rng.permutation(spec.vocab_per_field)
-            ranks = rng.choice(spec.vocab_per_field, size=spec.num_samples, p=probs)
-            cols.append(perm[ranks])
-        ids = np.stack(cols, axis=1)
-    ids = ids + offsets[None, :]
-    logits = weights[ids].sum(axis=1)
-    labels = (rng.random(spec.num_samples) < sigmoid(logits)).astype(np.int64)
+            ranks = rng.choice(spec.vocab_per_field, size=n, p=probs)
+            np.add(perm.take(ranks), offsets[f], out=ids[:, f])
+    # chunk by chunk, rng.random hands out the uniforms one draw of n would
+    labels = np.empty(n, dtype=np.int64)
+    for lo in range(0, n, EVAL_ROWS):
+        logits = np.add.reduce(weights.take(ids[lo:lo + EVAL_ROWS]), axis=1)
+        np.less(rng.random(logits.size), sigmoid(logits), out=labels[lo:lo + EVAL_ROWS])
     if spec.noise > 0:
-        flips = rng.random(spec.num_samples) < spec.noise
-        labels = np.where(flips, 1 - labels, labels)
+        labels ^= rng.random(n) < spec.noise
 
     n_train = int(0.9 * spec.num_samples)
     return Dataset(

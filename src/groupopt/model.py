@@ -24,6 +24,11 @@ from .blocks import ParamBlock, is_integer, make_rng, require_integers
 EMBEDDING = "embedding"
 DENSE = "dense"
 
+# Rows per forward call when logits() scores a split (its last call takes up
+# to EVAL_ROWS // 8 - 1 more): evaluation keeps one chunk's activations,
+# never the split's.
+EVAL_ROWS = 1024
+
 
 @dataclass
 class ModelConfig:
@@ -197,8 +202,35 @@ def backward(cache: ForwardCache, labels: np.ndarray, blocks: dict) -> dict[str,
             DENSE: np.concatenate(parts[::-1])}
 
 
+def logits(blocks: dict, ids: np.ndarray, config: ModelConfig) -> np.ndarray:
+    """forward(blocks, ids, config).logits, computed EVAL_ROWS rows at a time.
+
+    Chunks start at multiples of EVAL_ROWS, and the last one also takes a
+    tail shorter than EVAL_ROWS // 8. A matrix product may sum a row in
+    another order when the row sits in a tiny call (one row goes to a
+    vector product) or near the end of a call whose row count is not a
+    multiple of the kernel's few-row blocks; aligned chunks of hundreds of
+    rows avoid both. One call that a multithreaded BLAS splits may still
+    differ from the chunks in the last place: tests/test_model.py states
+    the tolerance.
+    """
+    ids = np.asarray(ids)
+    if ids.ndim == 1:
+        ids = ids[None, :]
+    n = ids.shape[0]
+    out = np.empty(n)
+    lo = 0
+    while lo < n:
+        hi = lo + EVAL_ROWS
+        if n - hi < EVAL_ROWS // 8:
+            hi = n
+        out[lo:hi] = forward(blocks, ids[lo:hi], config).logits
+        lo = hi
+    return out
+
+
 def predict_proba(blocks: dict, ids: np.ndarray, config: ModelConfig) -> np.ndarray:
-    return sigmoid(forward(blocks, ids, config).logits)
+    return sigmoid(logits(blocks, ids, config))
 
 
 def save_checkpoint(path, config: ModelConfig, blocks: dict) -> None:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import ParamBlock, make_rng
+from .blocks import ParamBlock, make_rng, require_integers
 from .optimizers import (
     MomentSchedule,
     NO_REG,
@@ -43,6 +43,7 @@ class OnlineProblem:
     mode: str = "stochastic"
 
     def __post_init__(self):
+        require_integers(self, ("dim", "horizon", "seed"))
         if self.kind not in PROBLEM_KINDS:
             raise ValueError(f"unknown problem kind {self.kind!r}")
         if self.mode not in MODES:
@@ -53,6 +54,8 @@ class OnlineProblem:
             raise ValueError("dim must be >= 1")
         if self.horizon < 2:
             raise ValueError("horizon must be >= 2")
+        if self.seed < 0:
+            raise ValueError(f"seed: must be >= 0, got {self.seed}")
 
 
 def _make_stream(problem: OnlineProblem):

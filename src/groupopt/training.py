@@ -18,7 +18,7 @@ from .blocks import make_rng, require_integers
 from .data import Dataset, SynthSpec, generate, load_libsvm
 from .metrics import auc, nonzero_groups, sparsity
 from .model import (DENSE, EMBEDDING, ModelConfig, backward, check_ids, forward,
-                    init_params, logloss)
+                    init_params, logits, logloss)
 from .optimizers import (OPTIMIZER_NAMES, RegConfig, check_name_reg, make_optimizer,
                          name_reg)
 from .pruning import PruneSchedule, magnitude_prune
@@ -123,23 +123,26 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
 def load_dataset(config: ExperimentConfig) -> Dataset:
     if isinstance(config.data, SynthSpec):
-        return generate(config.data)
-    ids, labels = load_libsvm(config.data)
-    if ids.shape[1] != config.model.num_fields:
-        raise ConfigError(
-            f"data: file has {ids.shape[1]} fields, model expects {config.model.num_fields}")
-    top = int(ids.max())
-    if top >= config.model.num_features:
-        raise ConfigError(f"data: feature id {top} is out of range for "
-                          f"model.num_features {config.model.num_features}")
-    n_train = int(0.9 * len(labels))
+        dataset = generate(config.data)
+    else:
+        ids, labels = load_libsvm(config.data)
+        if ids.shape[1] != config.model.num_fields:
+            raise ConfigError(
+                f"data: file has {ids.shape[1]} fields, model expects {config.model.num_fields}")
+        top = int(ids.max())
+        if top >= config.model.num_features:
+            raise ConfigError(f"data: feature id {top} is out of range for "
+                              f"model.num_features {config.model.num_features}")
+        n_train = int(0.9 * len(labels))
+        dataset = Dataset(ids[:n_train], labels[:n_train], ids[n_train:], labels[n_train:],
+                          support=frozenset())
     # AUC, the headline metric, is undefined on a split with one class
-    for split, part in (("train", labels[:n_train]), ("test", labels[n_train:])):
+    total = dataset.num_train + dataset.test_labels.size
+    for split, part in (("train", dataset.train_labels), ("test", dataset.test_labels)):
         if np.unique(part).size < 2:
-            raise ConfigError(f"data: the {split} split ({part.size} of {len(labels)} "
+            raise ConfigError(f"data: the {split} split ({part.size} of {total} "
                               f"samples) holds fewer than two label classes")
-    return Dataset(ids[:n_train], labels[:n_train], ids[n_train:], labels[n_train:],
-                   support=frozenset())
+    return dataset
 
 
 @dataclass
@@ -163,10 +166,12 @@ class RunReport:
 
 def evaluate(blocks: dict, dataset: Dataset, model_config: ModelConfig,
              features_seen: np.ndarray) -> dict:
-    logits = forward(blocks, dataset.test_ids, model_config).logits
+    """Test-split metrics; the split is scored model.EVAL_ROWS rows at a
+    time, so no forward pass holds the whole split's activations."""
+    scores = logits(blocks, dataset.test_ids, model_config)
     return {
-        "logloss": logloss(logits, dataset.test_labels),
-        "auc": auc(dataset.test_labels, logits),
+        "logloss": logloss(scores, dataset.test_labels),
+        "auc": auc(dataset.test_labels, scores),
         "sparsity": sparsity(blocks[EMBEDDING], features_seen),
         "nonzero_groups": nonzero_groups(blocks[EMBEDDING]),
     }

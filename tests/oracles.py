@@ -12,6 +12,9 @@ written in their conventional direct form and share no algebra with it:
 
 Both step an optimizers.OptimizerState in place and run its input checks.
 
+generate is data.generate as it was before it built its ids in place and
+drew the labels row chunk by row chunk: data.generate must give its bits.
+
 per_step_regret is regret.run_regret's loop as it was before the loop kept
 a chunk of gradients and roots and folded grad_bound and kappa once per
 chunk: it updates both after every step. run_regret must give its bits.
@@ -21,7 +24,9 @@ import math
 
 import numpy as np
 
-from groupopt.blocks import ParamBlock
+from groupopt.blocks import ParamBlock, make_rng
+from groupopt.data import Dataset, SynthSpec
+from groupopt.model import sigmoid
 from groupopt.optimizers import (NO_REG, MomentSchedule, OptimizerState, PoisonedStateError,
                                  RegConfig, _check_step, step_group)
 from groupopt.regret import (OnlineProblem, _checkpoints, _logistic_prefix_min,
@@ -167,3 +172,42 @@ def per_step_regret(problem: OnlineProblem, kind: str = "adagrad", lr: float = 0
 
     regrets = np.array(cum_at) - np.array(minima)
     return xs, ms, regrets, kappa, grad_bound
+
+
+def generate(spec: SynthSpec) -> Dataset:
+    """data.generate with every (n, fields) array whole: the per-field
+    columns, their stack, ids + offsets and weights[ids]."""
+    rng = make_rng(spec.seed)
+    vocab = spec.vocab
+    k = math.ceil(spec.informative_fraction * vocab)
+    support = rng.choice(vocab, size=k, replace=False)
+    weights = np.zeros(vocab)
+    weights[support] = rng.uniform(1.0, 3.0, k) * rng.choice([-1.0, 1.0], k)
+
+    offsets = np.arange(spec.num_fields) * spec.vocab_per_field
+    if spec.skew == 0:
+        ids = rng.integers(0, spec.vocab_per_field, (spec.num_samples, spec.num_fields))
+    else:
+        probs = (np.arange(spec.vocab_per_field) + 1.0) ** -spec.skew
+        probs /= probs.sum()
+        cols = []
+        for _ in range(spec.num_fields):
+            perm = rng.permutation(spec.vocab_per_field)
+            ranks = rng.choice(spec.vocab_per_field, size=spec.num_samples, p=probs)
+            cols.append(perm[ranks])
+        ids = np.stack(cols, axis=1)
+    ids = ids + offsets[None, :]
+    logits = weights[ids].sum(axis=1)
+    labels = (rng.random(spec.num_samples) < sigmoid(logits)).astype(np.int64)
+    if spec.noise > 0:
+        flips = rng.random(spec.num_samples) < spec.noise
+        labels = np.where(flips, 1 - labels, labels)
+
+    n_train = int(0.9 * spec.num_samples)
+    return Dataset(
+        train_ids=ids[:n_train],
+        train_labels=labels[:n_train],
+        test_ids=ids[n_train:],
+        test_labels=labels[n_train:],
+        support=frozenset(int(i) for i in support),
+    )

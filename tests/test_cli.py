@@ -243,6 +243,19 @@ class TestTrainCommand:
         assert code == EXIT_CONFIG
         assert f"config error: data: the {split} split" in capsys.readouterr().err
 
+    def test_one_class_generated_split_exits_2_before_training(self, tmp_path, capsys,
+                                                               monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("train_model entered")
+
+        monkeypatch.setattr(training, "train_model", never)
+        # ten samples leave one in the test split
+        code = main(["train", "--config", write_tiny_config(
+            tmp_path, data={**TINY["data"], "num_samples": 10})])
+        assert code == EXIT_CONFIG
+        assert ("config error: data: the test split (1 of 10 samples) holds fewer "
+                "than two label classes") in capsys.readouterr().err
+
     def test_feature_id_out_of_range_exits_2_before_training(self, tmp_path, capsys,
                                                              monkeypatch):
         def never(*args, **kwargs):
@@ -413,6 +426,22 @@ class TestProxSelftestCommand:
                      "--variant", "practical"]) == EXIT_OK
         assert "certified-agree" in capsys.readouterr().out
 
+    # a self-test of no case checks nothing, and a negative seed has no stream
+    @pytest.mark.parametrize("flags, message", [
+        (["--cases", "0"], "cases: --cases must be >= 1, got 0"),
+        (["--cases", "-5"], "cases: --cases must be >= 1, got -5"),
+        (["--seed", "-1"], "seed: --seed must be >= 0, got -1"),
+    ])
+    def test_bad_count_exits_2_before_any_case(self, monkeypatch, capsys, flags, message):
+        def never(*args, **kwargs):
+            raise AssertionError("a case was drawn")
+
+        monkeypatch.setattr(cli, "random_problem", never)
+        assert main(["prox-selftest", *flags]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert f"config error: {message}" in captured.err
+        assert captured.out == ""
+
 
 class TestRegretCommand:
     def test_writes_curve_and_bound(self, tmp_path):
@@ -434,6 +463,14 @@ class TestRegretCommand:
         assert code == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert payload["optimizer"] == "adagrad"
+
+    def test_negative_seed_exits_2_before_the_run(self, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("run_regret entered")
+
+        monkeypatch.setattr(cli, "run_regret", never)
+        assert main(["regret", "--horizon", "64", "--seed", "-1"]) == EXIT_CONFIG
+        assert "config error: seed: must be >= 0, got -1" in capsys.readouterr().err
 
     def test_bad_optimizer_exits_2(self):
         assert main(["regret", "--horizon", "64",

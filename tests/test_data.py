@@ -1,10 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from groupopt.data import SynthSpec, generate, load_libsvm, write_libsvm
+from groupopt.model import EVAL_ROWS
+
+import oracles
 
 
 class TestSynthSpec:
@@ -60,6 +65,44 @@ class TestGenerate:
         assert np.array_equal(clean.train_ids, noisy.train_ids)
         flipped = np.mean(clean.train_labels != noisy.train_labels)
         assert 0.4 < flipped < 0.6
+
+
+class TestInPlaceGenerate:
+    @settings(max_examples=40, deadline=None)
+    @given(num_fields=st.integers(1, 6), vocab_per_field=st.integers(1, 60),
+           informative_fraction=st.floats(0.01, 1.0),
+           num_samples=st.one_of(st.integers(1, 3 * EVAL_ROWS + 9),
+                                 st.sampled_from([EVAL_ROWS, 2 * EVAL_ROWS + 1])),
+           noise=st.sampled_from([0.0, 0.1, 0.5]),
+           skew=st.sampled_from([0.0, 0.7, 1.3]), seed=st.integers(0, 2**32 - 1))
+    def test_bits_match_the_whole_array_generator(self, **fields):
+        spec = SynthSpec(**fields)
+        got, want = generate(spec), oracles.generate(spec)
+        for name in ("train_ids", "train_labels", "test_ids", "test_labels"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+            assert a.tobytes() == b.tobytes(), name
+        assert got.support == want.support
+
+    @pytest.mark.parametrize("skew", [0.0, 1.3])
+    def test_peak_memory_is_the_returned_arrays_plus_a_column(self, skew):
+        # The returned ids and labels are 4.2 MiB here. A skewed field's
+        # rank draw holds two 8-byte vectors of num_samples (rng.choice's
+        # uniforms and indices, or the ranks and their permuted ids); the
+        # weights and one row chunk's gather are under 0.2 MiB. Building
+        # whole (n, fields) arrays peaked at 12.2 MiB.
+        spec = SynthSpec(num_fields=10, vocab_per_field=100, num_samples=50_000,
+                         skew=skew, noise=0.1, seed=0)
+        generate(SynthSpec(num_samples=10))  # lazy imports allocate too
+        tracemalloc.start()
+        try:
+            data = generate(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(getattr(data, name).nbytes for name in
+                   ("train_ids", "train_labels", "test_ids", "test_labels"))
+        assert peak <= kept + 2 * 8 * spec.num_samples + 0.25 * 2**20
 
 
 class TestLibsvm:

@@ -1,17 +1,22 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from groupopt.blocks import ParamBlock, make_rng
+from groupopt import model
 from groupopt.model import (
     DENSE,
     EMBEDDING,
+    EVAL_ROWS,
     ModelConfig,
     backward,
     forward,
     init_params,
     load_checkpoint,
+    logits,
     logloss,
     predict_proba,
     save_checkpoint,
@@ -123,6 +128,51 @@ class TestForward:
             pre = h @ w + b
             h = pre if i == len(config.hidden_dims) else np.maximum(pre, 0.0)
         assert forward(blocks, ids, config).logits.tobytes() == h[:, 0].tobytes()
+
+
+class TestChunkedLogits:
+    CONFIG = ModelConfig(num_features=200, embed_dim=4, num_fields=5, hidden_dims=(16, 8))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           size=st.one_of(st.integers(1, EVAL_ROWS),
+                          st.tuples(st.integers(1, 3), st.integers(1, 8)).map(
+                              lambda kt: kt[0] * EVAL_ROWS + kt[1]),
+                          st.sampled_from([EVAL_ROWS + EVAL_ROWS // 8 - 1,
+                                           EVAL_ROWS + EVAL_ROWS // 8, 3 * EVAL_ROWS])))
+    def test_chunks_match_one_call(self, seed, size):
+        # Only the order in which a matrix product sums can differ: aligned
+        # chunks keep one call's bits unless a multithreaded BLAS splits
+        # that call's rows elsewhere (1 ulp seen at 50,001 rows), so the
+        # tolerance is a few ulps of a logit of order 1
+        rng = make_rng(seed)
+        blocks = init_params(replace(self.CONFIG, seed=seed % 1000))
+        blocks[EMBEDDING].values[:] = rng.normal(size=blocks[EMBEDDING].values.size)
+        ids = rng.integers(0, self.CONFIG.num_features, size=(size, self.CONFIG.num_fields))
+        want = forward(blocks, ids, self.CONFIG).logits
+        got = logits(blocks, ids, self.CONFIG)
+        assert got.shape == want.shape
+        assert_allclose(got, want, rtol=1e-14, atol=1e-14)
+
+    @pytest.mark.parametrize("size", [1, EVAL_ROWS - 1, EVAL_ROWS, EVAL_ROWS + 1,
+                                      EVAL_ROWS + EVAL_ROWS // 8 - 1,
+                                      EVAL_ROWS + EVAL_ROWS // 8, 5000])
+    def test_chunks_are_aligned_and_none_is_tiny(self, monkeypatch, size):
+        calls = []
+        real = model.forward
+
+        def spy(blocks, ids, config):
+            calls.append(ids.shape[0])
+            return real(blocks, ids, config)
+
+        monkeypatch.setattr(model, "forward", spy)
+        blocks = init_params(self.CONFIG)
+        ids = np.zeros((size, self.CONFIG.num_fields), dtype=np.int64)
+        assert logits(blocks, ids, self.CONFIG).shape == (size,)
+        assert sum(calls) == size
+        assert calls[:-1] == [EVAL_ROWS] * (len(calls) - 1)
+        assert calls[-1] < EVAL_ROWS + EVAL_ROWS // 8
+        assert len(calls) == 1 or calls[-1] >= EVAL_ROWS // 8
 
 
 class TestLoss:

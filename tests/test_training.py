@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from groupopt import training
-from groupopt.data import SynthSpec, write_libsvm
+from groupopt.blocks import make_rng
+from groupopt.data import Dataset, SynthSpec, write_libsvm
 from groupopt.metrics import nonzero_groups
-from groupopt.model import DENSE, EMBEDDING, ModelConfig
+from groupopt.model import DENSE, EMBEDDING, ModelConfig, init_params
 from groupopt.optimizers import GroupOptimizer, RegConfig
 from groupopt.pruning import PruneSchedule
 from groupopt.training import (
@@ -294,6 +297,32 @@ class TestLoadDataset:
         write_libsvm(path, ids, np.array(labels))
         with pytest.raises(ConfigError, match=f"data: the {split} split"):
             load_dataset(tiny_config(data=str(path)))
+
+
+class TestEvaluateMemory:
+    def test_peak_does_not_grow_with_the_split_beyond_the_metric_vectors(self):
+        # One forward call over the whole split held about 1.4 kB of
+        # activations per test row of this model. In chunks, what grows
+        # with the split is the logits and the sort and rank vectors of
+        # auc and logloss: about 47 bytes a row, under eight 8-byte vectors
+        model = ModelConfig(num_features=1000, embed_dim=8, num_fields=10,
+                            hidden_dims=(32, 16))
+        blocks = init_params(model)
+        rng = make_rng(0)
+        features_seen = np.arange(model.num_features)
+        peaks = {}
+        for rows in (5_000, 50_000):
+            ids = rng.integers(0, model.num_features, (rows, model.num_fields))
+            labels = rng.integers(0, 2, rows)
+            dataset = Dataset(ids[:0], labels[:0], ids, labels, support=frozenset())
+            training.evaluate(blocks, dataset, model, features_seen)  # lazy imports allocate too
+            tracemalloc.start()
+            try:
+                training.evaluate(blocks, dataset, model, features_seen)
+                peaks[rows] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[50_000] - peaks[5_000] <= 8 * 8 * 45_000
 
 
 class TestPruneBaseline:
