@@ -7,7 +7,7 @@ small embedding+MLP training harness on synthetic or libsvm data, a
 magnitude-pruning baseline, and an online regret measurement lab.
 """
 
-from .blocks import ParamBlock, group_l2_norms, make_rng
+from .blocks import ParamBlock, group_l2_norms, make_rng, pin_malloc_thresholds
 from .data import Dataset, SynthSpec, generate, load_libsvm, write_libsvm
 from .metrics import auc, nonzero_groups, sparsity
 from .model import (
@@ -57,6 +57,10 @@ from .training import (
 )
 
 __version__ = "0.1.0"
+
+# the same allocations in every run, whatever the process freed before
+# (blocks.MMAP_THRESHOLD)
+pin_malloc_thresholds()
 
 __all__ = [
     "ParamBlock", "group_l2_norms", "make_rng",

@@ -8,9 +8,31 @@ groups (one embedding row per feature id); group g owns the slice
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
+
+# glibc's malloc maps a block of at least the mmap threshold afresh (faulted
+# in page by page, unmapped on free) and hands free heap above the trim
+# threshold back to the system. Both start at 128 KiB and rise with the
+# largest mapped block freed so far, so whether a step's V x d temporaries
+# (640,000 B for a 10,000 x 8 table) or an evaluation chunk fault on every
+# call depended on what the process had freed before. Fixed thresholds keep
+# such temporaries on the heap in every run; larger blocks are still mapped.
+MMAP_THRESHOLD = 8 << 20
+TRIM_THRESHOLD = 2 * MMAP_THRESHOLD
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters
+
+
+def pin_malloc_thresholds() -> bool:
+    """Fix glibc's mmap and trim thresholds; False where malloc is not glibc's."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return False
+    return bool(mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+                and mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD))
 
 
 def make_rng(seed: int) -> np.random.Generator:
