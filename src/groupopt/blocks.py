@@ -16,7 +16,7 @@ import numpy as np
 # glibc's malloc maps a block of at least the mmap threshold afresh (faulted
 # in page by page, unmapped on free) and hands free heap above the trim
 # threshold back to the system. Both start at 128 KiB and rise with the
-# largest mapped block freed so far, so whether a step's V x d temporaries
+# largest mapped block freed so far, so whether a table-sized array
 # (640,000 B for a 10,000 x 8 table) or an evaluation chunk fault on every
 # call depended on what the process had freed before. Fixed thresholds keep
 # such temporaries on the heap in every run; larger blocks are still mapped.
@@ -89,14 +89,6 @@ class ParamBlock:
         if self.group_size is None:
             raise ValueError(f"block {self.name!r} is not grouped")
         return self.values.size // self.group_size
-
-    def scatter_rows(self, values, rows) -> np.ndarray:
-        """A flat zero vector of the block's size whose groups rows (distinct
-        ids in [0, num_groups)) hold values, len(rows) * group_size values
-        in the order of rows."""
-        out = np.zeros((self.num_groups, self.group_size))
-        out[rows] = np.reshape(values, (-1, self.group_size))
-        return out.ravel()
 
     def copy(self) -> "ParamBlock":
         return ParamBlock(self.name, self.values.copy(), self.group_size)

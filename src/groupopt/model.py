@@ -170,9 +170,10 @@ def backward(cache: ForwardCache, labels: np.ndarray, blocks: dict) -> dict[str,
 
     The embedding gradient is row-compact: the flat k x embed_dim gradients
     of the k rows in cache.rows, in that order; every other row's gradient
-    is zero. block.scatter_rows(grad, cache.rows) gives the table-shaped
-    form. Each row sums its fields' gradients in batch order from 0.0, as
-    np.add.at into the table would, so the scattered form has its bits.
+    is zero. GroupOptimizer.step takes it with rows=cache.rows and never
+    builds the table-shaped form. Each row sums its fields' gradients in
+    batch order from 0.0, as np.add.at into the table would, so that form,
+    scattered into zeros, has its bits.
     """
     labels = np.asarray(labels, dtype=np.float64)
     batch = cache.logits.size

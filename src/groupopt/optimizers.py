@@ -41,6 +41,10 @@ import numpy as np
 from .blocks import ParamBlock
 from .prox import NonpositiveDiagonalError, group_shrink, soft_threshold
 
+# GroupOptimizer.step takes a dense step of a grouped block this many groups
+# at a time, so its working memory scales with the chunk, not the table
+STEP_ROWS = 1024
+
 SCHEDULE_KINDS = ("sgd", "momentum", "adagrad", "adam", "amsgrad")
 GROUP_NAMES = tuple(f"group-{k}" for k in SCHEDULE_KINDS)
 OPTIMIZER_NAMES = SCHEDULE_KINDS + ("ftrl",) + GROUP_NAMES
@@ -127,13 +131,17 @@ class OptimizerState:
         self.prev_scaled_root = np.zeros(self.dim)
 
 
-def _check_step(state: OptimizerState, block: ParamBlock, grad, lr: float) -> np.ndarray:
+def _check_step(state: OptimizerState, block: ParamBlock, grad, lr: float,
+                rows=None) -> np.ndarray:
+    """grad as float64 once the state, lr and grad pass; a non-finite grad
+    poisons the state. Given rows, grad holds those groups' gradients, a
+    shape _check_rows has checked."""
     grad = np.asarray(grad, dtype=np.float64)
     if state.poisoned:
         raise PoisonedStateError("optimizer state is poisoned")
     if not lr > 0:  # NaN fails too
         raise ValueError("lr must be > 0")
-    if grad.shape != block.values.shape or state.dim != grad.size:
+    if rows is None and (grad.shape != block.values.shape or state.dim != grad.size):
         raise ValueError(f"gradient/block/state dimension mismatch for block {block.name!r}")
     if not np.logical_and.reduce(np.isfinite(grad), axis=None):
         state.poisoned = True
@@ -174,6 +182,12 @@ def _advance_moments(state, grad, schedule, lr):
         eps_t = schedule.epsilon / np.sqrt(bc2)
         scaled_root = (np.sqrt(v) + eps_t) / lr
     return m, scaled_root
+
+
+# the moment accumulators each schedule advances; a step advances z and
+# prev_scaled_root too, and leaves the others as they are
+_MOMENTS = {"sgd": (), "momentum": ("m_hat",), "adagrad": ("v_hat",),
+            "adam": ("m_hat", "v_hat"), "amsgrad": ("m_hat", "v_hat")}
 
 
 def _penalties(reg: RegConfig, block_name: str) -> tuple[float, float, float, str]:
@@ -242,6 +256,23 @@ def _check_rows(block: ParamBlock, grad, rows) -> np.ndarray:
     return rows.astype(np.intp, copy=False)
 
 
+def _groups_grad(block: ParamBlock, grad, rows, lo: int, hi: int, out=None) -> np.ndarray:
+    """The flat dense gradient of groups [lo, hi) of block: a slice of the
+    dense grad or, given rows (checked by _check_rows), their gradients grad
+    scattered into zeros, in the first hi - lo rows of out (fresh if None)."""
+    d = block.group_size
+    if rows is None:
+        return grad[lo * d:hi * d]
+    if out is None:
+        out = np.zeros((hi - lo, d))
+    else:
+        out = out[:hi - lo]
+        out.fill(0.0)
+    a, b = rows.searchsorted((lo, hi))
+    out[rows[a:b] - lo] = np.reshape(grad, (-1, d))[a:b]
+    return out.ravel()
+
+
 def _shallow_copy(obj, **attrs):
     """copy.copy(obj) with attrs replaced, at a quarter of its cost; like
     copy.copy it skips __init__ and its checks."""
@@ -273,36 +304,70 @@ class GroupOptimizer:
         a group with zero gradient is a fixed point, as its accumulator
         gains 0, so its root, dual and parameters stay put. Skipping such
         groups is the lazy update of McMahan et al. (KDD 2013) and gives the
-        same bits as the dense step. The listed groups are gathered into a
-        k-group state and block, stepped by step_group (whose checks see
-        k * group_size values) and scattered back; if that step raises, the
-        state is poisoned and nothing is scattered. Other schedules and the
-        first step scatter grad into the block's dense gradient and take
-        the dense step.
+        same bits as the dense step.
+
+        The first step and all steps of the other schedules are dense. A
+        grouped block of more than STEP_ROWS groups takes a dense step
+        STEP_ROWS groups at a time, each chunk's dense gradient sliced from
+        grad or made from the rows' gradients, so that no temporary is
+        table-sized but the new values, which replace the block's after the
+        last chunk. The step acts group by group, so the chunks give the
+        bits of one step_group call on the whole block, which is how an
+        ungrouped block and a grouped one of at most STEP_ROWS groups step.
+        grad is checked finite before the first chunk.
+
+        The lazy groups and the chunks step through _step_groups. If a step
+        raises, the state is poisoned and the block keeps its values.
         """
         if rows is not None:
             rows = _check_rows(block, grad, rows)
         st = self.states.get(block.name)
         if st is None:
             st = self.states[block.name] = OptimizerState(block.values.size)
-        if rows is not None and (self.schedule.kind != "adagrad" or st.t == 0):
-            grad, rows = block.scatter_rows(grad, rows), None
-        if rows is None:
+        if rows is not None and self.schedule.kind == "adagrad" and st.t:
+            self._step_groups(st, block, grad, rows, block.values)
+            st.t += 1
+        elif not block.grouped or block.num_groups <= STEP_ROWS:
+            if rows is not None:
+                grad = _groups_grad(block, grad, rows, 0, block.num_groups)
             step_group(st, block, grad, self.schedule, self.lr, self.reg)
-            return
+        else:
+            grad = _check_step(st, block, grad, self.lr, rows)
+            values = np.empty_like(block.values)
+            buf = None if rows is None else np.empty((STEP_ROWS, block.group_size))
+            for lo in range(0, block.num_groups, STEP_ROWS):
+                hi = min(lo + STEP_ROWS, block.num_groups)
+                self._step_groups(st, block, _groups_grad(block, grad, rows, lo, hi, buf),
+                                  slice(lo, hi), values)
+            block.values = values
+            st.t += 1
+
+    def _step_groups(self, st: OptimizerState, block: ParamBlock, grad, groups,
+                     values: np.ndarray) -> None:
+        """Step the groups of block that groups names (a slice, or an array of
+        group ids) with grad, their gradients: step_group on a state and a
+        block of those groups alone, whose checks see only their values.
+        Then the state arrays the schedule advances are written back in
+        place and the new parameters into values, a block-sized vector; st.t
+        is the caller's to advance. If step_group raises, the state is
+        poisoned and nothing is written."""
+        names = ("z", "prev_scaled_root", *_MOMENTS[self.schedule.kind])
         shape = (block.num_groups, block.group_size)
-        full = [a.reshape(shape) for a in (st.z, st.v_hat, st.prev_scaled_root, block.values)]
-        # take copies rows as a[rows] would, at a third of its cost
-        z, v_hat, prev, values = (a.take(rows, axis=0).ravel() for a in full)
-        sub = _shallow_copy(st, dim=z.size, z=z, v_hat=v_hat, prev_scaled_root=prev)
-        sub_block = _shallow_copy(block, values=values)
+        full = [a.reshape(shape) for a in [getattr(st, n) for n in names] + [block.values]]
+        if isinstance(groups, slice):
+            parts = [a[groups].ravel() for a in full]  # views
+        else:
+            # take copies rows as a[rows] would, at a third of its cost
+            parts = [a.take(groups, axis=0).ravel() for a in full]
+        sub = _shallow_copy(st, dim=parts[0].size, **dict(zip(names, parts)))
+        sub_block = _shallow_copy(block, values=parts[-1])
         try:
             step_group(sub, sub_block, grad, self.schedule, self.lr, self.reg)
         finally:
             st.poisoned = sub.poisoned
-        for a, new in zip(full, (sub.z, sub.v_hat, sub.prev_scaled_root, sub_block.values)):
-            a[rows] = new.reshape(-1, block.group_size)
-        st.t += 1
+        full[-1] = values.reshape(shape)
+        for a, new in zip(full, [getattr(sub, n) for n in names] + [sub_block.values]):
+            a[groups] = new.reshape(-1, block.group_size)
 
 
 def name_reg(name: str, reg: RegConfig) -> RegConfig:

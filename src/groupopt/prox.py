@@ -178,13 +178,14 @@ class ProxProblem:
         self.cum_diag = np.asarray(self.cum_diag, dtype=np.float64)
         if self.z.shape != self.cum_diag.shape:
             raise ValueError("z and cum_diag must have equal length")
-        if self.group_size <= 0 or self.z.size % self.group_size != 0:
-            raise ValueError("invalid group_size")
-        if self.lambda1 < 0 or self.lambda21 < 0 or self.lambda2 < 0:
-            raise ValueError("penalties must be >= 0")
+        if (not is_integer(self.group_size) or self.group_size <= 0
+                or self.z.size % self.group_size != 0):
+            raise ValueError(f"invalid group_size {self.group_size!r}")
+        if not (self.lambda1 >= 0 and self.lambda21 >= 0 and self.lambda2 >= 0):
+            raise ValueError("penalties must be >= 0")  # NaN included
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if np.any(self.cum_diag < 0):
+        if not np.all(self.cum_diag >= 0):  # NaN fails too
             raise ValueError("cum_diag must be elementwise >= 0")
         if np.any(self.cum_diag + 2.0 * self.lambda2 <= 0):
             raise ValueError("nonpositive effective diagonal")

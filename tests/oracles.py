@@ -15,6 +15,10 @@ Both step an optimizers.OptimizerState in place and run its input checks.
 generate is data.generate as it was before it built its ids in place and
 drew the labels row chunk by row chunk: data.generate must give its bits.
 
+scatter_rows gives a row-compact gradient, such as model.backward's
+embedding gradient, its dense table-shaped form, for the tests that compare
+it with a dense reference.
+
 per_step_regret is regret.run_regret's loop as it was before the loop kept
 a chunk of gradients and roots and folded grad_bound and kappa once per
 chunk: it updates both after every step. run_regret must give its bits.
@@ -211,3 +215,12 @@ def generate(spec: SynthSpec) -> Dataset:
         test_labels=labels[n_train:],
         support=frozenset(int(i) for i in support),
     )
+
+
+def scatter_rows(block: ParamBlock, values, rows) -> np.ndarray:
+    """A flat zero vector of block's size whose groups rows (distinct ids in
+    [0, num_groups)) hold values, len(rows) * group_size values in the
+    order of rows."""
+    out = np.zeros((block.num_groups, block.group_size))
+    out[rows] = np.reshape(values, (-1, block.group_size))
+    return out.ravel()

@@ -38,7 +38,7 @@ from groupopt.training import (
     sweep,
     train_model,
 )
-from oracles import ftrl_step, vanilla_step
+from oracles import ftrl_step, scatter_rows, vanilla_step
 
 pytestmark = pytest.mark.acceptance
 
@@ -389,7 +389,7 @@ def test_10_backward_matches_central_differences(capsys):
         labels = (rng.random(batch) < 0.5).astype(np.float64)
         cache = forward(blocks, ids, config)
         grads = backward(cache, labels, blocks)
-        grads[EMBEDDING] = blocks[EMBEDDING].scatter_rows(grads[EMBEDDING], cache.rows)
+        grads[EMBEDDING] = scatter_rows(blocks[EMBEDDING], grads[EMBEDDING], cache.rows)
         h = 1e-5
         for name, block in blocks.items():
             values = block.values

@@ -1,3 +1,5 @@
+import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -404,9 +406,13 @@ def row_form(grad, rows, group_size):
     return grad.reshape(-1, group_size)[rows].ravel(), rows
 
 
+STATE_ARRAYS = ("z", "m_hat", "v_hat", "prev_scaled_root")
+
+
 def state_bits(opt, block):
     state = opt.states[block.name]
-    return [a.tobytes() for a in (block.values, state.z, state.v_hat, state.prev_scaled_root)]
+    arrays = (block.values, *(getattr(state, array) for array in STATE_ARRAYS))
+    return [a.tobytes() for a in arrays] + [state.t]
 
 
 penalty = st.one_of(st.just(0.0), st.floats(1e-4, 1.0))
@@ -457,19 +463,23 @@ class TestRowPath:
             assert opts[0].states["e"].t == opts[1].states["e"].t
 
     def test_adagrad_steps_only_the_listed_rows(self, monkeypatch):
-        # the update sees the whole block on step 1 and the listed row after
+        # the update sees the whole block on step 1 and the listed row after;
+        # a block of more than STEP_ROWS groups it sees that many at a time
         seen = []
         update = optimizers.step_group
         monkeypatch.setattr(optimizers, "step_group",
                             lambda state, *args: (seen.append(state.dim), update(state, *args)))
-        for name in ADAGRAD_FAMILY:
+        for name, (step_rows, sizes) in itertools.product(
+                ADAGRAD_FAMILY, [(3, [6, 2]), (2, [4, 2, 2])]):
+            monkeypatch.setattr(optimizers, "STEP_ROWS", step_rows)
             opt = make_optimizer(name, 0.1)
             seen.clear()
             block = ParamBlock("e", np.zeros(6), group_size=2)
             opt.step(block, np.ones(2), rows=np.array([0]))
             before = block.values.copy()
             opt.step(block, np.ones(2), rows=np.array([2]))
-            assert seen == [6, 2], name
+            assert seen == sizes, name
+            assert max(seen) <= step_rows * block.group_size, name
             assert np.array_equal(block.values[:4], before[:4]), name
             assert not np.array_equal(block.values[4:], before[4:]), name
 
@@ -482,7 +492,7 @@ class TestRowPath:
         for grad, rows in sparse_row_stream(5, 5, 4, 10):
             opts[0].step(blocks[0], *row_form(grad, rows, 4))
             opts[1].step(blocks[1], grad)
-        assert blocks[0].values.tobytes() == blocks[1].values.tobytes()
+        assert state_bits(opts[0], blocks[0]) == state_bits(opts[1], blocks[1])
 
     # out of range, not integer, repeated, unsorted
     @pytest.mark.parametrize("rows", [[-3], [3], [1, 3], [1.0], np.array([0.5]),
@@ -527,7 +537,9 @@ class TestRowPath:
         opt.step(block, np.ones(6))
         before = state_bits(opt, block)
         opt.step(block, np.zeros(0), rows=rows)
-        assert state_bits(opt, block) == before
+        # nothing moves, but it counts as a step, as a dense zero gradient does
+        assert state_bits(opt, block)[:-1] == before[:-1]
+        assert opt.states["e"].t == 2
 
     def test_nan_in_a_listed_row_poisons(self):
         for name in ROW_CHECKED:
@@ -539,6 +551,122 @@ class TestRowPath:
             assert opt.states["e"].poisoned, name
             with pytest.raises(PoisonedStateError):
                 opt.step(block, np.zeros(2), rows=np.array([0]))
+
+
+def step_in_chunks_of(step_rows, opt, block, grad, rows):
+    """opt.step with STEP_ROWS set to step_rows; True if it raised
+    PoisonedStateError. Overflow and 0/0 are meant: their warnings are off."""
+    with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
+        patch.setattr(optimizers, "STEP_ROWS", step_rows)
+        try:
+            opt.step(block, grad, rows=rows)
+        except PoisonedStateError:
+            return True
+    return False
+
+
+class TestChunkedStep:
+    """A dense step of a grouped block of more than STEP_ROWS groups, here 3,
+    goes STEP_ROWS groups at a time and must give the bits of one step_group
+    call on the whole block, which takes a block of at most 10 groups whole
+    when STEP_ROWS is 10."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(name=st.sampled_from(OPTIMIZER_NAMES),
+           seed=st.integers(0, 2**31 - 1), num_groups=st.integers(1, 10),
+           group_size=st.integers(1, 4), steps=st.integers(1, 6),
+           with_rows=st.booleans(), scale=st.sampled_from([1.0, 1.0, 1e-170, 1e160]),
+           epsilon=st.sampled_from([0.0, 1e-8]),
+           variant=st.sampled_from(["practical", "exact"]),
+           lambda1=penalty, lambda21=penalty, lambda2=penalty)
+    def test_chunks_match_the_whole_block_bit_for_bit(self, name, seed, num_groups,
+                                                      group_size, steps, with_rows, scale,
+                                                      epsilon, variant,
+                                                      lambda1, lambda21, lambda2):
+        # gradients of 1e-170 square to 0 (a prox failure at epsilon 0), and
+        # of 1e160 to inf (a dual failure): both paths must poison alike
+        reg = RegConfig(lambda1=lambda1, lambda21=lambda21, lambda2=lambda2,
+                        variant=variant)
+        x0 = make_rng(seed + 1).uniform(-0.5, 0.5, num_groups * group_size)
+        opts = [make_optimizer(name, 0.3, reg, {"epsilon": epsilon}) for _ in range(2)]
+        blocks = [ParamBlock("e", x0.copy(), group_size=group_size) for _ in range(2)]
+        for grad, rows in sparse_row_stream(seed, num_groups, group_size, steps):
+            grad, rows = row_form(scale * grad, rows, group_size) if with_rows else (
+                scale * grad, None)
+            raised = [step_in_chunks_of(step_rows, opt, block, grad, rows)
+                      for step_rows, opt, block in zip((3, 10), opts, blocks)]
+            assert raised[0] == raised[1]
+            if raised[0]:
+                assert opts[0].states["e"].poisoned and opts[1].states["e"].poisoned
+                assert blocks[0].values.tobytes() == blocks[1].values.tobytes()
+                break
+            assert state_bits(opts[0], blocks[0]) == state_bits(opts[1], blocks[1])
+
+    @pytest.mark.parametrize("with_rows", [True, False], ids=["rows", "dense"])
+    @pytest.mark.parametrize("failure", ["gradient", "prox", "dual"])
+    def test_failure_in_a_later_chunk_keeps_the_values(self, monkeypatch, failure,
+                                                       with_rows):
+        # 9 groups of 2 in chunks of 3; group 7, in the last chunk, fails. A
+        # NaN gradient is found before the first chunk; at epsilon 0 a
+        # gradient of 1e-170 squares to 0, dual mass on a zero root; under
+        # sgd a second gradient of 1e308 overflows the dual
+        monkeypatch.setattr(optimizers, "STEP_ROWS", 3)
+        calls = []
+        update = optimizers.step_group
+        monkeypatch.setattr(optimizers, "step_group",
+                            lambda state, *args: (calls.append(state.dim), update(state, *args)))
+        opt = make_optimizer("group-sgd" if failure == "dual" else "group-adagrad", 0.1,
+                             schedule_args={"epsilon": 0.0})
+        planted, message, stepped = {
+            "gradient": (np.nan, "non-finite gradient", []),
+            "prox": (1e-170, "nonpositive effective diagonal: no finite parameters", [6] * 3),
+            "dual": (1e308, "non-finite dual", [6] * 3)}[failure]
+        block = ParamBlock("e", np.full(18, 0.5), group_size=2)
+        grad = np.zeros(18)
+        grad[:2] = 1.0
+        grad[14] = planted
+        step = (grad[np.r_[0:2, 14:16]], np.array([0, 7])) if with_rows else (grad, None)
+        if failure == "dual":
+            opt.step(block, *step)
+        calls.clear()
+        before = block.values.copy()
+        with np.errstate(over="ignore"), \
+                pytest.raises(PoisonedStateError, match=f"{message}.*block 'e'"):
+            opt.step(block, *step)
+        assert calls == stepped
+        assert block.values.tobytes() == before.tobytes()
+        state = opt.states["e"]
+        assert state.poisoned
+        if failure == "gradient":  # no state changed but the flag
+            assert state.t == 0
+            for array in STATE_ARRAYS:
+                assert not getattr(state, array).any(), array
+        with pytest.raises(PoisonedStateError, match="poisoned"):
+            opt.step(block, np.zeros(18))
+
+    @pytest.mark.parametrize("name", ["group-adagrad", "group-adam"])
+    def test_dense_step_of_a_large_table_peaks_below_two_tables(self, name):
+        # a 10,000 x 8 table and ~600 rows, as on the 10k-row benchmark
+        # workload, where the first adagrad step and every adam step are
+        # dense. Whole, such a step held a dozen table-sized temporaries
+        # (7.4 and 8.7 MB); in chunks only the new values are table-sized
+        rng = make_rng(0)
+        rows = np.unique(rng.integers(0, 10_000, 620))
+        grad = rng.normal(size=rows.size * 8)
+        reg = RegConfig(lambda21=0.05, variant="exact")
+        make_optimizer(name, 0.01, reg).step(ParamBlock("w", np.ones(16), group_size=8),
+                                             np.ones(16))  # lazy imports allocate too
+        opt = make_optimizer(name, 0.01, reg)
+        block = ParamBlock(EMBEDDING, rng.normal(scale=0.01, size=80_000), group_size=8)
+        opt.states[EMBEDDING] = OptimizerState(block.values.size)
+        tracemalloc.start()
+        try:
+            opt.step(block, grad, rows=rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert opt.states[EMBEDDING].t == 1
+        assert peak <= 2 * block.values.nbytes + 2**20
 
 
 def model_blocks(seed, num_features=12, embed_dim=3, num_fields=2, hidden_dims=(5, 4)):
@@ -586,7 +714,6 @@ def zero_grads(blocks):
     return {key: np.zeros(block.values.size) for key, block in blocks.items()}
 
 
-STATE_ARRAYS = ("z", "m_hat", "v_hat", "prev_scaled_root")
 APPLY_TO = [None, frozenset({EMBEDDING})]
 
 

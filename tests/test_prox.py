@@ -104,6 +104,35 @@ class TestProxSolve:
         assert_allclose(prox_solve(p), oracle.x_star, atol=1e-7)
 
 
+class TestProxProblemValidation:
+    @pytest.mark.parametrize("group_size", [0, -2, 3, 2.0, 1.5, True, None, "2"])
+    def test_group_size_must_be_a_positive_integer_dividing_the_length(self, group_size):
+        # 2.0 and True used to pass, and prox_oracle then failed with a TypeError
+        with pytest.raises(ValueError, match="group_size"):
+            ProxProblem(z=np.ones(4), cum_diag=np.ones(4), group_size=group_size)
+
+    @pytest.mark.parametrize("value", [-0.1, float("nan")])
+    @pytest.mark.parametrize("penalty", ["lambda1", "lambda21", "lambda2"])
+    def test_penalties_must_be_nonnegative(self, penalty, value):
+        # NaN passes a check written as x < 0, and prox_solve then reported
+        # a nonpositive effective diagonal
+        with pytest.raises(ValueError, match="penalties"):
+            ProxProblem(z=np.ones(4), cum_diag=np.ones(4), group_size=2, **{penalty: value})
+
+    @pytest.mark.parametrize("diag", [-1.0, float("nan")])
+    def test_diagonal_must_be_nonnegative(self, diag):
+        # a NaN diagonal used to pass, and prox_solve then reported a
+        # nonpositive effective diagonal
+        with pytest.raises(ValueError, match="cum_diag"):
+            ProxProblem(z=np.ones(2), cum_diag=np.array([diag, 1.0]), group_size=1)
+
+    def test_numpy_integer_group_size_accepted(self):
+        p = ProxProblem(z=np.array([-2.0, 4.0]), cum_diag=np.array([2.0, 4.0]),
+                        group_size=np.int64(2), variant="exact")
+        assert prox_oracle(p).certified
+        assert_allclose(prox_solve(p), [1.0, -1.0])
+
+
 class TestProxOracle:
     def test_unpenalized_quadratic_minimum(self):
         rng = make_rng(1)

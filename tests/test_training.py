@@ -22,6 +22,7 @@ from groupopt.training import (
     sweep,
     train_model,
 )
+from oracles import scatter_rows
 
 
 def tiny_config(**overrides):
@@ -164,7 +165,7 @@ class TestTrainModel:
         dense_step = GroupOptimizer.step
         # the rows' gradients scattered into the table: the dense step
         monkeypatch.setattr(GroupOptimizer, "step", lambda self, block, grad, rows=None: dense_step(
-            self, block, grad if rows is None else block.scatter_rows(grad, rows)))
+            self, block, grad if rows is None else scatter_rows(block, grad, rows)))
         dense = train_model(config)
         assert lazy.blocks.keys() == dense.blocks.keys()
         for name in lazy.blocks:
