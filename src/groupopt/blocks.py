@@ -72,8 +72,8 @@ class ParamBlock:
         if not np.logical_and.reduce(np.isfinite(self.values), axis=None):
             raise ValueError(f"block {self.name!r}: values must be finite")
         if self.group_size is not None:
-            if self.group_size <= 0:
-                raise ValueError(f"block {self.name!r}: group_size must be positive")
+            if not is_integer(self.group_size) or self.group_size <= 0:
+                raise ValueError(f"block {self.name!r}: group_size must be a positive integer")
             if self.values.size % self.group_size != 0:
                 raise ValueError(
                     f"block {self.name!r}: size {self.values.size} is not a "

@@ -165,6 +165,8 @@ def _write_artifacts(output_dir, payload: dict, json_name: str,
 
 def cmd_train(args) -> int:
     config = build_config(args)
+    if args.save_checkpoint and config.output_dir is None:
+        raise ConfigError("save-checkpoint: needs --output-dir or output_dir in the config")
     reports, summary = run_repeated(config)
     payload = {
         "schema_version": reports[0].schema_version,
@@ -175,7 +177,7 @@ def cmd_train(args) -> int:
     rows = ([row[c] for c in METRIC_COLUMNS] for r in reports for row in r.epochs)
     outdir = _write_artifacts(config.output_dir, payload, "report.json",
                               "metrics.csv", METRIC_COLUMNS, rows)
-    if outdir is not None and args.save_checkpoint:
+    if args.save_checkpoint:
         save_checkpoint(outdir / "checkpoint.json", config.model, reports[0].blocks)
     final = reports[0].final
     print(f"train: auc={final['auc']:.4f} logloss={final['logloss']:.4f} "

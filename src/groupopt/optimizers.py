@@ -29,6 +29,9 @@ where mhat/vhat are the usual exponential moving averages, eps folds into
 the first adagrad accumulation, and eps_t = eps/sqrt(1-b2^t) is recomputed
 from the original eps each step. The amsgrad running max and its bias
 correction reuse the adam lines with the max-accumulated second moment.
+
+step_group advances the state in place, elementwise around a group-wise
+prox, so GroupOptimizer.step steps any run of groups on views of the state.
 """
 
 from __future__ import annotations
@@ -150,38 +153,43 @@ def _check_step(state: OptimizerState, block: ParamBlock, grad, lr: float,
 
 
 def _advance_moments(state, grad, schedule, lr):
-    """Advance accumulators and return (m_t, R_t) for step t = state.t + 1."""
+    """Advance the accumulators in place and return (m_t, R_t) for step
+    t = state.t + 1: grad or new arrays."""
     t = state.t + 1
     kind = schedule.kind
     if kind == "sgd":
-        m = grad
-        scaled_root = np.full(grad.shape, math.sqrt(t) / lr)
-    elif kind == "momentum":
-        state.m_hat = schedule.gamma * state.m_hat + grad
-        m = state.m_hat
-        scaled_root = np.full(grad.shape, 1.0 / lr)
-    elif kind == "adagrad":
+        return grad, np.full(grad.shape, math.sqrt(t) / lr)
+    if kind == "momentum":
+        state.m_hat *= schedule.gamma
+        state.m_hat += grad
+        return state.m_hat.copy(), np.full(grad.shape, 1.0 / lr)
+    if kind == "adagrad":
         inc = grad * grad
         if t == 1:
             inc += schedule.epsilon
-        state.v_hat = state.v_hat + inc
-        m = grad
+        state.v_hat += inc
         scaled_root = np.sqrt(state.v_hat)
         scaled_root /= lr
-    else:  # adam, amsgrad
-        b1, b2 = schedule.beta1, schedule.beta2
-        state.m_hat = b1 * state.m_hat + (1.0 - b1) * grad
-        raw = b2 * state.v_hat + (1.0 - b2) * grad * grad
-        if kind == "amsgrad":
-            raw = np.maximum(state.v_hat, raw)
-        state.v_hat = raw
-        bc1 = 1.0 - b1**t
-        bc2 = 1.0 - b2**t
-        m = state.m_hat / bc1
-        v = state.v_hat / bc2
-        eps_t = schedule.epsilon / np.sqrt(bc2)
-        scaled_root = (np.sqrt(v) + eps_t) / lr
-    return m, scaled_root
+        return grad, scaled_root
+    # adam, amsgrad: b1*m + (1-b1)*g and b2*v + (1-b2)*g*g, left to right
+    b1, b2 = schedule.beta1, schedule.beta2
+    m_hat, v_hat = state.m_hat, state.v_hat
+    m_hat *= b1
+    m_hat += (1.0 - b1) * grad
+    sq = (1.0 - b2) * grad
+    sq *= grad
+    if kind == "amsgrad":
+        sq += b2 * v_hat
+        np.maximum(v_hat, sq, out=v_hat)
+    else:
+        v_hat *= b2
+        v_hat += sq
+    bc2 = 1.0 - b2**t
+    scaled_root = v_hat / bc2
+    np.sqrt(scaled_root, out=scaled_root)
+    scaled_root += schedule.epsilon / np.sqrt(bc2)
+    scaled_root /= lr
+    return m_hat / (1.0 - b1**t), scaled_root
 
 
 # the moment accumulators each schedule advances; a step advances z and
@@ -204,8 +212,11 @@ def step_group(
     lr: float,
     reg: RegConfig = NO_REG,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One regularized dual-averaging step; mutates state and block in place
-    and returns the step's (m_t, R_t).
+    """One regularized dual-averaging step; returns the step's (m_t, R_t),
+    grad itself or new arrays that no later step writes to.
+
+    The state's arrays (z, prev_scaled_root and the schedule's _MOMENTS)
+    are advanced in place, and block.values is replaced by a new array.
 
     Blocks the reg config does not target take the lambda = 0 path, which is
     the plain adaptive update. Targeted ungrouped blocks are penalized too,
@@ -219,19 +230,19 @@ def step_group(
     group_size = block.group_size if block.grouped else 1
 
     m, scaled_root = _advance_moments(state, grad, schedule, lr)
-    # z + m - (R_t - R_{t-1}) * x in its left-to-right order, on fresh arrays
+    # z + m - (R_t - R_{t-1}) * x in its left-to-right order
     drift = scaled_root - state.prev_scaled_root
     drift *= block.values
-    z = state.z + m
+    z = state.z
+    z += m
     z -= drift
-    state.z = z
     if not np.logical_and.reduce(np.isfinite(z), axis=None):
         state.poisoned = True
         raise PoisonedStateError(f"non-finite dual for block {block.name!r}")
-    state.prev_scaled_root = scaled_root
+    state.prev_scaled_root[...] = scaled_root
     state.t += 1
 
-    s = soft_threshold(state.z, lam1)
+    s = soft_threshold(z, lam1)
     try:
         block.values = group_shrink(s, scaled_root, group_size, lam21, lam2, variant)
     except NonpositiveDiagonalError as exc:
@@ -256,20 +267,14 @@ def _check_rows(block: ParamBlock, grad, rows) -> np.ndarray:
     return rows.astype(np.intp, copy=False)
 
 
-def _groups_grad(block: ParamBlock, grad, rows, lo: int, hi: int, out=None) -> np.ndarray:
-    """The flat dense gradient of groups [lo, hi) of block: a slice of the
-    dense grad or, given rows (checked by _check_rows), their gradients grad
-    scattered into zeros, in the first hi - lo rows of out (fresh if None)."""
-    d = block.group_size
-    if rows is None:
-        return grad[lo * d:hi * d]
-    if out is None:
-        out = np.zeros((hi - lo, d))
-    else:
-        out = out[:hi - lo]
-        out.fill(0.0)
+def _groups_grad(grad, rows, lo: int, hi: int, out) -> np.ndarray:
+    """The flat dense gradient of groups [lo, hi), given rows (checked by
+    _check_rows) and grad, their gradients: those scattered into zeros in
+    the first hi - lo rows of out, a (rows, group_size) array."""
+    out = out[:hi - lo]
+    out.fill(0.0)
     a, b = rows.searchsorted((lo, hi))
-    out[rows[a:b] - lo] = np.reshape(grad, (-1, d))[a:b]
+    out[rows[a:b] - lo] = np.reshape(grad, (-1, out.shape[1]))[a:b]
     return out.ravel()
 
 
@@ -298,76 +303,67 @@ class GroupOptimizer:
         and that every other group's gradient is zero: rows are strictly
         increasing integer ids of groups of a grouped block, and grad holds
         len(rows) * group_size values in their order, as model.backward
-        returns the embedding gradient. This is checked before any state
-        changes. On the adagrad schedule (group-adagrad, adagrad, ftrl) the
-        driver then steps only those groups from its second step on: there
-        a group with zero gradient is a fixed point, as its accumulator
-        gains 0, so its root, dual and parameters stay put. Skipping such
-        groups is the lazy update of McMahan et al. (KDD 2013) and gives the
-        same bits as the dense step.
+        returns the embedding gradient. This is checked, and grad is checked
+        finite, before any state changes. On the adagrad schedule
+        (group-adagrad, adagrad, ftrl) the driver then steps only those
+        groups from its second step on, gathered and scattered back: there a
+        group with zero gradient is a fixed point, as its accumulator gains
+        0, so its root, dual and parameters stay put. Skipping such groups
+        is the lazy update of McMahan et al. (KDD 2013) and gives the same
+        bits as the dense step.
 
-        The first step and all steps of the other schedules are dense. A
-        grouped block of more than STEP_ROWS groups takes a dense step
-        STEP_ROWS groups at a time, each chunk's dense gradient sliced from
-        grad or made from the rows' gradients, so that no temporary is
+        The first step and all steps of the other schedules are dense: a
+        step_group call per chunk of STEP_ROWS groups (one chunk if the block
+        is ungrouped), on views of the chunk's state. No temporary is
         table-sized but the new values, which replace the block's after the
-        last chunk. The step acts group by group, so the chunks give the
-        bits of one step_group call on the whole block, which is how an
-        ungrouped block and a grouped one of at most STEP_ROWS groups step.
-        grad is checked finite before the first chunk.
-
-        The lazy groups and the chunks step through _step_groups. If a step
-        raises, the state is poisoned and the block keeps its values.
+        last chunk; the step acts group by group, so they are the bits of a
+        whole-block step. If a step raises, the state is poisoned and the
+        block keeps its values.
         """
         if rows is not None:
             rows = _check_rows(block, grad, rows)
         st = self.states.get(block.name)
         if st is None:
             st = self.states[block.name] = OptimizerState(block.values.size)
-        if rows is not None and self.schedule.kind == "adagrad" and st.t:
-            self._step_groups(st, block, grad, rows, block.values)
-            st.t += 1
-        elif not block.grouped or block.num_groups <= STEP_ROWS:
-            if rows is not None:
-                grad = _groups_grad(block, grad, rows, 0, block.num_groups)
-            step_group(st, block, grad, self.schedule, self.lr, self.reg)
-        else:
-            grad = _check_step(st, block, grad, self.lr, rows)
-            values = np.empty_like(block.values)
-            buf = None if rows is None else np.empty((STEP_ROWS, block.group_size))
-            for lo in range(0, block.num_groups, STEP_ROWS):
-                hi = min(lo + STEP_ROWS, block.num_groups)
-                self._step_groups(st, block, _groups_grad(block, grad, rows, lo, hi, buf),
-                                  slice(lo, hi), values)
-            block.values = values
-            st.t += 1
-
-    def _step_groups(self, st: OptimizerState, block: ParamBlock, grad, groups,
-                     values: np.ndarray) -> None:
-        """Step the groups of block that groups names (a slice, or an array of
-        group ids) with grad, their gradients: step_group on a state and a
-        block of those groups alone, whose checks see only their values.
-        Then the state arrays the schedule advances are written back in
-        place and the new parameters into values, a block-sized vector; st.t
-        is the caller's to advance. If step_group raises, the state is
-        poisoned and nothing is written."""
+        grad = _check_step(st, block, grad, self.lr, rows)
         names = ("z", "prev_scaled_root", *_MOMENTS[self.schedule.kind])
-        shape = (block.num_groups, block.group_size)
-        full = [a.reshape(shape) for a in [getattr(st, n) for n in names] + [block.values]]
-        if isinstance(groups, slice):
-            parts = [a[groups].ravel() for a in full]  # views
-        else:
+        arrays = [getattr(st, name) for name in names] + [block.values]
+        if rows is not None and self.schedule.kind == "adagrad" and st.t:
+            full = [a.reshape(-1, block.group_size) for a in arrays]
             # take copies rows as a[rows] would, at a third of its cost
-            parts = [a.take(groups, axis=0).ravel() for a in full]
-        sub = _shallow_copy(st, dim=parts[0].size, **dict(zip(names, parts)))
+            parts = [a.take(rows, axis=0).ravel() for a in full]
+            parts[-1] = self._step_part(st, block, grad, names, parts)
+            for a, part in zip(full, parts):
+                a[rows] = part.reshape(-1, block.group_size)
+        else:
+            d, n = (block.group_size, block.num_groups) if block.grouped else (grad.size, 1)
+            buf = None if rows is None else np.empty((min(n, STEP_ROWS), d))
+            values = np.empty_like(block.values) if n > STEP_ROWS else None
+            for lo in range(0, max(n, 1), STEP_ROWS):  # an empty block is one chunk
+                hi = min(lo + STEP_ROWS, n)
+                part = slice(lo * d, hi * d)
+                chunk = grad[part] if rows is None else _groups_grad(grad, rows, lo, hi, buf)
+                new = self._step_part(st, block, chunk, names, [a[part] for a in arrays])
+                if values is None:
+                    values = new
+                else:
+                    values[part] = new
+            block.values = values
+        st.t += 1
+
+    def _step_part(self, st: OptimizerState, block: ParamBlock, grad, names,
+                   parts) -> np.ndarray:
+        """The new values of the coordinates of block whose gradient is grad,
+        stepped on parts: st's arrays named names, then block.values, at
+        those coordinates. st.t is the caller's to advance."""
+        sub = _shallow_copy(st, dim=grad.size)
+        sub.__dict__.update(zip(names, parts))  # cheaper than as keywords
         sub_block = _shallow_copy(block, values=parts[-1])
         try:
             step_group(sub, sub_block, grad, self.schedule, self.lr, self.reg)
         finally:
             st.poisoned = sub.poisoned
-        full[-1] = values.reshape(shape)
-        for a, new in zip(full, [getattr(sub, n) for n in names] + [sub_block.values]):
-            a[groups] = new.reshape(-1, block.group_size)
+        return sub_block.values
 
 
 def name_reg(name: str, reg: RegConfig) -> RegConfig:

@@ -19,6 +19,10 @@ scatter_rows gives a row-compact gradient, such as model.backward's
 embedding gradient, its dense table-shaped form, for the tests that compare
 it with a dense reference.
 
+fresh_step_group is optimizers.step_group as it was before it advanced
+the state in place: each step rebinds the state's arrays to fresh ones.
+step_group must give its bits, state and returned (m_t, R_t) included.
+
 per_step_regret is regret.run_regret's loop as it was before the loop kept
 a chunk of gradients and roots and folded grad_bound and kappa once per
 chunk: it updates both after every step. run_regret must give its bits.
@@ -32,7 +36,8 @@ from groupopt.blocks import ParamBlock, make_rng
 from groupopt.data import Dataset, SynthSpec
 from groupopt.model import sigmoid
 from groupopt.optimizers import (NO_REG, MomentSchedule, OptimizerState, PoisonedStateError,
-                                 RegConfig, _check_step, step_group)
+                                 RegConfig, _check_step, _penalties, step_group)
+from groupopt.prox import NonpositiveDiagonalError, group_shrink, soft_threshold
 from groupopt.regret import (OnlineProblem, _checkpoints, _logistic_prefix_min,
                              _make_stream, _quadratic_prefix_min)
 
@@ -111,6 +116,77 @@ def ftrl_step(
         )
     # coordinates never touched by any gradient stay at the dead-zone zero
     block.values = np.where(state.v_hat > 0.0, x, 0.0)
+
+
+def _fresh_moments(state, grad, schedule, lr):
+    """Advance accumulators and return (m_t, R_t) for step t = state.t + 1."""
+    t = state.t + 1
+    kind = schedule.kind
+    if kind == "sgd":
+        m = grad
+        scaled_root = np.full(grad.shape, math.sqrt(t) / lr)
+    elif kind == "momentum":
+        state.m_hat = schedule.gamma * state.m_hat + grad
+        m = state.m_hat
+        scaled_root = np.full(grad.shape, 1.0 / lr)
+    elif kind == "adagrad":
+        inc = grad * grad
+        if t == 1:
+            inc += schedule.epsilon
+        state.v_hat = state.v_hat + inc
+        m = grad
+        scaled_root = np.sqrt(state.v_hat)
+        scaled_root /= lr
+    else:  # adam, amsgrad
+        b1, b2 = schedule.beta1, schedule.beta2
+        state.m_hat = b1 * state.m_hat + (1.0 - b1) * grad
+        raw = b2 * state.v_hat + (1.0 - b2) * grad * grad
+        if kind == "amsgrad":
+            raw = np.maximum(state.v_hat, raw)
+        state.v_hat = raw
+        bc1 = 1.0 - b1**t
+        bc2 = 1.0 - b2**t
+        m = state.m_hat / bc1
+        v = state.v_hat / bc2
+        eps_t = schedule.epsilon / np.sqrt(bc2)
+        scaled_root = (np.sqrt(v) + eps_t) / lr
+    return m, scaled_root
+
+
+def fresh_step_group(
+    state: OptimizerState,
+    block: ParamBlock,
+    grad: np.ndarray,
+    schedule: MomentSchedule,
+    lr: float,
+    reg: RegConfig = NO_REG,
+) -> tuple[np.ndarray, np.ndarray]:
+    """step_group with every state array rebound to a fresh one each step."""
+    grad = _check_step(state, block, grad, lr)
+    lam1, lam21, lam2, variant = _penalties(reg, block.name)
+    group_size = block.group_size if block.grouped else 1
+
+    m, scaled_root = _fresh_moments(state, grad, schedule, lr)
+    # z + m - (R_t - R_{t-1}) * x in its left-to-right order, on fresh arrays
+    drift = scaled_root - state.prev_scaled_root
+    drift *= block.values
+    z = state.z + m
+    z -= drift
+    state.z = z
+    if not np.logical_and.reduce(np.isfinite(z), axis=None):
+        state.poisoned = True
+        raise PoisonedStateError(f"non-finite dual for block {block.name!r}")
+    state.prev_scaled_root = scaled_root
+    state.t += 1
+
+    s = soft_threshold(state.z, lam1)
+    try:
+        block.values = group_shrink(s, scaled_root, group_size, lam21, lam2, variant)
+    except NonpositiveDiagonalError as exc:
+        state.poisoned = True
+        raise PoisonedStateError(
+            f"{exc}: no finite parameters for block {block.name!r}") from exc
+    return m, scaled_root
 
 
 def per_step_regret(problem: OnlineProblem, kind: str = "adagrad", lr: float = 0.5,

@@ -44,6 +44,14 @@ class TestParamBlock:
         with pytest.raises(ValueError):
             ParamBlock("e", np.zeros(10), group_size=4)
 
+    @pytest.mark.parametrize("group_size", [2.0, True, "2", 0, -2])
+    def test_group_size_must_be_a_positive_integer(self, group_size):
+        with pytest.raises(ValueError, match="group_size must be a positive integer"):
+            ParamBlock("e", np.zeros(4), group_size=group_size)
+
+    def test_numpy_integer_group_size_accepted(self):
+        assert ParamBlock("e", np.zeros(4), group_size=np.int64(2)).num_groups == 2
+
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             ParamBlock("w", np.array([1.0, np.nan]))

@@ -188,6 +188,18 @@ class TestTrainCommand:
         assert model_config.embed_dim == 4
         assert "embedding" in blocks
 
+    def test_save_checkpoint_without_output_dir_exits_2_before_loading_data(
+            self, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("training entered")
+
+        for module in (cli, training):
+            monkeypatch.setattr(module, "load_dataset", never)
+            monkeypatch.setattr(module, "train_model", never)
+        code = main(["train", "--config", write_tiny_config(tmp_path), "--save-checkpoint"])
+        assert code == EXIT_CONFIG
+        assert "config error: save-checkpoint: needs --output-dir" in capsys.readouterr().err
+
     def test_bad_optimizer_exits_2(self, capsys):
         assert main(["train", "--optimizer", "adamw"]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err

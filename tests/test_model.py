@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -377,6 +378,17 @@ class TestCheckpoint:
         for name in blocks:
             assert np.array_equal(loaded[name].values, blocks[name].values)
             assert loaded[name].group_size == blocks[name].group_size
+
+    def test_float_group_size_refused(self, tmp_path):
+        # (size, 2.0) == (size, 2), so the layout check alone would take it
+        config = small_config(seed=9)
+        path = tmp_path / "model.json"
+        save_checkpoint(path, config, init_params(config))
+        doc = json.loads(path.read_text())
+        doc["blocks"][EMBEDDING]["group_size"] = float(config.embed_dim)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="group_size must be a positive integer"):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("layout", ["per-layer blocks", "short dense block"])
     def test_other_layout_refused(self, tmp_path, layout):

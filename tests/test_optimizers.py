@@ -21,7 +21,7 @@ from groupopt.optimizers import (
     make_optimizer,
     step_group,
 )
-from oracles import ftrl_step, vanilla_step
+from oracles import fresh_step_group, ftrl_step, vanilla_step
 
 KINDS = ("sgd", "momentum", "adagrad", "adam", "amsgrad")
 
@@ -667,6 +667,77 @@ class TestChunkedStep:
             tracemalloc.stop()
         assert opt.states[EMBEDDING].t == 1
         assert peak <= 2 * block.values.nbytes + 2**20
+
+
+def try_step(stepper, state, block, grad, schedule, reg):
+    """The bits of the (m_t, R_t) a step returns, or None if it raised
+    PoisonedStateError. Overflow and 0/0 are meant: their warnings are off."""
+    with np.errstate(all="ignore"):
+        try:
+            returned = stepper(state, block, grad, schedule, 0.3, reg)
+        except PoisonedStateError:
+            return None
+    return [a.tobytes() for a in returned]
+
+
+class TestInPlaceStep:
+    """step_group advances the state's arrays in place; it must give the
+    bits of the fresh-array step it replaced, oracles.fresh_step_group."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(KINDS), seed=st.integers(0, 2**31 - 1),
+           num_groups=st.integers(1, 6), group_size=st.integers(1, 4),
+           grouped=st.booleans(), steps=st.integers(1, 6),
+           scale=st.sampled_from([1.0, 1.0, 1e-170, 1e160]),
+           epsilon=st.sampled_from([0.0, 1e-8]),
+           variant=st.sampled_from(["practical", "exact"]),
+           lambda1=penalty, lambda21=penalty, lambda2=penalty)
+    def test_matches_the_fresh_array_step_bit_for_bit(self, kind, seed, num_groups,
+                                                      group_size, grouped, steps, scale,
+                                                      epsilon, variant,
+                                                      lambda1, lambda21, lambda2):
+        # gradients of 1e-170 square to 0 (a prox failure at epsilon 0), and
+        # of 1e160 to inf (a dual failure): both steps must poison alike
+        schedule = MomentSchedule(kind=kind, epsilon=epsilon)
+        reg = RegConfig(lambda1=lambda1, lambda21=lambda21, lambda2=lambda2,
+                        variant=variant)
+        rng = make_rng(seed)
+        size = num_groups * group_size
+        x0 = rng.uniform(-0.5, 0.5, size)
+        blocks = [ParamBlock("e", x0.copy(), group_size=group_size if grouped else None)
+                  for _ in range(2)]
+        states = [OptimizerState(size) for _ in range(2)]
+        for _ in range(steps):
+            # some groups without gradient, as most rows of a batch
+            live = np.repeat(rng.random(num_groups) < 0.7, group_size)
+            grad = scale * live * rng.normal(scale=10.0 ** rng.uniform(-2, 1), size=size)
+            returned = [try_step(stepper, state, block, grad, schedule, reg)
+                        for stepper, state, block in zip((step_group, fresh_step_group),
+                                                         states, blocks)]
+            assert returned[0] == returned[1]
+            assert ([blocks[0].values.tobytes(), states[0].t, states[0].poisoned]
+                    == [blocks[1].values.tobytes(), states[1].t, states[1].poisoned])
+            for array in STATE_ARRAYS:
+                assert (getattr(states[0], array).tobytes()
+                        == getattr(states[1], array).tobytes()), array
+            if returned[0] is None:
+                break
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_returned_arrays_stay_the_callers(self, kind):
+        # the regret lab keeps each step's R_t (and m_t) across later steps
+        rng = make_rng(4)
+        schedule = MomentSchedule(kind=kind)
+        state, block = OptimizerState(6), ParamBlock("w", rng.normal(size=6))
+        kept = []
+        for _ in range(4):
+            m, root = step_group(state, block, rng.normal(size=6), schedule, 0.1,
+                                 RegConfig(lambda21=0.01))
+            for array in (*(getattr(state, name) for name in STATE_ARRAYS), block.values):
+                assert not np.shares_memory(m, array) and not np.shares_memory(root, array)
+            kept.append((m, root, m.tobytes(), root.tobytes()))
+        for m, root, m_bits, root_bits in kept:
+            assert (m.tobytes(), root.tobytes()) == (m_bits, root_bits)
 
 
 def model_blocks(seed, num_features=12, embed_dim=3, num_fields=2, hidden_dims=(5, 4)):
