@@ -5,56 +5,15 @@ oracle, the family of regularized dual-averaging optimizers (the plain
 optimizers and FTRL-Proximal are its zero-penalty and l1-only members), a
 small embedding+MLP training harness on synthetic or libsvm data, a
 magnitude-pruning baseline, and an online regret measurement lab.
+
+A public name imports the submodule that defines it on first use (PEP 562),
+so `import groupopt` loads only groupopt.blocks, and a regret run never
+loads the training stack.
 """
 
-from .blocks import ParamBlock, group_l2_norms, make_rng, pin_malloc_thresholds
-from .data import Dataset, SynthSpec, generate, load_libsvm, write_libsvm
-from .metrics import auc, nonzero_groups, sparsity
-from .model import (
-    DENSE,
-    EMBEDDING,
-    ModelConfig,
-    backward,
-    forward,
-    init_params,
-    load_checkpoint,
-    logloss,
-    predict_proba,
-    save_checkpoint,
-)
-from .optimizers import (
-    GroupOptimizer,
-    MomentSchedule,
-    NO_REG,
-    OptimizerState,
-    PoisonedStateError,
-    RegConfig,
-    make_optimizer,
-    step_group,
-)
-from .prox import (
-    NonpositiveDiagonalError,
-    OracleResult,
-    ProxProblem,
-    group_shrink,
-    prox_objective,
-    prox_oracle,
-    prox_solve,
-    random_problem,
-    soft_threshold,
-)
-from .pruning import PruneSchedule, magnitude_prune
-from .regret import OnlineProblem, RegretRun, measure_bound_constants, run_regret
-from .training import (
-    ExperimentConfig,
-    RunReport,
-    config_from_dict,
-    prune_baseline,
-    prune_finetune_prune,
-    run_repeated,
-    sweep,
-    train_model,
-)
+from importlib import import_module
+
+from .blocks import pin_malloc_thresholds
 
 __version__ = "0.1.0"
 
@@ -62,19 +21,37 @@ __version__ = "0.1.0"
 # (blocks.MMAP_THRESHOLD)
 pin_malloc_thresholds()
 
-__all__ = [
-    "ParamBlock", "group_l2_norms", "make_rng",
-    "Dataset", "SynthSpec", "generate", "load_libsvm", "write_libsvm",
-    "auc", "nonzero_groups", "sparsity",
-    "DENSE", "EMBEDDING", "ModelConfig", "backward", "forward", "init_params",
-    "load_checkpoint", "logloss", "predict_proba", "save_checkpoint",
-    "GroupOptimizer", "MomentSchedule", "NO_REG", "OptimizerState",
-    "PoisonedStateError", "RegConfig", "make_optimizer", "step_group",
-    "NonpositiveDiagonalError", "OracleResult", "ProxProblem", "group_shrink",
-    "prox_objective", "prox_oracle", "prox_solve", "random_problem", "soft_threshold",
-    "PruneSchedule", "magnitude_prune",
-    "OnlineProblem", "RegretRun", "measure_bound_constants", "run_regret",
-    "ExperimentConfig", "RunReport", "config_from_dict", "prune_baseline",
-    "prune_finetune_prune", "run_repeated", "sweep", "train_model",
-    "__version__",
-]
+# each submodule and the public names it defines
+_EXPORTS = {
+    "blocks": ("ParamBlock", "group_l2_norms", "make_rng"),
+    "data": ("Dataset", "SynthSpec", "generate", "load_libsvm", "write_libsvm"),
+    "metrics": ("auc", "nonzero_groups", "sparsity"),
+    "model": ("DENSE", "EMBEDDING", "ModelConfig", "backward", "forward", "init_params",
+              "load_checkpoint", "logloss", "predict_proba", "save_checkpoint"),
+    "optimizers": ("GroupOptimizer", "MomentSchedule", "NO_REG", "OptimizerState",
+                   "PoisonedStateError", "RegConfig", "make_optimizer", "step_group"),
+    "prox": ("NonpositiveDiagonalError", "OracleResult", "ProxProblem", "group_shrink",
+             "prox_objective", "prox_oracle", "prox_solve", "random_problem",
+             "soft_threshold"),
+    "pruning": ("PruneSchedule", "magnitude_prune"),
+    "regret": ("OnlineProblem", "RegretRun", "measure_bound_constants", "run_regret"),
+    "training": ("ExperimentConfig", "RunReport", "config_from_dict", "prune_baseline",
+                 "prune_finetune_prune", "run_repeated", "sweep", "train_model"),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_OWNER, "__version__"]
+
+
+def __getattr__(name: str):
+    """Import the submodule that owns name, and keep name in the package."""
+    if name in _EXPORTS:  # the submodules, attributes as the import leaves them
+        return import_module(f"{__name__}.{name}")
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{_OWNER[name]}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS, *__all__})

@@ -136,9 +136,8 @@ class OptimizerState:
 
 def _check_step(state: OptimizerState, block: ParamBlock, grad, lr: float,
                 rows=None) -> np.ndarray:
-    """grad as float64 once the state, lr and grad pass; a non-finite grad
-    poisons the state. Given rows, grad holds those groups' gradients, a
-    shape _check_rows has checked."""
+    """grad as float64 once the state, lr and grad's shape pass. Given rows,
+    grad holds those groups' gradients, a shape _check_rows has checked."""
     grad = np.asarray(grad, dtype=np.float64)
     if state.poisoned:
         raise PoisonedStateError("optimizer state is poisoned")
@@ -146,10 +145,14 @@ def _check_step(state: OptimizerState, block: ParamBlock, grad, lr: float,
         raise ValueError("lr must be > 0")
     if rows is None and (grad.shape != block.values.shape or state.dim != grad.size):
         raise ValueError(f"gradient/block/state dimension mismatch for block {block.name!r}")
+    return grad
+
+
+def _check_finite(state: OptimizerState, block: ParamBlock, grad: np.ndarray) -> None:
+    """Poison state and raise unless grad is finite."""
     if not np.logical_and.reduce(np.isfinite(grad), axis=None):
         state.poisoned = True
         raise PoisonedStateError(f"non-finite gradient for block {block.name!r}")
-    return grad
 
 
 def _advance_moments(state, grad, schedule, lr):
@@ -226,6 +229,7 @@ def step_group(
     block; the block's values are then left as they were.
     """
     grad = _check_step(state, block, grad, lr)
+    _check_finite(state, block, grad)
     lam1, lam21, lam2, variant = _penalties(reg, block.name)
     group_size = block.group_size if block.grouped else 1
 
@@ -304,7 +308,8 @@ class GroupOptimizer:
         increasing integer ids of groups of a grouped block, and grad holds
         len(rows) * group_size values in their order, as model.backward
         returns the embedding gradient. This is checked, and grad is checked
-        finite, before any state changes. On the adagrad schedule
+        finite once (by step_group when the step is one call), before any
+        state changes. On the adagrad schedule
         (group-adagrad, adagrad, ftrl) the driver then steps only those
         groups from its second step on, gathered and scattered back: there a
         group with zero gradient is a fixed point, as its accumulator gains
@@ -337,6 +342,8 @@ class GroupOptimizer:
                 a[rows] = part.reshape(-1, block.group_size)
         else:
             d, n = (block.group_size, block.num_groups) if block.grouped else (grad.size, 1)
+            if n > STEP_ROWS:  # else step_group checks the one chunk, all of grad
+                _check_finite(st, block, grad)
             buf = None if rows is None else np.empty((min(n, STEP_ROWS), d))
             values = np.empty_like(block.values) if n > STEP_ROWS else None
             for lo in range(0, max(n, 1), STEP_ROWS):  # an empty block is one chunk

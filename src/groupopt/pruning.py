@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import ParamBlock, group_l2_norms
+from .blocks import ParamBlock, group_l2_norms, is_integer, require_integers
 
 
 @dataclass
@@ -15,6 +15,7 @@ class PruneSchedule:
     finetune_fraction: float = 0.0
 
     def __post_init__(self):
+        require_integers(self, ("target_keep",))
         if self.target_keep < 0:
             raise ValueError("target_keep must be >= 0")
         if not 0.0 <= self.finetune_fraction <= 1.0:
@@ -25,8 +26,8 @@ def magnitude_prune(block: ParamBlock, keep: int) -> ParamBlock:
     """Zero all but the `keep` largest-norm groups; ties keep the lower index."""
     if not block.grouped:
         raise ValueError(f"block {block.name!r} is not grouped")
-    if keep < 0:
-        raise ValueError("keep must be >= 0")
+    if not is_integer(keep) or keep < 0:
+        raise ValueError(f"keep must be an integer >= 0, got {keep!r}")
     norms = group_l2_norms(block)
     keep = min(keep, norms.size)
     # stable sort on negated norms: equal norms stay in index order

@@ -284,6 +284,10 @@ def prune_baseline(config: ExperimentConfig, target_keep: int,
                    base_report: RunReport | None = None) -> dict:
     """Train a vanilla model, then prune at each fine-tune fraction and keep
     the best test AUC. Returns a report dict with the per-fraction table."""
+    # built first, so that a bad target or fraction fails before any training
+    schedules = [PruneSchedule(target_keep, fraction) for fraction in fractions]
+    if not schedules:
+        raise ValueError("fractions: at least one fine-tune fraction is needed")
     if dataset is None:
         dataset = load_dataset(config)
     if base_report is None:
@@ -291,11 +295,10 @@ def prune_baseline(config: ExperimentConfig, target_keep: int,
     features_seen = base_report.features_seen
     table = []
     best = None
-    for fraction in fractions:
-        schedule = PruneSchedule(target_keep=target_keep, finetune_fraction=fraction)
+    for schedule in schedules:
         pruned = prune_finetune_prune(base_report.blocks, dataset, schedule, config)
         metrics = evaluate(pruned, dataset, config.model, features_seen)
-        row = {"finetune_fraction": fraction, **metrics}
+        row = {"finetune_fraction": schedule.finetune_fraction, **metrics}
         table.append(row)
         if best is None or row["auc"] > best["auc"]:
             best = row

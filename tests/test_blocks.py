@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
+import groupopt
 from groupopt.blocks import ParamBlock, group_l2_norms, make_rng, pin_malloc_thresholds
+
+SOURCE_DIR = os.path.dirname(os.path.dirname(groupopt.__file__))
 
 
 def naive_group_norms(values, group_size):
@@ -108,6 +111,8 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 
 def _probe_faults(imports: str) -> int:
     env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+    # the child imports the groupopt under test, installed or not
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SOURCE_DIR, env.get("PYTHONPATH"))))
     done = subprocess.run([sys.executable, "-c", FAULT_PROBE.format(imports=imports)],
                           capture_output=True, text=True, env=env, timeout=60, check=True)
     return int(done.stdout)

@@ -6,6 +6,9 @@ from groupopt.blocks import ParamBlock
 from groupopt.metrics import auc, nonzero_groups, sparsity
 from groupopt.pruning import PruneSchedule, magnitude_prune
 
+# a row count written as a float, or no count at all (NaN < 0 is False)
+NON_INTEGER_KEEPS = [2.5, 2.0, np.float64(1.0), float("nan")]
+
 
 def pairwise_auc(labels, scores):
     """Literal Mann-Whitney definition: scan every (pos, neg) pair."""
@@ -111,6 +114,16 @@ class TestMagnitudePrune:
         with pytest.raises(ValueError):
             magnitude_prune(ParamBlock("w", np.ones(4)), 2)
 
+    @pytest.mark.parametrize("keep", NON_INTEGER_KEEPS)
+    def test_keep_must_be_an_integer(self, keep):
+        block = ParamBlock("emb", np.ones(4), group_size=2)
+        with pytest.raises(ValueError, match="keep must be an integer"):
+            magnitude_prune(block, keep)
+
+    def test_numpy_integer_keep_accepted(self):
+        block = ParamBlock("emb", np.array([1.0, 3.0, 2.0]), group_size=1)
+        assert_allclose(magnitude_prune(block, np.int64(1)).values, [0.0, 3.0, 0.0])
+
 
 class TestSparsity:
     def test_fraction_of_seen(self):
@@ -156,3 +169,8 @@ class TestPruneSchedule:
             PruneSchedule(target_keep=-1)
         with pytest.raises(ValueError):
             PruneSchedule(target_keep=1, finetune_fraction=1.5)
+
+    @pytest.mark.parametrize("target_keep", NON_INTEGER_KEEPS)
+    def test_target_keep_must_be_an_integer(self, target_keep):
+        with pytest.raises(ValueError, match="target_keep: must be an integer"):
+            PruneSchedule(target_keep=target_keep)

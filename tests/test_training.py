@@ -326,6 +326,21 @@ class TestEvaluateMemory:
         assert peaks[50_000] - peaks[5_000] <= 8 * 8 * 45_000
 
 
+@pytest.mark.parametrize("target_keep, fractions, message", [
+    (2.5, (0.0,), "target_keep"), (float("nan"), (0.0, 0.1), "target_keep"),
+    (3, (0.0, 1.5), "finetune_fraction"), (3, (), "fractions")])
+def test_prune_baseline_refuses_bad_arguments_before_training(monkeypatch, target_keep,
+                                                               fractions, message):
+    def entered(*args, **kwargs):
+        raise AssertionError("trained or loaded data")
+
+    monkeypatch.setattr(training, "train_model", entered)
+    monkeypatch.setattr(training, "load_dataset", entered)
+    with pytest.raises(ValueError, match=message):
+        prune_baseline(tiny_config(optimizer="adagrad", reg=RegConfig()), target_keep,
+                       fractions=fractions)
+
+
 class TestPruneBaseline:
     def setup_method(self):
         self.config = tiny_config(optimizer="adagrad", reg=RegConfig())
