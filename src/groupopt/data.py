@@ -34,10 +34,10 @@ class SynthSpec:
         require_integers(self, ("num_fields", "vocab_per_field", "num_samples", "seed"))
         if not 0.0 < self.informative_fraction <= 1.0:
             raise ValueError("informative_fraction must be in (0, 1]")
-        if self.noise < 0:
-            raise ValueError("noise must be >= 0")
-        if self.skew < 0:
-            raise ValueError("skew must be >= 0")
+        if not 0.0 <= self.noise <= 1.0:  # NaN fails too
+            raise ValueError(f"noise must be in [0, 1], got {self.noise}")
+        if not self.skew >= 0:
+            raise ValueError(f"skew must be >= 0, got {self.skew}")
         if self.num_fields <= 0 or self.vocab_per_field <= 0 or self.num_samples <= 0:
             raise ValueError("num_fields, vocab_per_field, num_samples must be positive")
         if self.seed < 0:

@@ -30,13 +30,15 @@ the first adagrad accumulation, and eps_t = eps/sqrt(1-b2^t) is recomputed
 from the original eps each step. The amsgrad running max and its bias
 correction reuse the adam lines with the max-accumulated second moment.
 
-step_group advances the state in place, elementwise around a group-wise
-prox, so GroupOptimizer.step steps any run of groups on views of the state.
+A step is elementwise arithmetic on a state's arrays around a group-wise prox
+(_dual_step, _prox): step_group runs it on a state's own arrays, and
+GroupOptimizer.step on views of them chunk by chunk, or on gathered rows.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,12 +72,14 @@ class MomentSchedule:
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        for name in ("gamma", "beta1", "beta2"):
+        for name in ("gamma", "beta1", "beta2", "epsilon"):
             v = getattr(self, name)
-            if not 0.0 <= v < 1.0:
+            if not isinstance(v, numbers.Real) or isinstance(v, bool):
+                raise ValueError(f"{name} must be a real number, got {v!r}")
+            if name != "epsilon" and not 0.0 <= v < 1.0:
                 raise ValueError(f"{name} must be in [0, 1), got {v}")
-        if not self.epsilon >= 0:  # NaN fails too
-            raise ValueError("epsilon must be >= 0")
+        if not 0 <= self.epsilon < math.inf:  # NaN fails too
+            raise ValueError(f"epsilon must be >= 0 and finite, got {self.epsilon}")
 
 
 @dataclass
@@ -114,97 +118,122 @@ NO_REG = RegConfig()
 
 @dataclass
 class OptimizerState:
-    """Per-block state of the dual-averaging step: the dual z, the moment
-    accumulators m_hat and v_hat, R_{t-1} as prev_scaled_root, and the step
-    count t. poisoned is set for good once a step meets a non-finite value
-    or a prox failure."""
+    """Per-block state of the dual-averaging step: arrays holds the dual z,
+    R_{t-1} as prev_scaled_root and the moments _MOMENTS[kind], and nothing
+    else (both moments for kind None, a state any schedule may step); state.z
+    etc. read it. t counts the steps; poisoned is set for good once a step
+    meets a non-finite value or a prox failure."""
 
     dim: int
+    kind: str | None = None
     t: int = 0
     poisoned: bool = False
-    z: np.ndarray = field(init=False)
-    m_hat: np.ndarray = field(init=False)
-    v_hat: np.ndarray = field(init=False)
-    prev_scaled_root: np.ndarray = field(init=False)
+    arrays: dict[str, np.ndarray] = field(init=False)
+    # properties, not __getattr__, which would slow every attribute read
+    z = property(lambda self: self.arrays["z"])
+    prev_scaled_root = property(lambda self: self.arrays["prev_scaled_root"])
+    m_hat = property(lambda self: self.arrays["m_hat"])
+    v_hat = property(lambda self: self.arrays["v_hat"])
 
     def __post_init__(self):
-        self.z = np.zeros(self.dim)
-        self.m_hat = np.zeros(self.dim)
-        self.v_hat = np.zeros(self.dim)
-        self.prev_scaled_root = np.zeros(self.dim)
-
-
-def _check_step(state: OptimizerState, block: ParamBlock, grad, lr: float,
-                rows=None) -> np.ndarray:
-    """grad as float64 once the state, lr and grad's shape pass. Given rows,
-    grad holds those groups' gradients, a shape _check_rows has checked."""
-    grad = np.asarray(grad, dtype=np.float64)
-    if state.poisoned:
-        raise PoisonedStateError("optimizer state is poisoned")
-    if not lr > 0:  # NaN fails too
-        raise ValueError("lr must be > 0")
-    if rows is None and (grad.shape != block.values.shape or state.dim != grad.size):
-        raise ValueError(f"gradient/block/state dimension mismatch for block {block.name!r}")
-    return grad
-
-
-def _check_finite(state: OptimizerState, block: ParamBlock, grad: np.ndarray) -> None:
-    """Poison state and raise unless grad is finite."""
-    if not np.logical_and.reduce(np.isfinite(grad), axis=None):
-        state.poisoned = True
-        raise PoisonedStateError(f"non-finite gradient for block {block.name!r}")
-
-
-def _advance_moments(state, grad, schedule, lr):
-    """Advance the accumulators in place and return (m_t, R_t) for step
-    t = state.t + 1: grad or new arrays."""
-    t = state.t + 1
-    kind = schedule.kind
-    if kind == "sgd":
-        return grad, np.full(grad.shape, math.sqrt(t) / lr)
-    if kind == "momentum":
-        state.m_hat *= schedule.gamma
-        state.m_hat += grad
-        return state.m_hat.copy(), np.full(grad.shape, 1.0 / lr)
-    if kind == "adagrad":
-        inc = grad * grad
-        if t == 1:
-            inc += schedule.epsilon
-        state.v_hat += inc
-        scaled_root = np.sqrt(state.v_hat)
-        scaled_root /= lr
-        return grad, scaled_root
-    # adam, amsgrad: b1*m + (1-b1)*g and b2*v + (1-b2)*g*g, left to right
-    b1, b2 = schedule.beta1, schedule.beta2
-    m_hat, v_hat = state.m_hat, state.v_hat
-    m_hat *= b1
-    m_hat += (1.0 - b1) * grad
-    sq = (1.0 - b2) * grad
-    sq *= grad
-    if kind == "amsgrad":
-        sq += b2 * v_hat
-        np.maximum(v_hat, sq, out=v_hat)
-    else:
-        v_hat *= b2
-        v_hat += sq
-    bc2 = 1.0 - b2**t
-    scaled_root = v_hat / bc2
-    np.sqrt(scaled_root, out=scaled_root)
-    scaled_root += schedule.epsilon / np.sqrt(bc2)
-    scaled_root /= lr
-    return m_hat / (1.0 - b1**t), scaled_root
+        moments = ("m_hat", "v_hat") if self.kind is None else _MOMENTS.get(self.kind)
+        if moments is None:
+            raise ValueError(f"unknown schedule kind {self.kind!r}")
+        self.arrays = {name: np.zeros(self.dim) for name in ("z", "prev_scaled_root", *moments)}
 
 
 # the moment accumulators each schedule advances; a step advances z and
-# prev_scaled_root too, and leaves the others as they are
+# prev_scaled_root too
 _MOMENTS = {"sgd": (), "momentum": ("m_hat",), "adagrad": ("v_hat",),
             "adam": ("m_hat", "v_hat"), "amsgrad": ("m_hat", "v_hat")}
+
+
+def _check_step(state: OptimizerState, block: ParamBlock, grad, lr: float,
+                rows=None, kind: str | None = None) -> np.ndarray:
+    """grad as float64 once the state, lr, kind (if given) and grad pass; a
+    non-finite grad poisons the state. Given rows, grad holds those groups'
+    gradients, a shape _check_rows has checked."""
+    grad = np.asarray(grad, dtype=np.float64)
+    if state.poisoned:
+        raise PoisonedStateError("optimizer state is poisoned")
+    if not 0 < lr < math.inf:  # NaN fails too
+        raise ValueError(f"lr must be > 0 and finite, got {lr}")
+    if kind and state.kind and state.kind != kind:
+        raise ValueError(f"a {state.kind} state cannot take a {kind} step")
+    if rows is None and (grad.shape != block.values.shape or state.dim != grad.size):
+        raise ValueError(f"gradient/block/state dimension mismatch for block {block.name!r}")
+    if not np.logical_and.reduce(np.isfinite(grad), axis=None):
+        state.poisoned = True
+        raise PoisonedStateError(f"non-finite gradient for block {block.name!r}")
+    return grad
+
+
+def _dual_step(a, t, x, grad, schedule, lr, name):
+    """Step t of a, the state arrays of coordinates with values x and gradient
+    grad, in place: the moments and z, then R_t into prev_scaled_root once z
+    is finite; else PoisonedStateError names the block. Returns (m_t, R_t),
+    grad or new arrays."""
+    kind = schedule.kind
+    if kind == "sgd":
+        m, scaled_root = grad, np.full(grad.shape, math.sqrt(t) / lr)
+    elif kind == "momentum":
+        a["m_hat"] *= schedule.gamma
+        a["m_hat"] += grad
+        m, scaled_root = a["m_hat"].copy(), np.full(grad.shape, 1.0 / lr)
+    elif kind == "adagrad":
+        inc = grad * grad
+        if t == 1:
+            inc += schedule.epsilon
+        a["v_hat"] += inc
+        m, scaled_root = grad, np.sqrt(a["v_hat"])
+        scaled_root /= lr
+    else:  # adam, amsgrad: b1*m + (1-b1)*g and b2*v + (1-b2)*g*g, left to right
+        b1, b2 = schedule.beta1, schedule.beta2
+        m_hat, v_hat = a["m_hat"], a["v_hat"]
+        m_hat *= b1
+        m_hat += (1.0 - b1) * grad
+        sq = (1.0 - b2) * grad
+        sq *= grad
+        if kind == "amsgrad":
+            sq += b2 * v_hat
+            np.maximum(v_hat, sq, out=v_hat)
+        else:
+            v_hat *= b2
+            v_hat += sq
+        bc2 = 1.0 - b2**t
+        scaled_root = v_hat / bc2
+        np.sqrt(scaled_root, out=scaled_root)
+        scaled_root += schedule.epsilon / np.sqrt(bc2)
+        scaled_root /= lr
+        m = m_hat / (1.0 - b1**t)
+    # z + m - (R_t - R_{t-1}) * x in its left-to-right order
+    drift = scaled_root - a["prev_scaled_root"]
+    drift *= x
+    z = a["z"]
+    z += m
+    z -= drift
+    if not np.logical_and.reduce(np.isfinite(z), axis=None):
+        raise PoisonedStateError(f"non-finite dual for block {name!r}")
+    a["prev_scaled_root"][...] = scaled_root
+    return m, scaled_root
 
 
 def _penalties(reg: RegConfig, block_name: str) -> tuple[float, float, float, str]:
     if reg.applies_to(block_name):
         return reg.lambda1, reg.lambda21, reg.lambda2, reg.variant
     return 0.0, 0.0, 0.0, reg.variant
+
+
+def _prox(z, scaled_root, block: ParamBlock, reg: RegConfig) -> np.ndarray:
+    """The new values of the coordinates of block whose dual is z and root
+    R_t scaled_root; a prox failure raises PoisonedStateError naming it."""
+    lam1, lam21, lam2, variant = _penalties(reg, block.name)
+    s = soft_threshold(z, lam1)
+    try:
+        return group_shrink(s, scaled_root, block.group_size or 1, lam21, lam2, variant)
+    except NonpositiveDiagonalError as exc:
+        raise PoisonedStateError(
+            f"{exc}: no finite parameters for block {block.name!r}") from exc
 
 
 def step_group(
@@ -218,8 +247,9 @@ def step_group(
     """One regularized dual-averaging step; returns the step's (m_t, R_t),
     grad itself or new arrays that no later step writes to.
 
-    The state's arrays (z, prev_scaled_root and the schedule's _MOMENTS)
-    are advanced in place, and block.values is replaced by a new array.
+    The state's arrays are advanced in place, and block.values is replaced
+    by a new array. A state of another kind than the schedule's raises
+    ValueError.
 
     Blocks the reg config does not target take the lambda = 0 path, which is
     the plain adaptive update. Targeted ungrouped blocks are penalized too,
@@ -228,31 +258,15 @@ def step_group(
     parameters, poisons the state and raises PoisonedStateError naming the
     block; the block's values are then left as they were.
     """
-    grad = _check_step(state, block, grad, lr)
-    _check_finite(state, block, grad)
-    lam1, lam21, lam2, variant = _penalties(reg, block.name)
-    group_size = block.group_size if block.grouped else 1
-
-    m, scaled_root = _advance_moments(state, grad, schedule, lr)
-    # z + m - (R_t - R_{t-1}) * x in its left-to-right order
-    drift = scaled_root - state.prev_scaled_root
-    drift *= block.values
-    z = state.z
-    z += m
-    z -= drift
-    if not np.logical_and.reduce(np.isfinite(z), axis=None):
-        state.poisoned = True
-        raise PoisonedStateError(f"non-finite dual for block {block.name!r}")
-    state.prev_scaled_root[...] = scaled_root
-    state.t += 1
-
-    s = soft_threshold(z, lam1)
+    grad = _check_step(state, block, grad, lr, kind=schedule.kind)
     try:
-        block.values = group_shrink(s, scaled_root, group_size, lam21, lam2, variant)
-    except NonpositiveDiagonalError as exc:
+        m, scaled_root = _dual_step(state.arrays, state.t + 1, block.values, grad,
+                                    schedule, lr, block.name)
+        state.t += 1
+        block.values = _prox(state.arrays["z"], scaled_root, block, reg)
+    except PoisonedStateError:
         state.poisoned = True
-        raise PoisonedStateError(
-            f"{exc}: no finite parameters for block {block.name!r}") from exc
+        raise
     return m, scaled_root
 
 
@@ -282,17 +296,8 @@ def _groups_grad(grad, rows, lo: int, hi: int, out) -> np.ndarray:
     return out.ravel()
 
 
-def _shallow_copy(obj, **attrs):
-    """copy.copy(obj) with attrs replaced, at a quarter of its cost; like
-    copy.copy it skips __init__ and its checks."""
-    new = object.__new__(type(obj))
-    new.__dict__.update(obj.__dict__, **attrs)
-    return new
-
-
 class GroupOptimizer:
-    """Driver holding one OptimizerState per block name; every block steps
-    through step_group."""
+    """Driver holding one OptimizerState per block name; it steps each as step_group does."""
 
     def __init__(self, schedule: MomentSchedule, lr: float, reg: RegConfig = NO_REG):
         self.schedule = schedule
@@ -308,69 +313,58 @@ class GroupOptimizer:
         increasing integer ids of groups of a grouped block, and grad holds
         len(rows) * group_size values in their order, as model.backward
         returns the embedding gradient. This is checked, and grad is checked
-        finite once (by step_group when the step is one call), before any
-        state changes. On the adagrad schedule
-        (group-adagrad, adagrad, ftrl) the driver then steps only those
-        groups from its second step on, gathered and scattered back: there a
-        group with zero gradient is a fixed point, as its accumulator gains
-        0, so its root, dual and parameters stay put. Skipping such groups
-        is the lazy update of McMahan et al. (KDD 2013) and gives the same
-        bits as the dense step.
+        finite, before any state changes. On the adagrad schedule
+        (group-adagrad, adagrad, ftrl) the driver then steps copies of only
+        those groups from its second step on and scatters them back: a group
+        with zero gradient is a fixed point there, as its accumulator gains
+        0. This is the lazy update of McMahan et al. (KDD 2013), with the
+        bits of the dense step.
 
-        The first step and all steps of the other schedules are dense: a
-        step_group call per chunk of STEP_ROWS groups (one chunk if the block
-        is ungrouped), on views of the chunk's state. No temporary is
-        table-sized but the new values, which replace the block's after the
-        last chunk; the step acts group by group, so they are the bits of a
-        whole-block step. If a step raises, the state is poisoned and the
-        block keeps its values.
+        Other steps are dense: step_group's arithmetic on views of the
+        state's arrays, STEP_ROWS groups at a time (one chunk if the block is
+        ungrouped). Only the new values are table-sized; they replace the
+        block's after the last chunk, with the bits of one whole-block step.
+        If a step raises, the state is poisoned and the block keeps its values.
         """
         if rows is not None:
             rows = _check_rows(block, grad, rows)
         st = self.states.get(block.name)
         if st is None:
-            st = self.states[block.name] = OptimizerState(block.values.size)
-        grad = _check_step(st, block, grad, self.lr, rows)
-        names = ("z", "prev_scaled_root", *_MOMENTS[self.schedule.kind])
-        arrays = [getattr(st, name) for name in names] + [block.values]
-        if rows is not None and self.schedule.kind == "adagrad" and st.t:
-            full = [a.reshape(-1, block.group_size) for a in arrays]
-            # take copies rows as a[rows] would, at a third of its cost
-            parts = [a.take(rows, axis=0).ravel() for a in full]
-            parts[-1] = self._step_part(st, block, grad, names, parts)
-            for a, part in zip(full, parts):
-                a[rows] = part.reshape(-1, block.group_size)
-        else:
-            d, n = (block.group_size, block.num_groups) if block.grouped else (grad.size, 1)
-            if n > STEP_ROWS:  # else step_group checks the one chunk, all of grad
-                _check_finite(st, block, grad)
-            buf = None if rows is None else np.empty((min(n, STEP_ROWS), d))
-            values = np.empty_like(block.values) if n > STEP_ROWS else None
-            for lo in range(0, max(n, 1), STEP_ROWS):  # an empty block is one chunk
-                hi = min(lo + STEP_ROWS, n)
-                part = slice(lo * d, hi * d)
-                chunk = grad[part] if rows is None else _groups_grad(grad, rows, lo, hi, buf)
-                new = self._step_part(st, block, chunk, names, [a[part] for a in arrays])
-                if values is None:
-                    values = new
-                else:
-                    values[part] = new
-            block.values = values
-        st.t += 1
-
-    def _step_part(self, st: OptimizerState, block: ParamBlock, grad, names,
-                   parts) -> np.ndarray:
-        """The new values of the coordinates of block whose gradient is grad,
-        stepped on parts: st's arrays named names, then block.values, at
-        those coordinates. st.t is the caller's to advance."""
-        sub = _shallow_copy(st, dim=grad.size)
-        sub.__dict__.update(zip(names, parts))  # cheaper than as keywords
-        sub_block = _shallow_copy(block, values=parts[-1])
+            st = self.states[block.name] = OptimizerState(block.values.size, self.schedule.kind)
+        grad = _check_step(st, block, grad, self.lr, rows, self.schedule.kind)
+        t, schedule, lr = st.t + 1, self.schedule, self.lr
         try:
-            step_group(sub, sub_block, grad, self.schedule, self.lr, self.reg)
-        finally:
-            st.poisoned = sub.poisoned
-        return sub_block.values
+            if rows is not None and schedule.kind == "adagrad" and st.t:
+                # the rows of the state's arrays and, as x, of the values
+                full = {k: a.reshape(-1, block.group_size)
+                        for k, a in (*st.arrays.items(), ("x", block.values))}
+                # take copies rows as a[rows] would, at a third of its cost
+                part = {k: a.take(rows, axis=0).ravel() for k, a in full.items()}
+                _, root = _dual_step(part, t, part["x"], grad, schedule, lr, block.name)
+                part["x"] = _prox(part["z"], root, block, self.reg)
+                for k, a in full.items():
+                    a[rows] = part[k].reshape(-1, block.group_size)
+            else:
+                d, n = (block.group_size, block.num_groups) if block.grouped else (grad.size, 1)
+                buf = None if rows is None else np.empty((min(n, STEP_ROWS), d))
+                values = np.empty_like(block.values) if n > STEP_ROWS else None
+                for lo in range(0, max(n, 1), STEP_ROWS):  # an empty block is one chunk
+                    hi = min(lo + STEP_ROWS, n)
+                    chunk = slice(lo * d, hi * d)
+                    part = {k: a[chunk] for k, a in st.arrays.items()}
+                    g = grad[chunk] if rows is None else _groups_grad(grad, rows, lo, hi, buf)
+                    _, root = _dual_step(part, t, block.values[chunk], g, schedule, lr,
+                                         block.name)
+                    new = _prox(part["z"], root, block, self.reg)
+                    if values is None:
+                        values = new
+                    else:
+                        values[chunk] = new
+                block.values = values
+        except PoisonedStateError:
+            st.poisoned = True
+            raise
+        st.t = t
 
 
 def name_reg(name: str, reg: RegConfig) -> RegConfig:

@@ -252,7 +252,7 @@ def run_regret(problem: OnlineProblem, kind: str = "adagrad", lr: float = 0.5,
         prefix_sum = prefix_sq = None
 
     block = ParamBlock("x", np.zeros(d))
-    state = OptimizerState(d)
+    state = OptimizerState(d, schedule.kind)
     checkpoints = _checkpoints(T)
     checkpoint_ts = checkpoints.tolist()
     xs = np.zeros((T, d))

@@ -19,8 +19,8 @@ from .data import Dataset, SynthSpec, generate, load_libsvm
 from .metrics import auc, nonzero_groups, sparsity
 from .model import (DENSE, EMBEDDING, ModelConfig, backward, check_ids, forward,
                     init_params, logits, logloss)
-from .optimizers import (OPTIMIZER_NAMES, RegConfig, check_name_reg, make_optimizer,
-                         name_reg)
+from .optimizers import (OPTIMIZER_NAMES, MomentSchedule, RegConfig, check_name_reg,
+                         make_optimizer, name_reg)
 from .pruning import PruneSchedule, magnitude_prune
 
 SCHEMA_VERSION = 1
@@ -62,12 +62,16 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"reg: apply_to: no block named {', '.join(map(repr, unknown))}; "
                               f"the model's blocks are {EMBEDDING!r} and {DENSE!r}")
+        try:  # each field by name, before any data are read
+            MomentSchedule(**self.schedule_args())
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.optimizer == "ftrl":
             # the config reports what runs: l1 on every block, at epsilon 0
             self.reg = name_reg("ftrl", self.reg)
             self.epsilon = 0.0
-        if not self.lr > 0:  # NaN fails too
-            raise ConfigError("lr: must be > 0")
+        if not 0 < self.lr < np.inf:  # NaN fails too
+            raise ConfigError(f"lr: must be > 0 and finite, got {self.lr}")
         if self.epochs < 1 or self.batch_size < 1 or self.repeats < 1:
             raise ConfigError("epochs, batch_size, repeats: must be >= 1")
 

@@ -10,7 +10,9 @@ written in their conventional direct form and share no algebra with it:
   adagrad schedule at epsilon 0 with lambda1 alone must follow it within
   1e-9.
 
-Both step an optimizers.OptimizerState in place and run its input checks.
+Both step an optimizers.OptimizerState in place, reaching its arrays through
+state.arrays (a state of no kind holds both moments), and run the step's
+input checks, optimizers._check_step: a non-finite gradient poisons the state.
 
 generate is data.generate as it was before it built its ids in place and
 drew the labels row chunk by row chunk: data.generate must give its bits.
@@ -20,8 +22,9 @@ embedding gradient, its dense table-shaped form, for the tests that compare
 it with a dense reference.
 
 fresh_step_group is optimizers.step_group as it was before it advanced
-the state in place: each step rebinds the state's arrays to fresh ones.
-step_group must give its bits, state and returned (m_t, R_t) included.
+the state in place: each step rebinds the entries of state.arrays to fresh
+arrays. step_group must give its bits, state and returned (m_t, R_t)
+included.
 
 per_step_regret is regret.run_regret's loop as it was before the loop kept
 a chunk of gradients and roots and folded grad_bound and kappa once per
@@ -56,31 +59,32 @@ def vanilla_step(
     algebra with the dual path of step_group.
     """
     grad = _check_step(state, block, grad, lr)
+    a = state.arrays
     t = state.t + 1
     kind = schedule.kind
     if kind == "sgd":
         delta = (lr / np.sqrt(float(t))) * grad
     elif kind == "momentum":
-        state.m_hat = schedule.gamma * state.m_hat + grad
-        delta = lr * state.m_hat
+        a["m_hat"] = schedule.gamma * a["m_hat"] + grad
+        delta = lr * a["m_hat"]
     elif kind == "adagrad":
         inc = grad * grad
         if t == 1:
             inc += schedule.epsilon
-        state.v_hat = state.v_hat + inc
+        a["v_hat"] = a["v_hat"] + inc
         # a coordinate that never had a gradient (v_hat = 0 at epsilon 0)
         # stays put, as it does on the group path, instead of taking 0/0
-        delta = np.divide(lr * grad, np.sqrt(state.v_hat), out=np.zeros(grad.shape),
-                          where=state.v_hat != 0.0)
+        delta = np.divide(lr * grad, np.sqrt(a["v_hat"]), out=np.zeros(grad.shape),
+                          where=a["v_hat"] != 0.0)
     else:  # adam, amsgrad
         b1, b2 = schedule.beta1, schedule.beta2
-        state.m_hat = b1 * state.m_hat + (1.0 - b1) * grad
-        raw = b2 * state.v_hat + (1.0 - b2) * grad * grad
+        a["m_hat"] = b1 * a["m_hat"] + (1.0 - b1) * grad
+        raw = b2 * a["v_hat"] + (1.0 - b2) * grad * grad
         if kind == "amsgrad":
-            raw = np.maximum(state.v_hat, raw)
-        state.v_hat = raw
+            raw = np.maximum(a["v_hat"], raw)
+        a["v_hat"] = raw
         alpha_t = lr * np.sqrt(1.0 - b2**t) / (1.0 - b1**t)
-        delta = alpha_t * state.m_hat / (np.sqrt(state.v_hat) + schedule.epsilon)
+        delta = alpha_t * a["m_hat"] / (np.sqrt(a["v_hat"]) + schedule.epsilon)
     state.t = t
     block.values = block.values - delta
     if not np.isfinite(block.values).all():
@@ -100,54 +104,56 @@ def ftrl_step(
     Per coordinate: sigma_t = (sqrt(n + g^2) - sqrt(n)) / lr, z += g - sigma*x,
     n += g^2, then x = 0 where |z| <= lambda1 and (sign(z)*lambda1 - z)*lr/sqrt(n)
     elsewhere. With lambda1 = 0 this is the adagrad trajectory. n lives in
-    state.v_hat: it is the running sum of g^2 that adagrad keeps with eps = 0.
+    v_hat: it is the running sum of g^2 that adagrad keeps with eps = 0.
     """
     grad = _check_step(state, block, grad, lr)
-    n_next = state.v_hat + grad * grad
-    sigma = (np.sqrt(n_next) - np.sqrt(state.v_hat)) / lr
-    state.z = state.z + grad - sigma * block.values
-    state.v_hat = n_next
+    a = state.arrays
+    n_next = a["v_hat"] + grad * grad
+    sigma = (np.sqrt(n_next) - np.sqrt(a["v_hat"])) / lr
+    a["z"] = a["z"] + grad - sigma * block.values
+    a["v_hat"] = n_next
     state.t += 1
     with np.errstate(divide="ignore", invalid="ignore"):
         x = np.where(
-            np.abs(state.z) <= lambda1,
+            np.abs(a["z"]) <= lambda1,
             0.0,
-            (np.sign(state.z) * lambda1 - state.z) * lr / np.sqrt(state.v_hat),
+            (np.sign(a["z"]) * lambda1 - a["z"]) * lr / np.sqrt(a["v_hat"]),
         )
     # coordinates never touched by any gradient stay at the dead-zone zero
-    block.values = np.where(state.v_hat > 0.0, x, 0.0)
+    block.values = np.where(a["v_hat"] > 0.0, x, 0.0)
 
 
 def _fresh_moments(state, grad, schedule, lr):
     """Advance accumulators and return (m_t, R_t) for step t = state.t + 1."""
+    a = state.arrays
     t = state.t + 1
     kind = schedule.kind
     if kind == "sgd":
         m = grad
         scaled_root = np.full(grad.shape, math.sqrt(t) / lr)
     elif kind == "momentum":
-        state.m_hat = schedule.gamma * state.m_hat + grad
-        m = state.m_hat
+        a["m_hat"] = schedule.gamma * a["m_hat"] + grad
+        m = a["m_hat"]
         scaled_root = np.full(grad.shape, 1.0 / lr)
     elif kind == "adagrad":
         inc = grad * grad
         if t == 1:
             inc += schedule.epsilon
-        state.v_hat = state.v_hat + inc
+        a["v_hat"] = a["v_hat"] + inc
         m = grad
-        scaled_root = np.sqrt(state.v_hat)
+        scaled_root = np.sqrt(a["v_hat"])
         scaled_root /= lr
     else:  # adam, amsgrad
         b1, b2 = schedule.beta1, schedule.beta2
-        state.m_hat = b1 * state.m_hat + (1.0 - b1) * grad
-        raw = b2 * state.v_hat + (1.0 - b2) * grad * grad
+        a["m_hat"] = b1 * a["m_hat"] + (1.0 - b1) * grad
+        raw = b2 * a["v_hat"] + (1.0 - b2) * grad * grad
         if kind == "amsgrad":
-            raw = np.maximum(state.v_hat, raw)
-        state.v_hat = raw
+            raw = np.maximum(a["v_hat"], raw)
+        a["v_hat"] = raw
         bc1 = 1.0 - b1**t
         bc2 = 1.0 - b2**t
-        m = state.m_hat / bc1
-        v = state.v_hat / bc2
+        m = a["m_hat"] / bc1
+        v = a["v_hat"] / bc2
         eps_t = schedule.epsilon / np.sqrt(bc2)
         scaled_root = (np.sqrt(v) + eps_t) / lr
     return m, scaled_root
@@ -163,23 +169,24 @@ def fresh_step_group(
 ) -> tuple[np.ndarray, np.ndarray]:
     """step_group with every state array rebound to a fresh one each step."""
     grad = _check_step(state, block, grad, lr)
+    a = state.arrays
     lam1, lam21, lam2, variant = _penalties(reg, block.name)
     group_size = block.group_size if block.grouped else 1
 
     m, scaled_root = _fresh_moments(state, grad, schedule, lr)
     # z + m - (R_t - R_{t-1}) * x in its left-to-right order, on fresh arrays
-    drift = scaled_root - state.prev_scaled_root
+    drift = scaled_root - a["prev_scaled_root"]
     drift *= block.values
-    z = state.z + m
+    z = a["z"] + m
     z -= drift
-    state.z = z
+    a["z"] = z
     if not np.logical_and.reduce(np.isfinite(z), axis=None):
         state.poisoned = True
         raise PoisonedStateError(f"non-finite dual for block {block.name!r}")
-    state.prev_scaled_root = scaled_root
+    a["prev_scaled_root"] = scaled_root
     state.t += 1
 
-    s = soft_threshold(state.z, lam1)
+    s = soft_threshold(a["z"], lam1)
     try:
         block.values = group_shrink(s, scaled_root, group_size, lam21, lam2, variant)
     except NonpositiveDiagonalError as exc:

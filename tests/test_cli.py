@@ -303,6 +303,10 @@ class TestTrainCommand:
         ({"reg": {"lambda21": float("nan")}}, "reg: penalties must be >= 0"),
         ({"reg": {"lambda2": float("nan")}}, "reg: penalties must be >= 0"),
         ({"epsilon": float("nan"), "optimizer": "group-adagrad"}, "epsilon must be >= 0"),
+        # inf passes a check written as x > 0 or x >= 0 and would fail on the first step
+        ({"lr": float("inf")}, "lr: must be > 0 and finite"),
+        ({"epsilon": float("inf"), "optimizer": "group-adagrad"},
+         "epsilon must be >= 0 and finite"),
     ])
     def test_nan_hyperparameter_exits_2(self, tmp_path, capsys, extra, message):
         code = main(["train", "--config", write_tiny_config(tmp_path, **extra)])
@@ -330,6 +334,21 @@ class TestTrainCommand:
     ])
     def test_non_integer_count_exits_2_before_loading_data(self, tmp_path, capsys,
                                                            monkeypatch, extra, message):
+        assert train_without_data(tmp_path, monkeypatch, extra) == EXIT_CONFIG
+        assert f"config error: {message}" in capsys.readouterr().err
+
+    # schedule fields are checked by name before any data are read: out of
+    # range, not a number, or infinite
+    @pytest.mark.parametrize("extra, message", [
+        ({"beta1": 1.5}, "beta1 must be in [0, 1), got 1.5"),
+        ({"beta1": "0.9"}, "beta1 must be a real number, got '0.9'"),
+        ({"gamma": None}, "gamma must be a real number, got None"),
+        ({"beta2": True}, "beta2 must be a real number, got True"),
+        ({"epsilon": float("inf")}, "epsilon must be >= 0 and finite, got inf"),
+        ({"lr": float("inf")}, "lr: must be > 0 and finite, got inf"),
+    ])
+    def test_bad_schedule_field_exits_2_before_loading_data(self, tmp_path, capsys,
+                                                            monkeypatch, extra, message):
         assert train_without_data(tmp_path, monkeypatch, extra) == EXIT_CONFIG
         assert f"config error: {message}" in capsys.readouterr().err
 
@@ -513,6 +532,11 @@ class TestRegretCommand:
     def test_nan_hyperparameter_exits_2(self, capsys, flag, message):
         assert main(["regret", "--horizon", "64", flag, "nan"]) == EXIT_CONFIG
         assert f"config error: {message}" in capsys.readouterr().err
+
+    def test_infinite_lr_exits_2(self, capsys):
+        # it used to exit 3, a numeric failure on the first step
+        assert main(["regret", "--horizon", "64", "--lr", "inf"]) == EXIT_CONFIG
+        assert "config error: lr must be > 0 and finite, got inf" in capsys.readouterr().err
 
 
 class TestExitCodes:

@@ -24,6 +24,12 @@ class TestSynthSpec:
             SynthSpec(noise=-0.5)
         with pytest.raises(ValueError):
             SynthSpec(num_samples=0)
+        # NaN noise meant no noise, noise above 1 flips every label, and a
+        # NaN skew failed only inside the draw, naming no field
+        for field, bad in (("noise", float("nan")), ("noise", 1.5), ("skew", float("nan"))):
+            with pytest.raises(ValueError, match=f"{field} must be"):
+                SynthSpec(**{field: bad})
+        assert SynthSpec(noise=1.0, skew=float("inf")).noise == 1.0
 
 
 class TestGenerate:

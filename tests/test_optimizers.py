@@ -315,17 +315,24 @@ class TestStateSafety:
         for penalty_name in ("lambda1", "lambda21", "lambda2"):
             with pytest.raises(ValueError, match="penalties"):
                 RegConfig(**{penalty_name: nan})
-        with pytest.raises(ValueError, match="epsilon"):
-            MomentSchedule(kind="adagrad", epsilon=nan)
-        state = OptimizerState(1)
-        block = ParamBlock("w", np.zeros(1))
-        with pytest.raises(ValueError, match="lr"):
-            step_group(state, block, np.ones(1), MomentSchedule(kind="sgd"), nan)
-        assert state.t == 0 and not state.poisoned
+        # inf passes a check written as x > 0 or x >= 0 and would fail on the first step
+        for bad in (nan, float("inf")):
+            with pytest.raises(ValueError, match="epsilon"):
+                MomentSchedule(kind="adagrad", epsilon=bad)
+            state = OptimizerState(1)
+            block = ParamBlock("w", np.zeros(1))
+            with pytest.raises(ValueError, match="lr"):
+                step_group(state, block, np.ones(1), MomentSchedule(kind="sgd"), bad)
+            assert state.t == 0 and not state.poisoned
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
             MomentSchedule(kind="adam", beta1=1.0)
+        # a value that is no real number is refused by its field's name
+        for field, bad in (("beta1", "0.9"), ("gamma", None), ("beta2", True),
+                           ("epsilon", [1e-8])):
+            with pytest.raises(ValueError, match=f"{field} must be a real number"):
+                MomentSchedule(**{field: bad})
         with pytest.raises(ValueError):
             MomentSchedule(kind="momentum", gamma=-0.1)
         with pytest.raises(ValueError):
@@ -406,13 +413,17 @@ def row_form(grad, rows, group_size):
     return grad.reshape(-1, group_size)[rows].ravel(), rows
 
 
+# the arrays of a state of no kind, which any schedule may step
 STATE_ARRAYS = ("z", "m_hat", "v_hat", "prev_scaled_root")
 
 
 def state_bits(opt, block):
+    """The bits of block's values, the names and bits of every array its
+    state holds, then the state's step count."""
     state = opt.states[block.name]
-    arrays = (block.values, *(getattr(state, array) for array in STATE_ARRAYS))
-    return [a.tobytes() for a in arrays] + [state.t]
+    arrays = sorted(state.arrays.items())
+    return [block.values.tobytes(), [name for name, _ in arrays],
+            *(a.tobytes() for _, a in arrays), state.t]
 
 
 penalty = st.one_of(st.just(0.0), st.floats(1e-4, 1.0))
@@ -466,9 +477,9 @@ class TestRowPath:
         # the update sees the whole block on step 1 and the listed row after;
         # a block of more than STEP_ROWS groups it sees that many at a time
         seen = []
-        update = optimizers.step_group
-        monkeypatch.setattr(optimizers, "step_group",
-                            lambda state, *args: (seen.append(state.dim), update(state, *args)))
+        update = optimizers._dual_step
+        monkeypatch.setattr(optimizers, "_dual_step",
+                            lambda a, *args: (seen.append(a["z"].size), update(a, *args))[1])
         for name, (step_rows, sizes) in itertools.product(
                 ADAGRAD_FAMILY, [(3, [6, 2]), (2, [4, 2, 2])]):
             monkeypatch.setattr(optimizers, "STEP_ROWS", step_rows)
@@ -612,9 +623,9 @@ class TestChunkedStep:
         # sgd a second gradient of 1e308 overflows the dual
         monkeypatch.setattr(optimizers, "STEP_ROWS", 3)
         calls = []
-        update = optimizers.step_group
-        monkeypatch.setattr(optimizers, "step_group",
-                            lambda state, *args: (calls.append(state.dim), update(state, *args)))
+        update = optimizers._dual_step
+        monkeypatch.setattr(optimizers, "_dual_step",
+                            lambda a, *args: (calls.append(a["z"].size), update(a, *args))[1])
         opt = make_optimizer("group-sgd" if failure == "dual" else "group-adagrad", 0.1,
                              schedule_args={"epsilon": 0.0})
         planted, message, stepped = {
@@ -639,8 +650,8 @@ class TestChunkedStep:
         assert state.poisoned
         if failure == "gradient":  # no state changed but the flag
             assert state.t == 0
-            for array in STATE_ARRAYS:
-                assert not getattr(state, array).any(), array
+            for name, array in state.arrays.items():
+                assert not array.any(), name
         with pytest.raises(PoisonedStateError, match="poisoned"):
             opt.step(block, np.zeros(18))
 
@@ -658,7 +669,7 @@ class TestChunkedStep:
                                              np.ones(16))  # lazy imports allocate too
         opt = make_optimizer(name, 0.01, reg)
         block = ParamBlock(EMBEDDING, rng.normal(scale=0.01, size=80_000), group_size=8)
-        opt.states[EMBEDDING] = OptimizerState(block.values.size)
+        opt.states[EMBEDDING] = OptimizerState(block.values.size, opt.schedule.kind)
         tracemalloc.start()
         try:
             opt.step(block, grad, rows=rows)
@@ -822,9 +833,9 @@ class TestStepAll:
                     == parts[member].values.tobytes()), member
             ref = per_block.states[member]
             assert state.t == ref.t
-            for array in STATE_ARRAYS:
-                assert (getattr(state, array)[part].tobytes()
-                        == getattr(ref, array).tobytes()), (member, array)
+            assert state.arrays.keys() == ref.arrays.keys()
+            for name, array in state.arrays.items():
+                assert array[part].tobytes() == ref.arrays[name].tobytes(), (member, name)
 
     @pytest.mark.parametrize("name", OPTIMIZER_NAMES)
     def test_nan_gradient_names_the_member_and_poisons_the_pack(self, name):
@@ -934,3 +945,59 @@ class TestMakeOptimizer:
             make_optimizer("group-ftrl", 0.1)
         with pytest.raises(ValueError):
             make_optimizer("adamw", 0.1)
+
+
+# the moments each schedule keeps, beside z and prev_scaled_root
+KEPT_MOMENTS = {"sgd": set(), "momentum": {"m_hat"}, "adagrad": {"v_hat"},
+                "adam": {"m_hat", "v_hat"}, "amsgrad": {"m_hat", "v_hat"}}
+
+
+class TestStateLayout:
+    """A driver's state holds the arrays its schedule steps, and no others."""
+
+    @pytest.mark.parametrize("apply_to", APPLY_TO, ids=["all", "embedding"])
+    @pytest.mark.parametrize("name", OPTIMIZER_NAMES)
+    def test_every_state_holds_only_what_its_schedule_steps(self, name, apply_to):
+        opt = make_optimizer(name, 0.05, RegConfig(apply_to=apply_to))
+        blocks, members = model_blocks(0)
+        for grads, rows in model_grad_stream(0, blocks, members, 2):
+            step_batch(opt, blocks, grads, rows)
+        expected = {"z", "prev_scaled_root", *KEPT_MOMENTS[opt.schedule.kind]}
+        for key, block in blocks.items():
+            state = opt.states[key]
+            assert state.kind == opt.schedule.kind and state.t == 2, key
+            assert set(state.arrays) == expected, key
+            for array in state.arrays.values():
+                assert array.shape == block.values.shape, key
+
+    def test_adagrad_state_of_a_large_table_holds_three_tables(self):
+        # 10,000 x 8 float64 is 640,000 B: z, prev_scaled_root and v_hat
+        opt = make_optimizer("group-adagrad", 0.01, RegConfig(lambda21=0.05))
+        block = ParamBlock(EMBEDDING, np.zeros(80_000), group_size=8)
+        opt.step(block, np.ones(16), rows=np.array([3, 9_999]))
+        state = opt.states[EMBEDDING]
+        assert sorted(state.arrays) == ["prev_scaled_root", "v_hat", "z"]
+        assert [a.nbytes for a in state.arrays.values()] == [640_000] * 3
+
+    @pytest.mark.parametrize("kind, other", [("adagrad", "adam"), ("adam", "amsgrad"),
+                                             ("sgd", "momentum"), ("amsgrad", "sgd")])
+    def test_a_state_of_another_kind_is_refused_before_any_change(self, kind, other):
+        rng = make_rng(6)
+        block = ParamBlock("e", rng.normal(size=6), group_size=2)
+        state = OptimizerState(6, kind)
+        step_group(state, block, rng.normal(size=6), MomentSchedule(kind=kind), 0.1)
+        before = [block.values.tobytes(), *(a.tobytes() for a in state.arrays.values())]
+        with pytest.raises(ValueError, match=f"a {kind} state cannot take a {other} step"):
+            step_group(state, block, np.full(6, np.nan), MomentSchedule(kind=other), 0.1)
+        opt = make_optimizer(f"group-{other}", 0.1)
+        opt.states["e"] = state
+        with pytest.raises(ValueError, match=f"a {kind} state cannot take a {other} step"):
+            opt.step(block, rng.normal(size=6))
+        assert [block.values.tobytes(), *(a.tobytes() for a in state.arrays.values())] \
+            == before
+        assert state.t == 1 and not state.poisoned
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown schedule kind 'nope'"):
+            OptimizerState(3, "nope")
+        assert sorted(OptimizerState(3).arrays) == sorted(STATE_ARRAYS)

@@ -300,9 +300,15 @@ class TestKappaLocation:
         assert run.kappa == 1.0
         assert run.kappa_at == (2, 0, 0.0)
 
-    def test_none_while_kappa_is_zero(self):
-        # an infinite lr makes every root 0, which counts as the ratio 0
+    def test_none_while_kappa_is_zero(self, monkeypatch):
+        # a zero root counts as the ratio 0. An infinite lr, which made every
+        # root 0, is refused; here the step's roots are zeroed instead
         problem = OnlineProblem(kind="quadratic", dim=2, horizon=8, mode="zero")
-        run = run_regret(problem, kind="adagrad", lr=np.inf)
+        with pytest.raises(ValueError, match="lr must be > 0 and finite"):
+            run_regret(problem, kind="adagrad", lr=np.inf)
+        step = regret.step_group
+        monkeypatch.setattr(regret, "step_group",
+                            lambda *args: (lambda m, root: (m, 0.0 * root))(*step(*args)))
+        run = run_regret(problem, kind="adagrad", lr=0.5)
         assert run.kappa == 0.0 and run.kappa_at is None
         assert run.to_dict()["kappa_step"] is None
