@@ -33,10 +33,10 @@ _EXPORTS = {
     "prox": ("NonpositiveDiagonalError", "OracleResult", "ProxProblem", "group_shrink",
              "prox_objective", "prox_oracle", "prox_solve", "random_problem",
              "soft_threshold"),
-    "pruning": ("PruneSchedule", "magnitude_prune"),
+    "pruning": ("magnitude_prune",),
     "regret": ("OnlineProblem", "RegretRun", "measure_bound_constants", "run_regret"),
     "training": ("ExperimentConfig", "RunReport", "config_from_dict", "prune_baseline",
-                 "prune_finetune_prune", "run_repeated", "sweep", "train_model"),
+                 "run_repeated", "sweep", "train_model"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -9,6 +9,7 @@ groups (one embedding row per feature id); group g owns the slice
 from __future__ import annotations
 
 import ctypes
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +56,15 @@ def require_integers(obj, names, error=ValueError) -> None:
         value = getattr(obj, name)
         if not is_integer(value):
             raise error(f"{name}: must be an integer, got {value!r}")
+
+
+def require_reals(obj, names, error=ValueError) -> None:
+    """Raise error unless each attribute of obj in names is a real number and
+    no bool (json's true would otherwise read as 1)."""
+    for name in names:
+        value = getattr(obj, name)
+        if not isinstance(value, numbers.Real) or isinstance(value, bool):
+            raise error(f"{name} must be a real number, got {value!r}")
 
 
 @dataclass

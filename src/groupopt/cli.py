@@ -21,8 +21,9 @@ from .data import SynthSpec
 from .model import EMBEDDING, ModelConfig, save_checkpoint
 from .optimizers import (GROUP_NAMES, SCHEDULE_KINDS, PoisonedStateError, RegConfig,
                          check_name_reg)
-from .prox import NonpositiveDiagonalError, prox_oracle, prox_solve, random_problem
-from .regret import OnlineProblem, measure_bound_constants, run_regret
+from .prox import VARIANTS, NonpositiveDiagonalError, prox_oracle, prox_solve, random_problem
+from .regret import (MODES, PROBLEM_KINDS, STEP_DECAYS, OnlineProblem, measure_bound_constants,
+                     run_regret)
 from .training import (
     ConfigError,
     ExperimentConfig,
@@ -42,7 +43,9 @@ EXIT_SELFTEST = 4
 
 DEFAULT_LAMBDA2 = 1e-5
 
-# Hyperparameters reported for the three reference dataset/model pairings.
+# Hyperparameters the paper reports for its MLP, OPNN and DCN models (the
+# suffix); a preset sets only the optimizer, lr and penalties, and every run
+# trains the config's own embedding+MLP.
 PRESETS = {
     "adam-mlp": {"optimizer": "adam", "lr": 1e-4},
     "adam-opnn": {"optimizer": "adam", "lr": 1e-4},
@@ -295,7 +298,7 @@ def _add_common_training_flags(sub):
     sub.add_argument("--lambda1", type=float)
     sub.add_argument("--lambda21", type=float)
     sub.add_argument("--lambda2", type=float)
-    sub.add_argument("--variant", choices=("practical", "exact"))
+    sub.add_argument("--variant", choices=VARIANTS)
     sub.add_argument("--epochs", type=int)
     sub.add_argument("--batch-size", dest="batch_size", type=int)
     sub.add_argument("--seed", type=int)
@@ -332,20 +335,17 @@ def build_parser() -> argparse.ArgumentParser:
                                    help="closed form vs certified oracle on random problems")
     selftest.add_argument("--cases", type=int, default=1000)
     selftest.add_argument("--seed", type=int, default=0)
-    selftest.add_argument("--variant", choices=("practical", "exact"), default="exact")
+    selftest.add_argument("--variant", choices=VARIANTS, default="exact")
     selftest.set_defaults(func=cmd_prox_selftest)
 
     regret_cmd = commands.add_parser("regret", help="online regret measurement")
-    regret_cmd.add_argument("--kind", choices=("quadratic", "logistic"),
-                            default="quadratic")
-    regret_cmd.add_argument("--mode",
-                            choices=("stochastic", "stationary", "alternating", "zero"),
-                            default="stochastic")
+    regret_cmd.add_argument("--kind", choices=PROBLEM_KINDS, default="quadratic")
+    regret_cmd.add_argument("--mode", choices=MODES, default="stochastic")
     regret_cmd.add_argument("--optimizer", choices=SCHEDULE_KINDS + GROUP_NAMES,
                             default="adagrad")
     regret_cmd.add_argument("--lr", type=float, default=0.5)
-    regret_cmd.add_argument("--step-decay", dest="step_decay",
-                            choices=("none", "sqrt_t"), default="none")
+    regret_cmd.add_argument("--step-decay", dest="step_decay", choices=STEP_DECAYS,
+                            default="none")
     regret_cmd.add_argument("--dim", type=int, default=8)
     regret_cmd.add_argument("--horizon", type=int, default=1 << 17)
     regret_cmd.add_argument("--seed", type=int, default=0)
@@ -366,13 +366,11 @@ def main(argv=None) -> int:
         return exc.code
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    # NonpositiveDiagonalError is a ValueError: this clause must come first
     except (PoisonedStateError, NonpositiveDiagonalError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError too
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import make_rng, require_integers
+from .blocks import make_rng, require_integers, require_reals
 from .model import EVAL_ROWS, sigmoid
 
 
@@ -32,6 +32,7 @@ class SynthSpec:
 
     def __post_init__(self):
         require_integers(self, ("num_fields", "vocab_per_field", "num_samples", "seed"))
+        require_reals(self, ("informative_fraction", "noise", "skew"))
         if not 0.0 < self.informative_fraction <= 1.0:
             raise ValueError("informative_fraction must be in (0, 1]")
         if not 0.0 <= self.noise <= 1.0:  # NaN fails too

@@ -38,13 +38,12 @@ GroupOptimizer.step on views of them chunk by chunk, or on gathered rows.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import ParamBlock
-from .prox import NonpositiveDiagonalError, group_shrink, soft_threshold
+from .blocks import ParamBlock, require_reals
+from .prox import VARIANTS, NonpositiveDiagonalError, group_shrink, soft_threshold
 
 # GroupOptimizer.step takes a dense step of a grouped block this many groups
 # at a time, so its working memory scales with the chunk, not the table
@@ -72,11 +71,10 @@ class MomentSchedule:
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        for name in ("gamma", "beta1", "beta2", "epsilon"):
+        require_reals(self, ("gamma", "beta1", "beta2", "epsilon"))
+        for name in ("gamma", "beta1", "beta2"):
             v = getattr(self, name)
-            if not isinstance(v, numbers.Real) or isinstance(v, bool):
-                raise ValueError(f"{name} must be a real number, got {v!r}")
-            if name != "epsilon" and not 0.0 <= v < 1.0:
+            if not 0.0 <= v < 1.0:
                 raise ValueError(f"{name} must be in [0, 1), got {v}")
         if not 0 <= self.epsilon < math.inf:  # NaN fails too
             raise ValueError(f"epsilon must be >= 0 and finite, got {self.epsilon}")
@@ -100,9 +98,11 @@ class RegConfig:
     apply_to: frozenset | None = None
 
     def __post_init__(self):
-        if not (self.lambda1 >= 0 and self.lambda21 >= 0 and self.lambda2 >= 0):
-            raise ValueError("penalties must be >= 0")  # NaN included
-        if self.variant not in ("practical", "exact"):
+        require_reals(self, ("lambda1", "lambda21", "lambda2"))
+        penalties = (self.lambda1, self.lambda21, self.lambda2)
+        if not all(0 <= lam < math.inf for lam in penalties):  # NaN fails too
+            raise ValueError(f"penalties must be >= 0 and finite, got {penalties}")
+        if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         if isinstance(self.apply_to, str):
             raise ValueError(f"apply_to must be a set of block names, not {self.apply_to!r}")

@@ -2,24 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .blocks import ParamBlock, group_l2_norms, is_integer, require_integers
-
-
-@dataclass
-class PruneSchedule:
-    target_keep: int
-    finetune_fraction: float = 0.0
-
-    def __post_init__(self):
-        require_integers(self, ("target_keep",))
-        if self.target_keep < 0:
-            raise ValueError("target_keep must be >= 0")
-        if not 0.0 <= self.finetune_fraction <= 1.0:
-            raise ValueError("finetune_fraction must be in [0, 1]")
+from .blocks import ParamBlock, group_l2_norms, is_integer
 
 
 def magnitude_prune(block: ParamBlock, keep: int) -> ParamBlock:

@@ -1,10 +1,11 @@
 """Experiment harness: configuration, the training loop, sweeps, and the
-magnitude-pruning baseline pipeline.
+magnitude-pruning baseline (prune_baseline: prune, fine-tune on the tail of
+the train split, prune again, at each fine-tune fraction).
 
-Reports are plain dict-convertible dataclasses; the CLI serializes them to
-JSON and CSV, and tests consume them directly. Everything is deterministic
-given (config, seed): data, initialization, and batch order all come from
-pinned generators.
+Reports are dict-convertible dataclasses, or plain dicts for the baseline;
+the CLI serializes them to JSON and CSV, and tests consume them directly.
+Everything is deterministic given (config, seed): data, initialization,
+and batch order all come from pinned generators.
 """
 
 from __future__ import annotations
@@ -14,14 +15,14 @@ from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
-from .blocks import make_rng, require_integers
+from .blocks import is_integer, make_rng, require_integers, require_reals
 from .data import Dataset, SynthSpec, generate, load_libsvm
 from .metrics import auc, nonzero_groups, sparsity
 from .model import (DENSE, EMBEDDING, ModelConfig, backward, check_ids, forward,
                     init_params, logits, logloss)
 from .optimizers import (OPTIMIZER_NAMES, MomentSchedule, RegConfig, check_name_reg,
                          make_optimizer, name_reg)
-from .pruning import PruneSchedule, magnitude_prune
+from .pruning import magnitude_prune
 
 SCHEMA_VERSION = 1
 
@@ -49,6 +50,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         require_integers(self, ("epochs", "batch_size", "repeats", "seed"), ConfigError)
+        require_reals(self, ("lr",), ConfigError)
         if self.seed < 0:
             raise ConfigError(f"seed: must be >= 0, got {self.seed}")
         if self.optimizer not in OPTIMIZER_NAMES:
@@ -255,62 +257,49 @@ def sweep(config: ExperimentConfig, lambda21_grid) -> list[RunReport]:
     return [train_model(point, dataset=dataset) for point in points]
 
 
-def finetune(blocks: dict, dataset: Dataset, fraction: float,
-             config: ExperimentConfig) -> None:
-    """Train one epoch in place on the chronologically last fraction of train
-    samples; nothing is evaluated."""
-    if fraction <= 0:
-        return
-    n = dataset.num_train
-    lo = n - int(fraction * n)
-    if lo == n:
-        return
-    optimizer = make_optimizer(config.optimizer, config.lr, config.reg,
-                               config.schedule_args())
-    _train_epoch(blocks, optimizer, dataset.train_ids[lo:], dataset.train_labels[lo:],
-                 config, make_rng(config.seed + 7919))
-
-
-def prune_finetune_prune(blocks: dict, dataset: Dataset, schedule: PruneSchedule,
-                         config: ExperimentConfig) -> dict:
-    """Prune to target, fine-tune on the tail of the training data, prune again."""
-    out = {name: b.copy() for name, b in blocks.items()}
-    out[EMBEDDING] = magnitude_prune(out[EMBEDDING], schedule.target_keep)
-    if schedule.finetune_fraction > 0:
-        finetune(out, dataset, schedule.finetune_fraction, config)
-        out[EMBEDDING] = magnitude_prune(out[EMBEDDING], schedule.target_keep)
-    return out
-
-
 def prune_baseline(config: ExperimentConfig, target_keep: int,
                    fractions=(0.0, 0.1, 0.2, 0.3),
                    dataset: Dataset | None = None,
                    base_report: RunReport | None = None) -> dict:
-    """Train a vanilla model, then prune at each fine-tune fraction and keep
-    the best test AUC. Returns a report dict with the per-fraction table."""
-    # built first, so that a bad target or fraction fails before any training
-    schedules = [PruneSchedule(target_keep, fraction) for fraction in fractions]
-    if not schedules:
+    """The magnitude-pruning baseline (Zhu & Gupta, 2017): train a vanilla
+    model; then, at each fine-tune fraction, prune its embedding to the
+    target_keep largest-norm rows, train one epoch on the chronologically
+    last fraction of the train samples, prune again, and evaluate. Returns a
+    report dict with the per-fraction table and the row of best test AUC."""
+    # checked first, so that a bad target or fraction fails before any training
+    fractions = tuple(fractions)
+    if not fractions:
         raise ValueError("fractions: at least one fine-tune fraction is needed")
+    if not is_integer(target_keep):
+        raise ValueError(f"target_keep: must be an integer, got {target_keep!r}")
+    if target_keep < 0:
+        raise ValueError("target_keep must be >= 0")
+    if not all(0.0 <= fraction <= 1.0 for fraction in fractions):
+        raise ValueError("finetune_fraction must be in [0, 1]")
     if dataset is None:
         dataset = load_dataset(config)
     if base_report is None:
         base_report = train_model(config, dataset=dataset)
-    features_seen = base_report.features_seen
+    n = dataset.num_train
     table = []
-    best = None
-    for schedule in schedules:
-        pruned = prune_finetune_prune(base_report.blocks, dataset, schedule, config)
-        metrics = evaluate(pruned, dataset, config.model, features_seen)
-        row = {"finetune_fraction": schedule.finetune_fraction, **metrics}
-        table.append(row)
-        if best is None or row["auc"] > best["auc"]:
-            best = row
+    for fraction in fractions:
+        blocks = {EMBEDDING: magnitude_prune(base_report.blocks[EMBEDDING], target_keep),
+                  DENSE: base_report.blocks[DENSE].copy()}
+        lo = n - int(fraction * n)
+        if lo < n:
+            optimizer = make_optimizer(config.optimizer, config.lr, config.reg,
+                                       config.schedule_args())
+            _train_epoch(blocks, optimizer, dataset.train_ids[lo:], dataset.train_labels[lo:],
+                         config, make_rng(config.seed + 7919))
+            blocks[EMBEDDING] = magnitude_prune(blocks[EMBEDDING], target_keep)
+        table.append({"finetune_fraction": fraction,
+                      **evaluate(blocks, dataset, config.model, base_report.features_seen)})
     return {
         "schema_version": SCHEMA_VERSION,
         "config": config.to_dict(),
         "target_keep": int(target_keep),
         "base": dict(base_report.final),
         "fractions": table,
-        "best": dict(best),
+        # max keeps the first of equal AUCs
+        "best": dict(max(table, key=lambda row: row["auc"])),
     }

@@ -337,8 +337,9 @@ class TestTrainCommand:
         assert train_without_data(tmp_path, monkeypatch, extra) == EXIT_CONFIG
         assert f"config error: {message}" in capsys.readouterr().err
 
-    # schedule fields are checked by name before any data are read: out of
-    # range, not a number, or infinite
+    # schedule fields, lr, the penalties and the data's real fields are
+    # checked by name before any data are read: out of range, not a number
+    # (a string, or a bool, which would read as 1), or infinite
     @pytest.mark.parametrize("extra, message", [
         ({"beta1": 1.5}, "beta1 must be in [0, 1), got 1.5"),
         ({"beta1": "0.9"}, "beta1 must be a real number, got '0.9'"),
@@ -346,6 +347,20 @@ class TestTrainCommand:
         ({"beta2": True}, "beta2 must be a real number, got True"),
         ({"epsilon": float("inf")}, "epsilon must be >= 0 and finite, got inf"),
         ({"lr": float("inf")}, "lr: must be > 0 and finite, got inf"),
+        ({"lr": "0.1"}, "lr must be a real number, got '0.1'"),
+        ({"lr": True}, "lr must be a real number, got True"),
+        ({"reg": {"lambda1": "0.1"}}, "reg: lambda1 must be a real number, got '0.1'"),
+        ({"reg": {"lambda21": True}}, "reg: lambda21 must be a real number, got True"),
+        ({"reg": {"lambda2": None}}, "reg: lambda2 must be a real number, got None"),
+        ({"reg": {"lambda1": float("inf")}}, "reg: penalties must be >= 0 and finite"),
+        ({"reg": {"lambda21": float("inf")}}, "reg: penalties must be >= 0 and finite"),
+        ({"reg": {"lambda2": float("inf")}}, "reg: penalties must be >= 0 and finite"),
+        ({"data": {**TINY["data"], "informative_fraction": "0.1"}},
+         "data: informative_fraction must be a real number, got '0.1'"),
+        ({"data": {**TINY["data"], "noise": True}},
+         "data: noise must be a real number, got True"),
+        ({"data": {**TINY["data"], "skew": [1.0]}},
+         "data: skew must be a real number, got [1.0]"),
     ])
     def test_bad_schedule_field_exits_2_before_loading_data(self, tmp_path, capsys,
                                                             monkeypatch, extra, message):
@@ -532,6 +547,18 @@ class TestRegretCommand:
     def test_nan_hyperparameter_exits_2(self, capsys, flag, message):
         assert main(["regret", "--horizon", "64", flag, "nan"]) == EXIT_CONFIG
         assert f"config error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--lambda1", "--lambda21", "--lambda2"])
+    def test_infinite_penalty_exits_2_before_the_run(self, monkeypatch, capsys, flag):
+        # it used to run, and print a NaN bound_rhs
+        def never(*args, **kwargs):
+            raise AssertionError("run_regret entered")
+
+        monkeypatch.setattr(cli, "run_regret", never)
+        assert main(["regret", "--horizon", "64", "--optimizer", "group-adagrad",
+                     flag, "inf"]) == EXIT_CONFIG
+        assert ("config error: penalties must be >= 0 and finite"
+                in capsys.readouterr().err)
 
     def test_infinite_lr_exits_2(self, capsys):
         # it used to exit 3, a numeric failure on the first step

@@ -315,6 +315,9 @@ class TestStateSafety:
         for penalty_name in ("lambda1", "lambda21", "lambda2"):
             with pytest.raises(ValueError, match="penalties"):
                 RegConfig(**{penalty_name: nan})
+            # an infinite penalty trains to AUC 0.5, or makes the regret bound NaN
+            with pytest.raises(ValueError, match="penalties must be >= 0 and finite"):
+                RegConfig(**{penalty_name: float("inf")})
         # inf passes a check written as x > 0 or x >= 0 and would fail on the first step
         for bad in (nan, float("inf")):
             with pytest.raises(ValueError, match="epsilon"):

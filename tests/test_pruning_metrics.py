@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from groupopt.blocks import ParamBlock
 from groupopt.metrics import auc, nonzero_groups, sparsity
-from groupopt.pruning import PruneSchedule, magnitude_prune
+from groupopt.pruning import magnitude_prune
 
 # a row count written as a float, or no count at all (NaN < 0 is False)
 NON_INTEGER_KEEPS = [2.5, 2.0, np.float64(1.0), float("nan")]
@@ -158,19 +158,3 @@ class TestNonzeroGroups:
         block = ParamBlock("emb", values, group_size=2)
         assert nonzero_groups(block) == 1
 
-
-class TestPruneSchedule:
-    def test_valid(self):
-        sched = PruneSchedule(target_keep=10, finetune_fraction=0.25)
-        assert sched.target_keep == 10
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            PruneSchedule(target_keep=-1)
-        with pytest.raises(ValueError):
-            PruneSchedule(target_keep=1, finetune_fraction=1.5)
-
-    @pytest.mark.parametrize("target_keep", NON_INTEGER_KEEPS)
-    def test_target_keep_must_be_an_integer(self, target_keep):
-        with pytest.raises(ValueError, match="target_keep: must be an integer"):
-            PruneSchedule(target_keep=target_keep)

@@ -10,19 +10,18 @@ from groupopt.data import Dataset, SynthSpec, write_libsvm
 from groupopt.metrics import nonzero_groups
 from groupopt.model import DENSE, EMBEDDING, ModelConfig, init_params
 from groupopt.optimizers import GroupOptimizer, RegConfig
-from groupopt.pruning import PruneSchedule
 from groupopt.training import (
     ConfigError,
     ExperimentConfig,
     config_from_dict,
     load_dataset,
     prune_baseline,
-    prune_finetune_prune,
     run_repeated,
     sweep,
     train_model,
 )
 from oracles import scatter_rows
+from test_pruning_metrics import NON_INTEGER_KEEPS
 
 
 def tiny_config(**overrides):
@@ -328,7 +327,9 @@ class TestEvaluateMemory:
 
 @pytest.mark.parametrize("target_keep, fractions, message", [
     (2.5, (0.0,), "target_keep"), (float("nan"), (0.0, 0.1), "target_keep"),
-    (3, (0.0, 1.5), "finetune_fraction"), (3, (), "fractions")])
+    (3, (0.0, 1.5), "finetune_fraction"), (3, (), "fractions"),
+    (-1, (0.0,), "target_keep must be >= 0"), (1, (1.5,), "finetune_fraction must be in"),
+    *[(keep, (0.0,), "target_keep: must be an integer") for keep in NON_INTEGER_KEEPS]])
 def test_prune_baseline_refuses_bad_arguments_before_training(monkeypatch, target_keep,
                                                                fractions, message):
     def entered(*args, **kwargs):
@@ -348,10 +349,9 @@ class TestPruneBaseline:
         self.base = train_model(self.config, dataset=self.dataset)
 
     def test_prune_finetune_prune_respects_target(self):
-        schedule = PruneSchedule(target_keep=7, finetune_fraction=0.2)
-        pruned = prune_finetune_prune(self.base.blocks, self.dataset,
-                                      schedule, self.config)
-        assert nonzero_groups(pruned[EMBEDDING]) <= 7
+        report = prune_baseline(self.config, 7, fractions=(0.2,), dataset=self.dataset,
+                                base_report=self.base)
+        assert report["fractions"][0]["nonzero_groups"] <= 7
         # the input blocks are untouched
         assert nonzero_groups(self.base.blocks[EMBEDDING]) > 7
 
@@ -389,3 +389,13 @@ class TestPruneBaseline:
         assert (best["finetune_fraction"], best["nonzero_groups"]) == (0.3, 15)
         assert best["auc"] == 0.7638888888888888
         assert_allclose(best["logloss"], 0.6539972838479251, rtol=1e-12)
+        # every fraction's row: fraction 0 is pruned once, the others fine-tuned
+        pinned = [(0.0, 0.7407407407407407, 0.6656352022747302),
+                  (0.1, 0.7407407407407407, 0.6611698272066249),
+                  (0.2, 0.7361111111111112, 0.656655954464905),
+                  (0.3, 0.7638888888888888, 0.6539972838479251)]
+        for row, (fraction, auc_value, logloss_value) in zip(report["fractions"], pinned,
+                                                             strict=True):
+            assert (row["finetune_fraction"], row["nonzero_groups"]) == (fraction, 15)
+            assert row["auc"] == auc_value
+            assert_allclose(row["logloss"], logloss_value, rtol=1e-12)
