@@ -132,7 +132,8 @@ def _fill_defaults(doc: dict, default_lambda2: bool) -> dict:
         doc["model"].setdefault("num_fields", spec.num_fields)
     elif "model" not in doc:
         raise ConfigError("model: required when data is a file path")
-    if default_lambda2 and doc.get("optimizer", "group-adam") in GROUP_NAMES:
+    default_optimizer = ExperimentConfig.__dataclass_fields__["optimizer"].default
+    if default_lambda2 and doc.get("optimizer", default_optimizer) in GROUP_NAMES:
         doc.setdefault("reg", {}).setdefault("lambda2", DEFAULT_LAMBDA2)
     return doc
 

@@ -36,10 +36,9 @@ class ModelConfig:
     embed_dim: int = 16
     num_fields: int = 10
     hidden_dims: tuple = (64, 32)
-    seed: int = 0
 
     def __post_init__(self):
-        require_integers(self, ("num_features", "embed_dim", "num_fields", "seed"))
+        require_integers(self, ("num_features", "embed_dim", "num_fields"))
         if not all(map(is_integer, self.hidden_dims)):
             raise ValueError(f"hidden_dims: must be integers, got {self.hidden_dims!r}")
         self.hidden_dims = tuple(int(h) for h in self.hidden_dims)
@@ -47,8 +46,6 @@ class ModelConfig:
             raise ValueError("num_features, embed_dim, num_fields must be positive")
         if any(h <= 0 for h in self.hidden_dims):
             raise ValueError("hidden dims must be positive")
-        if self.seed < 0:
-            raise ValueError(f"seed: must be >= 0, got {self.seed}")
 
 
 def _layer_dims(config: ModelConfig) -> list[tuple[int, int]]:
@@ -68,9 +65,10 @@ def _layers(dense: np.ndarray, config: ModelConfig) -> list[tuple[np.ndarray, np
     return layers
 
 
-def init_params(config: ModelConfig) -> dict[str, ParamBlock]:
-    """Embeddings uniform in (-0.01, 0.01); dense layers Kaiming; zero biases."""
-    rng = make_rng(config.seed)
+def init_params(config: ModelConfig, seed: int = 0) -> dict[str, ParamBlock]:
+    """Embeddings uniform in (-0.01, 0.01); dense layers Kaiming; zero biases;
+    drawn from make_rng(seed)."""
+    rng = make_rng(seed)
     emb = rng.uniform(-0.01, 0.01, config.num_features * config.embed_dim)
     parts = []
     for fan_in, fan_out in _layer_dims(config):
@@ -251,7 +249,10 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict]:
         doc = json.load(fh)
     cfg = doc["config"]
     cfg["hidden_dims"] = tuple(cfg["hidden_dims"])
-    config = ModelConfig(**cfg)
+    try:  # a field ModelConfig lacks, such as the seed older files carry
+        config = ModelConfig(**cfg)
+    except TypeError as exc:
+        raise ValueError(f"checkpoint config: {exc}") from None
     blocks = {
         name: ParamBlock(name, np.array(spec["values"]), spec["group_size"])
         for name, spec in doc["blocks"].items()

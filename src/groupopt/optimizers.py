@@ -43,7 +43,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blocks import ParamBlock, require_reals
-from .prox import VARIANTS, NonpositiveDiagonalError, group_shrink, soft_threshold
+from .prox import (PENALTIES, NonpositiveDiagonalError, check_penalties, group_shrink,
+                   soft_threshold)
 
 # GroupOptimizer.step takes a dense step of a grouped block this many groups
 # at a time, so its working memory scales with the chunk, not the table
@@ -98,12 +99,7 @@ class RegConfig:
     apply_to: frozenset | None = None
 
     def __post_init__(self):
-        require_reals(self, ("lambda1", "lambda21", "lambda2"))
-        penalties = (self.lambda1, self.lambda21, self.lambda2)
-        if not all(0 <= lam < math.inf for lam in penalties):  # NaN fails too
-            raise ValueError(f"penalties must be >= 0 and finite, got {penalties}")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
+        check_penalties(self)
         if isinstance(self.apply_to, str):
             raise ValueError(f"apply_to must be a set of block names, not {self.apply_to!r}")
         if self.apply_to is not None:
@@ -118,25 +114,19 @@ NO_REG = RegConfig()
 
 @dataclass
 class OptimizerState:
-    """Per-block state of the dual-averaging step: arrays holds the dual z,
-    R_{t-1} as prev_scaled_root and the moments _MOMENTS[kind], and nothing
-    else (both moments for kind None, a state any schedule may step); state.z
-    etc. read it. t counts the steps; poisoned is set for good once a step
-    meets a non-finite value or a prox failure."""
+    """Per-block state of the dual-averaging step of one schedule kind:
+    arrays holds the dual z, R_{t-1} as prev_scaled_root and the moments
+    _MOMENTS[kind], and nothing else. t counts the steps; poisoned is set
+    for good once a step meets a non-finite value or a prox failure."""
 
     dim: int
-    kind: str | None = None
+    kind: str
     t: int = 0
     poisoned: bool = False
     arrays: dict[str, np.ndarray] = field(init=False)
-    # properties, not __getattr__, which would slow every attribute read
-    z = property(lambda self: self.arrays["z"])
-    prev_scaled_root = property(lambda self: self.arrays["prev_scaled_root"])
-    m_hat = property(lambda self: self.arrays["m_hat"])
-    v_hat = property(lambda self: self.arrays["v_hat"])
 
     def __post_init__(self):
-        moments = ("m_hat", "v_hat") if self.kind is None else _MOMENTS.get(self.kind)
+        moments = _MOMENTS.get(self.kind)
         if moments is None:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         self.arrays = {name: np.zeros(self.dim) for name in ("z", "prev_scaled_root", *moments)}
@@ -148,9 +138,9 @@ _MOMENTS = {"sgd": (), "momentum": ("m_hat",), "adagrad": ("v_hat",),
             "adam": ("m_hat", "v_hat"), "amsgrad": ("m_hat", "v_hat")}
 
 
-def _check_step(state: OptimizerState, block: ParamBlock, grad, lr: float,
-                rows=None, kind: str | None = None) -> np.ndarray:
-    """grad as float64 once the state, lr, kind (if given) and grad pass; a
+def _check_step(state: OptimizerState, block: ParamBlock, grad, kind: str, lr: float,
+                rows=None) -> np.ndarray:
+    """grad as float64 once the state, its kind, lr and grad pass; a
     non-finite grad poisons the state. Given rows, grad holds those groups'
     gradients, a shape _check_rows has checked."""
     grad = np.asarray(grad, dtype=np.float64)
@@ -158,7 +148,7 @@ def _check_step(state: OptimizerState, block: ParamBlock, grad, lr: float,
         raise PoisonedStateError("optimizer state is poisoned")
     if not 0 < lr < math.inf:  # NaN fails too
         raise ValueError(f"lr must be > 0 and finite, got {lr}")
-    if kind and state.kind and state.kind != kind:
+    if state.kind != kind:
         raise ValueError(f"a {state.kind} state cannot take a {kind} step")
     if rows is None and (grad.shape != block.values.shape or state.dim != grad.size):
         raise ValueError(f"gradient/block/state dimension mismatch for block {block.name!r}")
@@ -258,7 +248,7 @@ def step_group(
     parameters, poisons the state and raises PoisonedStateError naming the
     block; the block's values are then left as they were.
     """
-    grad = _check_step(state, block, grad, lr, kind=schedule.kind)
+    grad = _check_step(state, block, grad, schedule.kind, lr)
     try:
         m, scaled_root = _dual_step(state.arrays, state.t + 1, block.values, grad,
                                     schedule, lr, block.name)
@@ -331,7 +321,7 @@ class GroupOptimizer:
         st = self.states.get(block.name)
         if st is None:
             st = self.states[block.name] = OptimizerState(block.values.size, self.schedule.kind)
-        grad = _check_step(st, block, grad, self.lr, rows, self.schedule.kind)
+        grad = _check_step(st, block, grad, self.schedule.kind, self.lr, rows)
         t, schedule, lr = st.t + 1, self.schedule, self.lr
         try:
             if rows is not None and schedule.kind == "adagrad" and st.t:
@@ -382,8 +372,7 @@ def check_name_reg(name: str, reg: RegConfig) -> None:
     """Raise ValueError if reg sets a penalty that the optimizer name does
     not apply (see name_reg): a run would report it, yet never use it."""
     used = name_reg(name, reg)
-    unused = [k for k in ("lambda1", "lambda21", "lambda2")
-              if getattr(reg, k) != getattr(used, k)]
+    unused = [k for k in PENALTIES if getattr(reg, k) != getattr(used, k)]
     if unused:
         raise ValueError(f"{name!r} applies no {', '.join(unused)}; "
                          f"set it to 0 or use a group- optimizer")

@@ -31,10 +31,13 @@ groups of one coordinate and lambda21 = 0 it works elementwise: a gate norm
 is positive where |s| > ``SQUARE_UNDERFLOW``. ``soft_threshold`` is a clip
 and a subtraction. Both return the same bits and raise the same errors as
 their plain ``np.where`` form, which ``tests/test_prox_bits.py`` keeps as a
-frozen oracle. With finite penalties they emit no RuntimeWarning (a zero
-diagonal without dual mass included), nor does ``soft_threshold`` at an
-infinite lambda1, unless a quotient is infinite: the result, which then
+frozen oracle. They emit no RuntimeWarning (a zero diagonal without dual
+mass included) unless a quotient is infinite: the result, which then
 raises, or the exact gate's rescaled dual at |s| > ~1e146 or diagonal 5e-324.
+
+Penalties are real numbers in [0, inf): ``check_penalties`` is the one rule,
+which ``RegConfig`` and ``ProxProblem`` both apply, and ``soft_threshold``
+refuses any other lambda1.
 
 ``prox_oracle`` is an independent check: proximal-gradient iteration in the
 transformed coordinates, then a subgradient-optimality certificate evaluated
@@ -48,9 +51,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import is_integer
+from .blocks import is_integer, require_reals
 
 VARIANTS = ("practical", "exact")
+PENALTIES = ("lambda1", "lambda21", "lambda2")
 
 ORACLE_MAX_DIM = 64
 ORACLE_BUDGET = 10**6
@@ -59,6 +63,17 @@ ORACLE_TOL = 1e-7
 # the largest double whose square rounds to 0: x * x > 0 exactly where
 # |x| > SQUARE_UNDERFLOW (NaN is neither)
 SQUARE_UNDERFLOW = float.fromhex("0x1.6a09e667f3bccp-538")
+
+
+def check_penalties(owner) -> None:
+    """Raise ValueError unless owner's PENALTIES are real numbers in
+    [0, inf) and its variant is one of VARIANTS."""
+    require_reals(owner, PENALTIES)
+    penalties = tuple(getattr(owner, name) for name in PENALTIES)
+    if not all(0 <= lam < math.inf for lam in penalties):  # NaN fails too
+        raise ValueError(f"penalties must be >= 0 and finite, got {penalties}")
+    if owner.variant not in VARIANTS:
+        raise ValueError(f"unknown variant {owner.variant!r}")
 
 
 class NonpositiveDiagonalError(ValueError):
@@ -72,21 +87,15 @@ def soft_threshold(z: np.ndarray, lambda1: float) -> np.ndarray:
     out_i = 0 when |z_i| <= lambda1, else sign(z_i)*lambda1 - z_i. Ties at
     the threshold map to zero. Equivalently -sign(z_i)*max(|z_i|-lambda1, 0).
     """
-    if lambda1 < 0:
-        raise ValueError("lambda1 must be >= 0")
+    if not 0 <= lambda1 < math.inf:  # NaN fails too
+        raise ValueError(f"lambda1 must be >= 0 and finite, got {lambda1}")
     z = np.asarray(z, dtype=np.float64)
     if not lambda1:
         # the dead zone is z = ±0, which 0.0 - z maps to +0.0 as well
         return 0.0 - z
-    if lambda1 < math.inf:
-        # clipping z to [-lambda1, lambda1] gives sign(z)*lambda1 outside the
-        # dead zone and z inside it, where z - z is +0.0
-        return np.minimum(np.maximum(z, -lambda1), lambda1) - z
-    # lambda1 inf or NaN: the clip would give inf - inf at z = ±inf. At an
-    # infinite lambda1 the discarded branch is sign(0) * inf at every zero of
-    # z and inf - inf at z = ±inf, so its invalid-value warnings mean nothing
-    with np.errstate(invalid="ignore"):
-        return np.where(np.abs(z) <= lambda1, 0.0, np.sign(z) * lambda1 - z)
+    # clipping z to [-lambda1, lambda1] gives sign(z)*lambda1 outside the
+    # dead zone and z inside it, where z - z is +0.0
+    return np.minimum(np.maximum(z, -lambda1), lambda1) - z
 
 
 def group_shrink(
@@ -181,10 +190,7 @@ class ProxProblem:
         if (not is_integer(self.group_size) or self.group_size <= 0
                 or self.z.size % self.group_size != 0):
             raise ValueError(f"invalid group_size {self.group_size!r}")
-        if not (self.lambda1 >= 0 and self.lambda21 >= 0 and self.lambda2 >= 0):
-            raise ValueError("penalties must be >= 0")  # NaN included
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
+        check_penalties(self)
         if not np.all(self.cum_diag >= 0):  # NaN fails too
             raise ValueError("cum_diag must be elementwise >= 0")
         if np.any(self.cum_diag + 2.0 * self.lambda2 <= 0):

@@ -137,7 +137,6 @@ def _checkpoints(horizon: int) -> np.ndarray:
 @dataclass
 class RegretRun:
     problem: OnlineProblem
-    kind: str
     lr: float
     schedule: MomentSchedule
     reg: RegConfig
@@ -181,7 +180,9 @@ class RegretRun:
             "problem": {"kind": self.problem.kind, "dim": self.problem.dim,
                         "horizon": self.problem.horizon, "seed": self.problem.seed,
                         "mode": self.problem.mode},
-            "optimizer": self.kind,
+            "optimizer": self.schedule.kind,
+            "reg": {"lambda1": self.reg.lambda1, "lambda21": self.reg.lambda21,
+                    "lambda2": self.reg.lambda2, "variant": self.reg.variant},
             "lr": self.lr,
             "step_decay": self.step_decay,
             "checkpoints": [int(t) for t in self.checkpoints],
@@ -334,7 +335,7 @@ def run_regret(problem: OnlineProblem, kind: str = "adagrad", lr: float = 0.5,
     rs = np.maximum(regrets[half:], 1e-300)
     slope = float(np.polyfit(np.log(ts), np.log(rs), 1)[0]) if len(ts) >= 2 else float("nan")
 
-    return RegretRun(problem=problem, kind=kind, lr=lr, schedule=schedule, reg=reg,
+    return RegretRun(problem=problem, lr=lr, schedule=schedule, reg=reg,
                      checkpoints=checkpoints, regrets=regrets, cum_losses=cum_at,
                      minima=minima, comparators=comparators, slope=slope,
                      kappa=kappa, grad_bound=grad_bound, monotone_checked=checked,

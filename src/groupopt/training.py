@@ -211,7 +211,7 @@ def train_model(config: ExperimentConfig, dataset: Dataset | None = None,
     if dataset is None:
         dataset = load_dataset(config)
     run_seed = config.seed + seed_offset
-    blocks = init_params(replace(config.model, seed=run_seed))
+    blocks = init_params(config.model, run_seed)
     optimizer = make_optimizer(config.optimizer, config.lr, config.reg,
                                config.schedule_args())
     features_seen = _features_seen(dataset.train_ids, config.model)

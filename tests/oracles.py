@@ -10,9 +10,11 @@ written in their conventional direct form and share no algebra with it:
   adagrad schedule at epsilon 0 with lambda1 alone must follow it within
   1e-9.
 
-Both step an optimizers.OptimizerState in place, reaching its arrays through
-state.arrays (a state of no kind holds both moments), and run the step's
-input checks, optimizers._check_step: a non-finite gradient poisons the state.
+Both step an optimizers.OptimizerState of their schedule's kind in place
+(ftrl_step an "adagrad" state, whose v_hat holds its running sum of g^2),
+reaching its arrays through state.arrays, and run the step's input checks,
+optimizers._check_step: a state of another kind is refused, and a
+non-finite gradient poisons the state.
 
 generate is data.generate as it was before it built its ids in place and
 drew the labels row chunk by row chunk: data.generate must give its bits.
@@ -58,7 +60,7 @@ def vanilla_step(
     corrections folded into the step size for adam/amsgrad) so it shares no
     algebra with the dual path of step_group.
     """
-    grad = _check_step(state, block, grad, lr)
+    grad = _check_step(state, block, grad, schedule.kind, lr)
     a = state.arrays
     t = state.t + 1
     kind = schedule.kind
@@ -106,7 +108,7 @@ def ftrl_step(
     elsewhere. With lambda1 = 0 this is the adagrad trajectory. n lives in
     v_hat: it is the running sum of g^2 that adagrad keeps with eps = 0.
     """
-    grad = _check_step(state, block, grad, lr)
+    grad = _check_step(state, block, grad, "adagrad", lr)
     a = state.arrays
     n_next = a["v_hat"] + grad * grad
     sigma = (np.sqrt(n_next) - np.sqrt(a["v_hat"])) / lr
@@ -168,7 +170,7 @@ def fresh_step_group(
     reg: RegConfig = NO_REG,
 ) -> tuple[np.ndarray, np.ndarray]:
     """step_group with every state array rebound to a fresh one each step."""
-    grad = _check_step(state, block, grad, lr)
+    grad = _check_step(state, block, grad, schedule.kind, lr)
     a = state.arrays
     lam1, lam21, lam2, variant = _penalties(reg, block.name)
     group_size = block.group_size if block.grouped else 1
@@ -210,7 +212,7 @@ def per_step_regret(problem: OnlineProblem, kind: str = "adagrad", lr: float = 0
         prefix_sq = np.concatenate([[0.0], np.cumsum(np.sum(targets**2, axis=1))])
 
     block = ParamBlock("x", np.zeros(d))
-    state = OptimizerState(d)
+    state = OptimizerState(d, schedule.kind)
     checkpoints = _checkpoints(T)
     xs = np.zeros((T, d))
     ms = np.zeros((T, d))

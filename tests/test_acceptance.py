@@ -71,7 +71,7 @@ def uniform_config(variant="practical", lr=1e-2, seed=0, epochs=2,
                    lambda1=0.0, lambda21=0.0, lambda2=1e-5):
     return ExperimentConfig(
         model=ModelConfig(num_features=5000, embed_dim=16, num_fields=10,
-                          hidden_dims=(64, 32), seed=seed),
+                          hidden_dims=(64, 32)),
         data=SynthSpec(num_fields=10, vocab_per_field=500,
                        informative_fraction=0.1, num_samples=10_000, seed=seed),
         optimizer="group-adam", lr=lr,
@@ -94,7 +94,7 @@ def longtail_config(seed, optimizer, lambda21=0.0, embed_dim=8):
            if lambda21 else RegConfig())
     return ExperimentConfig(
         model=ModelConfig(num_features=1000, embed_dim=embed_dim, num_fields=10,
-                          hidden_dims=(32, 16), seed=seed),
+                          hidden_dims=(32, 16)),
         data=SynthSpec(num_fields=10, vocab_per_field=100,
                        informative_fraction=0.1, num_samples=50_000,
                        skew=1.3, seed=seed),
@@ -176,7 +176,7 @@ def test_02_zero_regularization_matches_vanilla_trajectories(capsys):
                 schedule = MomentSchedule(kind=kind)
                 grouped = ParamBlock("w", x0.copy(), group_size=1)
                 plain = ParamBlock("w", x0.copy())
-                gs, vs = OptimizerState(dim), OptimizerState(dim)
+                gs, vs = OptimizerState(dim, kind), OptimizerState(dim, kind)
                 for _ in range(100):
                     step_group(gs, grouped, grad_fn(grouped.values),
                                schedule, 0.1, reg)
@@ -202,7 +202,7 @@ def test_03_size_one_group_adagrad_is_ftrl_proximal(capsys):
         lam1 = float(rng.uniform(0.0, 0.5))
         group = GroupOptimizer(MomentSchedule(kind="adagrad", epsilon=0.0),
                                0.5, RegConfig(lambda1=lam1))
-        ftrl = OptimizerState(dim)
+        ftrl = OptimizerState(dim, "adagrad")
         a = ParamBlock("w", np.zeros(dim), group_size=1)
         b = ParamBlock("w", np.zeros(dim))
         for _ in range(100):
@@ -378,9 +378,8 @@ def test_10_backward_matches_central_differences(capsys):
             num_features=int(rng.integers(8, 17)),
             embed_dim=int(rng.integers(2, 7)),
             num_fields=int(rng.integers(2, 4)),
-            hidden_dims=hidden_choices[case % len(hidden_choices)],
-            seed=case)
-        blocks = init_params(config)
+            hidden_dims=hidden_choices[case % len(hidden_choices)])
+        blocks = init_params(config, case)
         for block in blocks.values():
             block.values += rng.normal(scale=0.05, size=block.values.size)
         batch = int(rng.integers(3, 7))

@@ -369,13 +369,19 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("extra, message", [
         ({"seed": -1}, "seed: must be >= 0, got -1"),
-        ({"model": {**TINY["model"], "seed": -1}}, "model: seed: must be >= 0, got -1"),
         ({"data": {**TINY["data"], "seed": -1}}, "data: seed: must be >= 0, got -1"),
     ])
     def test_negative_seed_exits_2_before_loading_data(self, tmp_path, capsys,
                                                        monkeypatch, extra, message):
         assert train_without_data(tmp_path, monkeypatch, extra) == EXIT_CONFIG
         assert f"config error: {message}" in capsys.readouterr().err
+
+    def test_model_seed_is_an_unknown_field(self, tmp_path, capsys, monkeypatch):
+        # the parameters are drawn from the run seed; a model seed would be
+        # reported, yet never used
+        extra = {"model": {**TINY["model"], "seed": 1}}
+        assert train_without_data(tmp_path, monkeypatch, extra) == EXIT_CONFIG
+        assert "config error: model.seed: unknown field" in capsys.readouterr().err
 
     def test_invalid_json_exits_2(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -509,6 +515,18 @@ class TestRegretCommand:
         assert code == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert payload["optimizer"] == "adagrad"
+
+    @pytest.mark.parametrize("flags, reg", [
+        (["--optimizer", "adagrad"], {"lambda1": 0.0, "lambda21": 0.0, "lambda2": 0.0}),
+        (["--optimizer", "group-adagrad", "--lambda21", "0.1"],
+         {"lambda1": 0.0, "lambda21": 0.1, "lambda2": 0.0}),
+    ], ids=["plain", "lambda21"])
+    def test_report_shows_its_penalties(self, capsys, flags, reg):
+        # both runs report "optimizer": "adagrad"; the penalties tell them apart
+        assert main(["regret", "--horizon", "64", *flags]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["optimizer"] == "adagrad"
+        assert payload["reg"] == {**reg, "variant": "practical"}
 
     def test_negative_seed_exits_2_before_the_run(self, monkeypatch, capsys):
         def never(*args, **kwargs):

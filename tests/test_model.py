@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -53,9 +52,8 @@ def numeric_gradient(blocks, name, ids, labels, config, h=1e-5):
     return grad
 
 
-def small_config(seed=0):
-    return ModelConfig(num_features=12, embed_dim=3, num_fields=2,
-                       hidden_dims=(5,), seed=seed)
+def small_config():
+    return ModelConfig(num_features=12, embed_dim=3, num_fields=2, hidden_dims=(5,))
 
 
 def frozen_layers(blocks, config):
@@ -90,7 +88,7 @@ class TestForward:
     def test_hand_computed_logit(self):
         # one field, one-dim embedding, single linear layer, no hidden relu
         config = ModelConfig(num_features=2, embed_dim=1, num_fields=1,
-                             hidden_dims=(), seed=0)
+                             hidden_dims=())
         blocks = {
             EMBEDDING: ParamBlock(EMBEDDING, np.array([0.5, -2.0]), group_size=1),
             DENSE: ParamBlock(DENSE, np.array([3.0, 0.25])),  # w0, b0
@@ -100,7 +98,7 @@ class TestForward:
 
     def test_relu_masks_negative_preactivations(self):
         config = ModelConfig(num_features=2, embed_dim=1, num_fields=1,
-                             hidden_dims=(1,), seed=0)
+                             hidden_dims=(1,))
         blocks = {
             EMBEDDING: ParamBlock(EMBEDDING, np.array([1.0, -1.0]), group_size=1),
             DENSE: ParamBlock(DENSE, np.array([2.0, 0.0, 5.0, 0.5])),  # w0, b0, w1, b1
@@ -120,8 +118,8 @@ class TestForward:
         # forward gathers with take; table[ids] is the gather it replaced.
         # Ids come from 4 rows of 12, so a batch repeats ids within and
         # across its samples
-        config = small_config(seed=seed % 1000)
-        blocks = init_params(config)
+        config = small_config()
+        blocks = init_params(config, seed % 1000)
         rng = make_rng(seed)
         ids = rng.choice(rng.choice(config.num_features, 4), size=(batch, config.num_fields))
         table = blocks[EMBEDDING].values.reshape(config.num_features, config.embed_dim)
@@ -148,7 +146,7 @@ class TestChunkedLogits:
         # that call's rows elsewhere (1 ulp seen at 50,001 rows), so the
         # tolerance is a few ulps of a logit of order 1
         rng = make_rng(seed)
-        blocks = init_params(replace(self.CONFIG, seed=seed % 1000))
+        blocks = init_params(self.CONFIG, seed % 1000)
         blocks[EMBEDDING].values[:] = rng.normal(size=blocks[EMBEDDING].values.size)
         ids = rng.integers(0, self.CONFIG.num_features, size=(size, self.CONFIG.num_fields))
         want = forward(blocks, ids, self.CONFIG).logits
@@ -204,8 +202,8 @@ class TestBackward:
     def test_matches_central_differences(self):
         rng = make_rng(5)
         for seed in range(3):
-            config = small_config(seed)
-            blocks = init_params(config)
+            config = small_config()
+            blocks = init_params(config, seed)
             # move off init scale so relus have both signs active
             for block in blocks.values():
                 block.values += rng.normal(scale=0.05, size=block.values.size)
@@ -223,7 +221,7 @@ class TestBackward:
 
     def test_duplicate_ids_accumulate(self):
         config = ModelConfig(num_features=3, embed_dim=1, num_fields=2,
-                             hidden_dims=(), seed=0)
+                             hidden_dims=())
         blocks = {
             EMBEDDING: ParamBlock(EMBEDDING, np.array([0.1, 0.2, 0.3]), group_size=1),
             DENSE: ParamBlock(DENSE, np.array([1.0, 1.0, 0.0])),  # w0, b0
@@ -286,8 +284,8 @@ class TestCompactBackward:
         # id, batch size 1, a table of one row; the parameters' scale and the
         # labels make delta random
         config = ModelConfig(num_features=num_features, embed_dim=embed_dim,
-                             num_fields=num_fields, hidden_dims=hidden_dims, seed=seed % 1000)
-        blocks = init_params(config)
+                             num_fields=num_fields, hidden_dims=hidden_dims)
+        blocks = init_params(config, seed % 1000)
         rng = make_rng(seed)
         for block in blocks.values():
             block.values = rng.normal(scale=scale, size=block.values.size)
@@ -325,8 +323,8 @@ class TestTrainingBehavior:
     def test_loss_decreases_over_an_epoch(self):
         rng = make_rng(13)
         config = ModelConfig(num_features=40, embed_dim=4, num_fields=3,
-                             hidden_dims=(8,), seed=1)
-        blocks = init_params(config)
+                             hidden_dims=(8,))
+        blocks = init_params(config, 1)
         ids = rng.integers(0, config.num_features, size=(256, config.num_fields))
         weights = rng.normal(size=config.num_features)
         logits_true = weights[ids].sum(axis=1)
@@ -346,8 +344,8 @@ class TestTrainingBehavior:
 
     def test_untouched_zeroed_rows_stay_exactly_zero(self):
         config = ModelConfig(num_features=10, embed_dim=2, num_fields=1,
-                             hidden_dims=(4,), seed=3)
-        blocks = init_params(config)
+                             hidden_dims=(4,))
+        blocks = init_params(config, 3)
         table = blocks[EMBEDDING].values.reshape(config.num_features, config.embed_dim)
         table[5:] = 0.0
         reg = RegConfig(lambda21=1e-3, apply_to=frozenset({EMBEDDING}))
@@ -368,8 +366,8 @@ class TestTrainingBehavior:
 
 class TestCheckpoint:
     def test_round_trip_exact(self, tmp_path):
-        config = small_config(seed=9)
-        blocks = init_params(config)
+        config = small_config()
+        blocks = init_params(config, 9)
         path = tmp_path / "model.json"
         save_checkpoint(path, config, blocks)
         loaded_config, loaded = load_checkpoint(path)
@@ -381,21 +379,33 @@ class TestCheckpoint:
 
     def test_float_group_size_refused(self, tmp_path):
         # (size, 2.0) == (size, 2), so the layout check alone would take it
-        config = small_config(seed=9)
+        config = small_config()
         path = tmp_path / "model.json"
-        save_checkpoint(path, config, init_params(config))
+        save_checkpoint(path, config, init_params(config, 9))
         doc = json.loads(path.read_text())
         doc["blocks"][EMBEDDING]["group_size"] = float(config.embed_dim)
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="group_size must be a positive integer"):
             load_checkpoint(path)
 
+    def test_config_with_a_seed_refused(self, tmp_path):
+        # a model config that names a seed, as files did when ModelConfig
+        # carried one that training overwrote with the run seed
+        config = small_config()
+        path = tmp_path / "model.json"
+        save_checkpoint(path, config, init_params(config, 9))
+        doc = json.loads(path.read_text())
+        doc["config"]["seed"] = 9
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="^checkpoint config: .*'seed'"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("layout", ["per-layer blocks", "short dense block"])
     def test_other_layout_refused(self, tmp_path, layout):
         # a file written when each layer was its own block (dense0_w,
         # dense0_b, ...), or with a dense block of the wrong size
-        config = small_config(seed=9)
-        blocks = init_params(config)
+        config = small_config()
+        blocks = init_params(config, 9)
         if layout == "per-layer blocks":
             dense = blocks.pop(DENSE)
             for i, (w, b) in enumerate(frozen_layers({DENSE: dense}, config)):

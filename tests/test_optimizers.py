@@ -47,7 +47,7 @@ def run_pair(kind, seed, steps=60, dim=6, objective="quadratic"):
 
     worst = 0.0
     blocks = [ParamBlock("w", x0.copy()), ParamBlock("w", x0.copy())]
-    states = [OptimizerState(dim), OptimizerState(dim)]
+    states = [OptimizerState(dim, kind), OptimizerState(dim, kind)]
     for _ in range(steps):
         for block, state, stepper in zip(blocks, states, (step_group, vanilla_step)):
             if objective == "quadratic":
@@ -62,40 +62,40 @@ def run_pair(kind, seed, steps=60, dim=6, objective="quadratic"):
 class TestHandSteps:
     def test_single_step_cumulative_schedule(self):
         # g=[2], lr=1, eps=0: V=[4], z=[2], s=[-2], x=[-1]
-        state = OptimizerState(1)
+        state = OptimizerState(1, "adagrad")
         block = ParamBlock("w", np.zeros(1))
         schedule = MomentSchedule(kind="adagrad", epsilon=0.0)
         step_group(state, block, np.array([2.0]), schedule, 1.0)
-        assert_allclose(state.z, [2.0])
-        assert_allclose(state.prev_scaled_root, [2.0])
+        assert_allclose(state.arrays["z"], [2.0])
+        assert_allclose(state.arrays["prev_scaled_root"], [2.0])
         assert_allclose(block.values, [-1.0])
 
     def test_vanilla_sgd_first_step(self):
-        state = OptimizerState(1)
+        state = OptimizerState(1, "sgd")
         block = ParamBlock("w", np.ones(1))
         vanilla_step(state, block, np.array([1.0]), MomentSchedule(kind="sgd"), 1.0)
         assert_allclose(block.values, [0.0])
 
     def test_vanilla_momentum_first_step_is_gradient(self):
-        state = OptimizerState(2)
+        state = OptimizerState(2, "momentum")
         block = ParamBlock("w", np.zeros(2))
         schedule = MomentSchedule(kind="momentum", gamma=0.9)
         vanilla_step(state, block, np.array([1.0, -2.0]), schedule, 0.5)
         assert_allclose(block.values, [-0.5, 1.0])
-        assert_allclose(state.m_hat, [1.0, -2.0])
+        assert_allclose(state.arrays["m_hat"], [1.0, -2.0])
 
     def test_momentum_root_is_constant_after_first_step(self):
-        state = OptimizerState(1)
+        state = OptimizerState(1, "momentum")
         block = ParamBlock("w", np.zeros(1))
         schedule = MomentSchedule(kind="momentum", gamma=0.5)
         for g in ([1.0], [0.25], [-2.0]):
             step_group(state, block, np.array(g), schedule, 0.1)
-            assert_allclose(state.prev_scaled_root, [10.0])
+            assert_allclose(state.arrays["prev_scaled_root"], [10.0])
 
     def test_vanilla_adagrad_epsilon_zero_leaves_unseen_coordinates(self):
         # at epsilon 0 a coordinate with no gradient yet has v_hat = 0; the
         # oracle keeps it put instead of taking 0/0 and poisoning the state
-        state = OptimizerState(4)
+        state = OptimizerState(4, "adagrad")
         block = ParamBlock("e", np.full(4, 0.5), group_size=2)
         schedule = MomentSchedule(kind="adagrad", epsilon=0.0)
         with warnings.catch_warnings():
@@ -112,7 +112,7 @@ class TestHandSteps:
         # and a zero root, so it sits at 0 from the first step, as under FTRL
         opt = make_optimizer(name, 0.1, schedule_args={"epsilon": 0.0})
         block = ParamBlock("e", np.full(4, 0.5), group_size=2)
-        ftrl_state, ftrl_block = OptimizerState(4), ParamBlock("e", np.full(4, 0.5))
+        ftrl_state, ftrl_block = OptimizerState(4, "adagrad"), ParamBlock("e", np.full(4, 0.5))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             opt.step(block, np.array([0.0, 0.0, 1.0, 2.0]))
@@ -123,7 +123,7 @@ class TestHandSteps:
         assert not opt.states["e"].poisoned
 
     def test_huge_group_penalty_zeroes_in_one_step(self):
-        state = OptimizerState(6)
+        state = OptimizerState(6, "adagrad")
         block = ParamBlock("e", make_rng(0).normal(size=6), group_size=3)
         reg = RegConfig(lambda21=1e9)
         schedule = MomentSchedule(kind="adagrad")
@@ -153,7 +153,7 @@ class TestFtrlIdentity:
             center = rng.normal(size=dim)
             group = GroupOptimizer(MomentSchedule(kind="adagrad", epsilon=0.0), 0.5,
                                    RegConfig(lambda1=lam1))
-            ftrl = OptimizerState(dim)
+            ftrl = OptimizerState(dim, "adagrad")
             a = ParamBlock("w", np.zeros(dim), group_size=1)
             b = ParamBlock("w", np.zeros(dim))
             for _ in range(100):
@@ -167,7 +167,7 @@ class TestFtrlIdentity:
         rng = make_rng(9)
         dim = 4
         center = rng.normal(size=dim)
-        ftrl, vanilla = OptimizerState(dim), OptimizerState(dim)
+        ftrl, vanilla = OptimizerState(dim, "adagrad"), OptimizerState(dim, "adagrad")
         schedule = MomentSchedule(kind="adagrad", epsilon=0.0)
         a = ParamBlock("w", np.zeros(dim))
         b = ParamBlock("w", np.zeros(dim))
@@ -177,7 +177,7 @@ class TestFtrlIdentity:
         assert np.max(np.abs(a.values - b.values)) <= 1e-9
 
     def test_dead_zone(self):
-        state = OptimizerState(2)
+        state = OptimizerState(2, "adagrad")
         block = ParamBlock("w", np.zeros(2))
         ftrl_step(state, block, np.array([0.01, -0.02]), 1.0, lambda1=10.0)
         assert_allclose(block.values, [0.0, 0.0])
@@ -189,7 +189,7 @@ class TestTelescoping:
         rng = make_rng(17)
         dim, steps, lr = 4, 50, 0.2
         schedule = MomentSchedule(kind=kind)
-        state = OptimizerState(dim)
+        state = OptimizerState(dim, kind)
         block = ParamBlock("w", rng.normal(size=dim))
         grads = []
         center = rng.normal(size=dim)
@@ -212,7 +212,7 @@ class TestTelescoping:
                 v = np.maximum(v, candidate) if kind == "amsgrad" else candidate
             bc2 = 1 - schedule.beta2**t
             expected = (np.sqrt(v / bc2) + schedule.epsilon / np.sqrt(bc2)) / lr
-        assert np.max(np.abs(state.prev_scaled_root - expected)) <= 1e-12
+        assert np.max(np.abs(state.arrays["prev_scaled_root"] - expected)) <= 1e-12
 
 
 class TestEpsilonHandling:
@@ -220,7 +220,7 @@ class TestEpsilonHandling:
         # the stabilizer at step t must be eps0/sqrt(1-beta2^t), from eps0 each time
         eps0, beta2 = 1e-3, 0.9
         schedule = MomentSchedule(kind="adam", beta1=0.5, beta2=beta2, epsilon=eps0)
-        state = OptimizerState(1)
+        state = OptimizerState(1, "adam")
         block = ParamBlock("w", np.zeros(1))
         lr = 1.0
         grads = [np.array([1.0]), np.array([2.0])]
@@ -229,13 +229,13 @@ class TestEpsilonHandling:
             step_group(state, block, g, schedule, lr)
             v = beta2 * v + (1 - beta2) * float(g[0]) ** 2
             bc2 = 1 - beta2**t
-            observed_eps = float(state.prev_scaled_root[0]) * lr - np.sqrt(v / bc2)
+            observed_eps = float(state.arrays["prev_scaled_root"][0]) * lr - np.sqrt(v / bc2)
             assert_allclose(observed_eps, eps0 / np.sqrt(bc2), rtol=1e-12)
 
 
 class TestStateSafety:
     def test_nan_gradient_poisons(self):
-        state = OptimizerState(2)
+        state = OptimizerState(2, "adam")
         block = ParamBlock("w", np.zeros(2))
         schedule = MomentSchedule(kind="adam")
         with pytest.raises(PoisonedStateError):
@@ -245,7 +245,7 @@ class TestStateSafety:
 
     def test_overflowing_dual_poisons_dense_step(self):
         # finite gradients whose running dual overflows to inf on step 2
-        state = OptimizerState(2)
+        state = OptimizerState(2, "sgd")
         block = ParamBlock("w", np.zeros(2))
         schedule = MomentSchedule(kind="sgd")
         grad = np.full(2, 1e308)
@@ -270,7 +270,7 @@ class TestStateSafety:
 
     def test_prox_failure_poisons_dense_step(self):
         # R = 1/lr = 1e-10 under a dual of 1e300: x = -z/R overflows
-        state = OptimizerState(2)
+        state = OptimizerState(2, "sgd")
         block = ParamBlock("w", np.ones(2))
         schedule = MomentSchedule(kind="sgd")
         with np.errstate(over="ignore"), pytest.raises(
@@ -298,13 +298,13 @@ class TestStateSafety:
             opt.step(block, np.zeros(2), rows=[0])
 
     def test_dimension_mismatch(self):
-        state = OptimizerState(2)
+        state = OptimizerState(2, "sgd")
         block = ParamBlock("w", np.zeros(3))
         with pytest.raises(ValueError):
             step_group(state, block, np.zeros(3), MomentSchedule(kind="sgd"), 0.1)
 
     def test_nonpositive_lr(self):
-        state = OptimizerState(1)
+        state = OptimizerState(1, "sgd")
         block = ParamBlock("w", np.zeros(1))
         with pytest.raises(ValueError):
             step_group(state, block, np.ones(1), MomentSchedule(kind="sgd"), 0.0)
@@ -322,7 +322,7 @@ class TestStateSafety:
         for bad in (nan, float("inf")):
             with pytest.raises(ValueError, match="epsilon"):
                 MomentSchedule(kind="adagrad", epsilon=bad)
-            state = OptimizerState(1)
+            state = OptimizerState(1, "sgd")
             block = ParamBlock("w", np.zeros(1))
             with pytest.raises(ValueError, match="lr"):
                 step_group(state, block, np.ones(1), MomentSchedule(kind="sgd"), bad)
@@ -369,7 +369,7 @@ class TestRegTargeting:
         center = make_rng(2).normal(size=3)
 
         regularized = GroupOptimizer(schedule, 0.5, reg)
-        plain = OptimizerState(3)
+        plain = OptimizerState(3, "adagrad")
         a = ParamBlock("dense", np.zeros(3))
         b = ParamBlock("dense", np.zeros(3))
         for _ in range(30):
@@ -415,9 +415,6 @@ def row_form(grad, rows, group_size):
     rows = np.unique(rows)
     return grad.reshape(-1, group_size)[rows].ravel(), rows
 
-
-# the arrays of a state of no kind, which any schedule may step
-STATE_ARRAYS = ("z", "m_hat", "v_hat", "prev_scaled_root")
 
 
 def state_bits(opt, block):
@@ -720,7 +717,7 @@ class TestInPlaceStep:
         x0 = rng.uniform(-0.5, 0.5, size)
         blocks = [ParamBlock("e", x0.copy(), group_size=group_size if grouped else None)
                   for _ in range(2)]
-        states = [OptimizerState(size) for _ in range(2)]
+        states = [OptimizerState(size, kind) for _ in range(2)]
         for _ in range(steps):
             # some groups without gradient, as most rows of a batch
             live = np.repeat(rng.random(num_groups) < 0.7, group_size)
@@ -731,9 +728,9 @@ class TestInPlaceStep:
             assert returned[0] == returned[1]
             assert ([blocks[0].values.tobytes(), states[0].t, states[0].poisoned]
                     == [blocks[1].values.tobytes(), states[1].t, states[1].poisoned])
-            for array in STATE_ARRAYS:
-                assert (getattr(states[0], array).tobytes()
-                        == getattr(states[1], array).tobytes()), array
+            assert states[0].arrays.keys() == states[1].arrays.keys()
+            for name, array in states[0].arrays.items():
+                assert array.tobytes() == states[1].arrays[name].tobytes(), name
             if returned[0] is None:
                 break
 
@@ -742,12 +739,12 @@ class TestInPlaceStep:
         # the regret lab keeps each step's R_t (and m_t) across later steps
         rng = make_rng(4)
         schedule = MomentSchedule(kind=kind)
-        state, block = OptimizerState(6), ParamBlock("w", rng.normal(size=6))
+        state, block = OptimizerState(6, kind), ParamBlock("w", rng.normal(size=6))
         kept = []
         for _ in range(4):
             m, root = step_group(state, block, rng.normal(size=6), schedule, 0.1,
                                  RegConfig(lambda21=0.01))
-            for array in (*(getattr(state, name) for name in STATE_ARRAYS), block.values):
+            for array in (*state.arrays.values(), block.values):
                 assert not np.shares_memory(m, array) and not np.shares_memory(root, array)
             kept.append((m, root, m.tobytes(), root.tobytes()))
         for m, root, m_bits, root_bits in kept:
@@ -759,14 +756,14 @@ def model_blocks(seed, num_features=12, embed_dim=3, num_fields=2, hidden_dims=(
     and the dense block's members: (name, slice) of each layer's weights and
     biases in its layout w0, b0, w1, b1, ..."""
     config = ModelConfig(num_features=num_features, embed_dim=embed_dim,
-                         num_fields=num_fields, hidden_dims=hidden_dims, seed=seed)
+                         num_fields=num_fields, hidden_dims=hidden_dims)
     widths = [num_fields * embed_dim, *hidden_dims, 1]
     members, lo = [], 0
     for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
         for kind, size in (("w", fan_in * fan_out), ("b", fan_out)):
             members.append((f"{kind}{i}", slice(lo, lo + size)))
             lo += size
-    blocks = init_params(config)
+    blocks = init_params(config, seed)
     assert lo == blocks[DENSE].values.size
     return blocks, dict(members)
 
@@ -1000,7 +997,9 @@ class TestStateLayout:
             == before
         assert state.t == 1 and not state.poisoned
 
-    def test_unknown_kind_rejected(self):
+    def test_unknown_or_missing_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown schedule kind 'nope'"):
             OptimizerState(3, "nope")
-        assert sorted(OptimizerState(3).arrays) == sorted(STATE_ARRAYS)
+        # every state holds the arrays of one schedule kind, which alone may step it
+        with pytest.raises(TypeError):
+            OptimizerState(3)

@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from groupopt.blocks import make_rng
+from groupopt.optimizers import RegConfig
 from groupopt.prox import (
+    PENALTIES,
     NonpositiveDiagonalError,
     ProxProblem,
     group_shrink,
@@ -104,7 +108,32 @@ class TestProxSolve:
         assert_allclose(prox_solve(p), oracle.x_star, atol=1e-7)
 
 
+def penalty_message(build):
+    """The message of the ValueError build() raises, or None if it builds."""
+    try:
+        build()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 class TestProxProblemValidation:
+    @pytest.mark.parametrize("field, value, accepted", [
+        *((name, value, True) for name in PENALTIES for value in (0.0, -0.0, 1e-3)),
+        *((name, value, False) for name in PENALTIES
+          for value in (math.inf, math.nan, -1.0, "0.1", True)),
+        ("variant", "exact", True),
+        ("variant", "nope", False),
+    ])
+    def test_one_penalty_rule_with_reg_config(self, field, value, accepted):
+        # RegConfig and ProxProblem accept the same penalties and variant,
+        # and refuse the rest with the same message
+        reg = penalty_message(lambda: RegConfig(**{field: value}))
+        prox = penalty_message(lambda: ProxProblem(z=np.ones(4), cum_diag=np.ones(4),
+                                                   group_size=2, **{field: value}))
+        assert reg == prox
+        assert (reg is None) == accepted
+
     @pytest.mark.parametrize("group_size", [0, -2, 3, 2.0, 1.5, True, None, "2"])
     def test_group_size_must_be_a_positive_integer_dividing_the_length(self, group_size):
         # 2.0 and True used to pass, and prox_oracle then failed with a TypeError
