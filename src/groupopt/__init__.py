@@ -31,8 +31,7 @@ _EXPORTS = {
     "optimizers": ("GroupOptimizer", "MomentSchedule", "NO_REG", "OptimizerState",
                    "PoisonedStateError", "RegConfig", "make_optimizer", "step_group"),
     "prox": ("NonpositiveDiagonalError", "OracleResult", "ProxProblem", "group_shrink",
-             "prox_objective", "prox_oracle", "prox_solve", "random_problem",
-             "soft_threshold"),
+             "prox_oracle", "prox_solve", "random_problem", "soft_threshold"),
     "pruning": ("magnitude_prune",),
     "regret": ("OnlineProblem", "RegretRun", "measure_bound_constants", "run_regret"),
     "training": ("ExperimentConfig", "RunReport", "config_from_dict", "prune_baseline",

@@ -244,19 +244,27 @@ def save_checkpoint(path, config: ModelConfig, blocks: dict) -> None:
         json.dump(doc, fh)
 
 
+def _entry(doc: dict, key: str, where: str):
+    """doc[key]; a file without it is refused with ValueError naming it."""
+    if key not in doc:
+        raise ValueError(f"{where}: missing key {key!r}")
+    return doc[key]
+
+
 def load_checkpoint(path) -> tuple[ModelConfig, dict]:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    cfg = doc["config"]
-    cfg["hidden_dims"] = tuple(cfg["hidden_dims"])
+    cfg = _entry(doc, "config", "checkpoint")
+    cfg["hidden_dims"] = tuple(_entry(cfg, "hidden_dims", "checkpoint config"))
     try:  # a field ModelConfig lacks, such as the seed older files carry
         config = ModelConfig(**cfg)
     except TypeError as exc:
         raise ValueError(f"checkpoint config: {exc}") from None
-    blocks = {
-        name: ParamBlock(name, np.array(spec["values"]), spec["group_size"])
-        for name, spec in doc["blocks"].items()
-    }
+    blocks = {}
+    for name, spec in _entry(doc, "blocks", "checkpoint").items():
+        where = f"checkpoint block {name!r}"
+        blocks[name] = ParamBlock(name, np.array(_entry(spec, "values", where)),
+                                  _entry(spec, "group_size", where))
     # a file of another layout would load, then fail in forward or train wrong
     layout, found = ({name: (b.values.size, b.group_size) for name, b in bs.items()}
                      for bs in (init_params(config), blocks))

@@ -1,8 +1,8 @@
 """Adaptive optimizers with sparse-group-lasso regularization.
 
 The group path maintains, per parameter block, a dual accumulator z and the
-scaled stabilized root R_t of the second moment (sqrt(V_t)/alpha plus the
-schedule's stabilizer). One step is
+moments from which it forms the scaled stabilized root R_t of the second
+moment (sqrt(V_t)/alpha plus the schedule's stabilizer). One step is
 
     z <- z + m_t - (R_t - R_{t-1}) * x_t
     x <- group_shrink(soft_threshold(z, lambda1), R_t, ...)
@@ -33,6 +33,11 @@ correction reuse the adam lines with the max-accumulated second moment.
 A step is elementwise arithmetic on a state's arrays around a group-wise prox
 (_dual_step, _prox): step_group runs it on a state's own arrays, and
 GroupOptimizer.step on views of them chunk by chunk, or on gathered rows.
+sgd, momentum and adagrad recompute R_{t-1} from the state (the step count,
+the accumulator and prev_lr, the lr of the last step); adam and amsgrad
+store it, as theirs depends on every earlier step's bias correction. The
+step checks the gradient finite; a non-finite dual always makes the prox's
+check of the new values fail, and only then is the dual itself looked at.
 """
 
 from __future__ import annotations
@@ -56,7 +61,19 @@ OPTIMIZER_NAMES = SCHEDULE_KINDS + ("ftrl",) + GROUP_NAMES
 
 
 class PoisonedStateError(RuntimeError):
-    """A non-finite gradient or dual was seen; the state is permanently invalid."""
+    """A step met a non-finite gradient or dual, or a prox failure; the
+    state is permanently invalid. block, step and check say where, check
+    being "gradient", "dual" (the new values fail whenever the dual is not
+    finite) or "prox" (no finite parameters from a finite dual); the message
+    then ends "for block 'e' at step 3". A step on a state poisoned before
+    carries none of them."""
+
+    def __init__(self, message: str, block: str | None = None, step: int | None = None,
+                 check: str | None = None):
+        if block is not None:
+            message = f"{message} for block {block!r} at step {step}"
+        super().__init__(message)
+        self.block, self.step, self.check = block, step, check
 
 
 @dataclass
@@ -115,27 +132,32 @@ NO_REG = RegConfig()
 @dataclass
 class OptimizerState:
     """Per-block state of the dual-averaging step of one schedule kind:
-    arrays holds the dual z, R_{t-1} as prev_scaled_root and the moments
-    _MOMENTS[kind], and nothing else. t counts the steps; poisoned is set
-    for good once a step meets a non-finite value or a prox failure."""
+    arrays holds the dual z, the moments _MOMENTS[kind] and, for adam and
+    amsgrad, R_{t-1} as prev_scaled_root, and nothing else; the other kinds
+    compute R_{t-1} from their moments, t and prev_lr, the lr of the last
+    step (inf before the first, so that R_0 is 0). t counts the steps;
+    poisoned is set for good once a step meets a non-finite value or a prox
+    failure."""
 
     dim: int
     kind: str
     t: int = 0
     poisoned: bool = False
+    prev_lr: float = math.inf
     arrays: dict[str, np.ndarray] = field(init=False)
 
     def __post_init__(self):
         moments = _MOMENTS.get(self.kind)
         if moments is None:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        self.arrays = {name: np.zeros(self.dim) for name in ("z", "prev_scaled_root", *moments)}
+        self.arrays = {name: np.zeros(self.dim) for name in ("z", *moments)}
 
 
-# the moment accumulators each schedule advances; a step advances z and
-# prev_scaled_root too
+# the arrays each schedule advances beside z; only a root that depends on
+# every earlier step's bias correction is stored
 _MOMENTS = {"sgd": (), "momentum": ("m_hat",), "adagrad": ("v_hat",),
-            "adam": ("m_hat", "v_hat"), "amsgrad": ("m_hat", "v_hat")}
+            "adam": ("m_hat", "v_hat", "prev_scaled_root"),
+            "amsgrad": ("m_hat", "v_hat", "prev_scaled_root")}
 
 
 def _check_step(state: OptimizerState, block: ParamBlock, grad, kind: str, lr: float,
@@ -152,31 +174,41 @@ def _check_step(state: OptimizerState, block: ParamBlock, grad, kind: str, lr: f
         raise ValueError(f"a {state.kind} state cannot take a {kind} step")
     if rows is None and (grad.shape != block.values.shape or state.dim != grad.size):
         raise ValueError(f"gradient/block/state dimension mismatch for block {block.name!r}")
-    if not np.logical_and.reduce(np.isfinite(grad), axis=None):
+    finite = np.isfinite(grad)
+    if np.count_nonzero(finite) != finite.size:
         state.poisoned = True
-        raise PoisonedStateError(f"non-finite gradient for block {block.name!r}")
+        raise PoisonedStateError("non-finite gradient", block.name, state.t + 1, "gradient")
     return grad
 
 
-def _dual_step(a, t, x, grad, schedule, lr, name):
+def _dual_step(a, t, x, grad, schedule, lr, prev_lr):
     """Step t of a, the state arrays of coordinates with values x and gradient
-    grad, in place: the moments and z, then R_t into prev_scaled_root once z
-    is finite; else PoisonedStateError names the block. Returns (m_t, R_t),
+    grad, in place: the moments, then z, which may come out non-finite (the
+    prox then fails). prev_lr is the lr of step t - 1. Returns (m_t, R_t),
     grad or new arrays."""
     kind = schedule.kind
+    # drift is (R_t - R_{t-1}) * x; a Python float difference subtracts as
+    # the arrays it fills would
     if kind == "sgd":
-        m, scaled_root = grad, np.full(grad.shape, math.sqrt(t) / lr)
+        root = math.sqrt(t) / lr
+        m, scaled_root = grad, np.full(grad.shape, root)
+        drift = (root - math.sqrt(t - 1) / prev_lr) * x
     elif kind == "momentum":
         a["m_hat"] *= schedule.gamma
         a["m_hat"] += grad
         m, scaled_root = a["m_hat"].copy(), np.full(grad.shape, 1.0 / lr)
+        drift = (1.0 / lr - 1.0 / prev_lr) * x
     elif kind == "adagrad":
+        drift = np.sqrt(a["v_hat"])
+        drift /= prev_lr  # R_{t-1}, from v before it advances
         inc = grad * grad
         if t == 1:
             inc += schedule.epsilon
         a["v_hat"] += inc
         m, scaled_root = grad, np.sqrt(a["v_hat"])
         scaled_root /= lr
+        np.subtract(scaled_root, drift, out=drift)
+        drift *= x
     else:  # adam, amsgrad: b1*m + (1-b1)*g and b2*v + (1-b2)*g*g, left to right
         b1, b2 = schedule.beta1, schedule.beta2
         m_hat, v_hat = a["m_hat"], a["v_hat"]
@@ -196,15 +228,12 @@ def _dual_step(a, t, x, grad, schedule, lr, name):
         scaled_root += schedule.epsilon / np.sqrt(bc2)
         scaled_root /= lr
         m = m_hat / (1.0 - b1**t)
-    # z + m - (R_t - R_{t-1}) * x in its left-to-right order
-    drift = scaled_root - a["prev_scaled_root"]
-    drift *= x
+        drift = scaled_root - a["prev_scaled_root"]
+        drift *= x
+    # z + m - drift in its left-to-right order
     z = a["z"]
     z += m
     z -= drift
-    if not np.logical_and.reduce(np.isfinite(z), axis=None):
-        raise PoisonedStateError(f"non-finite dual for block {name!r}")
-    a["prev_scaled_root"][...] = scaled_root
     return m, scaled_root
 
 
@@ -214,16 +243,26 @@ def _penalties(reg: RegConfig, block_name: str) -> tuple[float, float, float, st
     return 0.0, 0.0, 0.0, reg.variant
 
 
-def _prox(z, scaled_root, block: ParamBlock, reg: RegConfig) -> np.ndarray:
-    """The new values of the coordinates of block whose dual is z and root
-    R_t scaled_root; a prox failure raises PoisonedStateError naming it."""
+def _prox(a, scaled_root, block: ParamBlock, reg: RegConfig, t: int) -> np.ndarray:
+    """The new values of the coordinates of block whose state arrays a hold
+    step t's dual z and whose root R_t is scaled_root; R_t is then stored as
+    prev_scaled_root where a keeps one. group_shrink fails whenever z is not
+    finite, and only then is z looked at: PoisonedStateError says "dual" and
+    R_t is not stored, or it says "prox" and R_t is stored."""
     lam1, lam21, lam2, variant = _penalties(reg, block.name)
-    s = soft_threshold(z, lam1)
+    s = soft_threshold(a["z"], lam1)
     try:
-        return group_shrink(s, scaled_root, block.group_size or 1, lam21, lam2, variant)
+        x = group_shrink(s, scaled_root, block.group_size or 1, lam21, lam2, variant)
     except NonpositiveDiagonalError as exc:
-        raise PoisonedStateError(
-            f"{exc}: no finite parameters for block {block.name!r}") from exc
+        if not np.isfinite(a["z"]).all():
+            raise PoisonedStateError("non-finite dual", block.name, t, "dual") from None
+        if "prev_scaled_root" in a:
+            a["prev_scaled_root"][...] = scaled_root
+        raise PoisonedStateError(f"{exc}: no finite parameters", block.name, t,
+                                 "prox") from exc
+    if "prev_scaled_root" in a:
+        a["prev_scaled_root"][...] = scaled_root
+    return x
 
 
 def step_group(
@@ -239,24 +278,29 @@ def step_group(
 
     The state's arrays are advanced in place, and block.values is replaced
     by a new array. A state of another kind than the schedule's raises
-    ValueError.
+    ValueError. lr may differ from step to step.
 
     Blocks the reg config does not target take the lambda = 0 path, which is
     the plain adaptive update. Targeted ungrouped blocks are penalized too,
     as groups of size 1: lambda21 then shrinks each coordinate on its own.
     A non-finite gradient or dual, or a prox that cannot form finite
     parameters, poisons the state and raises PoisonedStateError naming the
-    block; the block's values are then left as they were.
+    block, the step and the check; the block's values are then left as they
+    were. A non-finite gradient raises before any state changes; a prox
+    failure with a finite dual counts as a step, a non-finite dual not.
     """
     grad = _check_step(state, block, grad, schedule.kind, lr)
+    t = state.t + 1
+    m, scaled_root = _dual_step(state.arrays, t, block.values, grad, schedule, lr,
+                                state.prev_lr)
     try:
-        m, scaled_root = _dual_step(state.arrays, state.t + 1, block.values, grad,
-                                    schedule, lr, block.name)
-        state.t += 1
-        block.values = _prox(state.arrays["z"], scaled_root, block, reg)
-    except PoisonedStateError:
+        block.values = _prox(state.arrays, scaled_root, block, reg, t)
+    except PoisonedStateError as exc:
         state.poisoned = True
+        if exc.check == "prox":
+            state.t, state.prev_lr = t, lr
         raise
+    state.t, state.prev_lr = t, lr
     return m, scaled_root
 
 
@@ -290,10 +334,14 @@ class GroupOptimizer:
     """Driver holding one OptimizerState per block name; it steps each as step_group does."""
 
     def __init__(self, schedule: MomentSchedule, lr: float, reg: RegConfig = NO_REG):
-        self.schedule = schedule
-        self.lr = lr
+        self._schedule, self._lr = schedule, lr
         self.reg = reg
         self.states: dict[str, OptimizerState] = {}
+
+    # read-only: a lazy row step computes R_{t-1} of a row last stepped long
+    # ago from the lr of the last step, exact only while lr stays constant
+    schedule = property(lambda self: self._schedule)
+    lr = property(lambda self: self._lr)
 
     def step(self, block: ParamBlock, grad: np.ndarray, rows=None) -> None:
         """Step one block.
@@ -318,11 +366,12 @@ class GroupOptimizer:
         """
         if rows is not None:
             rows = _check_rows(block, grad, rows)
+        schedule, lr = self._schedule, self._lr
         st = self.states.get(block.name)
         if st is None:
-            st = self.states[block.name] = OptimizerState(block.values.size, self.schedule.kind)
-        grad = _check_step(st, block, grad, self.schedule.kind, self.lr, rows)
-        t, schedule, lr = st.t + 1, self.schedule, self.lr
+            st = self.states[block.name] = OptimizerState(block.values.size, schedule.kind)
+        grad = _check_step(st, block, grad, schedule.kind, lr, rows)
+        t = st.t + 1
         try:
             if rows is not None and schedule.kind == "adagrad" and st.t:
                 # the rows of the state's arrays and, as x, of the values
@@ -330,8 +379,8 @@ class GroupOptimizer:
                         for k, a in (*st.arrays.items(), ("x", block.values))}
                 # take copies rows as a[rows] would, at a third of its cost
                 part = {k: a.take(rows, axis=0).ravel() for k, a in full.items()}
-                _, root = _dual_step(part, t, part["x"], grad, schedule, lr, block.name)
-                part["x"] = _prox(part["z"], root, block, self.reg)
+                _, root = _dual_step(part, t, part["x"], grad, schedule, lr, st.prev_lr)
+                part["x"] = _prox(part, root, block, self.reg, t)
                 for k, a in full.items():
                     a[rows] = part[k].reshape(-1, block.group_size)
             else:
@@ -344,8 +393,8 @@ class GroupOptimizer:
                     part = {k: a[chunk] for k, a in st.arrays.items()}
                     g = grad[chunk] if rows is None else _groups_grad(grad, rows, lo, hi, buf)
                     _, root = _dual_step(part, t, block.values[chunk], g, schedule, lr,
-                                         block.name)
-                    new = _prox(part["z"], root, block, self.reg)
+                                         st.prev_lr)
+                    new = _prox(part, root, block, self.reg, t)
                     if values is None:
                         values = new
                     else:
@@ -354,7 +403,7 @@ class GroupOptimizer:
         except PoisonedStateError:
             st.poisoned = True
             raise
-        st.t = t
+        st.t, st.prev_lr = t, lr
 
 
 def name_reg(name: str, reg: RegConfig) -> RegConfig:

@@ -132,7 +132,8 @@ def group_shrink(
     denom = cum_diag + 2.0 * lambda2 if lambda2 else cum_diag
     # half > 0 implies denom > 0, so the exact gate checks only half
     half = 0.5 * cum_diag + lambda2 if variant == "exact" else denom
-    if np.logical_and.reduce(half > 0.0, axis=None):
+    positive = half > 0.0
+    if np.count_nonzero(positive) == positive.size:
         gate = s / np.sqrt(half) if variant == "exact" else s
     else:
         empty = s == 0.0
@@ -147,8 +148,7 @@ def group_shrink(
     if group_size == 1 and not lambda21:
         # groups of one coordinate, no group penalty: live where gate * gate > 0, that is
         # |gate| > SQUARE_UNDERFLOW, without einsum's dispatch or an overflow warning
-        x = (np.abs(gate) > SQUARE_UNDERFLOW).astype(np.float64)
-        x *= s
+        x = s * (np.abs(gate) > SQUARE_UNDERFLOW)
     else:
         gate = gate.reshape(-1, group_size)
         # einsum, unlike gate * gate, does not warn where a square overflows
@@ -165,7 +165,8 @@ def group_shrink(
     # x overflows where the diagonal is tiny against the dual, and is rejected
     x /= denom.reshape(x.shape)
     x = x.ravel()
-    if not np.logical_and.reduce(np.isfinite(x), axis=None):
+    finite = np.isfinite(x)
+    if np.count_nonzero(finite) != finite.size:
         raise NonpositiveDiagonalError("nonpositive effective diagonal")
     return x
 
@@ -213,22 +214,6 @@ class OracleResult:
     certified: bool
     witness_norm: float
     iterations: int
-
-
-def prox_objective(p: ProxProblem, x: np.ndarray) -> float:
-    """The objective the oracle minimizes, evaluated at x."""
-    x = np.asarray(x, dtype=np.float64)
-    half = 0.5 * p.cum_diag + p.lambda2
-    groups = x.reshape(-1, p.group_size)
-    halfg = half.reshape(-1, p.group_size)
-    group_norms = np.sqrt(np.einsum("ij,ij->i", halfg * groups, groups))
-    return float(
-        p.z @ x
-        + 0.5 * (p.cum_diag * x) @ x
-        + p.lambda1 * np.sum(np.abs(x))
-        + p.lambda21 * np.sqrt(p.group_size) * np.sum(group_norms)
-        + p.lambda2 * (x @ x)
-    )
 
 
 def _witness_subgradient(p: ProxProblem, x: np.ndarray) -> np.ndarray:

@@ -24,9 +24,16 @@ embedding gradient, its dense table-shaped form, for the tests that compare
 it with a dense reference.
 
 fresh_step_group is optimizers.step_group as it was before it advanced
-the state in place: each step rebinds the entries of state.arrays to fresh
-arrays. step_group must give its bits, state and returned (m_t, R_t)
-included.
+the state in place, before sgd, momentum and adagrad states stopped storing
+R_{t-1}, and before the step left the dual's finiteness to the prox's result
+check: each step rebinds the entries of state.arrays to fresh arrays, keeps
+R_{t-1} in roots, a mapping beside the state, and checks the dual itself.
+step_group must give its bits, state, returned (m_t, R_t) and error
+messages included, and store that R_{t-1} where the state keeps one (the
+oracle leaves an adam or amsgrad state's prev_scaled_root at zero).
+
+prox_objective evaluates the objective prox.prox_oracle minimizes, for the
+tests that compare the closed form with nearby points.
 
 per_step_regret is regret.run_regret's loop as it was before the loop kept
 a chunk of gradients and roots and folded grad_bound and kappa once per
@@ -42,7 +49,7 @@ from groupopt.data import Dataset, SynthSpec
 from groupopt.model import sigmoid
 from groupopt.optimizers import (NO_REG, MomentSchedule, OptimizerState, PoisonedStateError,
                                  RegConfig, _check_step, _penalties, step_group)
-from groupopt.prox import NonpositiveDiagonalError, group_shrink, soft_threshold
+from groupopt.prox import NonpositiveDiagonalError, ProxProblem, group_shrink, soft_threshold
 from groupopt.regret import (OnlineProblem, _checkpoints, _logistic_prefix_min,
                              _make_stream, _quadratic_prefix_min)
 
@@ -168,24 +175,28 @@ def fresh_step_group(
     schedule: MomentSchedule,
     lr: float,
     reg: RegConfig = NO_REG,
+    *,
+    roots: dict,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """step_group with every state array rebound to a fresh one each step."""
+    """step_group with every state array rebound to a fresh one each step
+    and R_{t-1} in roots["prev_scaled_root"], zeros before step 1."""
     grad = _check_step(state, block, grad, schedule.kind, lr)
     a = state.arrays
+    t = state.t + 1
     lam1, lam21, lam2, variant = _penalties(reg, block.name)
     group_size = block.group_size if block.grouped else 1
 
     m, scaled_root = _fresh_moments(state, grad, schedule, lr)
     # z + m - (R_t - R_{t-1}) * x in its left-to-right order, on fresh arrays
-    drift = scaled_root - a["prev_scaled_root"]
+    drift = scaled_root - roots["prev_scaled_root"]
     drift *= block.values
     z = a["z"] + m
     z -= drift
     a["z"] = z
     if not np.logical_and.reduce(np.isfinite(z), axis=None):
         state.poisoned = True
-        raise PoisonedStateError(f"non-finite dual for block {block.name!r}")
-    a["prev_scaled_root"] = scaled_root
+        raise PoisonedStateError("non-finite dual", block.name, t, "dual")
+    roots["prev_scaled_root"] = scaled_root
     state.t += 1
 
     s = soft_threshold(a["z"], lam1)
@@ -193,9 +204,25 @@ def fresh_step_group(
         block.values = group_shrink(s, scaled_root, group_size, lam21, lam2, variant)
     except NonpositiveDiagonalError as exc:
         state.poisoned = True
-        raise PoisonedStateError(
-            f"{exc}: no finite parameters for block {block.name!r}") from exc
+        raise PoisonedStateError(f"{exc}: no finite parameters", block.name, t,
+                                 "prox") from exc
     return m, scaled_root
+
+
+def prox_objective(p: ProxProblem, x: np.ndarray) -> float:
+    """The objective the oracle minimizes, evaluated at x."""
+    x = np.asarray(x, dtype=np.float64)
+    half = 0.5 * p.cum_diag + p.lambda2
+    groups = x.reshape(-1, p.group_size)
+    halfg = half.reshape(-1, p.group_size)
+    group_norms = np.sqrt(np.einsum("ij,ij->i", halfg * groups, groups))
+    return float(
+        p.z @ x
+        + 0.5 * (p.cum_diag * x) @ x
+        + p.lambda1 * np.sum(np.abs(x))
+        + p.lambda21 * np.sqrt(p.group_size) * np.sum(group_norms)
+        + p.lambda2 * (x @ x)
+    )
 
 
 def per_step_regret(problem: OnlineProblem, kind: str = "adagrad", lr: float = 0.5,

@@ -417,3 +417,23 @@ class TestCheckpoint:
         save_checkpoint(path, config, blocks)
         with pytest.raises(ValueError, match="^checkpoint block 'dense': "):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("where, key, message", [
+        ((), "config", "^checkpoint: missing key 'config'$"),
+        ((), "blocks", "^checkpoint: missing key 'blocks'$"),
+        (("config",), "hidden_dims", "^checkpoint config: missing key 'hidden_dims'$"),
+        (("blocks", EMBEDDING), "group_size",
+         "^checkpoint block 'embedding': missing key 'group_size'$"),
+        (("blocks", DENSE), "values", "^checkpoint block 'dense': missing key 'values'$")])
+    def test_missing_key_refused_by_name(self, tmp_path, where, key, message):
+        config = small_config()
+        path = tmp_path / "model.json"
+        save_checkpoint(path, config, init_params(config, 9))
+        doc = json.loads(path.read_text())
+        entry = doc
+        for name in where:
+            entry = entry[name]
+        del entry[key]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=message):
+            load_checkpoint(path)

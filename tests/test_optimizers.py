@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 import warnings
 
@@ -21,7 +22,7 @@ from groupopt.optimizers import (
     make_optimizer,
     step_group,
 )
-from oracles import fresh_step_group, ftrl_step, vanilla_step
+from oracles import fresh_step_group, ftrl_step, scatter_rows, vanilla_step
 
 KINDS = ("sgd", "momentum", "adagrad", "adam", "amsgrad")
 
@@ -65,9 +66,9 @@ class TestHandSteps:
         state = OptimizerState(1, "adagrad")
         block = ParamBlock("w", np.zeros(1))
         schedule = MomentSchedule(kind="adagrad", epsilon=0.0)
-        step_group(state, block, np.array([2.0]), schedule, 1.0)
+        _, root = step_group(state, block, np.array([2.0]), schedule, 1.0)
         assert_allclose(state.arrays["z"], [2.0])
-        assert_allclose(state.arrays["prev_scaled_root"], [2.0])
+        assert_allclose(root, [2.0])
         assert_allclose(block.values, [-1.0])
 
     def test_vanilla_sgd_first_step(self):
@@ -89,8 +90,8 @@ class TestHandSteps:
         block = ParamBlock("w", np.zeros(1))
         schedule = MomentSchedule(kind="momentum", gamma=0.5)
         for g in ([1.0], [0.25], [-2.0]):
-            step_group(state, block, np.array(g), schedule, 0.1)
-            assert_allclose(state.arrays["prev_scaled_root"], [10.0])
+            _, root = step_group(state, block, np.array(g), schedule, 0.1)
+            assert_allclose(root, [10.0])
 
     def test_vanilla_adagrad_epsilon_zero_leaves_unseen_coordinates(self):
         # at epsilon 0 a coordinate with no gradient yet has v_hat = 0; the
@@ -196,7 +197,7 @@ class TestTelescoping:
         for _ in range(steps):
             g = quadratic_grad(block.values, center)
             grads.append(g.copy())
-            step_group(state, block, g, schedule, lr)
+            _, root = step_group(state, block, g, schedule, lr)
 
         t = steps
         if kind == "sgd":
@@ -212,7 +213,7 @@ class TestTelescoping:
                 v = np.maximum(v, candidate) if kind == "amsgrad" else candidate
             bc2 = 1 - schedule.beta2**t
             expected = (np.sqrt(v / bc2) + schedule.epsilon / np.sqrt(bc2)) / lr
-        assert np.max(np.abs(state.arrays["prev_scaled_root"] - expected)) <= 1e-12
+        assert np.max(np.abs(root - expected)) <= 1e-12
 
 
 class TestEpsilonHandling:
@@ -340,6 +341,54 @@ class TestStateSafety:
             MomentSchedule(kind="momentum", gamma=-0.1)
         with pytest.raises(ValueError):
             MomentSchedule(kind="nope")
+
+
+def failing_step(path, check):
+    """Steps 1 and 2 of an epsilon-0 adagrad on 3 groups of 2, gradient on
+    group 0 alone, then a step 3 whose gradient on group 2 fails check: a
+    NaN, 1e200, which squares to inf (a dual of 0 * inf), or 1e-170, which
+    squares to 0 (dual mass on a zero root). Returns step 3's error."""
+    schedule = MomentSchedule(kind="adagrad", epsilon=0.0)
+    state, opt = OptimizerState(6, "adagrad"), GroupOptimizer(schedule, 0.1)
+    opt.states["e"] = state
+    block = ParamBlock("e", np.zeros(6), group_size=2)
+    planted = {"gradient": np.nan, "dual": 1e200, "prox": 1e-170}[check]
+    for rows, g in (([0], [1.0, -1.0]), ([0], [0.5, 0.5]), ([2], [planted, 0.0])):
+        rows = np.array(rows)
+        dense = scatter_rows(block, g, rows)
+        with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
+            patch.setattr(optimizers, "STEP_ROWS", 1 if path == "chunked" else 3)
+            try:
+                if path == "step_group":
+                    step_group(state, block, dense, schedule, 0.1)
+                else:
+                    opt.step(block, *((np.array(g), rows) if path == "lazy" else (dense,)))
+            except PoisonedStateError as exc:
+                assert state.poisoned
+                return exc
+    raise AssertionError("step 3 did not fail")
+
+
+class TestFailureReports:
+    """A PoisonedStateError says which check fired, for which block and at
+    which step."""
+
+    @pytest.mark.parametrize("path", ["step_group", "dense", "chunked", "lazy"])
+    @pytest.mark.parametrize("check, message", [
+        ("gradient", "non-finite gradient"), ("dual", "non-finite dual"),
+        ("prox", "nonpositive effective diagonal: no finite parameters")])
+    def test_error_names_block_step_and_check(self, path, check, message):
+        exc = failing_step(path, check)
+        assert (exc.block, exc.step, exc.check) == ("e", 3, check)
+        assert str(exc) == f"{message} for block 'e' at step 3"
+
+    def test_a_poisoned_state_names_nothing(self):
+        state = OptimizerState(2, "sgd")
+        state.poisoned = True
+        with pytest.raises(PoisonedStateError, match="^optimizer state is poisoned$") as info:
+            step_group(state, ParamBlock("w", np.zeros(2)), np.zeros(2),
+                       MomentSchedule(kind="sgd"), 0.1)
+        assert (info.value.block, info.value.step, info.value.check) == (None, None, None)
 
 
 class TestDriverChecks:
@@ -680,59 +729,99 @@ class TestChunkedStep:
         assert peak <= 2 * block.values.nbytes + 2**20
 
 
-def try_step(stepper, state, block, grad, schedule, reg):
-    """The bits of the (m_t, R_t) a step returns, or None if it raised
-    PoisonedStateError. Overflow and 0/0 are meant: their warnings are off."""
+def try_step(step):
+    """(the bits of the arrays step() returns, or None if it raised
+    PoisonedStateError; that error's message, or None). Overflow and 0/0
+    are meant: their warnings are off."""
     with np.errstate(all="ignore"):
         try:
-            returned = stepper(state, block, grad, schedule, 0.3, reg)
-        except PoisonedStateError:
-            return None
-    return [a.tobytes() for a in returned]
+            returned = step()
+        except PoisonedStateError as exc:
+            return None, str(exc)
+    return [a.tobytes() for a in returned or ()], None
 
 
-class TestInPlaceStep:
-    """step_group advances the state's arrays in place; it must give the
-    bits of the fresh-array step it replaced, oracles.fresh_step_group."""
+# step_group at a constant lr and at lr/sqrt(t); the driver's dense step,
+# in chunks, and its row step, lazy on adagrad
+STEP_GROUP_PATHS = ("step_group", "decay")
+PATHS = (*STEP_GROUP_PATHS, "dense", "rows")
 
-    @settings(max_examples=300, deadline=None)
-    @given(kind=st.sampled_from(KINDS), seed=st.integers(0, 2**31 - 1),
-           num_groups=st.integers(1, 6), group_size=st.integers(1, 4),
-           grouped=st.booleans(), steps=st.integers(1, 6),
-           scale=st.sampled_from([1.0, 1.0, 1e-170, 1e160]),
+
+class TestStoredRootStep:
+    """sgd, momentum and adagrad states compute R_{t-1} instead of storing
+    it, and a step finds a non-finite dual through the prox's result check.
+    Every path must give the bits and the errors of oracles.fresh_step_group,
+    which stores R_{t-1} beside the state and checks the dual itself."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(kind=st.sampled_from(KINDS), path=st.sampled_from(PATHS),
+           seed=st.integers(0, 2**31 - 1), num_groups=st.integers(1, 8),
+           group_size=st.integers(1, 4), grouped=st.booleans(),
+           scales=st.lists(st.sampled_from([1.0, 1.0, 1.0, 1e-170, 1e160, np.nan]),
+                           min_size=1, max_size=6),
            epsilon=st.sampled_from([0.0, 1e-8]),
            variant=st.sampled_from(["practical", "exact"]),
            lambda1=penalty, lambda21=penalty, lambda2=penalty)
-    def test_matches_the_fresh_array_step_bit_for_bit(self, kind, seed, num_groups,
-                                                      group_size, grouped, steps, scale,
+    def test_matches_the_stored_root_step_bit_for_bit(self, kind, path, seed, num_groups,
+                                                      group_size, grouped, scales,
                                                       epsilon, variant,
                                                       lambda1, lambda21, lambda2):
-        # gradients of 1e-170 square to 0 (a prox failure at epsilon 0), and
-        # of 1e160 to inf (a dual failure): both steps must poison alike
+        # one step per scale: gradients of 1e-170 square to 0 (a prox failure
+        # at epsilon 0), of 1e160 to inf (a dual failure), and NaN fails the
+        # gradient check; both steps must fail alike, with the same message
         schedule = MomentSchedule(kind=kind, epsilon=epsilon)
         reg = RegConfig(lambda1=lambda1, lambda21=lambda21, lambda2=lambda2,
                         variant=variant)
         rng = make_rng(seed)
         size = num_groups * group_size
         x0 = rng.uniform(-0.5, 0.5, size)
+        grouped = grouped or path == "rows"
         blocks = [ParamBlock("e", x0.copy(), group_size=group_size if grouped else None)
                   for _ in range(2)]
-        states = [OptimizerState(size, kind) for _ in range(2)]
-        for _ in range(steps):
-            # some groups without gradient, as most rows of a batch
-            live = np.repeat(rng.random(num_groups) < 0.7, group_size)
-            grad = scale * live * rng.normal(scale=10.0 ** rng.uniform(-2, 1), size=size)
-            returned = [try_step(stepper, state, block, grad, schedule, reg)
-                        for stepper, state, block in zip((step_group, fresh_step_group),
-                                                         states, blocks)]
-            assert returned[0] == returned[1]
-            assert ([blocks[0].values.tobytes(), states[0].t, states[0].poisoned]
-                    == [blocks[1].values.tobytes(), states[1].t, states[1].poisoned])
-            assert states[0].arrays.keys() == states[1].arrays.keys()
-            for name, array in states[0].arrays.items():
-                assert array.tobytes() == states[1].arrays[name].tobytes(), name
-            if returned[0] is None:
-                break
+        state, oracle = OptimizerState(size, kind), OptimizerState(size, kind)
+        roots = {"prev_scaled_root": np.zeros(size)}
+        opt = GroupOptimizer(schedule, 0.3, reg)
+        opt.states["e"] = state
+        last_lr = math.inf
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(optimizers, "STEP_ROWS", 3)
+            for t, scale in enumerate(scales, start=1):
+                # some groups without gradient, as most rows of a batch
+                live = rng.random(num_groups) < 0.7
+                grad = np.where(np.repeat(live, group_size),
+                                scale * rng.normal(scale=10.0 ** rng.uniform(-2, 1), size=size),
+                                0.0)
+                lr = 0.3 / math.sqrt(t) if path == "decay" else 0.3
+                expected = try_step(lambda: fresh_step_group(oracle, blocks[1], grad, schedule,
+                                                             lr, reg, roots=roots))
+                if path in STEP_GROUP_PATHS:
+                    got = try_step(lambda: step_group(state, blocks[0], grad, schedule, lr, reg))
+                    assert got == expected
+                else:
+                    rows = np.flatnonzero(live)
+                    args = ((grad.reshape(num_groups, group_size)[rows].ravel(), rows)
+                            if path == "rows" else (grad, None))
+                    got = try_step(lambda: opt.step(blocks[0], *args))
+                    assert got[1] == expected[1]
+                assert blocks[0].values.tobytes() == blocks[1].values.tobytes()
+                assert state.poisoned == oracle.poisoned
+                if oracle.t == t:
+                    last_lr = lr
+                # a failing driver step leaves t and the arrays as it goes
+                # (later chunks, or the lazy rows, are not stepped)
+                if (expected[1] is None or path in STEP_GROUP_PATHS
+                        or "gradient" in expected[1]):
+                    assert (state.t, state.prev_lr) == (oracle.t, last_lr)
+                    reference = {**oracle.arrays, **roots}
+                    for name, array in state.arrays.items():
+                        assert array.tobytes() == reference[name].tobytes(), name
+                if expected[1] is not None:
+                    break
+
+
+class TestInPlaceStep:
+    """step_group advances the state's arrays in place, yet what it returns
+    stays the caller's."""
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_returned_arrays_stay_the_callers(self, kind):
@@ -947,9 +1036,11 @@ class TestMakeOptimizer:
             make_optimizer("adamw", 0.1)
 
 
-# the moments each schedule keeps, beside z and prev_scaled_root
-KEPT_MOMENTS = {"sgd": set(), "momentum": {"m_hat"}, "adagrad": {"v_hat"},
-                "adam": {"m_hat", "v_hat"}, "amsgrad": {"m_hat", "v_hat"}}
+# the arrays each schedule keeps beside z: its moments and, where R_{t-1}
+# cannot be computed from them, that root
+KEPT = {"sgd": set(), "momentum": {"m_hat"}, "adagrad": {"v_hat"},
+        "adam": {"m_hat", "v_hat", "prev_scaled_root"},
+        "amsgrad": {"m_hat", "v_hat", "prev_scaled_root"}}
 
 
 class TestStateLayout:
@@ -962,22 +1053,37 @@ class TestStateLayout:
         blocks, members = model_blocks(0)
         for grads, rows in model_grad_stream(0, blocks, members, 2):
             step_batch(opt, blocks, grads, rows)
-        expected = {"z", "prev_scaled_root", *KEPT_MOMENTS[opt.schedule.kind]}
+        expected = {"z", *KEPT[opt.schedule.kind]}
         for key, block in blocks.items():
             state = opt.states[key]
             assert state.kind == opt.schedule.kind and state.t == 2, key
+            assert state.prev_lr == 0.05, key
             assert set(state.arrays) == expected, key
             for array in state.arrays.values():
                 assert array.shape == block.values.shape, key
 
-    def test_adagrad_state_of_a_large_table_holds_three_tables(self):
-        # 10,000 x 8 float64 is 640,000 B: z, prev_scaled_root and v_hat
-        opt = make_optimizer("group-adagrad", 0.01, RegConfig(lambda21=0.05))
+    @pytest.mark.parametrize("name, tables", [("group-sgd", 1), ("group-momentum", 2),
+                                              ("group-adagrad", 2), ("ftrl", 2),
+                                              ("group-adam", 4), ("group-amsgrad", 4)])
+    def test_state_of_a_large_table_holds_its_tables(self, name, tables):
+        # 10,000 x 8 float64 is 640,000 B: a group-adagrad state holds z and
+        # v_hat, and computes R_{t-1} from v_hat and prev_lr
+        opt = make_optimizer(name, 0.01, RegConfig(lambda21=0.05))
         block = ParamBlock(EMBEDDING, np.zeros(80_000), group_size=8)
-        opt.step(block, np.ones(16), rows=np.array([3, 9_999]))
+        for _ in range(2):  # the second adagrad step is lazy
+            opt.step(block, np.ones(16), rows=np.array([3, 9_999]))
         state = opt.states[EMBEDDING]
-        assert sorted(state.arrays) == ["prev_scaled_root", "v_hat", "z"]
-        assert [a.nbytes for a in state.arrays.values()] == [640_000] * 3
+        assert [a.nbytes for a in state.arrays.values()] == [640_000] * tables
+        assert state.t == 2 and state.prev_lr == 0.01
+
+    def test_the_lr_of_a_driver_is_read_only(self):
+        # a lazy row step computes R_{t-1} from the lr of the last step, which
+        # is that of a row's last step only while lr stays constant
+        opt = make_optimizer("group-adagrad", 0.01)
+        for attribute, value in (("lr", 0.02), ("schedule", MomentSchedule(kind="adagrad"))):
+            with pytest.raises(AttributeError):
+                setattr(opt, attribute, value)
+        assert opt.lr == 0.01 and opt.schedule == MomentSchedule(kind="adagrad")
 
     @pytest.mark.parametrize("kind, other", [("adagrad", "adam"), ("adam", "amsgrad"),
                                              ("sgd", "momentum"), ("amsgrad", "sgd")])

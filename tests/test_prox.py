@@ -12,12 +12,12 @@ from groupopt.prox import (
     NonpositiveDiagonalError,
     ProxProblem,
     group_shrink,
-    prox_objective,
     prox_oracle,
     prox_solve,
     random_problem,
     soft_threshold,
 )
+from oracles import prox_objective
 
 
 class TestSoftThreshold:
