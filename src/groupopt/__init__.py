@@ -28,14 +28,14 @@ _EXPORTS = {
     "metrics": ("auc", "nonzero_groups", "sparsity"),
     "model": ("DENSE", "EMBEDDING", "ModelConfig", "backward", "forward", "init_params",
               "load_checkpoint", "logloss", "predict_proba", "save_checkpoint"),
-    "optimizers": ("GroupOptimizer", "MomentSchedule", "NO_REG", "OptimizerState",
-                   "PoisonedStateError", "RegConfig", "make_optimizer", "step_group"),
-    "prox": ("NonpositiveDiagonalError", "OracleResult", "ProxProblem", "group_shrink",
-             "prox_oracle", "prox_solve", "random_problem", "soft_threshold"),
+    "optimizers": ("GroupOptimizer", "MomentSchedule", "OptimizerState", "PoisonedStateError",
+                   "RegConfig", "make_optimizer", "step_group"),
+    "prox": ("NonpositiveDiagonalError", "ProxProblem", "group_shrink", "prox_oracle",
+             "prox_solve", "random_problem", "soft_threshold"),
     "pruning": ("magnitude_prune",),
     "regret": ("OnlineProblem", "RegretRun", "measure_bound_constants", "run_regret"),
-    "training": ("ExperimentConfig", "RunReport", "config_from_dict", "prune_baseline",
-                 "run_repeated", "sweep", "train_model"),
+    "training": ("ExperimentConfig", "config_from_dict", "prune_baseline", "run_repeated",
+                 "sweep", "train_model"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -1,4 +1,4 @@
-"""Grouped parameter vectors and the pinned RNG.
+"""Grouped parameter vectors, the pinned RNG and the checks on input values.
 
 Everything downstream works on flat fp64 vectors. A block is either
 ungrouped (dense weights, biases) or split into contiguous fixed-size
@@ -43,6 +43,10 @@ def make_rng(seed: int) -> np.random.Generator:
     package goes through this constructor.
     """
     return np.random.Generator(np.random.PCG64(seed))
+
+
+class ConfigError(ValueError):
+    """Invalid experiment configuration; message includes the field path."""
 
 
 def is_integer(value) -> bool:

@@ -3,7 +3,8 @@
 Subcommands: train, sweep, prune-baseline, prox-selftest, regret. Every
 command is deterministic given (config, seed). Reports are JSON; per-epoch
 metrics and regret curves are CSV. Exit codes: 0 success, 2 config error,
-3 numeric failure, 4 self-test failure.
+3 numeric failure, 4 self-test failure. The training commands import the
+training stack when they run; prox-selftest and regret never load it.
 """
 
 from __future__ import annotations
@@ -16,25 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .blocks import make_rng
-from .data import SynthSpec
-from .model import EMBEDDING, ModelConfig, save_checkpoint
-from .optimizers import (GROUP_NAMES, SCHEDULE_KINDS, PoisonedStateError, RegConfig,
-                         check_name_reg)
+from .blocks import ConfigError, make_rng
+from .optimizers import GROUP_NAMES, SCHEDULE_KINDS, PoisonedStateError, RegConfig, check_name_reg
 from .prox import VARIANTS, NonpositiveDiagonalError, prox_oracle, prox_solve, random_problem
 from .regret import (MODES, PROBLEM_KINDS, STEP_DECAYS, OnlineProblem, measure_bound_constants,
                      run_regret)
-from .training import (
-    ConfigError,
-    ExperimentConfig,
-    config_from_dict,
-    config_section,
-    load_dataset,
-    prune_baseline,
-    run_repeated,
-    sweep,
-    train_model,
-)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -93,6 +80,14 @@ def _load_config_doc(args) -> dict:
     return doc
 
 
+def _section(doc: dict, key: str) -> dict:
+    """doc[key], a new object if absent; a ConfigError if it is not an object."""
+    section = doc.setdefault(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{key}: must be an object, got {section!r}")
+    return section
+
+
 def _apply_preset(doc: dict, name: str | None) -> dict:
     if name is None:
         return doc
@@ -102,7 +97,7 @@ def _apply_preset(doc: dict, name: str | None) -> dict:
     preset = PRESETS[name]
     for key, value in preset.items():
         if key == "reg":
-            doc.setdefault("reg", {}).update(value)
+            _section(doc, "reg").update(value)
         else:
             doc[key] = value
     return doc
@@ -118,27 +113,34 @@ def _apply_flags(doc: dict, args) -> dict:
     for key in ("lambda1", "lambda21", "lambda2", "variant"):
         value = getattr(args, key, None)
         if value is not None:
-            doc.setdefault("reg", {})[key] = value
+            _section(doc, "reg")[key] = value
     return doc
 
 
 def _fill_defaults(doc: dict, default_lambda2: bool) -> dict:
     """Desk-scale defaults: synthetic data and a model sized to its vocab."""
-    doc.setdefault("data", {})
-    if isinstance(doc["data"], dict):
-        spec = config_section(SynthSpec, doc["data"], "data")
-        doc.setdefault("model", {})
-        doc["model"].setdefault("num_features", spec.vocab)
-        doc["model"].setdefault("num_fields", spec.num_fields)
+    from .data import SynthSpec
+    from .training import ExperimentConfig, config_section
+
+    data = doc.setdefault("data", {})
+    if isinstance(data, dict):
+        spec = config_section(SynthSpec, data, "data")
+        model = _section(doc, "model")
+        model.setdefault("num_features", spec.vocab)
+        model.setdefault("num_fields", spec.num_fields)
+    elif not isinstance(data, str):
+        raise ConfigError(f"data: must be a spec object or a file path, got {data!r}")
     elif "model" not in doc:
         raise ConfigError("model: required when data is a file path")
     default_optimizer = ExperimentConfig.__dataclass_fields__["optimizer"].default
     if default_lambda2 and doc.get("optimizer", default_optimizer) in GROUP_NAMES:
-        doc.setdefault("reg", {}).setdefault("lambda2", DEFAULT_LAMBDA2)
+        _section(doc, "reg").setdefault("lambda2", DEFAULT_LAMBDA2)
     return doc
 
 
-def build_config(args, default_lambda2: bool = True) -> ExperimentConfig:
+def build_config(args, default_lambda2: bool = True):
+    from .training import config_from_dict
+
     doc = _load_config_doc(args)
     doc = _apply_preset(doc, getattr(args, "preset", None))
     doc = _apply_flags(doc, args)
@@ -168,6 +170,9 @@ def _write_artifacts(output_dir, payload: dict, json_name: str,
 
 
 def cmd_train(args) -> int:
+    from .model import save_checkpoint
+    from .training import run_repeated
+
     config = build_config(args)
     if args.save_checkpoint and config.output_dir is None:
         raise ConfigError("save-checkpoint: needs --output-dir or output_dir in the config")
@@ -202,6 +207,8 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def cmd_sweep(args) -> int:
+    from .training import sweep
+
     config = build_config(args, default_lambda2=False)
     grid = _parse_grid(args.grid)
     reports = sweep(config, grid)
@@ -219,6 +226,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_prune_baseline(args) -> int:
+    from .training import load_dataset, prune_baseline, require_one_run, train_model
+
     config = build_config(args)
     if args.target_keep is None and args.target_sparsity is None:
         raise ConfigError("target: pass --target-keep or --target-sparsity")
@@ -227,6 +236,7 @@ def cmd_prune_baseline(args) -> int:
     if args.target_sparsity is not None and not 0.0 <= args.target_sparsity <= 1.0:
         raise ConfigError("target: --target-sparsity must be in [0, 1], "
                           f"got {args.target_sparsity}")
+    require_one_run(config, "prune_baseline")
     dataset = load_dataset(config)
     base = train_model(config, dataset=dataset)
     if args.target_keep is not None:

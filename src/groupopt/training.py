@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
-from .blocks import is_integer, make_rng, require_integers, require_reals
+from .blocks import ConfigError, is_integer, make_rng, require_integers, require_reals
 from .data import Dataset, SynthSpec, generate, load_libsvm
 from .metrics import auc, nonzero_groups, sparsity
 from .model import (DENSE, EMBEDDING, ModelConfig, backward, check_ids, forward,
@@ -25,10 +25,6 @@ from .optimizers import (OPTIMIZER_NAMES, MomentSchedule, RegConfig, check_name_
 from .pruning import magnitude_prune
 
 SCHEMA_VERSION = 1
-
-
-class ConfigError(ValueError):
-    """Invalid experiment configuration; message includes the field path."""
 
 
 @dataclass
@@ -89,8 +85,11 @@ class ExperimentConfig:
 
 
 def config_section(cls, sub: dict, path: str):
-    """cls(**sub) for the section of a JSON document at path; an unknown
-    field or an invalid value is a ConfigError that names the path."""
+    """cls(**sub) for the section of a JSON document at path; a section that
+    is not an object, an unknown field or an invalid value is a ConfigError
+    that names the path."""
+    if not isinstance(sub, dict):
+        raise ConfigError(f"{path}: must be an object, got {sub!r}")
     allowed = set(cls.__dataclass_fields__)
     for key in sub:
         if key not in allowed:
@@ -110,16 +109,17 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             raise ConfigError(f"{key}: unknown field")
     if "model" not in doc:
         raise ConfigError("model: required")
-    model = config_section(ModelConfig, dict(doc.pop("model")), "model")
+    model = config_section(ModelConfig, doc.pop("model"), "model")
     data = doc.pop("data", None)
     if data is None:
         raise ConfigError("data: required")
     if isinstance(data, dict):
-        data = config_section(SynthSpec, dict(data), "data")
+        data = config_section(SynthSpec, data, "data")
     elif not isinstance(data, str):
-        raise ConfigError("data: must be a spec object or a file path")
-    reg_doc = dict(doc.pop("reg", {}))
-    reg_doc.setdefault("apply_to", frozenset({EMBEDDING}))
+        raise ConfigError(f"data: must be a spec object or a file path, got {data!r}")
+    reg_doc = doc.pop("reg", {})
+    if isinstance(reg_doc, dict):
+        reg_doc = {"apply_to": frozenset({EMBEDDING}), **reg_doc}
     reg = config_section(RegConfig, reg_doc, "reg")
     try:
         return ExperimentConfig(model=model, data=data, reg=reg, **doc)
@@ -246,8 +246,17 @@ def run_repeated(config: ExperimentConfig) -> tuple[list[RunReport], dict]:
     return reports, summary
 
 
+def require_one_run(config: ExperimentConfig, what: str) -> None:
+    """sweep and prune_baseline train each point once, at config.seed; a
+    config asking for repeats would report runs that never happen."""
+    if config.repeats != 1:
+        raise ConfigError(f"repeats: {what} trains each point once, so repeats must be 1, "
+                          f"got {config.repeats}")
+
+
 def sweep(config: ExperimentConfig, lambda21_grid) -> list[RunReport]:
     """One run per grid value at fixed seed; reg otherwise unchanged."""
+    require_one_run(config, "sweep")
     if len(lambda21_grid) == 0:
         raise ConfigError("lambda21 grid: must be nonempty")
     # every point's config is checked before the first run
@@ -267,6 +276,7 @@ def prune_baseline(config: ExperimentConfig, target_keep: int,
     last fraction of the train samples, prune again, and evaluate. Returns a
     report dict with the per-fraction table and the row of best test AUC."""
     # checked first, so that a bad target or fraction fails before any training
+    require_one_run(config, "prune_baseline")
     fractions = tuple(fractions)
     if not fractions:
         raise ValueError("fractions: at least one fine-tune fraction is needed")

@@ -12,15 +12,30 @@ arithmetic prints the same lines. The runs are
 * run_regret for every schedule, lambda1 0 and 0.05, step decay none and
   sqrt_t, on a stochastic and an alternating quadratic stream;
 * the prox self-test's closed-form and oracle solutions, 1,000 cases of
-  each variant.
+  each variant;
+* cli.main, in a new temporary directory per run: train (to stdout, and
+  with --output-dir and --save-checkpoint), sweep, prune-baseline by
+  --target-keep and --target-sparsity, prox-selftest --cases 200 of each
+  variant, regret --horizon 256 with and without --output-dir, every exit-2
+  and exit-3 invocation of tests/test_cli.py, and repeats for sweep and
+  prune-baseline and config sections that are no object. A CLI digest
+  covers the exit code (or the exception that escaped main), stdout, stderr
+  and every file the run leaves.
 
 A digest covers every number a run returns, trained parameters included,
-except wall-clock times. Not collected by pytest (no test_ prefix); it takes
-under a minute.
+except wall-clock times (wall_ms). Not collected by pytest (no test_
+prefix); it takes under a minute.
 """
 
+import contextlib
+import csv
 import hashlib
+import io
+import json
+import os
+import re
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -32,6 +47,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 from groupopt import (EMBEDDING, ExperimentConfig, ModelConfig, OnlineProblem,  # noqa: E402
                       RegConfig, SynthSpec, generate, prox_oracle, prox_solve,
                       prune_baseline, random_problem, run_regret, sweep, train_model)
+from groupopt import cli as groupopt_cli, optimizers  # noqa: E402
 from groupopt.blocks import make_rng  # noqa: E402
 from groupopt.optimizers import OPTIMIZER_NAMES, SCHEDULE_KINDS, name_reg  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
@@ -116,8 +132,165 @@ def prox_selftest(cases: int = 1000) -> None:
         emit(f"prox-selftest {variant} cases={cases}", *parts)
 
 
+# the test config of tests/test_cli.py, and its model for a libsvm file
+TINY = {
+    "data": {"num_fields": 3, "vocab_per_field": 20, "num_samples": 300, "seed": 1},
+    "model": {"embed_dim": 4, "hidden_dims": [8]},
+    "epochs": 1,
+    "batch_size": 32,
+}
+TINY_MODEL = {"num_features": 60, "num_fields": 3, "embed_dim": 4, "hidden_dims": [8]}
+NAN, INF = float("nan"), float("inf")
+
+
+def without_wall_ms(name: str, text: str) -> str:
+    """text with every wall_ms value, in JSON or in a CSV column, masked."""
+    if not name.endswith(".csv"):
+        return re.sub(r'("wall_ms": )[^,\n}]+', r"\1null", text)
+    rows = list(csv.reader(io.StringIO(text)))
+    if not rows or "wall_ms" not in rows[0]:
+        return text
+    col = rows[0].index("wall_ms")
+    for row in rows[1:]:
+        row[col] = "masked"
+    out = io.StringIO()
+    csv.writer(out).writerows(rows)
+    return out.getvalue()
+
+
+def run_cli(argv: list, config: dict | None = None, libsvm: str | None = None) -> None:
+    """Emit one digest of cli.main(argv) run in a new temporary directory
+    holding c.json (config) and d.libsvm (libsvm), where given."""
+    name = " ".join(["cli", *argv, *([json.dumps(config)] if config is not None else []),
+                     *([repr(libsvm)] if libsvm is not None else [])])
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            if config is not None:
+                Path("c.json").write_text(json.dumps(config))
+            if libsvm is not None:
+                Path("d.libsvm").write_text(libsvm)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    outcome = groupopt_cli.main(argv)
+                except Exception as exc:  # an exception that escapes main is an outcome too
+                    outcome = f"{type(exc).__name__}: {exc}"
+            files = [(str(path), without_wall_ms(path.name, path.read_bytes().decode()))
+                     for path in sorted(Path(".").rglob("*")) if path.is_file()]
+        finally:
+            os.chdir(cwd)
+    emit(name, outcome, without_wall_ms("stdout", out.getvalue()), err.getvalue(), files)
+
+
+def tiny(**extra) -> dict:
+    return {**TINY, **extra}
+
+
+def cli() -> None:
+    train = ["train", "--config", "c.json"]
+    # the commands' outputs
+    run_cli([*train, "--optimizer", "group-adagrad", "--lr", "1e-2", "--output-dir", "out",
+             "--save-checkpoint"], tiny())
+    run_cli([*train, "--optimizer", "group-adam", "--lr", "1e-2", "--lambda21", "1e-3",
+             "--output-dir", "out"], tiny())
+    run_cli([*train, "--optimizer", "adagrad", "--lr", "1e-2", "--repeats", "2",
+             "--output-dir", "out"], tiny())
+    run_cli([*train, "--optimizer", "adagrad", "--lr", "1e-2"], tiny(epsilon=0.0))
+    run_cli([*train, "--optimizer", "sgd", "--lr", "1e-2"], tiny())
+    run_cli(["sweep", "--config", "c.json", "--optimizer", "group-adam", "--lr", "1e-2",
+             "--grid", "0,2.5e-2", "--output-dir", "out"], tiny())
+    for target in (["--target-keep", "5"], ["--target-sparsity", "0.1"]):
+        run_cli(["prune-baseline", "--config", "c.json", "--optimizer", "adagrad", "--lr",
+                 "1e-2", *target, "--output-dir", "out"], tiny())
+    for variant in ("exact", "practical"):
+        run_cli(["prox-selftest", "--cases", "200", "--variant", variant])
+    run_cli(["regret", "--horizon", "256", "--optimizer", "adagrad", "--output-dir", "out"])
+    run_cli(["regret", "--horizon", "256"])
+
+    # exit 2: the invocations of tests/test_cli.py
+    run_cli(["train", "--optimizer", "adamw"])
+    run_cli(["train", "--config", "/nonexistent/c.json"])
+    run_cli(train, {"modle": {}})
+    run_cli(train, {"data": {"vocab": 5}})
+    run_cli(["train", "--preset", "nope"])
+    run_cli(train, tiny(reg={"lambda21": 0.1, "apply_to": "embedding"}))
+    for block in ("embeddings", "dense1_w"):
+        run_cli(train, tiny(reg={"lambda21": 0.5, "apply_to": [block]}))
+    libsvm_train = [*train, "--data", "d.libsvm"]
+    for body in ("2 0:1 20:1 40:1\n", "1 oops\n", "1 -3:1\n", "1 0:0.5 20:1 40:1\n",
+                 "1 0:1 20:1 40:1\n0 0:1\n", "",
+                 # one class in the train split, then in the test split
+                 *("".join(f"{label} {i % 20}:1 {20 + i}:1 40:1\n"
+                           for i, label in enumerate(labels))
+                   for labels in ("1" * 20, "01" * 9 + "11")),
+                 # id 60 is past the 60-row table
+                 "".join(f"{i % 2} {i % 20}:1 {20 + i}:1 {40 if i < 19 else 60}:1\n"
+                         for i in range(20))):
+        run_cli(libsvm_train, tiny(model=TINY_MODEL), body)
+    run_cli(train, tiny(data={**TINY["data"], "num_samples": 10}))
+    for flags in (["--optimizer", "adam", "--lambda1", "0.1", "--lambda21", "0.5"],
+                  ["--optimizer", "ftrl", "--lambda1", "0.1", "--lambda2", "1e-5"]):
+        run_cli([*train, *flags], tiny())
+    for extra in (
+            {"lr": NAN}, {"reg": {"lambda1": NAN}}, {"reg": {"lambda21": NAN}},
+            {"reg": {"lambda2": NAN}}, {"epsilon": NAN, "optimizer": "group-adagrad"},
+            {"lr": INF}, {"epsilon": INF, "optimizer": "group-adagrad"},
+            {"batch_size": 32.5}, {"epochs": 1.5}, {"epochs": True}, {"repeats": 2.5},
+            {"seed": 1.5}, {"model": {"embed_dim": 4.0, "hidden_dims": [8]}},
+            {"model": {"embed_dim": 4, "hidden_dims": [8.5]}},
+            {"model": {**TINY_MODEL, "num_features": 60.0}},
+            {"model": {**TINY_MODEL, "num_fields": True}},
+            {"data": {**TINY["data"], "num_samples": 300.5}},
+            {"beta1": 1.5}, {"beta1": "0.9"}, {"gamma": None}, {"beta2": True},
+            {"epsilon": INF}, {"lr": "0.1"}, {"lr": True}, {"reg": {"lambda1": "0.1"}},
+            {"reg": {"lambda21": True}}, {"reg": {"lambda2": None}},
+            {"reg": {"lambda1": INF}}, {"reg": {"lambda21": INF}}, {"reg": {"lambda2": INF}},
+            {"data": {**TINY["data"], "informative_fraction": "0.1"}},
+            {"data": {**TINY["data"], "noise": True}}, {"data": {**TINY["data"], "skew": [1.0]}},
+            {"seed": -1}, {"data": {**TINY["data"], "seed": -1}},
+            {"model": {**TINY["model"], "seed": 1}}):
+        run_cli(train, tiny(**extra))
+    run_cli([*train, "--save-checkpoint"], tiny())
+    run_cli(["sweep", "--config", "c.json", "--optimizer", "adam", "--grid", "0,2.5e-2"],
+            tiny())
+    run_cli(["sweep", "--config", "c.json", "--grid", "abc"], tiny())
+    for flags in ([], ["--target-keep", "-1"], ["--target-sparsity", "1.5"],
+                  ["--target-sparsity", "-0.5"], ["--target-keep", "5", "--target-sparsity", "2"]):
+        run_cli(["prune-baseline", "--config", "c.json", *flags], tiny())
+    for flags in (["--cases", "0"], ["--cases", "-5"], ["--seed", "-1"]):
+        run_cli(["prox-selftest", *flags])
+    regret = ["regret", "--horizon", "64"]
+    for flags in (["--seed", "-1"], ["--optimizer", "rmsprop"], ["--optimizer", "ftrl"],
+                  ["--optimizer", "adam", "--lambda1", "0.1"], ["--lr", "nan"],
+                  ["--lambda21", "nan"], ["--lr", "inf"],
+                  *(["--optimizer", "group-adagrad", flag, "inf"]
+                    for flag in ("--lambda1", "--lambda21", "--lambda2"))):
+        run_cli([*regret, *flags])
+
+    # exit 3: a zero curvature diagonal under live dual mass
+    real = optimizers.group_shrink
+    optimizers.group_shrink = lambda s, cum_diag, *args: real(s, np.zeros_like(cum_diag), *args)
+    try:
+        run_cli([*train, "--optimizer", "group-adagrad", "--lambda2", "0"], tiny())
+    finally:
+        optimizers.group_shrink = real
+
+    # repeats a sweep or a pruning baseline never runs, and sections that are
+    # no object
+    run_cli(["sweep", "--config", "c.json", "--grid", "0,0.01", "--repeats", "3"], tiny())
+    run_cli(["prune-baseline", "--config", "c.json", "--optimizer", "adagrad",
+             "--target-keep", "5", "--repeats", "3"], tiny())
+    for extra in ({"reg": 5}, {"reg": [1]}, {"reg": "x"}, {"model": 5}, {"model": [1, 2]}):
+        run_cli(train, tiny(**extra))
+    run_cli([*train, "--lambda1", "0.1"], tiny(reg=5))
+    run_cli(train, {"data": 5})
+
+
 if __name__ == "__main__":
     workloads()
     training()
     regret()
     prox_selftest()
+    cli()

@@ -193,9 +193,8 @@ class TestTrainCommand:
         def never(*args, **kwargs):
             raise AssertionError("training entered")
 
-        for module in (cli, training):
-            monkeypatch.setattr(module, "load_dataset", never)
-            monkeypatch.setattr(module, "train_model", never)
+        monkeypatch.setattr(training, "load_dataset", never)
+        monkeypatch.setattr(training, "train_model", never)
         code = main(["train", "--config", write_tiny_config(tmp_path), "--save-checkpoint"])
         assert code == EXIT_CONFIG
         assert "config error: save-checkpoint: needs --output-dir" in capsys.readouterr().err
@@ -383,6 +382,32 @@ class TestTrainCommand:
         assert train_without_data(tmp_path, monkeypatch, extra) == EXIT_CONFIG
         assert "config error: model.seed: unknown field" in capsys.readouterr().err
 
+    # a section that is not an object used to escape as an AttributeError
+    # traceback (exit 1), and data 5 read as a file path without a model
+    @pytest.mark.parametrize("doc, flags, message", [
+        ({**TINY, "reg": 5}, [], "reg: must be an object, got 5"),
+        ({**TINY, "reg": [1]}, [], "reg: must be an object, got [1]"),
+        ({**TINY, "reg": "x"}, [], "reg: must be an object, got 'x'"),
+        ({**TINY, "reg": 5}, ["--optimizer", "adam"], "reg: must be an object, got 5"),
+        ({**TINY, "reg": 5}, ["--lambda1", "0.1"], "reg: must be an object, got 5"),
+        ({**TINY, "reg": 5}, ["--preset", "group-adam-mlp"], "reg: must be an object, got 5"),
+        ({**TINY, "model": 5}, [], "model: must be an object, got 5"),
+        ({**TINY, "model": [1, 2]}, [], "model: must be an object, got [1, 2]"),
+        ({"data": 5}, [], "data: must be a spec object or a file path, got 5"),
+    ], ids=["reg-int", "reg-list", "reg-str", "reg-plain", "reg-flag", "reg-preset",
+            "model-int", "model-list", "data-int"])
+    def test_section_that_is_not_an_object_exits_2_before_loading_data(
+            self, tmp_path, capsys, monkeypatch, doc, flags, message):
+        def never(*args, **kwargs):
+            raise AssertionError("the data were loaded")
+
+        monkeypatch.setattr(training, "load_dataset", never)
+        monkeypatch.setattr(training, "generate", never)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(path), *flags]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     def test_invalid_json_exits_2(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -416,6 +441,19 @@ class TestSweepCommand:
                      "--optimizer", "adam", "--grid", "0,2.5e-2"])
         assert code == EXIT_CONFIG
         assert "config error: reg: 'adam' applies no lambda21;" in capsys.readouterr().err
+
+    def test_repeats_exit_2_before_loading_data(self, tmp_path, capsys, monkeypatch):
+        # each grid point trains once; repeats were reported, yet never run
+        def never(*args, **kwargs):
+            raise AssertionError("training entered")
+
+        monkeypatch.setattr(training, "load_dataset", never)
+        monkeypatch.setattr(training, "train_model", never)
+        code = main(["sweep", "--config", write_tiny_config(tmp_path),
+                     "--grid", "0,0.01", "--repeats", "3"])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == ("config error: repeats: sweep trains each point "
+                                           "once, so repeats must be 1, got 3\n")
 
     def test_bad_grid_exits_2(self, tmp_path):
         assert main(["sweep", "--config", write_tiny_config(tmp_path),
@@ -459,11 +497,25 @@ class TestPruneBaselineCommand:
         def never(*args, **kwargs):
             raise AssertionError("training entered")
 
-        monkeypatch.setattr(cli, "load_dataset", never)
-        monkeypatch.setattr(cli, "train_model", never)
+        monkeypatch.setattr(training, "load_dataset", never)
+        monkeypatch.setattr(training, "train_model", never)
         code = main(["prune-baseline", "--config", write_tiny_config(tmp_path), *flags])
         assert code == EXIT_CONFIG
         assert f"config error: target: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--target-keep", "5"], ["--target-sparsity", "0.1"]])
+    def test_repeats_exit_2_before_training(self, tmp_path, capsys, monkeypatch, flags):
+        # the baseline trains once; repeats were reported, yet never run
+        def never(*args, **kwargs):
+            raise AssertionError("training entered")
+
+        monkeypatch.setattr(training, "load_dataset", never)
+        monkeypatch.setattr(training, "train_model", never)
+        code = main(["prune-baseline", "--config", write_tiny_config(tmp_path),
+                     "--optimizer", "adagrad", "--repeats", "3", *flags])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == ("config error: repeats: prune_baseline trains "
+                                           "each point once, so repeats must be 1, got 3\n")
 
 
 class TestProxSelftestCommand:

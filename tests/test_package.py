@@ -4,6 +4,8 @@ import subprocess
 import sys
 import textwrap
 
+import pytest
+
 import groupopt
 
 SOURCE_DIR = os.path.dirname(os.path.dirname(groupopt.__file__))
@@ -45,6 +47,58 @@ def test_regret_names_leave_the_training_stack_unloaded():
         result = loaded(start)
     """) == ["groupopt", "groupopt.blocks", "groupopt.optimizers", "groupopt.prox",
              "groupopt.regret"]
+
+
+TRAINING_STACK = ["groupopt.data", "groupopt.metrics", "groupopt.model", "groupopt.pruning",
+                  "groupopt.training"]
+CLI_MODULES = ["groupopt", "groupopt.blocks", "groupopt.cli", "groupopt.optimizers",
+               "groupopt.prox", "groupopt.regret"]
+
+
+def modules_a_command_loads(argv):
+    """The exit code of cli.main(argv), and the groupopt modules loaded, in a
+    new interpreter."""
+    return in_fresh_interpreter(f"""
+        import contextlib, io
+        from groupopt.cli import main
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main({argv!r})
+        result = [code, [m for m in loaded(start) if m != "json"]]
+    """)
+
+
+def test_cli_import_leaves_the_training_stack_unloaded():
+    assert in_fresh_interpreter("""
+        import groupopt.cli
+        result = [m for m in loaded(start) if m != "json"]
+    """) == CLI_MODULES
+
+
+@pytest.mark.parametrize("argv", [["regret", "--horizon", "64"],
+                                  ["prox-selftest", "--cases", "5"]],
+                         ids=["regret", "prox-selftest"])
+def test_regret_and_selftest_commands_leave_the_training_stack_unloaded(argv):
+    assert modules_a_command_loads(argv) == [0, CLI_MODULES]
+
+
+def test_train_command_loads_the_training_stack(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "data": {"num_fields": 2, "vocab_per_field": 10, "num_samples": 100, "seed": 1},
+        "model": {"embed_dim": 2, "hidden_dims": [4]}}))
+    assert (modules_a_command_loads(["train", "--config", str(path)])
+            == [0, sorted(CLI_MODULES + TRAINING_STACK)])
+
+
+def test_unused_names_are_no_exports():
+    # each stays in the module that defines it
+    assert in_fresh_interpreter("""
+        import groupopt
+        from groupopt.optimizers import NO_REG
+        from groupopt.prox import OracleResult
+        from groupopt.training import RunReport
+        result = [hasattr(groupopt, name) for name in ("NO_REG", "OracleResult", "RunReport")]
+    """) == [False, False, False]
 
 
 def test_each_export_is_its_defining_modules_object():

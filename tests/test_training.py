@@ -1,10 +1,11 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from groupopt import training
+from groupopt import blocks, training
 from groupopt.blocks import make_rng
 from groupopt.data import Dataset, SynthSpec, write_libsvm
 from groupopt.metrics import nonzero_groups
@@ -71,6 +72,24 @@ class TestExperimentConfig:
         doc["reg"]["apply_to"] = "embedding"
         with pytest.raises(ConfigError, match="reg: apply_to"):
             config_from_dict(doc)
+
+    # a section that is not an object used to escape as a bare TypeError, or
+    # as a ValueError about dict's update sequence
+    @pytest.mark.parametrize("section, value, message", [
+        ("model", 5, "model: must be an object, got 5"),
+        ("model", [1, 2], "model: must be an object, got [1, 2]"),
+        ("reg", None, "reg: must be an object, got None"),
+        ("reg", "ab", "reg: must be an object, got 'ab'"),
+        ("reg", [1], "reg: must be an object, got [1]"),
+        ("data", 5, "data: must be a spec object or a file path, got 5"),
+    ], ids=["model-int", "model-list", "reg-none", "reg-str", "reg-list", "data-int"])
+    def test_section_that_is_not_an_object_rejected(self, section, value, message):
+        doc = {**tiny_config().to_dict(), section: value}
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            config_from_dict(doc)
+
+    def test_config_error_is_the_one_in_blocks(self):
+        assert ConfigError is blocks.ConfigError and issubclass(ConfigError, ValueError)
 
     @pytest.mark.parametrize("optimizer, penalties, unused", [
         ("adam", {"lambda1": 0.1, "lambda21": 0.5}, "lambda1, lambda21"),
@@ -340,6 +359,21 @@ def test_prune_baseline_refuses_bad_arguments_before_training(monkeypatch, targe
     with pytest.raises(ValueError, match=message):
         prune_baseline(tiny_config(optimizer="adagrad", reg=RegConfig()), target_keep,
                        fractions=fractions)
+
+
+# a sweep point or a pruning baseline trains once, at config.seed; repeats
+# used to be accepted and reported, yet never run
+@pytest.mark.parametrize("run", [lambda config: sweep(config, [0.0, 1e-3]),
+                                 lambda config: prune_baseline(config, 5)],
+                         ids=["sweep", "prune_baseline"])
+def test_repeats_refused_before_loading_data(monkeypatch, run):
+    def entered(*args, **kwargs):
+        raise AssertionError("trained or loaded data")
+
+    monkeypatch.setattr(training, "train_model", entered)
+    monkeypatch.setattr(training, "load_dataset", entered)
+    with pytest.raises(ConfigError, match="^repeats: .* repeats must be 1, got 3$"):
+        run(tiny_config(optimizer="adagrad", reg=RegConfig(), repeats=3))
 
 
 class TestPruneBaseline:
