@@ -97,14 +97,14 @@ def generate(spec: SynthSpec) -> Dataset:
     if spec.noise > 0:
         labels ^= rng.random(n) < spec.noise
 
-    n_train = int(0.9 * spec.num_samples)
-    return Dataset(
-        train_ids=ids[:n_train],
-        train_labels=labels[:n_train],
-        test_ids=ids[n_train:],
-        test_labels=labels[n_train:],
-        support=frozenset(int(i) for i in support),
-    )
+    return chronological_split(ids, labels, frozenset(int(i) for i in support))
+
+
+def chronological_split(ids: np.ndarray, labels: np.ndarray,
+                        support: frozenset = frozenset()) -> Dataset:
+    """The first 90% of the samples train, the last 10% test."""
+    n_train = int(0.9 * len(labels))
+    return Dataset(ids[:n_train], labels[:n_train], ids[n_train:], labels[n_train:], support)
 
 
 def load_libsvm(path) -> tuple[np.ndarray, np.ndarray]:
@@ -148,7 +148,7 @@ def load_libsvm(path) -> tuple[np.ndarray, np.ndarray]:
             rows.append(ids)
             labels.append(label)
     if not rows:
-        raise ValueError(f"no samples in {path}")
+        raise ValueError("no samples")
     return np.array(rows, dtype=np.int64), np.array(labels, dtype=np.int64)
 
 

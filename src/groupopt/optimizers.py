@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import ParamBlock, require_reals
+from .blocks import ConfigError, ParamBlock, require_reals
 from .prox import (PENALTIES, NonpositiveDiagonalError, check_penalties, group_shrink,
                    soft_threshold)
 
@@ -418,13 +418,13 @@ def name_reg(name: str, reg: RegConfig) -> RegConfig:
 
 
 def check_name_reg(name: str, reg: RegConfig) -> None:
-    """Raise ValueError if reg sets a penalty that the optimizer name does
+    """Raise ConfigError if reg sets a penalty that the optimizer name does
     not apply (see name_reg): a run would report it, yet never use it."""
     used = name_reg(name, reg)
     unused = [k for k in PENALTIES if getattr(reg, k) != getattr(used, k)]
     if unused:
-        raise ValueError(f"{name!r} applies no {', '.join(unused)}; "
-                         f"set it to 0 or use a group- optimizer")
+        raise ConfigError(f"reg: {name!r} applies no {', '.join(unused)}; "
+                          f"set it to 0 or use a group- optimizer")
 
 
 def make_optimizer(name: str, lr: float, reg: RegConfig = NO_REG,

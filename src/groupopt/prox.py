@@ -117,8 +117,9 @@ def group_shrink(
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    if lambda21 < 0 or lambda2 < 0:
-        raise ValueError("lambda21 and lambda2 must be >= 0")
+    if not (0 <= lambda21 < math.inf and 0 <= lambda2 < math.inf):  # NaN fails too
+        raise ValueError("lambda21 and lambda2 must be >= 0 and finite, "
+                         f"got {lambda21}, {lambda2}")
     s = np.asarray(s, dtype=np.float64)
     cum_diag = np.asarray(cum_diag, dtype=np.float64)
     if s.shape != cum_diag.shape:

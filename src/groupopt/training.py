@@ -11,12 +11,12 @@ and batch order all come from pinned generators.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import MISSING, dataclass, field, asdict, replace
 
 import numpy as np
 
 from .blocks import ConfigError, is_integer, make_rng, require_integers, require_reals
-from .data import Dataset, SynthSpec, generate, load_libsvm
+from .data import Dataset, SynthSpec, chronological_split, generate, load_libsvm
 from .metrics import auc, nonzero_groups, sparsity
 from .model import (DENSE, EMBEDDING, ModelConfig, backward, check_ids, forward,
                     init_params, logits, logloss)
@@ -51,10 +51,7 @@ class ExperimentConfig:
             raise ConfigError(f"seed: must be >= 0, got {self.seed}")
         if self.optimizer not in OPTIMIZER_NAMES:
             raise ConfigError(f"optimizer: unknown name {self.optimizer!r}")
-        try:
-            check_name_reg(self.optimizer, self.reg)
-        except ValueError as exc:
-            raise ConfigError(f"reg: {exc}") from None
+        check_name_reg(self.optimizer, self.reg)
         # a name that is no block of the model would silently penalize nothing
         unknown = sorted(self.reg.apply_to - {EMBEDDING, DENSE}) if self.reg.apply_to else []
         if unknown:
@@ -86,14 +83,17 @@ class ExperimentConfig:
 
 def config_section(cls, sub: dict, path: str):
     """cls(**sub) for the section of a JSON document at path; a section that
-    is not an object, an unknown field or an invalid value is a ConfigError
-    that names the path."""
+    is not an object, an unknown or missing field or an invalid value is a
+    ConfigError that names the path."""
     if not isinstance(sub, dict):
         raise ConfigError(f"{path}: must be an object, got {sub!r}")
-    allowed = set(cls.__dataclass_fields__)
+    fields = cls.__dataclass_fields__
     for key in sub:
-        if key not in allowed:
+        if key not in fields:
             raise ConfigError(f"{path}.{key}: unknown field")
+    for key, declared in fields.items():
+        if key not in sub and declared.default is MISSING and declared.default_factory is MISSING:
+            raise ConfigError(f"{path}.{key}: required")
     try:
         return cls(**sub)
     except (TypeError, ValueError) as exc:
@@ -101,22 +101,29 @@ def config_section(cls, sub: dict, path: str):
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    """Build a config from a JSON document, rejecting unknown fields."""
+    """Build a config from a JSON document, rejecting unknown fields.
+
+    data defaults to {}, SynthSpec's defaults; with synthetic data, the
+    model's num_features and num_fields default to the spec's vocab and
+    num_fields. A libsvm file path sizes nothing: it needs a model that
+    gives num_features.
+    """
     doc = dict(doc)
     known = set(ExperimentConfig.__dataclass_fields__)
     for key in doc:
         if key not in known:
             raise ConfigError(f"{key}: unknown field")
-    if "model" not in doc:
-        raise ConfigError("model: required")
-    model = config_section(ModelConfig, doc.pop("model"), "model")
-    data = doc.pop("data", None)
-    if data is None:
-        raise ConfigError("data: required")
+    data = doc.pop("data", {})
+    if isinstance(data, str) and "model" not in doc:
+        raise ConfigError("model: required when data is a file path")
+    model = doc.pop("model", {})
     if isinstance(data, dict):
         data = config_section(SynthSpec, data, "data")
+        if isinstance(model, dict):
+            model = {"num_features": data.vocab, "num_fields": data.num_fields, **model}
     elif not isinstance(data, str):
         raise ConfigError(f"data: must be a spec object or a file path, got {data!r}")
+    model = config_section(ModelConfig, model, "model")
     reg_doc = doc.pop("reg", {})
     if isinstance(reg_doc, dict):
         reg_doc = {"apply_to": frozenset({EMBEDDING}), **reg_doc}
@@ -131,7 +138,11 @@ def load_dataset(config: ExperimentConfig) -> Dataset:
     if isinstance(config.data, SynthSpec):
         dataset = generate(config.data)
     else:
-        ids, labels = load_libsvm(config.data)
+        try:
+            ids, labels = load_libsvm(config.data)
+        except (OSError, ValueError) as exc:  # an OSError's str names the file again
+            reason = getattr(exc, "strerror", None) or exc
+            raise ConfigError(f"data: {config.data}: {reason}") from exc
         if ids.shape[1] != config.model.num_fields:
             raise ConfigError(
                 f"data: file has {ids.shape[1]} fields, model expects {config.model.num_fields}")
@@ -139,9 +150,7 @@ def load_dataset(config: ExperimentConfig) -> Dataset:
         if top >= config.model.num_features:
             raise ConfigError(f"data: feature id {top} is out of range for "
                               f"model.num_features {config.model.num_features}")
-        n_train = int(0.9 * len(labels))
-        dataset = Dataset(ids[:n_train], labels[:n_train], ids[n_train:], labels[n_train:],
-                          support=frozenset())
+        dataset = chronological_split(ids, labels)
     # AUC, the headline metric, is undefined on a split with one class
     total = dataset.num_train + dataset.test_labels.size
     for split, part in (("train", dataset.train_labels), ("test", dataset.test_labels)):
@@ -266,30 +275,38 @@ def sweep(config: ExperimentConfig, lambda21_grid) -> list[RunReport]:
     return [train_model(point, dataset=dataset) for point in points]
 
 
-def prune_baseline(config: ExperimentConfig, target_keep: int,
+def prune_baseline(config: ExperimentConfig, target_keep: int | None = None,
                    fractions=(0.0, 0.1, 0.2, 0.3),
                    dataset: Dataset | None = None,
-                   base_report: RunReport | None = None) -> dict:
+                   target_sparsity: float | None = None) -> dict:
     """The magnitude-pruning baseline (Zhu & Gupta, 2017): train a vanilla
     model; then, at each fine-tune fraction, prune its embedding to the
     target_keep largest-norm rows, train one epoch on the chronologically
     last fraction of the train samples, prune again, and evaluate. Returns a
-    report dict with the per-fraction table and the row of best test AUC."""
+    report dict with the per-fraction table and the row of best test AUC.
+
+    Give target_keep, or target_sparsity in [0, 1], which keeps
+    round(target_sparsity * k) rows of the k ids the train split holds.
+    """
     # checked first, so that a bad target or fraction fails before any training
+    if (target_keep is None) == (target_sparsity is None):
+        raise ConfigError("target: give one of target_keep and target_sparsity, got "
+                          + ("neither" if target_keep is None else "both"))
+    if target_keep is not None and not (is_integer(target_keep) and target_keep >= 0):
+        raise ConfigError(f"target_keep: must be an integer >= 0, got {target_keep!r}")
+    if target_sparsity is not None and not 0.0 <= target_sparsity <= 1.0:  # NaN fails too
+        raise ConfigError(f"target_sparsity: must be in [0, 1], got {target_sparsity!r}")
     require_one_run(config, "prune_baseline")
     fractions = tuple(fractions)
     if not fractions:
         raise ValueError("fractions: at least one fine-tune fraction is needed")
-    if not is_integer(target_keep):
-        raise ValueError(f"target_keep: must be an integer, got {target_keep!r}")
-    if target_keep < 0:
-        raise ValueError("target_keep must be >= 0")
     if not all(0.0 <= fraction <= 1.0 for fraction in fractions):
         raise ValueError("finetune_fraction must be in [0, 1]")
     if dataset is None:
         dataset = load_dataset(config)
-    if base_report is None:
-        base_report = train_model(config, dataset=dataset)
+    base_report = train_model(config, dataset=dataset)
+    if target_keep is None:
+        target_keep = round(target_sparsity * len(base_report.features_seen))
     n = dataset.num_train
     table = []
     for fraction in fractions:

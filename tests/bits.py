@@ -8,7 +8,8 @@ arithmetic prints the same lines. The runs are
 * the benchmark's workload digests (perfbench/workloads.py) on seeds 0 and 7;
 * train_model for every optimizer name under both apply_to settings, at a
   table of one STEP_ROWS chunk and at a chunked one;
-* sweep, and prune_baseline (wall_ms aside), for adagrad, adam and ftrl;
+* sweep, and prune_baseline (wall_ms aside), for adagrad, adam and ftrl,
+  and prune_baseline for adagrad by target_sparsity;
 * run_regret for every schedule, lambda1 0 and 0.05, step decay none and
   sqrt_t, on a stochastic and an alternating quadratic stream;
 * the prox self-test's closed-form and oracle solutions, 1,000 cases of
@@ -17,8 +18,10 @@ arithmetic prints the same lines. The runs are
   with --output-dir and --save-checkpoint), sweep, prune-baseline by
   --target-keep and --target-sparsity, prox-selftest --cases 200 of each
   variant, regret --horizon 256 with and without --output-dir, every exit-2
-  and exit-3 invocation of tests/test_cli.py, and repeats for sweep and
-  prune-baseline and config sections that are no object. A CLI digest
+  and exit-3 invocation of tests/test_cli.py, repeats for sweep and
+  prune-baseline, config sections that are no object, both pruning targets
+  at once, an empty grid, and libsvm files missing or under a model that
+  leaves num_features out. A CLI digest
   covers the exit code (or the exception that escaped main), stdout, stderr
   and every file the run leaves.
 
@@ -107,6 +110,11 @@ def training() -> None:
         doc = prune_baseline(cfg, target_keep=40, dataset=generate(cfg.data))
         emit(f"prune_baseline {name}", without_wall(doc["base"]), doc["target_keep"],
              *(without_wall(row) for row in doc["fractions"]), without_wall(doc["best"]))
+    cfg = config("adagrad", 200)
+    doc = prune_baseline(cfg, dataset=generate(cfg.data), target_sparsity=0.1)
+    emit("prune_baseline adagrad target_sparsity=0.1", without_wall(doc["base"]),
+         doc["target_keep"], *(without_wall(row) for row in doc["fractions"]),
+         without_wall(doc["best"]))
 
 
 def regret() -> None:
@@ -286,6 +294,16 @@ def cli() -> None:
         run_cli(train, tiny(**extra))
     run_cli([*train, "--lambda1", "0.1"], tiny(reg=5))
     run_cli(train, {"data": 5})
+
+    # both pruning targets, a NaN one, an empty grid, a missing libsvm file,
+    # and a libsvm file under a model that leaves num_features out
+    for flags in (["--target-keep", "5", "--target-sparsity", "0.5"],
+                  ["--target-sparsity", "nan"]):
+        run_cli(["prune-baseline", "--config", "c.json", "--optimizer", "adagrad", *flags],
+                tiny())
+    run_cli(["sweep", "--config", "c.json", "--grid", ","], tiny())
+    run_cli([*train, "--data", "nosuch.libsvm"], tiny(model=TINY_MODEL))
+    run_cli(libsvm_train, tiny(), "1 0:1 20:1 40:1\n0 1:1 21:1 41:1\n")
 
 
 if __name__ == "__main__":

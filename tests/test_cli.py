@@ -105,6 +105,16 @@ class TestBuildConfig:
         with pytest.raises(ConfigError, match="modle: unknown field"):
             build_config(parse(["train", "--config", str(path)]))
 
+    # the CLI and the library read a document by one rule: config_from_dict
+    @pytest.mark.parametrize("doc", [
+        TINY, {k: v for k, v in TINY.items() if k != "model"},
+        {**TINY, "model": {"embed_dim": 4}}, {}], ids=["tiny", "no-model", "embed-dim", "empty"])
+    def test_same_config_as_the_library(self, tmp_path, doc):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        args = parse(["sweep", "--config", str(path), "--grid", "0"])
+        assert build_config(args, default_lambda2=False) == training.config_from_dict(doc)
+
     def test_config_file_nested_unknown_field(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"data": {"vocab": 5}}))
@@ -127,9 +137,17 @@ class TestParseGrid:
         with pytest.raises(ConfigError):
             _parse_grid("0.1,abc")
 
-    def test_empty(self):
-        with pytest.raises(ConfigError):
-            _parse_grid(",")
+    def test_empty(self, tmp_path, capsys, monkeypatch):
+        # sweep refuses an empty grid before any data are read
+        def never(*args, **kwargs):
+            raise AssertionError("training entered")
+
+        assert _parse_grid(",") == []
+        monkeypatch.setattr(training, "load_dataset", never)
+        monkeypatch.setattr(training, "train_model", never)
+        code = main(["sweep", "--config", write_tiny_config(tmp_path), "--grid", ","])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: lambda21 grid: must be nonempty\n"
 
 
 class TestTrainCommand:
@@ -220,8 +238,10 @@ class TestTrainCommand:
         assert (f"config error: reg: apply_to: no block named {name!r}"
                 in capsys.readouterr().err)
 
+    # each message names the data file once, as data: <path>: ...
     @pytest.mark.parametrize("body", ["2 0:1 20:1 40:1\n", "1 oops\n", "1 -3:1\n",
-                                      "1 0:0.5 20:1 40:1\n", "1 0:1 20:1 40:1\n0 0:1\n", ""])
+                                      "1 0:0.5 20:1 40:1\n", "1 0:1 20:1 40:1\n0 0:1\n", "",
+                                      None])
     def test_malformed_libsvm_exits_2(self, tmp_path, capsys, body):
         parser_message = {
             "2 0:1 20:1 40:1\n": "bad label '2' at line 1",
@@ -229,14 +249,24 @@ class TestTrainCommand:
             "1 -3:1\n": "negative index at line 1",
             "1 0:0.5 20:1 40:1\n": "non-one-hot value at line 1",
             "1 0:1 20:1 40:1\n0 0:1\n": "1 fields at line 2, the first sample has 3",
-            "": "no samples in",
+            "": "no samples",
+            None: "No such file or directory",  # no file at all
         }[body]
         path = tmp_path / "d.libsvm"
-        path.write_text(body)
+        if body is not None:
+            path.write_text(body)
         code = main(["train", "--config", write_tiny_config(tmp_path, model=TINY_MODEL),
                      "--data", str(path)])
         assert code == EXIT_CONFIG
-        assert f"config error: {parser_message}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"config error: data: {path}: {parser_message}\n"
+
+    def test_libsvm_model_without_num_features_exits_2(self, tmp_path, capsys):
+        # a file sizes nothing; TINY's model leaves num_features to the spec
+        path = tmp_path / "d.libsvm"
+        path.write_text("1 0:1 20:1 40:1\n")
+        code = main(["train", "--config", write_tiny_config(tmp_path), "--data", str(path)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: model.num_features: required\n"
 
     @pytest.mark.parametrize("labels, split", [("1" * 20, "train"),
                                                ("01" * 9 + "11", "test")])
@@ -485,12 +515,17 @@ class TestPruneBaselineCommand:
         assert main(["prune-baseline", "--config",
                      write_tiny_config(tmp_path)]) == EXIT_CONFIG
 
+    # both targets used to run with the sparsity ignored
     @pytest.mark.parametrize("flags, message", [
-        ([], "pass --target-keep or --target-sparsity"),
-        (["--target-keep", "-1"], "--target-keep must be >= 0"),
-        (["--target-sparsity", "1.5"], "--target-sparsity must be in [0, 1]"),
-        (["--target-sparsity", "-0.5"], "--target-sparsity must be in [0, 1]"),
-        (["--target-keep", "5", "--target-sparsity", "2"], "--target-sparsity must be in"),
+        ([], "target: give one of target_keep and target_sparsity, got neither"),
+        (["--target-keep", "5", "--target-sparsity", "0.5"],
+         "target: give one of target_keep and target_sparsity, got both"),
+        (["--target-keep", "5", "--target-sparsity", "2"],
+         "target: give one of target_keep and target_sparsity, got both"),
+        (["--target-keep", "-1"], "target_keep: must be an integer >= 0, got -1"),
+        (["--target-sparsity", "1.5"], "target_sparsity: must be in [0, 1], got 1.5"),
+        (["--target-sparsity", "-0.5"], "target_sparsity: must be in [0, 1], got -0.5"),
+        (["--target-sparsity", "nan"], "target_sparsity: must be in [0, 1], got nan"),
     ])
     def test_bad_target_exits_2_before_training(self, tmp_path, capsys, monkeypatch,
                                                 flags, message):
@@ -501,7 +536,7 @@ class TestPruneBaselineCommand:
         monkeypatch.setattr(training, "train_model", never)
         code = main(["prune-baseline", "--config", write_tiny_config(tmp_path), *flags])
         assert code == EXIT_CONFIG
-        assert f"config error: target: {message}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     @pytest.mark.parametrize("flags", [["--target-keep", "5"], ["--target-sparsity", "0.1"]])
     def test_repeats_exit_2_before_training(self, tmp_path, capsys, monkeypatch, flags):

@@ -34,8 +34,16 @@ class TestSoftThreshold:
         assert_allclose(soft_threshold(np.array([1.0, -1.0]), 1.0), [0.0, 0.0])
 
     def test_negative_lambda_rejected(self):
-        with pytest.raises(ValueError):
-            soft_threshold(np.array([1.0]), -0.1)
+        # NaN and inf too: group_shrink raised NonpositiveDiagonalError for a
+        # NaN penalty and returned zeros for an infinite one
+        for value in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="lambda1 must be >= 0 and finite"):
+                soft_threshold(np.array([1.0]), value)
+            for penalties in ((value, 0.0), (0.0, value)):
+                with pytest.raises(ValueError,
+                                   match="lambda21 and lambda2 must be >= 0 and finite") as info:
+                    group_shrink(np.ones(2), np.ones(2), 2, *penalties)
+                assert type(info.value) is ValueError
 
 
 class TestGroupShrink:

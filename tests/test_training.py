@@ -67,6 +67,26 @@ class TestExperimentConfig:
         rebuilt = config_from_dict(config.to_dict())
         assert rebuilt == config
 
+    @pytest.mark.parametrize("doc, data, size", [
+        ({}, SynthSpec(), (5000, 10)),
+        ({"data": {"num_fields": 3, "vocab_per_field": 20}, "model": {"embed_dim": 4}},
+         SynthSpec(num_fields=3, vocab_per_field=20), (60, 3)),
+        ({"data": {}, "model": {"num_features": 7, "num_fields": 2}}, SynthSpec(), (7, 2))])
+    def test_synthetic_data_sizes_the_model(self, doc, data, size):
+        # data defaults to SynthSpec's defaults, and the model's sizes to the
+        # spec's, where the model leaves them out
+        config = config_from_dict(doc)
+        assert config.data == data
+        assert (config.model.num_features, config.model.num_fields) == size
+
+    @pytest.mark.parametrize("model, message", [
+        (None, "model: required when data is a file path"),
+        ({"embed_dim": 4, "num_fields": 3}, "model.num_features: required")])
+    def test_file_path_needs_a_model_with_num_features(self, model, message):
+        doc = {"data": "d.libsvm", **({"model": model} if model is not None else {})}
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            config_from_dict(doc)
+
     def test_string_apply_to_rejected(self):
         doc = tiny_config().to_dict()
         doc["reg"]["apply_to"] = "embedding"
@@ -347,7 +367,8 @@ class TestEvaluateMemory:
 @pytest.mark.parametrize("target_keep, fractions, message", [
     (2.5, (0.0,), "target_keep"), (float("nan"), (0.0, 0.1), "target_keep"),
     (3, (0.0, 1.5), "finetune_fraction"), (3, (), "fractions"),
-    (-1, (0.0,), "target_keep must be >= 0"), (1, (1.5,), "finetune_fraction must be in"),
+    (-1, (0.0,), "target_keep: must be an integer >= 0, got -1"),
+    (1, (1.5,), "finetune_fraction must be in"),
     *[(keep, (0.0,), "target_keep: must be an integer") for keep in NON_INTEGER_KEEPS]])
 def test_prune_baseline_refuses_bad_arguments_before_training(monkeypatch, target_keep,
                                                                fractions, message):
@@ -359,6 +380,23 @@ def test_prune_baseline_refuses_bad_arguments_before_training(monkeypatch, targe
     with pytest.raises(ValueError, match=message):
         prune_baseline(tiny_config(optimizer="adagrad", reg=RegConfig()), target_keep,
                        fractions=fractions)
+
+
+@pytest.mark.parametrize("targets, message", [
+    ({}, "target: give one of target_keep and target_sparsity, got neither"),
+    ({"target_keep": 5, "target_sparsity": 0.5},
+     "target: give one of target_keep and target_sparsity, got both"),
+    ({"target_sparsity": 1.5}, "target_sparsity: must be in [0, 1], got 1.5"),
+    ({"target_sparsity": -0.1}, "target_sparsity: must be in [0, 1], got -0.1"),
+    ({"target_sparsity": float("nan")}, "target_sparsity: must be in [0, 1], got nan")])
+def test_prune_baseline_takes_one_target_before_training(monkeypatch, targets, message):
+    def entered(*args, **kwargs):
+        raise AssertionError("trained or loaded data")
+
+    monkeypatch.setattr(training, "train_model", entered)
+    monkeypatch.setattr(training, "load_dataset", entered)
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        prune_baseline(tiny_config(optimizer="adagrad", reg=RegConfig()), **targets)
 
 
 # a sweep point or a pruning baseline trains once, at config.seed; repeats
@@ -383,15 +421,13 @@ class TestPruneBaseline:
         self.base = train_model(self.config, dataset=self.dataset)
 
     def test_prune_finetune_prune_respects_target(self):
-        report = prune_baseline(self.config, 7, fractions=(0.2,), dataset=self.dataset,
-                                base_report=self.base)
+        report = prune_baseline(self.config, 7, fractions=(0.2,), dataset=self.dataset)
         assert report["fractions"][0]["nonzero_groups"] <= 7
         # the input blocks are untouched
         assert nonzero_groups(self.base.blocks[EMBEDDING]) > 7
 
     def test_report_structure(self):
-        report = prune_baseline(self.config, 10, dataset=self.dataset,
-                                base_report=self.base)
+        report = prune_baseline(self.config, 10, dataset=self.dataset)
         assert report["target_keep"] == 10
         assert [row["finetune_fraction"] for row in report["fractions"]] == [
             0.0, 0.1, 0.2, 0.3]
@@ -400,16 +436,23 @@ class TestPruneBaseline:
         assert report["base"]["auc"] == self.base.final["auc"]
 
     def test_keep_zero_scores_constant(self):
-        report = prune_baseline(self.config, 0, fractions=(0.0,),
-                                dataset=self.dataset, base_report=self.base)
+        report = prune_baseline(self.config, 0, fractions=(0.0,), dataset=self.dataset)
         assert report["fractions"][0]["auc"] == 0.5
         assert report["fractions"][0]["nonzero_groups"] == 0
 
     def test_noop_prune_keeps_auc(self):
         keep = nonzero_groups(self.base.blocks[EMBEDDING])
-        report = prune_baseline(self.config, keep, fractions=(0.0,),
-                                dataset=self.dataset, base_report=self.base)
+        report = prune_baseline(self.config, keep, fractions=(0.0,), dataset=self.dataset)
         assert_allclose(report["fractions"][0]["auc"], self.base.final["auc"])
+
+    def test_target_sparsity_keeps_that_share_of_the_seen_ids(self):
+        seen = np.unique(self.dataset.train_ids)
+        by_share = prune_baseline(self.config, dataset=self.dataset, target_sparsity=0.1)
+        by_count = prune_baseline(self.config, round(0.1 * len(seen)), dataset=self.dataset)
+        assert by_share["target_keep"] == round(0.1 * len(seen)) > 0
+        for report in (by_share, by_count):
+            report["base"].pop("wall_ms")
+        assert by_share == by_count
 
     def test_finetune_trains_without_evaluating(self, monkeypatch):
         calls = []
