@@ -54,6 +54,11 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """A real number; never a bool (json's true would otherwise read as 1)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def require_integers(obj, names, error=ValueError) -> None:
     """Raise error unless each attribute of obj in names is_integer."""
     for name in names:
@@ -63,11 +68,10 @@ def require_integers(obj, names, error=ValueError) -> None:
 
 
 def require_reals(obj, names, error=ValueError) -> None:
-    """Raise error unless each attribute of obj in names is a real number and
-    no bool (json's true would otherwise read as 1)."""
+    """Raise error unless each attribute of obj in names is_real."""
     for name in names:
         value = getattr(obj, name)
-        if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        if not is_real(value):
             raise error(f"{name} must be a real number, got {value!r}")
 
 

@@ -19,7 +19,8 @@ import numpy as np
 
 from .blocks import ConfigError, make_rng
 from .optimizers import GROUP_NAMES, SCHEDULE_KINDS, PoisonedStateError, RegConfig, check_name_reg
-from .prox import VARIANTS, NonpositiveDiagonalError, prox_oracle, prox_solve, random_problem
+from .prox import (PENALTIES, VARIANTS, NonpositiveDiagonalError, prox_oracle, prox_solve,
+                   random_problem)
 from .regret import (MODES, PROBLEM_KINDS, STEP_DECAYS, OnlineProblem, measure_bound_constants,
                      run_regret)
 
@@ -31,8 +32,8 @@ EXIT_SELFTEST = 4
 DEFAULT_LAMBDA2 = 1e-5
 
 # Hyperparameters the paper reports for its MLP, OPNN and DCN models (the
-# suffix); a preset sets only the optimizer, lr and penalties, and every run
-# trains the config's own embedding+MLP.
+# suffix). A preset is a named set of override-flag values: the optimizer, lr
+# and penalties; every run trains the config's own embedding+MLP.
 PRESETS = {
     "adam-mlp": {"optimizer": "adam", "lr": 1e-4},
     "adam-opnn": {"optimizer": "adam", "lr": 1e-4},
@@ -41,18 +42,24 @@ PRESETS = {
     "adagrad-opnn": {"optimizer": "adagrad", "lr": 1e-2},
     "adagrad-dcn": {"optimizer": "adagrad", "lr": 1e-2},
     "group-adam-mlp": {"optimizer": "group-adam", "lr": 1e-4,
-                       "reg": {"lambda1": 5e-3, "lambda21": 1e-2, "lambda2": 1e-5}},
+                       "lambda1": 5e-3, "lambda21": 1e-2, "lambda2": 1e-5},
     "group-adam-opnn": {"optimizer": "group-adam", "lr": 1e-4,
-                        "reg": {"lambda1": 8e-5, "lambda21": 1e-5, "lambda2": 1e-5}},
+                        "lambda1": 8e-5, "lambda21": 1e-5, "lambda2": 1e-5},
     "group-adam-dcn": {"optimizer": "group-adam", "lr": 1e-3,
-                       "reg": {"lambda1": 4e-4, "lambda21": 5e-4, "lambda2": 1e-5}},
+                       "lambda1": 4e-4, "lambda21": 5e-4, "lambda2": 1e-5},
     "group-adagrad-mlp": {"optimizer": "group-adagrad", "lr": 1e-2,
-                          "reg": {"lambda1": 0.0, "lambda21": 1e-2, "lambda2": 1e-5}},
+                          "lambda1": 0.0, "lambda21": 1e-2, "lambda2": 1e-5},
     "group-adagrad-opnn": {"optimizer": "group-adagrad", "lr": 1e-2,
-                           "reg": {"lambda1": 8e-5, "lambda21": 8e-5, "lambda2": 1e-5}},
+                           "lambda1": 8e-5, "lambda21": 8e-5, "lambda2": 1e-5},
     "group-adagrad-dcn": {"optimizer": "group-adagrad", "lr": 1e-2,
-                          "reg": {"lambda1": 0.0, "lambda21": 4e-3, "lambda2": 1e-5}},
+                          "lambda1": 0.0, "lambda21": 4e-3, "lambda2": 1e-5},
 }
+
+# The override flags, in the order they apply: a REG_FLAGS key sets that key
+# of the reg section, any other key replaces the top-level value.
+REG_FLAGS = (*PENALTIES, "variant")
+FLAGS = ("optimizer", "lr", "epochs", "batch_size", "seed", "repeats", "data", "output_dir",
+         *REG_FLAGS)
 
 # Sweep grids for the two gating-norm variants.
 GRIDS = {
@@ -88,54 +95,26 @@ def _section(doc: dict, key: str) -> dict:
     return section
 
 
-def _apply_preset(doc: dict, name: str | None) -> dict:
-    if name is None:
-        return doc
-    if name not in PRESETS:
+def build_config(args, default_lambda2: bool = True):
+    """The --config document, overlaid with the preset's values and then the
+    flags' (config file < preset < flags); with default_lambda2, a group-
+    optimizer whose reg gives no lambda2 gets DEFAULT_LAMBDA2."""
+    from .training import ExperimentConfig, config_from_dict
+
+    doc = _load_config_doc(args)
+    preset = getattr(args, "preset", None)
+    if preset is not None and preset not in PRESETS:
         known = ", ".join(sorted(PRESETS))
-        raise ConfigError(f"preset: unknown name {name!r} (known: {known})")
-    preset = PRESETS[name]
-    for key, value in preset.items():
-        if key == "reg":
-            _section(doc, "reg").update(value)
-        else:
-            doc[key] = value
-    return doc
-
-
-def _apply_flags(doc: dict, args) -> dict:
-    direct = ("optimizer", "lr", "epochs", "batch_size", "seed", "repeats", "data",
-              "output_dir")
-    for key in direct:
-        value = getattr(args, key, None)
+        raise ConfigError(f"preset: unknown name {preset!r} (known: {known})")
+    flags = [(key, getattr(args, key, None)) for key in FLAGS]
+    for key, value in [*PRESETS.get(preset, {}).items(), *flags]:
         if value is not None:
-            doc[key] = value
-    for key in ("lambda1", "lambda21", "lambda2", "variant"):
-        value = getattr(args, key, None)
-        if value is not None:
-            _section(doc, "reg")[key] = value
-    return doc
-
-
-def _fill_defaults(doc: dict, default_lambda2: bool) -> dict:
-    """The CLI's lambda2 for a group- optimizer the document gives none."""
-    from .training import ExperimentConfig
-
+            (_section(doc, "reg") if key in REG_FLAGS else doc)[key] = value
     default_optimizer = ExperimentConfig.__dataclass_fields__["optimizer"].default
     reg = doc.setdefault("reg", {})
     if (default_lambda2 and isinstance(reg, dict)
             and doc.get("optimizer", default_optimizer) in GROUP_NAMES):
         reg.setdefault("lambda2", DEFAULT_LAMBDA2)
-    return doc
-
-
-def build_config(args, default_lambda2: bool = True):
-    from .training import config_from_dict
-
-    doc = _load_config_doc(args)
-    doc = _apply_preset(doc, getattr(args, "preset", None))
-    doc = _apply_flags(doc, args)
-    doc = _fill_defaults(doc, default_lambda2)
     return config_from_dict(doc)
 
 

@@ -30,6 +30,8 @@ from .optimizers import (
 PROBLEM_KINDS = ("quadratic", "logistic")
 MODES = ("stochastic", "stationary", "alternating", "zero")
 
+BLOCK = "x"  # the name of the lab's one parameter block
+
 NEWTON_MAX_ITER = 100
 NEWTON_GRAD_TOL = 1e-12
 
@@ -241,6 +243,10 @@ def run_regret(problem: OnlineProblem, kind: str = "adagrad", lr: float = 0.5,
     """
     if step_decay not in STEP_DECAYS:
         raise ValueError(f"unknown step decay {step_decay!r}")
+    # a penalty the step never applies would still be reported and bounded
+    if not reg.applies_to(BLOCK):
+        raise ValueError(f"reg: apply_to {sorted(reg.apply_to)} names no block of the "
+                         f"regret lab, whose one block is {BLOCK!r}")
     schedule = MomentSchedule(kind=kind)
     stream = _make_stream(problem)
     T, d = problem.horizon, problem.dim
@@ -252,7 +258,7 @@ def run_regret(problem: OnlineProblem, kind: str = "adagrad", lr: float = 0.5,
     else:
         prefix_sum = prefix_sq = None
 
-    block = ParamBlock("x", np.zeros(d))
+    block = ParamBlock(BLOCK, np.zeros(d))
     state = OptimizerState(d, schedule.kind)
     checkpoints = _checkpoints(T)
     checkpoint_ts = checkpoints.tolist()

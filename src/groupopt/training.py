@@ -15,7 +15,8 @@ from dataclasses import MISSING, dataclass, field, asdict, replace
 
 import numpy as np
 
-from .blocks import ConfigError, is_integer, make_rng, require_integers, require_reals
+from .blocks import (ConfigError, is_integer, is_real, make_rng, require_integers,
+                     require_reals)
 from .data import Dataset, SynthSpec, chronological_split, generate, load_libsvm
 from .metrics import auc, nonzero_groups, sparsity
 from .model import (DENSE, EMBEDDING, ModelConfig, backward, check_ids, forward,
@@ -294,12 +295,18 @@ def prune_baseline(config: ExperimentConfig, target_keep: int | None = None,
                           + ("neither" if target_keep is None else "both"))
     if target_keep is not None and not (is_integer(target_keep) and target_keep >= 0):
         raise ConfigError(f"target_keep: must be an integer >= 0, got {target_keep!r}")
-    if target_sparsity is not None and not 0.0 <= target_sparsity <= 1.0:  # NaN fails too
-        raise ConfigError(f"target_sparsity: must be in [0, 1], got {target_sparsity!r}")
+    if target_sparsity is not None:
+        if not is_real(target_sparsity):
+            raise ConfigError(f"target_sparsity: must be a real number, got {target_sparsity!r}")
+        if not 0.0 <= target_sparsity <= 1.0:  # NaN fails too
+            raise ConfigError(f"target_sparsity: must be in [0, 1], got {target_sparsity!r}")
     require_one_run(config, "prune_baseline")
     fractions = tuple(fractions)
     if not fractions:
         raise ValueError("fractions: at least one fine-tune fraction is needed")
+    for fraction in fractions:
+        if not is_real(fraction):
+            raise ConfigError(f"finetune_fraction: must be a real number, got {fraction!r}")
     if not all(0.0 <= fraction <= 1.0 for fraction in fractions):
         raise ValueError("finetune_fraction must be in [0, 1]")
     if dataset is None:

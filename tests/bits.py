@@ -20,8 +20,9 @@ arithmetic prints the same lines. The runs are
   variant, regret --horizon 256 with and without --output-dir, every exit-2
   and exit-3 invocation of tests/test_cli.py, repeats for sweep and
   prune-baseline, config sections that are no object, both pruning targets
-  at once, an empty grid, and libsvm files missing or under a model that
-  leaves num_features out. A CLI digest
+  at once, an empty grid, libsvm files missing or under a model that
+  leaves num_features out, and presets for train, sweep and prune-baseline,
+  alone, under flags and over a reg that is no object. A CLI digest
   covers the exit code (or the exception that escaped main), stdout, stderr
   and every file the run leaves.
 
@@ -304,6 +305,19 @@ def cli() -> None:
     run_cli(["sweep", "--config", "c.json", "--grid", ","], tiny())
     run_cli([*train, "--data", "nosuch.libsvm"], tiny(model=TINY_MODEL))
     run_cli(libsvm_train, tiny(), "1 0:1 20:1 40:1\n0 1:1 21:1 41:1\n")
+
+    # presets over a config whose reg they merge into, under flags, and over
+    # a reg that is no object
+    preset_config = tiny(reg={"variant": "exact", "apply_to": ["embedding"]})
+    for flags in (["--preset", "group-adagrad-mlp"],
+                  ["--preset", "group-adam-dcn", "--lr", "0.01", "--lambda21", "0.002"],
+                  ["--preset", "adam-mlp", "--lambda1", "0.1"]):
+        run_cli([*train, *flags], preset_config)
+    run_cli(["sweep", "--config", "c.json", "--preset", "group-adagrad-dcn", "--grid", "0,0.01"],
+            preset_config)
+    run_cli(["prune-baseline", "--config", "c.json", "--preset", "adagrad-mlp",
+             "--target-keep", "5"], preset_config)
+    run_cli([*train, "--preset", "group-adam-mlp"], tiny(reg=5))
 
 
 if __name__ == "__main__":

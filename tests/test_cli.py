@@ -99,6 +99,20 @@ class TestBuildConfig:
         with pytest.raises(ConfigError, match="unknown name"):
             build_config(parse(["train", "--preset", "nope"]))
 
+    # config file < preset < flags: the preset's values replace the file's,
+    # the flags' replace the preset's, and reg merges key by key
+    def test_config_file_under_preset_under_flags(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"lr": 0.5, "reg": {"lambda1": 0.3, "variant": "exact",
+                                                       "apply_to": ["embedding", "dense"]}}))
+        config = build_config(parse(["train", "--config", str(path), "--preset",
+                                     "group-adam-dcn", "--lambda21", "0.125"]))
+        assert config.lr == 1e-3
+        assert config.reg.lambda1 == 4e-4
+        assert config.reg.lambda21 == 0.125
+        assert config.reg.variant == "exact"
+        assert config.reg.apply_to == {"embedding", "dense"}
+
     def test_config_file_unknown_field(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"modle": {}}))

@@ -70,6 +70,12 @@ class TestAuc:
         with pytest.raises(ValueError):
             auc([0, 1], [0.1, 0.2, 0.3])
 
+    def test_labels_other_than_0_and_1(self):
+        # the one 0/1 pair ranks its negative above its positive: the label 2
+        # must not turn that AUC of 0 into 1
+        with pytest.raises(ValueError, match="^labels must be 0 or 1$"):
+            auc([2, 1, 0], [0.1, 0.2, 0.3])
+
 
 class TestMagnitudePrune:
     def test_keeps_top_groups(self):

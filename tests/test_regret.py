@@ -35,6 +35,17 @@ class TestOnlineProblem:
         with pytest.raises(ValueError, match="unknown schedule kind"):
             run_regret(problem, kind="rmsprop")
 
+    # such a penalty used to step nothing, yet was reported and bounded
+    def test_reg_that_applies_to_no_block_refused_before_the_stream(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the stream was built")
+
+        monkeypatch.setattr(regret, "_make_stream", never)
+        with pytest.raises(ValueError, match=r"^reg: apply_to \['embedding'\] names no block "
+                                             r"of the regret lab, whose one block is 'x'$"):
+            run_regret(OnlineProblem(horizon=256),
+                       reg=RegConfig(lambda1=0.5, apply_to={"embedding"}))
+
 
 class TestZeroMode:
     def test_regret_identically_zero(self):

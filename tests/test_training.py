@@ -369,6 +369,8 @@ class TestEvaluateMemory:
     (3, (0.0, 1.5), "finetune_fraction"), (3, (), "fractions"),
     (-1, (0.0,), "target_keep: must be an integer >= 0, got -1"),
     (1, (1.5,), "finetune_fraction must be in"),
+    (3, ("0.1",), "finetune_fraction: must be a real number, got '0.1'"),
+    (3, (True,), "finetune_fraction: must be a real number, got True"),
     *[(keep, (0.0,), "target_keep: must be an integer") for keep in NON_INTEGER_KEEPS]])
 def test_prune_baseline_refuses_bad_arguments_before_training(monkeypatch, target_keep,
                                                                fractions, message):
@@ -388,7 +390,9 @@ def test_prune_baseline_refuses_bad_arguments_before_training(monkeypatch, targe
      "target: give one of target_keep and target_sparsity, got both"),
     ({"target_sparsity": 1.5}, "target_sparsity: must be in [0, 1], got 1.5"),
     ({"target_sparsity": -0.1}, "target_sparsity: must be in [0, 1], got -0.1"),
-    ({"target_sparsity": float("nan")}, "target_sparsity: must be in [0, 1], got nan")])
+    ({"target_sparsity": float("nan")}, "target_sparsity: must be in [0, 1], got nan"),
+    ({"target_sparsity": "0.5"}, "target_sparsity: must be a real number, got '0.5'"),
+    ({"target_sparsity": True}, "target_sparsity: must be a real number, got True")])
 def test_prune_baseline_takes_one_target_before_training(monkeypatch, targets, message):
     def entered(*args, **kwargs):
         raise AssertionError("trained or loaded data")
