@@ -33,18 +33,6 @@ class TestSoftThreshold:
     def test_tie_maps_to_zero(self):
         assert_allclose(soft_threshold(np.array([1.0, -1.0]), 1.0), [0.0, 0.0])
 
-    def test_negative_lambda_rejected(self):
-        # NaN and inf too: group_shrink raised NonpositiveDiagonalError for a
-        # NaN penalty and returned zeros for an infinite one
-        for value in (-0.1, math.nan, math.inf):
-            with pytest.raises(ValueError, match="lambda1 must be >= 0 and finite"):
-                soft_threshold(np.array([1.0]), value)
-            for penalties in ((value, 0.0), (0.0, value)):
-                with pytest.raises(ValueError,
-                                   match="lambda21 and lambda2 must be >= 0 and finite") as info:
-                    group_shrink(np.ones(2), np.ones(2), 2, *penalties)
-                assert type(info.value) is ValueError
-
 
 class TestGroupShrink:
     def test_practical_worked_example(self):
@@ -82,18 +70,47 @@ class TestGroupShrink:
         x = group_shrink(np.array([0.0, 2.0]), np.array([0.0, 1.0]), 1, 0.0, 0.0)
         assert_allclose(x, [0.0, 2.0])
 
-    @pytest.mark.parametrize("variant", ["practical", "exact"])
-    @pytest.mark.parametrize("group_size", [0, -8, -1, 2.0, 1.5, True, None, "2"])
-    def test_group_size_must_be_a_positive_integer(self, group_size, variant):
-        # as ProxProblem rejects it: a ValueError, never a ZeroDivisionError
-        # or a numpy reshape error
-        with pytest.raises(ValueError, match="group_size") as info:
-            group_shrink(np.ones(8), np.ones(8), group_size, 0.1, 0.0, variant)
-        assert not isinstance(info.value, NonpositiveDiagonalError)
-
     def test_numpy_integer_group_size_accepted(self):
         x = group_shrink(np.array([2.0, 4.0]), np.array([2.0, 4.0]), np.int64(2), 0.0, 0.0)
         assert_allclose(x, [1.0, 1.0])
+
+
+def _shrink(s=np.ones(8), cum_diag=np.ones(8), group_size=2, lambda21=0.1, lambda2=0.0,
+            variant="practical"):
+    return lambda: group_shrink(s, cum_diag, group_size, lambda21, lambda2, variant)
+
+
+# penalties refused as ProxProblem and RegConfig refuse them
+BAD_PENALTIES = (-0.1, math.nan, math.inf)
+
+# one refusal per case, with its whole message
+REFUSALS = [
+    *((f"lambda1={v!r}", lambda v=v: soft_threshold(np.ones(2), v),
+       f"lambda1 must be >= 0 and finite, got {v!r}") for v in BAD_PENALTIES),
+    ("variant", _shrink(variant="nope"), "unknown variant 'nope'"),
+    *((f"lambda21={v!r}", _shrink(lambda21=v),
+       f"lambda21 and lambda2 must be >= 0 and finite, got {v!r}, 0.0") for v in BAD_PENALTIES),
+    *((f"lambda2={v!r}", _shrink(lambda21=0.0, lambda2=v),
+       f"lambda21 and lambda2 must be >= 0 and finite, got 0.0, {v!r}") for v in BAD_PENALTIES),
+    ("shape", _shrink(cum_diag=np.ones(9), group_size=1),
+     "s and cum_diag must have equal length"),
+    # as ProxProblem: of any type, or not dividing the length
+    *((f"group_size={size!r} {variant}", _shrink(group_size=size, variant=variant),
+       f"group_size {size!r} is not a positive integer dividing the length 8")
+      for size in (0, -8, -1, 2.0, 1.5, True, None, "2", 3)
+      for variant in ("practical", "exact")),
+]
+
+
+@pytest.mark.parametrize("call, message", [case[1:] for case in REFUSALS],
+                         ids=[case[0] for case in REFUSALS])
+def test_prox_refusals(call, message):
+    # a ValueError, never its NonpositiveDiagonalError nor a TypeError,
+    # ZeroDivisionError or numpy reshape error
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError
+    assert str(info.value) == message
 
 
 class TestProxSolve:
