@@ -14,6 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# np.count_nonzero's C function: on a few bools, the Python wrapper and the
+# dispatch that numpy puts around it take two thirds of its ~0.3 us
+try:
+    from numpy._core.multiarray import count_nonzero
+except ImportError:  # numpy < 2 names the module numpy.core
+    from numpy.core.multiarray import count_nonzero
+
 # glibc's malloc maps a block of at least the mmap threshold afresh (faulted
 # in page by page, unmapped on free) and hands free heap above the trim
 # threshold back to the system. Both start at 128 KiB and rise with the

@@ -38,6 +38,13 @@ the accumulator and prev_lr, the lr of the last step); adam and amsgrad
 store it, as theirs depends on every earlier step's bias correction. The
 step checks the gradient finite; a non-finite dual always makes the prox's
 check of the new values fail, and only then is the dual itself looked at.
+
+A step of a few coordinates costs its numpy calls, so each argument is
+checked once: _check_step takes the state, lr and the gradient, which must
+be finite before any state changes; RegConfig checked the penalties, and
+soft_threshold and group_shrink pass them in their single argument test.
+The prox's constants are 0-d float64 arrays (see prox). lr and prev_lr stay
+Python floats: a 0-d array built each step would cost what it saves.
 """
 
 from __future__ import annotations
@@ -47,7 +54,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import ConfigError, ParamBlock, require_reals
+from .blocks import ConfigError, ParamBlock, count_nonzero, require_reals
 from .prox import (PENALTIES, NonpositiveDiagonalError, check_penalties, group_shrink,
                    soft_threshold)
 
@@ -175,7 +182,7 @@ def _check_step(state: OptimizerState, block: ParamBlock, grad, kind: str, lr: f
     if rows is None and (grad.shape != block.values.shape or state.dim != grad.size):
         raise ValueError(f"gradient/block/state dimension mismatch for block {block.name!r}")
     finite = np.isfinite(grad)
-    if np.count_nonzero(finite) != finite.size:
+    if count_nonzero(finite) != finite.size:
         state.poisoned = True
         raise PoisonedStateError("non-finite gradient", block.name, state.t + 1, "gradient")
     return grad
@@ -237,22 +244,19 @@ def _dual_step(a, t, x, grad, schedule, lr, prev_lr):
     return m, scaled_root
 
 
-def _penalties(reg: RegConfig, block_name: str) -> tuple[float, float, float, str]:
-    if reg.applies_to(block_name):
-        return reg.lambda1, reg.lambda21, reg.lambda2, reg.variant
-    return 0.0, 0.0, 0.0, reg.variant
-
-
 def _prox(a, scaled_root, block: ParamBlock, reg: RegConfig, t: int) -> np.ndarray:
     """The new values of the coordinates of block whose state arrays a hold
     step t's dual z and whose root R_t is scaled_root; R_t is then stored as
     prev_scaled_root where a keeps one. group_shrink fails whenever z is not
     finite, and only then is z looked at: PoisonedStateError says "dual" and
     R_t is not stored, or it says "prox" and R_t is stored."""
-    lam1, lam21, lam2, variant = _penalties(reg, block.name)
+    if reg.apply_to is None or block.name in reg.apply_to:  # reg.applies_to(block.name)
+        lam1, lam21, lam2 = reg.lambda1, reg.lambda21, reg.lambda2
+    else:
+        lam1 = lam21 = lam2 = 0.0
     s = soft_threshold(a["z"], lam1)
     try:
-        x = group_shrink(s, scaled_root, block.group_size or 1, lam21, lam2, variant)
+        x = group_shrink(s, scaled_root, block.group_size or 1, lam21, lam2, reg.variant)
     except NonpositiveDiagonalError as exc:
         if not np.isfinite(a["z"]).all():
             raise PoisonedStateError("non-finite dual", block.name, t, "dual") from None
@@ -362,7 +366,9 @@ class GroupOptimizer:
         state's arrays, STEP_ROWS groups at a time (one chunk if the block is
         ungrouped). Only the new values are table-sized; they replace the
         block's after the last chunk, with the bits of one whole-block step.
-        If a step raises, the state is poisoned and the block keeps its values.
+        If a step raises, the state is poisoned and the block keeps its
+        values; as in step_group, a prox failure with a finite dual counts as
+        a step, and t and prev_lr advance.
         """
         if rows is not None:
             rows = _check_rows(block, grad, rows)
@@ -400,8 +406,10 @@ class GroupOptimizer:
                     else:
                         values[chunk] = new
                 block.values = values
-        except PoisonedStateError:
+        except PoisonedStateError as exc:
             st.poisoned = True
+            if exc.check == "prox":
+                st.t, st.prev_lr = t, lr
             raise
         st.t, st.prev_lr = t, lr
 

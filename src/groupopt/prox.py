@@ -28,16 +28,28 @@ s + 0.0 turns -0.0 into +0.0, so a coordinate without dual mass comes out
 +0.0; only if a diagonal is not positive does it look for mass there, raise
 if there is any, and divide the massless coordinates by 1.0 instead. With
 groups of one coordinate and lambda21 = 0 it works elementwise: a gate norm
-is positive where |s| > ``SQUARE_UNDERFLOW``. ``soft_threshold`` is a clip
-and a subtraction. Both return the same bits and raise the same errors as
-their plain ``np.where`` form, which ``tests/test_prox_bits.py`` keeps as a
-frozen oracle. They emit no RuntimeWarning (a zero diagonal without dual
-mass included) unless a quotient is infinite: the result, which then
-raises, or the exact gate's rescaled dual at |s| > ~1e146 or diagonal 5e-324.
+is positive where |s| > ``SQUARE_UNDERFLOW``, and where every coordinate is
+live, s holds no zero and x is s / denom. ``soft_threshold`` is a clip and a
+subtraction, and never returns -0.0. Both return the same bits and raise the
+same errors as their plain ``np.where`` form, which
+``tests/test_prox_bits.py`` keeps as a frozen oracle. They emit no
+RuntimeWarning (a zero diagonal without dual mass included) unless a
+quotient is infinite: the result, which then raises, or the exact gate's
+rescaled dual at |s| > ~1e146 or diagonal 5e-324.
+
+A step of a few coordinates costs its numpy calls, not its arithmetic, so
+both functions keep the calls few. The constants a ufunc takes on every
+step (0 and ``SQUARE_UNDERFLOW``) are 0-d float64 arrays, which numpy
+takes about 0.2 us faster than a Python float. Each function checks its
+arguments in one condition, which float penalties, vectors of equal length
+and an int group_size pass at once; only when it fails are the arguments
+looked at one by one, to accept them (an int penalty, a numpy integer group
+size, arrays that are not 1-D) or to raise the refusal that names one. ``blocks.count_nonzero`` tests a mask
+whole without numpy's Python wrapper.
 
 Penalties are real numbers in [0, inf): ``check_penalties`` is the one rule,
 which ``RegConfig`` and ``ProxProblem`` both apply, and ``soft_threshold``
-refuses any other lambda1.
+and ``group_shrink`` refuse any other penalty with a ValueError.
 
 ``prox_oracle`` is an independent check: proximal-gradient iteration in the
 transformed coordinates, then a subgradient-optimality certificate evaluated
@@ -51,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import is_integer, require_reals
+from .blocks import count_nonzero, is_integer, is_real, require_reals
 
 VARIANTS = ("practical", "exact")
 PENALTIES = ("lambda1", "lambda21", "lambda2")
@@ -63,6 +75,12 @@ ORACLE_TOL = 1e-7
 # the largest double whose square rounds to 0: x * x > 0 exactly where
 # |x| > SQUARE_UNDERFLOW (NaN is neither)
 SQUARE_UNDERFLOW = float.fromhex("0x1.6a09e667f3bccp-538")
+
+# 0-d float64 operands: a ufunc takes one about 0.2 us faster than a Python
+# float, which it converts on every call, a third of its cost on a few doubles
+_ZERO = np.zeros(())
+_SQUARE_UNDERFLOW = np.array(SQUARE_UNDERFLOW)
+_ZERO.flags.writeable = _SQUARE_UNDERFLOW.flags.writeable = False
 
 
 def check_penalties(owner) -> None:
@@ -76,6 +94,11 @@ def check_penalties(owner) -> None:
         raise ValueError(f"unknown variant {owner.variant!r}")
 
 
+def _is_penalty(value) -> bool:
+    """check_penalties' rule for one value: a real number in [0, inf)."""
+    return is_real(value) and 0 <= value < math.inf
+
+
 class NonpositiveDiagonalError(ValueError):
     """The prox met a nonpositive effective diagonal where the dual carries
     mass. Raised mid-run by a numeric failure, not by a bad argument."""
@@ -86,16 +109,33 @@ def soft_threshold(z: np.ndarray, lambda1: float) -> np.ndarray:
 
     out_i = 0 when |z_i| <= lambda1, else sign(z_i)*lambda1 - z_i. Ties at
     the threshold map to zero. Equivalently -sign(z_i)*max(|z_i|-lambda1, 0).
+    Never -0.0, unless z holds NaN.
     """
-    if not 0 <= lambda1 < math.inf:  # NaN fails too
-        raise ValueError(f"lambda1 must be >= 0 and finite, got {lambda1}")
-    z = np.asarray(z, dtype=np.float64)
+    # a float in range passes at once; any other lambda1 meets check_penalties' rule
+    if not (isinstance(lambda1, float) and 0.0 <= lambda1 < math.inf
+            or _is_penalty(lambda1)):
+        raise ValueError(f"lambda1 must be >= 0 and finite, got {lambda1!r}")
     if not lambda1:
-        # the dead zone is z = ±0, which 0.0 - z maps to +0.0 as well
-        return 0.0 - z
+        # float64 whatever z is; the dead zone is z = ±0, which 0 - z maps to +0.0
+        return _ZERO - z
+    z = np.asarray(z, dtype=np.float64)
     # clipping z to [-lambda1, lambda1] gives sign(z)*lambda1 outside the
     # dead zone and z inside it, where z - z is +0.0
     return np.minimum(np.maximum(z, -lambda1), lambda1) - z
+
+
+def _shrink_refusal(s, cum_diag, group_size, lambda21, lambda2, variant) -> str | None:
+    """Why group_shrink refuses its arguments, or None if it takes them."""
+    if variant not in VARIANTS:
+        return f"unknown variant {variant!r}"
+    if not (_is_penalty(lambda21) and _is_penalty(lambda2)):
+        return f"lambda21 and lambda2 must be >= 0 and finite, got {lambda21!r}, {lambda2!r}"
+    if s.shape != cum_diag.shape:
+        return "s and cum_diag must have equal length"
+    if not is_integer(group_size) or group_size < 1 or s.size % group_size:
+        return (f"group_size {group_size!r} is not a positive integer "
+                f"dividing the length {s.size}")
+    return None
 
 
 def group_shrink(
@@ -115,26 +155,25 @@ def group_shrink(
     diagonal wherever it would actually matter (coordinates carrying zero
     dual mass are allowed a zero diagonal and stay at zero).
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    if not (0 <= lambda21 < math.inf and 0 <= lambda2 < math.inf):  # NaN fails too
-        raise ValueError("lambda21 and lambda2 must be >= 0 and finite, "
-                         f"got {lambda21}, {lambda2}")
     s = np.asarray(s, dtype=np.float64)
     cum_diag = np.asarray(cum_diag, dtype=np.float64)
-    if s.shape != cum_diag.shape:
-        raise ValueError("s and cum_diag must have equal length")
-    if not is_integer(group_size) or group_size < 1 or s.size % group_size:
-        raise ValueError(f"group_size {group_size!r} is not a positive integer "
-                         f"dividing the length {s.size}")
+    # vectors, float penalties and an int group_size pass in one test; only
+    # when it fails are the arguments looked at one by one
+    if not (variant in VARIANTS and isinstance(lambda21, float) and isinstance(lambda2, float)
+            and 0.0 <= lambda21 < math.inf and 0.0 <= lambda2 < math.inf
+            and s.ndim == 1 and s.shape == cum_diag.shape
+            and group_size.__class__ is int and group_size > 0 and not s.size % group_size):
+        refusal = _shrink_refusal(s, cum_diag, group_size, lambda21, lambda2, variant)
+        if refusal:
+            raise ValueError(refusal)
+        s, cum_diag = s.ravel(), cum_diag.ravel()
 
-    s = s + 0.0  # -0.0 to +0.0: x is +0.0 wherever s is, over a positive denom
     # cum_diag + 0.0 only turns -0.0 into +0.0, which the result never shows
     denom = cum_diag + 2.0 * lambda2 if lambda2 else cum_diag
     # half > 0 implies denom > 0, so the exact gate checks only half
     half = 0.5 * cum_diag + lambda2 if variant == "exact" else denom
-    positive = half > 0.0
-    if np.count_nonzero(positive) == positive.size:
+    positive = half > _ZERO
+    if count_nonzero(positive) == positive.size:
         gate = s / np.sqrt(half) if variant == "exact" else s
     else:
         empty = s == 0.0
@@ -148,8 +187,14 @@ def group_shrink(
             gate = s / np.sqrt(half) if variant == "exact" else s
     if group_size == 1 and not lambda21:
         # groups of one coordinate, no group penalty: live where gate * gate > 0, that is
-        # |gate| > SQUARE_UNDERFLOW, without einsum's dispatch or an overflow warning
-        x = s * (np.abs(gate) > SQUARE_UNDERFLOW)
+        # |gate| > SQUARE_UNDERFLOW, without einsum's dispatch or an overflow warning;
+        live = np.abs(gate) > _SQUARE_UNDERFLOW
+        if count_nonzero(live) == live.size:
+            x = s / denom  # s * 1.0, bit for bit: no coordinate is live at s = ±0
+        else:
+            # s + 0.0 turns -0.0 into +0.0, so x is +0.0 wherever s is ±0
+            x = (s + _ZERO) * live
+            x /= denom
     else:
         gate = gate.reshape(-1, group_size)
         # einsum, unlike gate * gate, does not warn where a square overflows
@@ -162,12 +207,12 @@ def group_shrink(
             factor = np.maximum(1.0 - ratio, 0.0)
         else:
             factor = live.astype(np.float64)  # max(1 - 0/norm, 0) is 1 for a live group
-        x = factor[:, None] * s.reshape(gate.shape)
+        # s + 0.0 as above; the gate's squares do not see the sign of a zero
+        x = (factor[:, None] * (s + _ZERO).reshape(gate.shape)).ravel()
+        x /= denom
     # x overflows where the diagonal is tiny against the dual, and is rejected
-    x /= denom.reshape(x.shape)
-    x = x.ravel()
     finite = np.isfinite(x)
-    if np.count_nonzero(finite) != finite.size:
+    if count_nonzero(finite) != finite.size:
         raise NonpositiveDiagonalError("nonpositive effective diagonal")
     return x
 

@@ -275,28 +275,31 @@ def run_regret(problem: OnlineProblem, kind: str = "adagrad", lr: float = 0.5,
     next_cp = 0
 
     warm = np.zeros(d)
+    decay = step_decay == "sqrt_t"
     for t in range(1, T + 1):
         i = (t - 1) % CHUNK  # the step's row in grads, roots[i + 1] in roots
         x = block.values
         xs[t - 1] = x
         if problem.kind == "quadratic":
-            a = targets[t - 1]
-            diff = x - a
-            cum_loss += 0.5 * float(diff @ diff)
-            grad = diff
+            grad = np.subtract(x, targets[t - 1], out=grads[i])
+            cum_loss += 0.5 * float(grad.dot(grad))
         else:
             b = stream["features"][t - 1]
             y = stream["labels"][t - 1]
             margin = y * float(b @ x)
             cum_loss += float(np.logaddexp(0.0, -margin))
             grad = -y * b * np.exp(-np.logaddexp(0.0, margin))
-        grads[i] = grad
+            grads[i] = grad
         if not math.isfinite(cum_loss):
             raise FloatingPointError("divergent trajectory: non-finite loss")
 
-        lr_t = lr / np.sqrt(float(t)) if step_decay == "sqrt_t" else lr
-        ms[t - 1], roots[i + 1] = step_group(state, block, grad, schedule, lr_t, reg)
+        lr_t = lr / np.sqrt(float(t)) if decay else lr
+        m, roots[i + 1] = step_group(state, block, grad, schedule, lr_t, reg)
+        if m is not grad:
+            ms[t - 1] = m
         if i == CHUNK - 1 or t == T:
+            if m is grad:  # sgd and adagrad: m_t is the gradient at every step
+                ms[t - 1 - i:t] = grads[:i + 1]
             chunk_bound, chunk_kappa, chunk_at = _fold(t - i, grads[:i + 1], roots[:i + 2])
             grad_bound = max(grad_bound, chunk_bound)
             if chunk_kappa > kappa:

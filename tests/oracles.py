@@ -48,7 +48,7 @@ from groupopt.blocks import ParamBlock, make_rng
 from groupopt.data import Dataset, SynthSpec
 from groupopt.model import sigmoid
 from groupopt.optimizers import (NO_REG, MomentSchedule, OptimizerState, PoisonedStateError,
-                                 RegConfig, _check_step, _penalties, step_group)
+                                 RegConfig, _check_step, step_group)
 from groupopt.prox import NonpositiveDiagonalError, ProxProblem, group_shrink, soft_threshold
 from groupopt.regret import (OnlineProblem, _checkpoints, _logistic_prefix_min,
                              _make_stream, _quadratic_prefix_min)
@@ -183,7 +183,9 @@ def fresh_step_group(
     grad = _check_step(state, block, grad, schedule.kind, lr)
     a = state.arrays
     t = state.t + 1
-    lam1, lam21, lam2, variant = _penalties(reg, block.name)
+    lam1, lam21, lam2 = ((reg.lambda1, reg.lambda21, reg.lambda2)
+                         if reg.applies_to(block.name) else (0.0, 0.0, 0.0))
+    variant = reg.variant
     group_size = block.group_size if block.grouped else 1
 
     m, scaled_root = _fresh_moments(state, grad, schedule, lr)

@@ -347,7 +347,8 @@ def failing_step(path, check):
     """Steps 1 and 2 of an epsilon-0 adagrad on 3 groups of 2, gradient on
     group 0 alone, then a step 3 whose gradient on group 2 fails check: a
     NaN, 1e200, which squares to inf (a dual of 0 * inf), or 1e-170, which
-    squares to 0 (dual mass on a zero root). Returns step 3's error."""
+    squares to 0 (dual mass on a zero root). Returns step 3's error and the
+    state."""
     schedule = MomentSchedule(kind="adagrad", epsilon=0.0)
     state, opt = OptimizerState(6, "adagrad"), GroupOptimizer(schedule, 0.1)
     opt.states["e"] = state
@@ -365,7 +366,7 @@ def failing_step(path, check):
                     opt.step(block, *((np.array(g), rows) if path == "lazy" else (dense,)))
             except PoisonedStateError as exc:
                 assert state.poisoned
-                return exc
+                return exc, state
     raise AssertionError("step 3 did not fail")
 
 
@@ -378,9 +379,11 @@ class TestFailureReports:
         ("gradient", "non-finite gradient"), ("dual", "non-finite dual"),
         ("prox", "nonpositive effective diagonal: no finite parameters")])
     def test_error_names_block_step_and_check(self, path, check, message):
-        exc = failing_step(path, check)
+        exc, state = failing_step(path, check)
         assert (exc.block, exc.step, exc.check) == ("e", 3, check)
         assert str(exc) == f"{message} for block 'e' at step 3"
+        # one rule on every path: a prox failure counts as a step, the others not
+        assert (state.t, state.prev_lr) == (3 if check == "prox" else 2, 0.1)
 
     def test_a_poisoned_state_names_nothing(self):
         state = OptimizerState(2, "sgd")
@@ -807,11 +810,11 @@ class TestStoredRootStep:
                 assert state.poisoned == oracle.poisoned
                 if oracle.t == t:
                     last_lr = lr
-                # a failing driver step leaves t and the arrays as it goes
-                # (later chunks, or the lazy rows, are not stepped)
+                assert (state.t, state.prev_lr) == (oracle.t, last_lr)
+                # a failing driver step leaves the arrays as it goes (later
+                # chunks, or the lazy rows, are not stepped)
                 if (expected[1] is None or path in STEP_GROUP_PATHS
                         or "gradient" in expected[1]):
-                    assert (state.t, state.prev_lr) == (oracle.t, last_lr)
                     reference = {**oracle.arrays, **roots}
                     for name, array in state.arrays.items():
                         assert array.tobytes() == reference[name].tobytes(), name

@@ -80,8 +80,9 @@ def _shrink(s=np.ones(8), cum_diag=np.ones(8), group_size=2, lambda21=0.1, lambd
     return lambda: group_shrink(s, cum_diag, group_size, lambda21, lambda2, variant)
 
 
-# penalties refused as ProxProblem and RegConfig refuse them
-BAD_PENALTIES = (-0.1, math.nan, math.inf)
+# penalties refused as ProxProblem and RegConfig refuse them: a string once
+# failed with a bare TypeError, and True ran as 1.0
+BAD_PENALTIES = (-0.1, math.nan, math.inf, "0.1", True)
 
 # one refusal per case, with its whole message
 REFUSALS = [
