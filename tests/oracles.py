@@ -185,7 +185,6 @@ def fresh_step_group(
     t = state.t + 1
     lam1, lam21, lam2 = ((reg.lambda1, reg.lambda21, reg.lambda2)
                          if reg.applies_to(block.name) else (0.0, 0.0, 0.0))
-    variant = reg.variant
     group_size = block.group_size if block.grouped else 1
 
     m, scaled_root = _fresh_moments(state, grad, schedule, lr)
@@ -203,7 +202,7 @@ def fresh_step_group(
 
     s = soft_threshold(a["z"], lam1)
     try:
-        block.values = group_shrink(s, scaled_root, group_size, lam21, lam2, variant)
+        block.values = group_shrink(s, scaled_root, group_size, lam21, lam2, reg.variant)
     except NonpositiveDiagonalError as exc:
         state.poisoned = True
         raise PoisonedStateError(f"{exc}: no finite parameters", block.name, t,
