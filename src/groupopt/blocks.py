@@ -15,11 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 # np.count_nonzero's C function: on 8 bools, the Python wrapper and dispatch
-# numpy puts around it take two thirds of its ~0.3 us (numpy 2.4, x86-64)
+# numpy puts around it take two thirds of its ~0.3 us (numpy 2.4, x86-64);
+# clip, the ufunc behind np.clip: min(max(x, lo), hi) in one call, NaN kept
 try:
     from numpy._core.multiarray import count_nonzero
-except ImportError:  # numpy < 2 names the module numpy.core
+    from numpy._core.umath import clip
+except ImportError:  # numpy < 2 names the modules numpy.core
     from numpy.core.multiarray import count_nonzero
+    from numpy.core.umath import clip
 
 # glibc's malloc maps a block of at least the mmap threshold afresh (faulted
 # in page by page, unmapped on free) and hands free heap above the trim

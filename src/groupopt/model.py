@@ -8,7 +8,9 @@ the target of the sparse-group penalties during training. A batch reads few
 of the table's rows, so backward returns the embedding gradient
 row-compact: the gradients of the batch's rows only, never a table-shaped
 array. The MLP is one ungrouped block, dense: every layer's weights and
-then its biases, flat, layer after layer (w0, b0, w1, b1, ...).
+then its biases, flat, layer after layer (w0, b0, w1, b1, ...). Forward's
+cache keeps the layer views it read, and backward writes each layer's
+gradient through views of one new flat vector in that layout.
 """
 
 from __future__ import annotations
@@ -81,10 +83,16 @@ def init_params(config: ModelConfig, seed: int = 0) -> dict[str, ParamBlock]:
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) elsewhere,
     so that no exp overflows: e = exp(-|x|) is each branch's exponential,
-    taken as min(x, -x), which unlike -abs(x) keeps the sign of a NaN."""
+    taken as min(x, -x), which unlike -abs(x) keeps the sign of a NaN. Both
+    branches divide by the one 1 + e; the numerator is 1 where x >= 0."""
     x = np.asarray(x, dtype=np.float64)
-    e = np.exp(np.minimum(x, -x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    e = np.negative(x)
+    np.minimum(x, e, out=e)
+    np.exp(e, out=e)
+    denom = e + 1.0
+    np.copyto(e, 1.0, where=x >= 0)
+    e /= denom
+    return e
 
 
 def logloss(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -96,7 +104,12 @@ def logloss(logits: np.ndarray, labels: np.ndarray) -> float:
 
 @dataclass
 class ForwardCache:
+    """What backward needs of a forward pass: the ids, each layer's
+    (weights, biases) views of the dense block as forward read them, each
+    layer's input and pre-activation, and the logits."""
+
     ids: np.ndarray
+    layers: list
     layer_inputs: list
     pre_activations: list
     logits: np.ndarray
@@ -106,21 +119,25 @@ class ForwardCache:
     def _unique_ids(self) -> tuple[np.ndarray, np.ndarray]:
         """(rows, inverse): the sorted unique ids of the batch, and for each
         entry of ids.ravel() its index in rows. np.unique with
-        return_inverse, without its overhead: one sort and a neighbour mask.
+        return_inverse, without its overhead: one sort, a neighbour mask and
+        two scatters, none of them table-sized (a binary search of each id
+        among the rows mispredicts its branches on every fresh batch).
         Computed on first use, so forward and evaluation do not pay for it."""
         flat = self.ids.ravel()
         order = flat.argsort()
         ordered = flat[order]
-        first = np.empty(flat.size, dtype=bool)
-        first[0] = True
-        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-        # the row index of each sorted id: the number of firsts before it
-        run = first.astype(np.intp)
-        run[0] = 0
-        np.cumsum(run, out=run)
+        # new[i]: ordered[i] starts a run of equal ids; the number of run
+        # starts up to i, the first not counted, is its row index
+        new = np.empty(flat.size, dtype=bool)
+        new[0] = False
+        np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+        run = np.add.accumulate(new, dtype=np.intp)
         inverse = np.empty(flat.size, dtype=np.intp)
         inverse[order] = run
-        return ordered[first], inverse
+        # each id lands on its row, as ordered[run starts] would select it
+        rows = np.empty(run[-1] + 1, dtype=flat.dtype)
+        rows[run] = ordered
+        return rows, inverse
 
     @property
     def rows(self) -> np.ndarray:
@@ -132,7 +149,9 @@ class ForwardCache:
 def check_ids(ids: np.ndarray, config: ModelConfig) -> None:
     """Raise ValueError unless every id (of a nonempty array) names a row of
     the embedding table."""
-    if ids.min() < 0 or ids.max() >= config.num_features:
+    # the ufuncs' reductions, without ndarray.min's Python wrapper
+    if (np.minimum.reduce(ids, axis=None) < 0
+            or np.maximum.reduce(ids, axis=None) >= config.num_features):
         raise ValueError("feature id out of range")
 
 
@@ -154,17 +173,19 @@ def forward(blocks: dict, ids: np.ndarray, config: ModelConfig) -> ForwardCache:
     last = len(layers) - 1
     for i, (w, b) in enumerate(layers):
         layer_inputs.append(h)
-        pre = h @ w + b
+        pre = h @ w  # then + b in place: the bits of h @ w + b
+        pre += b
         pre_activations.append(pre)
         h = pre if i == last else np.maximum(pre, 0.0)
-    logits = h[:, 0]
-    return ForwardCache(ids, layer_inputs, pre_activations, logits, config)
+    return ForwardCache(ids, layers, layer_inputs, pre_activations, h[:, 0], config)
 
 
 def backward(cache: ForwardCache, labels: np.ndarray, blocks: dict) -> dict[str, np.ndarray]:
-    """Exact gradients of the mean logistic loss for every block.
+    """Exact gradients of the mean logistic loss for every block, at the
+    parameters forward read; blocks must be the blocks forward was given.
 
-    The dense gradient is flat in the dense block's layout.
+    The dense gradient is one new flat vector in the dense block's layout;
+    each layer's weight and bias gradients are written into views of it.
 
     The embedding gradient is row-compact: the flat k x embed_dim gradients
     of the k rows in cache.rows, in that order; every other row's gradient
@@ -179,16 +200,23 @@ def backward(cache: ForwardCache, labels: np.ndarray, blocks: dict) -> dict[str,
         raise ValueError("labels do not match cached batch")
     config = cache.config
 
-    delta = ((sigmoid(cache.logits) - labels) / batch)[:, None]
-    layers = _layers(blocks[DENSE].values, config)
-    parts = []  # the dense gradient's pieces, last layer first
-    for i in range(len(layers) - 1, -1, -1):
-        if i != len(layers) - 1:
-            delta = delta * (cache.pre_activations[i] > 0.0)
-        h = cache.layer_inputs[i]
-        parts.append(delta.sum(axis=0))
-        parts.append((h.T @ delta).ravel())
-        delta = delta @ layers[i][0].T
+    delta = sigmoid(cache.logits)
+    delta -= labels
+    delta /= batch
+    delta = delta[:, None]
+    dense = np.empty(blocks[DENSE].values.size)
+    hi = dense.size  # the layers' gradients fill dense from its end
+    last = len(cache.layers) - 1
+    for i in range(last, -1, -1):
+        w, b = cache.layers[i]
+        if i != last:
+            delta *= cache.pre_activations[i] > 0.0
+        mid = hi - b.size
+        lo = mid - w.size
+        np.add.reduce(delta, axis=0, out=dense[mid:hi])  # delta.sum(axis=0)
+        np.matmul(cache.layer_inputs[i].T, delta, out=dense[lo:mid].reshape(w.shape))
+        delta = delta @ w.T
+        hi = lo
 
     # delta now holds d(loss)/d(concatenated embeddings); coordinate j of
     # the field slice with id inverse[i] goes to bin inverse[i]*d + j.
@@ -198,7 +226,7 @@ def backward(cache: ForwardCache, labels: np.ndarray, blocks: dict) -> dict[str,
     bins = (inverse * d)[:, None] + np.arange(d)
     return {EMBEDDING: np.bincount(bins.ravel(), weights=delta.ravel(),
                                    minlength=rows.size * d),
-            DENSE: np.concatenate(parts[::-1])}
+            DENSE: dense}
 
 
 def logits(blocks: dict, ids: np.ndarray, config: ModelConfig) -> np.ndarray:

@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import ConfigError, ParamBlock, count_nonzero, require_reals
+from .blocks import ConfigError, ParamBlock, count_nonzero, is_real, require_reals
 from .prox import (PENALTIES, NonpositiveDiagonalError, check_penalties, group_shrink,
                    soft_threshold)
 
@@ -167,6 +167,13 @@ _MOMENTS = {"sgd": (), "momentum": ("m_hat",), "adagrad": ("v_hat",),
             "amsgrad": ("m_hat", "v_hat", "prev_scaled_root")}
 
 
+def _check_lr(lr) -> None:
+    """Raise ValueError unless lr is a real number in (0, inf): a string, a
+    bool, NaN and inf are refused."""
+    if not (is_real(lr) and 0 < lr < math.inf):  # NaN fails too
+        raise ValueError(f"lr must be > 0 and finite, got {lr!r}")
+
+
 def _check_step(state: OptimizerState, block: ParamBlock, grad, kind: str, lr: float,
                 rows=None) -> np.ndarray:
     """grad as float64 once the state, its kind, lr and grad pass; a
@@ -175,8 +182,8 @@ def _check_step(state: OptimizerState, block: ParamBlock, grad, kind: str, lr: f
     grad = np.asarray(grad, dtype=np.float64)
     if state.poisoned:
         raise PoisonedStateError("optimizer state is poisoned")
-    if not 0 < lr < math.inf:  # NaN fails too
-        raise ValueError(f"lr must be > 0 and finite, got {lr}")
+    if not (isinstance(lr, float) and 0.0 < lr < math.inf):  # a float in range passes at once
+        _check_lr(lr)
     if state.kind != kind:
         raise ValueError(f"a {state.kind} state cannot take a {kind} step")
     if rows is None and (grad.shape != block.values.shape or state.dim != grad.size):
@@ -208,34 +215,37 @@ def _dual_step(a, t, x, grad, schedule, lr, prev_lr):
     elif kind == "adagrad":
         drift = np.sqrt(a["v_hat"])
         drift /= prev_lr  # R_{t-1}, from v before it advances
-        inc = grad * grad
+        scaled_root = np.multiply(grad, grad)  # the increment of v, then R_t
         if t == 1:
-            inc += schedule.epsilon
-        a["v_hat"] += inc
-        m, scaled_root = grad, np.sqrt(a["v_hat"])
+            scaled_root += schedule.epsilon
+        a["v_hat"] += scaled_root
+        m = grad
+        np.sqrt(a["v_hat"], out=scaled_root)
         scaled_root /= lr
         np.subtract(scaled_root, drift, out=drift)
         drift *= x
     else:  # adam, amsgrad: b1*m + (1-b1)*g and b2*v + (1-b2)*g*g, left to right
+        # one scratch holds (1-b1)*g, then (1-b2)*g*g, then the drift
         b1, b2 = schedule.beta1, schedule.beta2
         m_hat, v_hat = a["m_hat"], a["v_hat"]
         m_hat *= b1
-        m_hat += (1.0 - b1) * grad
-        sq = (1.0 - b2) * grad
-        sq *= grad
+        drift = np.multiply(1.0 - b1, grad)
+        m_hat += drift
+        np.multiply(1.0 - b2, grad, out=drift)
+        drift *= grad
         if kind == "amsgrad":
-            sq += b2 * v_hat
-            np.maximum(v_hat, sq, out=v_hat)
+            drift += b2 * v_hat
+            np.maximum(v_hat, drift, out=v_hat)
         else:
             v_hat *= b2
-            v_hat += sq
+            v_hat += drift
         bc2 = 1.0 - b2**t
         scaled_root = v_hat / bc2
         np.sqrt(scaled_root, out=scaled_root)
-        scaled_root += schedule.epsilon / np.sqrt(bc2)
+        scaled_root += schedule.epsilon / math.sqrt(bc2)  # the bits of np.sqrt
         scaled_root /= lr
         m = m_hat / (1.0 - b1**t)
-        drift = scaled_root - a["prev_scaled_root"]
+        np.subtract(scaled_root, a["prev_scaled_root"], out=drift)
         drift *= x
     # z + m - drift in its left-to-right order
     z = a["z"]
@@ -315,7 +325,8 @@ def _check_rows(block: ParamBlock, grad, rows) -> np.ndarray:
     rows = np.asarray(rows)
     n = block.num_groups
     if rows.size and not (rows.ndim == 1 and rows.dtype.kind in "iu" and rows[0] >= 0
-                          and rows[-1] < n and (rows[1:] > rows[:-1]).all()):
+                          and rows[-1] < n
+                          and count_nonzero(rows[1:] > rows[:-1]) == rows.size - 1):
         raise ValueError(f"rows must be strictly increasing integer group ids in [0, {n})")
     if np.shape(grad) != (rows.size * block.group_size,):
         raise ValueError(f"rows: gradient of shape {np.shape(grad)} for {rows.size} "
@@ -338,6 +349,7 @@ class GroupOptimizer:
     """Driver holding one OptimizerState per block name; it steps each as step_group does."""
 
     def __init__(self, schedule: MomentSchedule, lr: float, reg: RegConfig = NO_REG):
+        _check_lr(lr)
         self._schedule, self._lr = schedule, lr
         self.reg = reg
         self.states: dict[str, OptimizerState] = {}
@@ -380,15 +392,18 @@ class GroupOptimizer:
         t = st.t + 1
         try:
             if rows is not None and schedule.kind == "adagrad" and st.t:
-                # the rows of the state's arrays and, as x, of the values
-                full = {k: a.reshape(-1, block.group_size)
-                        for k, a in (*st.arrays.items(), ("x", block.values))}
-                # take copies rows as a[rows] would, at a third of its cost
-                part = {k: a.take(rows, axis=0).ravel() for k, a in full.items()}
+                # the values, as x, and the state's arrays; take copies rows
+                # as a[rows] would, at a third of its cost
+                full = {"x": block.values, **st.arrays}
+                part = {k: a.reshape(-1, block.group_size).take(rows, axis=0).ravel()
+                        for k, a in full.items()}
                 _, root = _dual_step(part, t, part["x"], grad, schedule, lr, st.prev_lr)
                 part["x"] = _prox(part, root, block, self.reg, t)
+                # each row back as one item of group_size doubles, which
+                # a[rows] = ... on the 2-D view copies at twice the cost
+                row = np.dtype((np.void, 8 * block.group_size))
                 for k, a in full.items():
-                    a[rows] = part[k].reshape(-1, block.group_size)
+                    a.view(row)[rows] = part[k].view(row)
             else:
                 d, n = (block.group_size, block.num_groups) if block.grouped else (grad.size, 1)
                 buf = None if rows is None else np.empty((min(n, STEP_ROWS), d))

@@ -23,8 +23,8 @@ Two gating norms n_g are supported:
   It keeps the same dead zone, sign, and whole-group-zeroing structure but
   is not the exact minimizer unless A is the identity.
 
-``group_shrink`` is unmasked but for the dead groups' ratio (``where=``):
-s + 0.0 turns -0.0 into +0.0, so a coordinate without dual mass comes out
+``group_shrink`` is unmasked: a dead group's ratio c/0 is inf, silently,
+and its factor max(1 - inf, 0) is +0.0; s + 0.0 turns -0.0 into +0.0, so a coordinate without dual mass comes out
 +0.0; only if a diagonal is not positive does it look for mass there, raise
 if there is any, and divide the massless coordinates by 1.0 instead. With
 groups of one coordinate and lambda21 = 0 it works elementwise: a gate norm
@@ -39,7 +39,7 @@ rescaled dual at |s| > ~1e146 or diagonal 5e-324.
 
 A step of a few coordinates costs its numpy calls, not its arithmetic, so
 both functions keep the calls few. The constants a ufunc takes on every
-step (0 and ``SQUARE_UNDERFLOW``) are 0-d float64 arrays, which numpy takes
+step (0, 1 and ``SQUARE_UNDERFLOW``) are 0-d float64 arrays, which numpy takes
 about 0.2 us faster than a Python float (numpy 2.4, 8 doubles, x86-64).
 Each function checks its arguments in one condition, which float
 penalties, vectors of equal length and an int group_size pass at once;
@@ -64,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import count_nonzero, is_integer, is_real, require_reals
+from .blocks import clip, count_nonzero, is_integer, is_real, require_reals
 
 VARIANTS = ("practical", "exact")
 PENALTIES = ("lambda1", "lambda21", "lambda2")
@@ -79,9 +79,9 @@ SQUARE_UNDERFLOW = float.fromhex("0x1.6a09e667f3bccp-538")
 
 # 0-d float64 operands: a ufunc takes one about 0.2 us faster than a Python
 # float, which it converts on every call (a third of a call on 8 doubles)
-_ZERO = np.zeros(())
+_ZERO, _ONE = np.zeros(()), np.ones(())
 _SQUARE_UNDERFLOW = np.array(SQUARE_UNDERFLOW)
-_ZERO.flags.writeable = _SQUARE_UNDERFLOW.flags.writeable = False
+_ZERO.flags.writeable = _ONE.flags.writeable = _SQUARE_UNDERFLOW.flags.writeable = False
 
 
 def _is_penalty(value) -> bool:
@@ -121,8 +121,11 @@ def soft_threshold(z: np.ndarray, lambda1: float) -> np.ndarray:
         return _ZERO - z
     z = np.asarray(z, dtype=np.float64)
     # clipping z to [-lambda1, lambda1] gives sign(z)*lambda1 outside the
-    # dead zone and z inside it, where z - z is +0.0
-    return np.minimum(np.maximum(z, -lambda1), lambda1) - z
+    # dead zone and z inside it, where z - z is +0.0; the clip ufunc is
+    # np.minimum(np.maximum(z, -lambda1), lambda1) in one call
+    out = clip(z, -lambda1, lambda1)
+    out -= z
+    return out
 
 
 def _shrink_refusal(s, cum_diag, group_size, lambda21, lambda2, variant) -> str | None:
@@ -172,10 +175,18 @@ def group_shrink(
     # cum_diag + 0.0 only turns -0.0 into +0.0, which the result never shows
     denom = cum_diag + 2.0 * lambda2 if lambda2 else cum_diag
     # half > 0 implies denom > 0, so the exact gate checks only half
-    half = 0.5 * cum_diag + lambda2 if variant == "exact" else denom
+    if variant == "exact":
+        half = 0.5 * cum_diag
+        half += lambda2
+    else:
+        half = denom
     positive = half > _ZERO
     if count_nonzero(positive) == positive.size:
-        gate = s / np.sqrt(half) if variant == "exact" else s
+        if variant == "exact":  # s / sqrt(half), in half's place
+            gate = np.sqrt(half, out=half)
+            np.divide(s, gate, out=gate)
+        else:
+            gate = s
     else:
         empty = s == 0.0
         if ((denom <= 0.0) & ~empty).any():
@@ -200,16 +211,23 @@ def group_shrink(
         gate = gate.reshape(-1, group_size)
         # einsum, unlike gate * gate, does not warn where a square overflows
         squares = np.einsum("ij,ij->i", gate, gate)
-        live = squares > 0.0  # as the norm sqrt(squares) > 0.0
         if lambda21:
-            # a dead group keeps the ratio 1, so its factor is max(1 - 1, 0) = +0.0
-            ratio = np.divide(math.sqrt(group_size) * lambda21, np.sqrt(squares),
-                              out=(~live).astype(np.float64), where=live)
-            factor = np.maximum(1.0 - ratio, 0.0)
+            # max(1 - c/norm, 0), in the norms' place: a dead group's norm
+            # is 0, its ratio c/0 = inf and its factor +0.0
+            factor = np.sqrt(squares, out=squares)
+            with np.errstate(divide="ignore"):
+                np.divide(math.sqrt(group_size) * lambda21, factor, out=factor)
+            np.subtract(_ONE, factor, out=factor)
+            np.maximum(factor, _ZERO, out=factor)
         else:
-            factor = live.astype(np.float64)  # max(1 - 0/norm, 0) is 1 for a live group
-        # s + 0.0 as above; the gate's squares do not see the sign of a zero
-        x = (factor[:, None] * (s + _ZERO).reshape(gate.shape)).ravel()
+            # max(1 - 0/norm, 0) is 1 for a live group, whose norm
+            # sqrt(squares) > 0.0, and +0.0 for a dead one
+            factor = (squares > 0.0).astype(np.float64)
+        # s + 0.0 as above; the gate's squares do not see the sign of a zero.
+        # factor.repeat is one flat multiply, where factor[:, None] broadcasts
+        # a short inner loop per group
+        x = s + _ZERO
+        x *= factor.repeat(group_size)
         x /= denom
     # x overflows where the diagonal is tiny against the dual, and is rejected
     finite = np.isfinite(x)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -124,10 +125,12 @@ class TestForward:
         ids = rng.choice(rng.choice(config.num_features, 4), size=(batch, config.num_fields))
         table = blocks[EMBEDDING].values.reshape(config.num_features, config.embed_dim)
         h = table[ids].reshape(batch, -1)
+        cache = forward(blocks, ids, config)
         for i, (w, b) in enumerate(frozen_layers(blocks, config)):
-            pre = h @ w + b
+            pre = h @ w + b  # forward adds b in place
+            assert cache.pre_activations[i].tobytes() == pre.tobytes()
             h = pre if i == len(config.hidden_dims) else np.maximum(pre, 0.0)
-        assert forward(blocks, ids, config).logits.tobytes() == h[:, 0].tobytes()
+        assert cache.logits.tobytes() == h[:, 0].tobytes()
 
 
 class TestChunkedLogits:
@@ -306,6 +309,47 @@ class TestCompactBackward:
         assert dense.tobytes() == frozen[EMBEDDING].tobytes()
         assert grads.keys() == frozen.keys()
         assert grads[DENSE].tobytes() == frozen[DENSE].tobytes()
+
+    def test_dense_gradient_is_a_new_vector_that_aliases_nothing(self):
+        # backward writes each layer's gradient through views of one new
+        # vector: none may reach into the parameters, the cache or the
+        # gradient of an earlier call
+        config = ModelConfig(num_features=30, embed_dim=3, num_fields=4, hidden_dims=(5, 4))
+        blocks = init_params(config, 2)
+        rng = make_rng(2)
+        previous = None
+        for _ in range(3):
+            ids, labels = random_batch(rng, config, batch=7)
+            cache = forward(blocks, ids, config)
+            grads = backward(cache, labels, blocks)
+            dense = grads[DENSE]
+            assert dense.base is None and dense.shape == blocks[DENSE].values.shape
+            cached = [cache.ids, cache.logits, *cache.layer_inputs, *cache.pre_activations,
+                      *(a for layer in cache.layers for a in layer)]
+            for other in (blocks[DENSE].values, blocks[EMBEDDING].values, grads[EMBEDDING],
+                          *cached, previous):
+                assert other is None or not np.shares_memory(dense, other)
+            previous = dense
+
+    def test_a_batch_allocates_nothing_table_sized(self):
+        # forward plus backward on 64 rows: the traced peak is the batch's,
+        # whether the table has 10,000 rows or 400,000
+        peaks = []
+        for num_features in (10_000, 400_000):
+            config = ModelConfig(num_features=num_features, embed_dim=2, num_fields=4,
+                                 hidden_dims=(8,))
+            blocks = init_params(config, 0)
+            ids = make_rng(5).integers(0, 10_000, size=(64, 4))
+            labels = np.arange(64) % 2
+            backward(forward(blocks, ids, config), labels, blocks)  # warm caches
+            tracemalloc.start()
+            try:
+                grads = backward(forward(blocks, ids, config), labels, blocks)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert grads[EMBEDDING].size <= 64 * 4 * 2
+        assert peaks[1] <= peaks[0] + 1024, peaks
 
     def test_rows_are_computed_only_when_asked(self):
         config = small_config()

@@ -310,6 +310,36 @@ class TestStateSafety:
         with pytest.raises(ValueError):
             step_group(state, block, np.ones(1), MomentSchedule(kind="sgd"), 0.0)
 
+    @pytest.mark.parametrize("lr, shown", [
+        ("0.1", "'0.1'"), (True, "True"), (False, "False"), (float("nan"), "nan"),
+        (float("inf"), "inf"), (-float("inf"), "-inf"), (0.0, "0.0"), (-0.5, "-0.5"),
+        (0, "0"), (None, "None")])
+    def test_an_lr_other_than_a_positive_finite_real_is_refused(self, lr, shown):
+        # a string or None compared with 0 raised a bare TypeError, and a
+        # bool stepped as 0 or 1; both entry points refuse before any change
+        message = f"lr must be > 0 and finite, got {shown}"
+        state = OptimizerState(2, "adagrad")
+        block = ParamBlock("w", np.ones(2))
+        with pytest.raises(ValueError) as info:
+            step_group(state, block, np.ones(2), MomentSchedule(kind="adagrad"), lr)
+        assert type(info.value) is ValueError and str(info.value) == message
+        assert state.t == 0 and not state.poisoned and block.values.tolist() == [1.0, 1.0]
+        with pytest.raises(ValueError) as info:
+            GroupOptimizer(MomentSchedule(kind="adagrad"), lr)
+        assert type(info.value) is ValueError and str(info.value) == message
+
+    @pytest.mark.parametrize("lr", [1, np.float64(0.1), np.int64(2), 1e-300])
+    def test_a_positive_finite_real_lr_of_any_type_is_taken(self, lr):
+        for opt in (GroupOptimizer(MomentSchedule(kind="adagrad"), lr), None):
+            state = OptimizerState(2, "adagrad")
+            block = ParamBlock("w", np.ones(2))
+            if opt is None:
+                step_group(state, block, np.ones(2), MomentSchedule(kind="adagrad"), lr)
+            else:
+                opt.step(block, np.ones(2))
+                state = opt.states["w"]
+            assert state.t == 1 and state.prev_lr == lr
+
     def test_nan_hyperparameters_rejected(self):
         # NaN passes a check written as x < 0
         nan = float("nan")
