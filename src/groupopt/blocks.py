@@ -1,4 +1,4 @@
-"""Grouped parameter vectors, the pinned RNG and the checks on input values.
+"""Grouped parameter vectors, the pinned RNG and the domains of input values.
 
 Everything downstream works on flat fp64 vectors. A block is either
 ungrouped (dense weights, biases) or split into contiguous fixed-size
@@ -9,7 +9,9 @@ groups (one embedding row per feature id); group g owns the slice
 from __future__ import annotations
 
 import ctypes
+import math
 import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,30 +61,78 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; message includes the field path."""
 
 
-def is_integer(value) -> bool:
-    """An int or a numpy integer; never a bool, nor a float such as 4.0."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+class Domain:
+    """The values a field accepts, and the words that name them: check
+    refuses any other value as "name: must be <words>, got <value!r>".
+    integers, reals, names and sequence build the usual domains; any other
+    is its words and a test."""
+
+    def __init__(self, words: str, accepts, plural: str | None = None):
+        self.words, self.accepts, self.plural = words, accepts, plural
+
+    def check(self, name: str, value, error=ValueError) -> None:
+        if not self.accepts(value):
+            raise error(f"{name}: must be {self.words}, got {value!r}")
 
 
-def is_real(value) -> bool:
-    """A real number; never a bool (json's true would otherwise read as 1)."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+def integers(lo: int) -> Domain:
+    """The ints and numpy integers >= lo; never a bool, nor a float such as 4.0."""
+    return Domain(f"an integer >= {lo}", lambda v: isinstance(v, (int, np.integer))
+                  and not isinstance(v, bool) and v >= lo, f"integers >= {lo}")
 
 
-def require_integers(obj, names, error=ValueError) -> None:
-    """Raise error unless each attribute of obj in names is_integer."""
-    for name in names:
-        value = getattr(obj, name)
-        if not is_integer(value):
-            raise error(f"{name}: must be an integer, got {value!r}")
+def reals(lo: float, hi: float, ends: str = "[)") -> Domain:
+    """The real numbers from lo to hi, each end closed or open as ends says
+    in interval notation: "[)" holds lo and not hi. NaN is in none, an
+    infinite bound only at a closed end, and a bool (json's true would read
+    as 1) in none."""
+    above = operator.le if ends[0] == "[" else operator.lt
+    below = operator.le if ends[1] == "]" else operator.lt
+    interval = f"{ends[0]}{lo:g}, {hi:g}{ends[1]}"
+    return Domain(f"a real number in {interval}",
+                  lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)
+                  and above(lo, v) and below(v, hi), f"real numbers in {interval}")
 
 
-def require_reals(obj, names, error=ValueError) -> None:
-    """Raise error unless each attribute of obj in names is_real."""
-    for name in names:
-        value = getattr(obj, name)
-        if not is_real(value):
-            raise error(f"{name} must be a real number, got {value!r}")
+def names(*options: str) -> Domain:
+    """One of a fixed set of names."""
+    return Domain("one of " + ", ".join(map(repr, options)),
+                  lambda v: isinstance(v, str) and v in options)
+
+
+def sequence(of: Domain | None = None, nonempty: bool = False) -> Domain:
+    """Any sized iterable, of values in of where given; nonempty where
+    asked. An iterator has no size: a check would use up its values."""
+    def accepts(v) -> bool:
+        try:
+            size = len(v)
+        except TypeError:
+            return False
+        return (size > 0 or not nonempty) and (of is None or all(map(of.accepts, v)))
+    words = "a nonempty sequence" if nonempty else "a sequence"
+    return Domain(f"{words} of {of.plural}" if of else words, accepts)
+
+
+def optional(domain: Domain) -> Domain:
+    """domain's values, and None."""
+    return Domain(f"{domain.words} or None", lambda v: v is None or domain.accepts(v))
+
+
+def check_fields(table: dict, values: dict, error=ValueError) -> None:
+    """Check values[name] against each domain of table, name -> Domain, in
+    the table's order; the first value outside its domain raises error."""
+    for name, domain in table.items():
+        domain.check(name, values[name], error)
+
+
+# the domains that fields of several classes share
+SEED = integers(0)
+COUNT = integers(1)
+LR = reals(0, math.inf, "()")
+PENALTY = reals(0, math.inf, "[)")  # lambda1, lambda21, lambda2, and epsilon
+BETA = reals(0, 1, "[)")  # the moment decays beta1, beta2 and gamma
+FRACTION = reals(0, 1, "[]")
+OBJECT = Domain("an object", lambda v: isinstance(v, dict))  # a JSON object
 
 
 @dataclass
@@ -100,8 +150,7 @@ class ParamBlock:
         if not np.logical_and.reduce(np.isfinite(self.values), axis=None):
             raise ValueError(f"block {self.name!r}: values must be finite")
         if self.group_size is not None:
-            if not is_integer(self.group_size) or self.group_size <= 0:
-                raise ValueError(f"block {self.name!r}: group_size must be a positive integer")
+            COUNT.check(f"block {self.name!r}: group_size", self.group_size)
             if self.values.size % self.group_size != 0:
                 raise ValueError(
                     f"block {self.name!r}: size {self.values.size} is not a "

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .blocks import ConfigError, make_rng
+from .blocks import COUNT, OBJECT, SEED, ConfigError, check_fields, make_rng, names
 from .optimizers import GROUP_NAMES, SCHEDULE_KINDS, PoisonedStateError, RegConfig, check_name_reg
 from .prox import (PENALTIES, VARIANTS, NonpositiveDiagonalError, prox_oracle, prox_solve,
                    random_problem)
@@ -71,6 +71,10 @@ GRIDS = {
 
 METRIC_COLUMNS = ("epoch", "logloss", "auc", "sparsity", "nonzero_groups", "wall_ms")
 
+PRESET = names(*sorted(PRESETS))
+# zero cases would certify nothing and still pass
+SELFTEST_ARGS = {"cases": COUNT, "seed": SEED}
+
 
 def _load_config_doc(args) -> dict:
     doc = {}
@@ -82,16 +86,14 @@ def _load_config_doc(args) -> dict:
             doc = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config: invalid JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ConfigError("config: top-level document must be an object")
+        OBJECT.check("config", doc, ConfigError)
     return doc
 
 
 def _section(doc: dict, key: str) -> dict:
     """doc[key], a new object if absent; a ConfigError if it is not an object."""
     section = doc.setdefault(key, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"{key}: must be an object, got {section!r}")
+    OBJECT.check(key, section, ConfigError)
     return section
 
 
@@ -103,9 +105,8 @@ def build_config(args, default_lambda2: bool = True):
 
     doc = _load_config_doc(args)
     preset = getattr(args, "preset", None)
-    if preset is not None and preset not in PRESETS:
-        known = ", ".join(sorted(PRESETS))
-        raise ConfigError(f"preset: unknown name {preset!r} (known: {known})")
+    if preset is not None:
+        PRESET.check("preset", preset, ConfigError)
     flags = [(key, getattr(args, key, None)) for key in FLAGS]
     for key, value in [*PRESETS.get(preset, {}).items(), *flags]:
         if value is not None:
@@ -206,11 +207,7 @@ def cmd_prune_baseline(args) -> int:
 
 
 def cmd_prox_selftest(args) -> int:
-    # zero cases would certify nothing and still pass
-    if args.cases < 1:
-        raise ConfigError(f"cases: --cases must be >= 1, got {args.cases}")
-    if args.seed < 0:
-        raise ConfigError(f"seed: --seed must be >= 0, got {args.seed}")
+    check_fields(SELFTEST_ARGS, vars(args), ConfigError)
     rng = make_rng(args.seed)
     agree = 0
     uncertified = 0

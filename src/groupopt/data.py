@@ -16,8 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import make_rng, require_integers, require_reals
+from .blocks import COUNT, FRACTION, SEED, check_fields, make_rng, reals
 from .model import EVAL_ROWS, sigmoid
+
+
+SPEC_FIELDS = {"num_fields": COUNT, "vocab_per_field": COUNT,
+               "informative_fraction": reals(0, 1, "(]"), "num_samples": COUNT,
+               "noise": FRACTION, "skew": reals(0, math.inf, "[]"), "seed": SEED}
 
 
 @dataclass
@@ -31,18 +36,7 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        require_integers(self, ("num_fields", "vocab_per_field", "num_samples", "seed"))
-        require_reals(self, ("informative_fraction", "noise", "skew"))
-        if not 0.0 < self.informative_fraction <= 1.0:
-            raise ValueError("informative_fraction must be in (0, 1]")
-        if not 0.0 <= self.noise <= 1.0:  # NaN fails too
-            raise ValueError(f"noise must be in [0, 1], got {self.noise}")
-        if not self.skew >= 0:
-            raise ValueError(f"skew must be >= 0, got {self.skew}")
-        if self.num_fields <= 0 or self.vocab_per_field <= 0 or self.num_samples <= 0:
-            raise ValueError("num_fields, vocab_per_field, num_samples must be positive")
-        if self.seed < 0:
-            raise ValueError(f"seed: must be >= 0, got {self.seed}")
+        check_fields(SPEC_FIELDS, vars(self))
 
     @property
     def vocab(self) -> int:

@@ -22,7 +22,7 @@ def auc(labels, scores) -> float:
     if npos == 0 or nneg == 0:
         raise ValueError("undefined AUC: need at least one positive and one negative")
     if npos + nneg != labels.size:
-        raise ValueError("labels must be 0 or 1")
+        raise ValueError("labels are not all 0 or 1")
     _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
     ends = np.cumsum(counts)
     avg_rank = ends - (counts - 1) / 2.0  # 1-based average rank per distinct score

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .blocks import ParamBlock, is_integer, make_rng, require_integers
+from .blocks import COUNT, Domain, ParamBlock, check_fields, make_rng, sequence
 
 EMBEDDING = "embedding"
 DENSE = "dense"
@@ -32,6 +32,13 @@ DENSE = "dense"
 EVAL_ROWS = 1024
 
 
+MODEL_FIELDS = {"num_features": COUNT, "embed_dim": COUNT, "num_fields": COUNT,
+                "hidden_dims": sequence(COUNT)}
+
+# take would read bool ids as rows 0 and 1, and fail on floats
+ID_DTYPE = Domain("an integer dtype", lambda dtype: dtype.kind in "iu")
+
+
 @dataclass
 class ModelConfig:
     num_features: int
@@ -40,14 +47,8 @@ class ModelConfig:
     hidden_dims: tuple = (64, 32)
 
     def __post_init__(self):
-        require_integers(self, ("num_features", "embed_dim", "num_fields"))
-        if not all(map(is_integer, self.hidden_dims)):
-            raise ValueError(f"hidden_dims: must be integers, got {self.hidden_dims!r}")
+        check_fields(MODEL_FIELDS, vars(self))
         self.hidden_dims = tuple(int(h) for h in self.hidden_dims)
-        if self.num_features <= 0 or self.embed_dim <= 0 or self.num_fields <= 0:
-            raise ValueError("num_features, embed_dim, num_fields must be positive")
-        if any(h <= 0 for h in self.hidden_dims):
-            raise ValueError("hidden dims must be positive")
 
 
 def _layer_dims(config: ModelConfig) -> list[tuple[int, int]]:
@@ -147,8 +148,9 @@ class ForwardCache:
 
 
 def check_ids(ids: np.ndarray, config: ModelConfig) -> None:
-    """Raise ValueError unless every id (of a nonempty array) names a row of
-    the embedding table."""
+    """Raise ValueError unless ids are of an integer dtype and every id (of
+    a nonempty array) names a row of the embedding table."""
+    ID_DTYPE.check("ids", ids.dtype)
     # the ufuncs' reductions, without ndarray.min's Python wrapper
     if (np.minimum.reduce(ids, axis=None) < 0
             or np.maximum.reduce(ids, axis=None) >= config.num_features):
@@ -182,7 +184,7 @@ def forward(blocks: dict, ids: np.ndarray, config: ModelConfig) -> ForwardCache:
 
 def backward(cache: ForwardCache, labels: np.ndarray, blocks: dict) -> dict[str, np.ndarray]:
     """Exact gradients of the mean logistic loss for every block, at the
-    parameters forward read; blocks must be the blocks forward was given.
+    parameters forward read; blocks are the blocks forward was given.
 
     The dense gradient is one new flat vector in the dense block's layout;
     each layer's weight and bias gradients are written into views of it.
@@ -283,10 +285,10 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict]:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     cfg = _entry(doc, "config", "checkpoint")
-    cfg["hidden_dims"] = tuple(_entry(cfg, "hidden_dims", "checkpoint config"))
-    try:  # a field ModelConfig lacks, such as the seed older files carry
+    _entry(cfg, "hidden_dims", "checkpoint config")  # not ModelConfig's default
+    try:  # a field ModelConfig lacks, such as the seed older files carry, or a bad value
         config = ModelConfig(**cfg)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"checkpoint config: {exc}") from None
     blocks = {}
     for name, spec in _entry(doc, "blocks", "checkpoint").items():

@@ -54,8 +54,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import ConfigError, ParamBlock, count_nonzero, is_real, require_reals
-from .prox import (PENALTIES, NonpositiveDiagonalError, check_penalties, group_shrink,
+from .blocks import (BETA, LR, PENALTY, ConfigError, Domain, ParamBlock, check_fields,
+                     count_nonzero, names)
+from .prox import (PENALTIES, PENALTY_FIELDS, NonpositiveDiagonalError, group_shrink,
                    soft_threshold)
 
 # GroupOptimizer.step takes a dense step of a grouped block this many groups
@@ -65,6 +66,15 @@ STEP_ROWS = 1024
 SCHEDULE_KINDS = ("sgd", "momentum", "adagrad", "adam", "amsgrad")
 GROUP_NAMES = tuple(f"group-{k}" for k in SCHEDULE_KINDS)
 OPTIMIZER_NAMES = SCHEDULE_KINDS + ("ftrl",) + GROUP_NAMES
+
+# the schedule's hyperparameters; epsilon shares the penalties' [0, inf)
+SCHEDULE_FIELDS = {"gamma": BETA, "beta1": BETA, "beta2": BETA, "epsilon": PENALTY}
+SCHEDULE_KIND = names(*SCHEDULE_KINDS)
+# apply_to: any collection of names (a string would be a set of its
+# characters), or None for every block
+REG_FIELDS = {**PENALTY_FIELDS, "apply_to": Domain(
+    "a collection of block names or None",
+    lambda v: v is None or not isinstance(v, str) and hasattr(v, "__iter__"))}
 
 
 class PoisonedStateError(RuntimeError):
@@ -94,15 +104,7 @@ class MomentSchedule:
     epsilon: float = 1e-8
 
     def __post_init__(self):
-        if self.kind not in SCHEDULE_KINDS:
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
-        require_reals(self, ("gamma", "beta1", "beta2", "epsilon"))
-        for name in ("gamma", "beta1", "beta2"):
-            v = getattr(self, name)
-            if not 0.0 <= v < 1.0:
-                raise ValueError(f"{name} must be in [0, 1), got {v}")
-        if not 0 <= self.epsilon < math.inf:  # NaN fails too
-            raise ValueError(f"epsilon must be >= 0 and finite, got {self.epsilon}")
+        check_fields({"kind": SCHEDULE_KIND, **SCHEDULE_FIELDS}, vars(self))
 
 
 @dataclass
@@ -123,9 +125,7 @@ class RegConfig:
     apply_to: frozenset | None = None
 
     def __post_init__(self):
-        check_penalties(self)
-        if isinstance(self.apply_to, str):
-            raise ValueError(f"apply_to must be a set of block names, not {self.apply_to!r}")
+        check_fields(REG_FIELDS, vars(self))
         if self.apply_to is not None:
             self.apply_to = frozenset(self.apply_to)
 
@@ -154,10 +154,8 @@ class OptimizerState:
     arrays: dict[str, np.ndarray] = field(init=False)
 
     def __post_init__(self):
-        moments = _MOMENTS.get(self.kind)
-        if moments is None:
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
-        self.arrays = {name: np.zeros(self.dim) for name in ("z", *moments)}
+        SCHEDULE_KIND.check("kind", self.kind)
+        self.arrays = {name: np.zeros(self.dim) for name in ("z", *_MOMENTS[self.kind])}
 
 
 # the arrays each schedule advances beside z; only a root that depends on
@@ -165,13 +163,6 @@ class OptimizerState:
 _MOMENTS = {"sgd": (), "momentum": ("m_hat",), "adagrad": ("v_hat",),
             "adam": ("m_hat", "v_hat", "prev_scaled_root"),
             "amsgrad": ("m_hat", "v_hat", "prev_scaled_root")}
-
-
-def _check_lr(lr) -> None:
-    """Raise ValueError unless lr is a real number in (0, inf): a string, a
-    bool, NaN and inf are refused."""
-    if not (is_real(lr) and 0 < lr < math.inf):  # NaN fails too
-        raise ValueError(f"lr must be > 0 and finite, got {lr!r}")
 
 
 def _check_step(state: OptimizerState, block: ParamBlock, grad, kind: str, lr: float,
@@ -183,7 +174,7 @@ def _check_step(state: OptimizerState, block: ParamBlock, grad, kind: str, lr: f
     if state.poisoned:
         raise PoisonedStateError("optimizer state is poisoned")
     if not (isinstance(lr, float) and 0.0 < lr < math.inf):  # a float in range passes at once
-        _check_lr(lr)
+        LR.check("lr", lr)
     if state.kind != kind:
         raise ValueError(f"a {state.kind} state cannot take a {kind} step")
     if rows is None and (grad.shape != block.values.shape or state.dim != grad.size):
@@ -327,7 +318,7 @@ def _check_rows(block: ParamBlock, grad, rows) -> np.ndarray:
     if rows.size and not (rows.ndim == 1 and rows.dtype.kind in "iu" and rows[0] >= 0
                           and rows[-1] < n
                           and count_nonzero(rows[1:] > rows[:-1]) == rows.size - 1):
-        raise ValueError(f"rows must be strictly increasing integer group ids in [0, {n})")
+        raise ValueError(f"rows are not strictly increasing integer group ids in [0, {n})")
     if np.shape(grad) != (rows.size * block.group_size,):
         raise ValueError(f"rows: gradient of shape {np.shape(grad)} for {rows.size} "
                          f"groups of {block.group_size}")
@@ -349,7 +340,7 @@ class GroupOptimizer:
     """Driver holding one OptimizerState per block name; it steps each as step_group does."""
 
     def __init__(self, schedule: MomentSchedule, lr: float, reg: RegConfig = NO_REG):
-        _check_lr(lr)
+        LR.check("lr", lr)
         self._schedule, self._lr = schedule, lr
         self.reg = reg
         self.states: dict[str, OptimizerState] = {}

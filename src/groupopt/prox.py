@@ -48,9 +48,10 @@ only when it fails are the arguments looked at one by one, to accept them
 to raise the refusal that names one. ``blocks.count_nonzero`` counts a
 mask without numpy's Python wrapper.
 
-Penalties are real numbers in [0, inf): ``check_penalties`` is the one rule,
-which ``RegConfig`` and ``ProxProblem`` both apply, and ``soft_threshold``
-and ``group_shrink`` refuse any other penalty with a ValueError.
+Penalties are real numbers in [0, inf), ``blocks.PENALTY``: ``RegConfig``
+and ``ProxProblem`` declare it for their ``PENALTY_FIELDS``, and
+``soft_threshold`` and ``group_shrink`` refuse any other penalty with a
+ValueError of their own wording.
 
 ``prox_oracle`` is an independent check: proximal-gradient iteration in the
 transformed coordinates, then a subgradient-optimality certificate evaluated
@@ -64,7 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import clip, count_nonzero, is_integer, is_real, require_reals
+from .blocks import COUNT, PENALTY, check_fields, clip, count_nonzero, names
 
 VARIANTS = ("practical", "exact")
 PENALTIES = ("lambda1", "lambda21", "lambda2")
@@ -84,20 +85,8 @@ _SQUARE_UNDERFLOW = np.array(SQUARE_UNDERFLOW)
 _ZERO.flags.writeable = _ONE.flags.writeable = _SQUARE_UNDERFLOW.flags.writeable = False
 
 
-def _is_penalty(value) -> bool:
-    """The one penalty rule: a real number in [0, inf) (NaN fails too)."""
-    return is_real(value) and 0 <= value < math.inf
-
-
-def check_penalties(owner) -> None:
-    """Raise ValueError unless owner's PENALTIES are real numbers in
-    [0, inf) and its variant is one of VARIANTS."""
-    require_reals(owner, PENALTIES)
-    penalties = tuple(getattr(owner, name) for name in PENALTIES)
-    if not all(map(_is_penalty, penalties)):
-        raise ValueError(f"penalties must be >= 0 and finite, got {penalties}")
-    if owner.variant not in VARIANTS:
-        raise ValueError(f"unknown variant {owner.variant!r}")
+# the fields that RegConfig and ProxProblem share
+PENALTY_FIELDS = {**dict.fromkeys(PENALTIES, PENALTY), "variant": names(*VARIANTS)}
 
 
 class NonpositiveDiagonalError(ValueError):
@@ -112,9 +101,9 @@ def soft_threshold(z: np.ndarray, lambda1: float) -> np.ndarray:
     the threshold map to zero. Equivalently -sign(z_i)*max(|z_i|-lambda1, 0).
     It never returns -0.0.
     """
-    # a float in range passes at once; any other lambda1 meets _is_penalty
+    # a float in range passes at once; any other lambda1 meets PENALTY
     if not (isinstance(lambda1, float) and 0.0 <= lambda1 < math.inf
-            or _is_penalty(lambda1)):
+            or PENALTY.accepts(lambda1)):
         raise ValueError(f"lambda1 must be >= 0 and finite, got {lambda1!r}")
     if not lambda1:
         # float64 whatever z is; the dead zone is z = ±0, which 0 - z maps to +0.0
@@ -132,11 +121,11 @@ def _shrink_refusal(s, cum_diag, group_size, lambda21, lambda2, variant) -> str 
     """Why group_shrink refuses its arguments, or None if it takes them."""
     if variant not in VARIANTS:
         return f"unknown variant {variant!r}"
-    if not (_is_penalty(lambda21) and _is_penalty(lambda2)):
+    if not (PENALTY.accepts(lambda21) and PENALTY.accepts(lambda2)):
         return f"lambda21 and lambda2 must be >= 0 and finite, got {lambda21!r}, {lambda2!r}"
     if s.shape != cum_diag.shape:
         return "s and cum_diag must have equal length"
-    if not is_integer(group_size) or group_size < 1 or s.size % group_size:
+    if not COUNT.accepts(group_size) or s.size % group_size:
         return (f"group_size {group_size!r} is not a positive integer "
                 f"dividing the length {s.size}")
     return None
@@ -253,12 +242,12 @@ class ProxProblem:
         self.cum_diag = np.asarray(self.cum_diag, dtype=np.float64)
         if self.z.shape != self.cum_diag.shape:
             raise ValueError("z and cum_diag must have equal length")
-        if (not is_integer(self.group_size) or self.group_size <= 0
-                or self.z.size % self.group_size != 0):
-            raise ValueError(f"invalid group_size {self.group_size!r}")
-        check_penalties(self)
+        check_fields({"group_size": COUNT, **PENALTY_FIELDS}, vars(self))
+        if self.z.size % self.group_size:
+            raise ValueError(f"group_size {self.group_size} does not divide the length "
+                             f"{self.z.size}")
         if not np.all(self.cum_diag >= 0):  # NaN fails too
-            raise ValueError("cum_diag must be elementwise >= 0")
+            raise ValueError("cum_diag has an entry below 0 or NaN")
         if np.any(self.cum_diag + 2.0 * self.lambda2 <= 0):
             raise ValueError("nonpositive effective diagonal")
 

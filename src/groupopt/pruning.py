@@ -4,15 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .blocks import ParamBlock, group_l2_norms, is_integer
+from .blocks import ParamBlock, group_l2_norms, integers
+
+KEEP = integers(0)
 
 
 def magnitude_prune(block: ParamBlock, keep: int) -> ParamBlock:
     """Zero all but the `keep` largest-norm groups; ties keep the lower index."""
     if not block.grouped:
         raise ValueError(f"block {block.name!r} is not grouped")
-    if not is_integer(keep) or keep < 0:
-        raise ValueError(f"keep must be an integer >= 0, got {keep!r}")
+    KEEP.check("keep", keep)
     norms = group_l2_norms(block)
     keep = min(keep, norms.size)
     # stable sort on negated norms: equal norms stay in index order

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import ParamBlock, make_rng, require_integers
+from .blocks import COUNT, LR, SEED, ParamBlock, check_fields, integers, make_rng, names
 from .optimizers import (
     MomentSchedule,
     NO_REG,
@@ -29,6 +29,12 @@ from .optimizers import (
 
 PROBLEM_KINDS = ("quadratic", "logistic")
 MODES = ("stochastic", "stationary", "alternating", "zero")
+STEP_DECAYS = ("none", "sqrt_t")
+
+PROBLEM_FIELDS = {"kind": names(*PROBLEM_KINDS), "dim": COUNT, "horizon": integers(2),
+                  "seed": SEED, "mode": names(*MODES)}
+# run_regret's arguments; MomentSchedule checks its kind
+RUN_ARGS = {"lr": LR, "step_decay": names(*STEP_DECAYS)}
 
 BLOCK = "x"  # the name of the lab's one parameter block
 
@@ -45,19 +51,9 @@ class OnlineProblem:
     mode: str = "stochastic"
 
     def __post_init__(self):
-        require_integers(self, ("dim", "horizon", "seed"))
-        if self.kind not in PROBLEM_KINDS:
-            raise ValueError(f"unknown problem kind {self.kind!r}")
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
+        check_fields(PROBLEM_FIELDS, vars(self))
         if self.mode == "zero" and self.kind != "quadratic":
             raise ValueError("zero mode only makes sense for quadratic losses")
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        if self.horizon < 2:
-            raise ValueError("horizon must be >= 2")
-        if self.seed < 0:
-            raise ValueError(f"seed: must be >= 0, got {self.seed}")
 
 
 def _make_stream(problem: OnlineProblem):
@@ -207,8 +203,6 @@ def _interval_loss_at(x, stream, kind, lo, hi, prefix_sum, prefix_sq):
     return _logistic_objective(x, stream["features"][lo:hi], stream["labels"][lo:hi])
 
 
-STEP_DECAYS = ("none", "sqrt_t")
-
 # steps whose gradients and roots run_regret keeps between two folds
 CHUNK = 1024
 
@@ -241,8 +235,7 @@ def run_regret(problem: OnlineProblem, kind: str = "adagrad", lr: float = 0.5,
     on noisy streams. The dual update telescopes correctly under any
     positive step sequence.
     """
-    if step_decay not in STEP_DECAYS:
-        raise ValueError(f"unknown step decay {step_decay!r}")
+    check_fields(RUN_ARGS, {"lr": lr, "step_decay": step_decay})
     # a penalty the step never applies would still be reported and bounded
     if not reg.applies_to(BLOCK):
         raise ValueError(f"reg: apply_to {sorted(reg.apply_to)} names no block of the "

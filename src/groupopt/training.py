@@ -15,17 +15,29 @@ from dataclasses import MISSING, dataclass, field, asdict, replace
 
 import numpy as np
 
-from .blocks import (ConfigError, is_integer, is_real, make_rng, require_integers,
-                     require_reals)
+from .blocks import (COUNT, FRACTION, LR, OBJECT, SEED, ConfigError, Domain, check_fields,
+                     make_rng, names, optional, sequence)
 from .data import Dataset, SynthSpec, chronological_split, generate, load_libsvm
 from .metrics import auc, nonzero_groups, sparsity
 from .model import (DENSE, EMBEDDING, ModelConfig, backward, check_ids, forward,
                     init_params, logits, logloss)
-from .optimizers import (OPTIMIZER_NAMES, MomentSchedule, RegConfig, check_name_reg,
+from .optimizers import (OPTIMIZER_NAMES, SCHEDULE_FIELDS, RegConfig, check_name_reg,
                          make_optimizer, name_reg)
-from .pruning import magnitude_prune
+from .pruning import KEEP, magnitude_prune
 
 SCHEMA_VERSION = 1
+
+CONFIG_FIELDS = {"optimizer": names(*OPTIMIZER_NAMES), "lr": LR, **SCHEDULE_FIELDS,
+                 "epochs": COUNT, "batch_size": COUNT, "seed": SEED,
+                 "output_dir": optional(Domain("a string", lambda v: isinstance(v, str))),
+                 "repeats": COUNT}
+# a document's data: a SynthSpec's fields, or a libsvm file's path
+DATA = Domain("a spec object or a file path", lambda v: isinstance(v, (dict, str)))
+# sweep's lambda21 values, each of which RegConfig checks
+GRID = sequence(nonempty=True)
+# prune_baseline's arguments, checked before any training
+PRUNE_ARGS = {"target_keep": optional(KEEP), "target_sparsity": optional(FRACTION),
+              "fractions": sequence(FRACTION, nonempty=True)}
 
 
 @dataclass
@@ -46,34 +58,21 @@ class ExperimentConfig:
     repeats: int = 1
 
     def __post_init__(self):
-        require_integers(self, ("epochs", "batch_size", "repeats", "seed"), ConfigError)
-        require_reals(self, ("lr",), ConfigError)
-        if self.seed < 0:
-            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
-        if self.optimizer not in OPTIMIZER_NAMES:
-            raise ConfigError(f"optimizer: unknown name {self.optimizer!r}")
+        # each field by name, before any data are read
+        check_fields(CONFIG_FIELDS, vars(self), ConfigError)
         check_name_reg(self.optimizer, self.reg)
         # a name that is no block of the model would silently penalize nothing
         unknown = sorted(self.reg.apply_to - {EMBEDDING, DENSE}) if self.reg.apply_to else []
         if unknown:
             raise ConfigError(f"reg: apply_to: no block named {', '.join(map(repr, unknown))}; "
                               f"the model's blocks are {EMBEDDING!r} and {DENSE!r}")
-        try:  # each field by name, before any data are read
-            MomentSchedule(**self.schedule_args())
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
         if self.optimizer == "ftrl":
             # the config reports what runs: l1 on every block, at epsilon 0
             self.reg = name_reg("ftrl", self.reg)
             self.epsilon = 0.0
-        if not 0 < self.lr < np.inf:  # NaN fails too
-            raise ConfigError(f"lr: must be > 0 and finite, got {self.lr}")
-        if self.epochs < 1 or self.batch_size < 1 or self.repeats < 1:
-            raise ConfigError("epochs, batch_size, repeats: must be >= 1")
 
     def schedule_args(self) -> dict:
-        return {"beta1": self.beta1, "beta2": self.beta2,
-                "gamma": self.gamma, "epsilon": self.epsilon}
+        return {name: getattr(self, name) for name in SCHEDULE_FIELDS}
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -86,8 +85,7 @@ def config_section(cls, sub: dict, path: str):
     """cls(**sub) for the section of a JSON document at path; a section that
     is not an object, an unknown or missing field or an invalid value is a
     ConfigError that names the path."""
-    if not isinstance(sub, dict):
-        raise ConfigError(f"{path}: must be an object, got {sub!r}")
+    OBJECT.check(path, sub, ConfigError)
     fields = cls.__dataclass_fields__
     for key in sub:
         if key not in fields:
@@ -115,6 +113,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         if key not in known:
             raise ConfigError(f"{key}: unknown field")
     data = doc.pop("data", {})
+    DATA.check("data", data, ConfigError)
     if isinstance(data, str) and "model" not in doc:
         raise ConfigError("model: required when data is a file path")
     model = doc.pop("model", {})
@@ -122,17 +121,12 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         data = config_section(SynthSpec, data, "data")
         if isinstance(model, dict):
             model = {"num_features": data.vocab, "num_fields": data.num_fields, **model}
-    elif not isinstance(data, str):
-        raise ConfigError(f"data: must be a spec object or a file path, got {data!r}")
     model = config_section(ModelConfig, model, "model")
     reg_doc = doc.pop("reg", {})
     if isinstance(reg_doc, dict):
         reg_doc = {"apply_to": frozenset({EMBEDDING}), **reg_doc}
     reg = config_section(RegConfig, reg_doc, "reg")
-    try:
-        return ExperimentConfig(model=model, data=data, reg=reg, **doc)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ExperimentConfig(model=model, data=data, reg=reg, **doc)
 
 
 def load_dataset(config: ExperimentConfig) -> Dataset:
@@ -259,16 +253,14 @@ def run_repeated(config: ExperimentConfig) -> tuple[list[RunReport], dict]:
 def require_one_run(config: ExperimentConfig, what: str) -> None:
     """sweep and prune_baseline train each point once, at config.seed; a
     config asking for repeats would report runs that never happen."""
-    if config.repeats != 1:
-        raise ConfigError(f"repeats: {what} trains each point once, so repeats must be 1, "
-                          f"got {config.repeats}")
+    Domain(f"1, as {what} trains each point once",
+           lambda n: n == 1).check("repeats", config.repeats, ConfigError)
 
 
 def sweep(config: ExperimentConfig, lambda21_grid) -> list[RunReport]:
     """One run per grid value at fixed seed; reg otherwise unchanged."""
     require_one_run(config, "sweep")
-    if len(lambda21_grid) == 0:
-        raise ConfigError("lambda21 grid: must be nonempty")
+    GRID.check("lambda21 grid", lambda21_grid, ConfigError)
     # every point's config is checked before the first run
     points = [replace(config, reg=replace(config.reg, lambda21=float(lam21)))
               for lam21 in lambda21_grid]
@@ -293,22 +285,10 @@ def prune_baseline(config: ExperimentConfig, target_keep: int | None = None,
     if (target_keep is None) == (target_sparsity is None):
         raise ConfigError("target: give one of target_keep and target_sparsity, got "
                           + ("neither" if target_keep is None else "both"))
-    if target_keep is not None and not (is_integer(target_keep) and target_keep >= 0):
-        raise ConfigError(f"target_keep: must be an integer >= 0, got {target_keep!r}")
-    if target_sparsity is not None:
-        if not is_real(target_sparsity):
-            raise ConfigError(f"target_sparsity: must be a real number, got {target_sparsity!r}")
-        if not 0.0 <= target_sparsity <= 1.0:  # NaN fails too
-            raise ConfigError(f"target_sparsity: must be in [0, 1], got {target_sparsity!r}")
-    require_one_run(config, "prune_baseline")
     fractions = tuple(fractions)
-    if not fractions:
-        raise ValueError("fractions: at least one fine-tune fraction is needed")
-    for fraction in fractions:
-        if not is_real(fraction):
-            raise ConfigError(f"finetune_fraction: must be a real number, got {fraction!r}")
-    if not all(0.0 <= fraction <= 1.0 for fraction in fractions):
-        raise ValueError("finetune_fraction must be in [0, 1]")
+    check_fields(PRUNE_ARGS, {"target_keep": target_keep, "target_sparsity": target_sparsity,
+                              "fractions": fractions}, ConfigError)
+    require_one_run(config, "prune_baseline")
     if dataset is None:
         dataset = load_dataset(config)
     base_report = train_model(config, dataset=dataset)

@@ -18,7 +18,9 @@ arithmetic prints the same lines. The runs are
   with --output-dir and --save-checkpoint), sweep, prune-baseline by
   --target-keep and --target-sparsity, prox-selftest --cases 200 of each
   variant, regret --horizon 256 with and without --output-dir, every exit-2
-  and exit-3 invocation of tests/test_cli.py, repeats for sweep and
+  and exit-3 invocation of tests/test_cli.py (among them a model whose
+  hidden_dims is one number, 8, and an output_dir of 5, true or a list,
+  which used to train and then escape main), repeats for sweep and
   prune-baseline, config sections that are no object, both pruning targets
   at once, an empty grid, libsvm files missing or under a model that
   leaves num_features out, and presets for train, sweep and prune-baseline,
@@ -249,6 +251,7 @@ def cli() -> None:
             {"batch_size": 32.5}, {"epochs": 1.5}, {"epochs": True}, {"repeats": 2.5},
             {"seed": 1.5}, {"model": {"embed_dim": 4.0, "hidden_dims": [8]}},
             {"model": {"embed_dim": 4, "hidden_dims": [8.5]}},
+            {"model": {"embed_dim": 4, "hidden_dims": 8}},
             {"model": {**TINY_MODEL, "num_features": 60.0}},
             {"model": {**TINY_MODEL, "num_fields": True}},
             {"data": {**TINY["data"], "num_samples": 300.5}},
@@ -259,7 +262,8 @@ def cli() -> None:
             {"data": {**TINY["data"], "informative_fraction": "0.1"}},
             {"data": {**TINY["data"], "noise": True}}, {"data": {**TINY["data"], "skew": [1.0]}},
             {"seed": -1}, {"data": {**TINY["data"], "seed": -1}},
-            {"model": {**TINY["model"], "seed": 1}}):
+            {"model": {**TINY["model"], "seed": 1}},
+            {"output_dir": 5}, {"output_dir": True}, {"output_dir": ["out"]}):
         run_cli(train, tiny(**extra))
     run_cli([*train, "--save-checkpoint"], tiny())
     run_cli(["sweep", "--config", "c.json", "--optimizer", "adam", "--grid", "0,2.5e-2"],

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,9 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 import groupopt
-from groupopt.blocks import ParamBlock, group_l2_norms, make_rng, pin_malloc_thresholds
+from groupopt.blocks import (COUNT, ConfigError, ParamBlock, check_fields, group_l2_norms,
+                             integers, make_rng, names, optional, pin_malloc_thresholds, reals,
+                             sequence)
 
 SOURCE_DIR = os.path.dirname(os.path.dirname(groupopt.__file__))
 
@@ -49,8 +52,10 @@ class TestParamBlock:
 
     @pytest.mark.parametrize("group_size", [2.0, True, "2", 0, -2])
     def test_group_size_must_be_a_positive_integer(self, group_size):
-        with pytest.raises(ValueError, match="group_size must be a positive integer"):
+        with pytest.raises(ValueError) as info:
             ParamBlock("e", np.zeros(4), group_size=group_size)
+        assert str(info.value) == ("block 'e': group_size: must be an integer >= 1, "
+                                   f"got {group_size!r}")
 
     def test_numpy_integer_group_size_accepted(self):
         assert ParamBlock("e", np.zeros(4), group_size=np.int64(2)).num_groups == 2
@@ -65,6 +70,83 @@ class TestParamBlock:
         dup.values[0] = 7.0
         assert block.values[0] == 1.0
         assert dup.group_size == 2
+
+
+INF, NAN = math.inf, math.nan
+TINY = 5e-324  # the least positive double
+BELOW_ONE = math.nextafter(1.0, 0.0)
+ABOVE_ONE = math.nextafter(1.0, 2.0)
+OPEN_CLOSED = reals(0, 1, "(]")
+CLOSED_OPEN = reals(0, 1, "[)")
+CLOSED_INF = reals(0, INF, "[]")
+OPEN_INF = reals(0, INF, "()")
+NAMES = names("sgd", "adam")
+COUNTS = sequence(COUNT)
+NONEMPTY = sequence(nonempty=True)
+MAYBE = optional(integers(0))
+
+# (domain, value, the whole message refusing it as field "f", or None where
+# it is accepted); for each kind: each bound from both sides, NaN, +-inf, a
+# bool, a string, and numpy integer and float scalars
+DOMAIN_CASES = [
+    *((integers(1), v, None) for v in (1, 2**70, np.int64(1), np.uint8(7))),
+    *((integers(1), v, f"f: must be an integer >= 1, got {v!r}")
+      for v in (0, -1, np.int64(0), 1.0, np.float64(2.0), NAN, INF, -INF, True, False,
+                "1", None)),
+    *((integers(-2), v, None) for v in (-2, 0)),
+    (integers(-2), -3, "f: must be an integer >= -2, got -3"),
+    *((OPEN_CLOSED, v, None) for v in (TINY, 0.5, 1.0, 1, np.float64(1.0), np.float32(0.5),
+                                       np.int64(1))),
+    *((OPEN_CLOSED, v, f"f: must be a real number in (0, 1], got {v!r}")
+      for v in (0.0, -0.0, 0, ABOVE_ONE, np.float64(0.0), np.int64(0), NAN, INF, -INF, True,
+                "0.5", None, [0.5])),
+    *((CLOSED_OPEN, v, None) for v in (0.0, -0.0, 0, BELOW_ONE, np.float64(0.0), np.int64(0))),
+    *((CLOSED_OPEN, v, f"f: must be a real number in [0, 1), got {v!r}")
+      for v in (-TINY, 1.0, 1, np.float64(1.0), np.int64(1), NAN, INF, -INF, False, "0")),
+    *((CLOSED_INF, v, None) for v in (0.0, 1e308, INF, np.float64(INF), np.int64(5))),
+    *((CLOSED_INF, v, f"f: must be a real number in [0, inf], got {v!r}")
+      for v in (-TINY, -INF, NAN, np.float64(NAN), True, "inf")),
+    *((OPEN_INF, v, None) for v in (TINY, 1e308, np.float32(0.1), np.int64(2))),
+    *((OPEN_INF, v, f"f: must be a real number in (0, inf), got {v!r}")
+      for v in (0.0, -0.0, INF, np.float64(INF), -INF, NAN, True, "0.1")),
+    *((NAMES, v, None) for v in ("sgd", "adam", np.str_("adam"))),
+    *((NAMES, v, f"f: must be one of 'sgd', 'adam', got {v!r}")
+      for v in ("Adam", "", ("sgd",), NAN, INF, True, 1, np.int64(0), np.float64(0.0), None)),
+    *((COUNTS, v, None) for v in ([8, 4], (), (np.int64(8),), np.array([3, 2]))),
+    *((COUNTS, v, f"f: must be a sequence of integers >= 1, got {v!r}")
+      for v in (8, [0], [8.5], [8, True], ["8"], "8", [NAN], [INF], np.int64(8),
+                np.float64(8.0), None, iter([8]), np.array(8))),
+    *((NONEMPTY, v, None) for v in ([0.1], ("x",), [NAN])),
+    *((NONEMPTY, v, f"f: must be a nonempty sequence, got {v!r}")
+      for v in ([], (), "", 0.5, NAN, True, np.float64(0.5), None, (x for x in [0.1]))),
+    *((MAYBE, v, None) for v in (None, 0, np.int64(3))),
+    *((MAYBE, v, f"f: must be an integer >= 0 or None, got {v!r}")
+      for v in (-1, 0.0, NAN, -INF, True, "0", np.float64(0.0))),
+]
+
+
+@pytest.mark.parametrize("domain, value, message", DOMAIN_CASES,
+                         ids=[f"{case[0].words}-{case[1]!r}" for case in DOMAIN_CASES])
+def test_domain_check(domain, value, message):
+    assert domain.accepts(value) == (message is None)
+    if message is None:
+        domain.check("f", value)
+        return
+    with pytest.raises(ValueError) as info:
+        domain.check("f", value)
+    assert type(info.value) is ValueError and str(info.value) == message
+    with pytest.raises(ConfigError) as info:
+        domain.check("f", value, ConfigError)
+    assert str(info.value) == message
+
+
+def test_check_fields_refuses_the_first_field_in_table_order():
+    table = {"b": COUNT, "a": NAMES, "c": COUNT}
+    check_fields(table, {"a": "sgd", "b": 1, "c": 2, "other": object()})
+    with pytest.raises(ConfigError, match=r"^a: must be one of 'sgd', 'adam', got 'x'$"):
+        check_fields(table, {"a": "x", "b": 1, "c": 0}, ConfigError)
+    with pytest.raises(ValueError, match=r"^b: must be an integer >= 1, got 0$"):
+        check_fields(table, {"a": "x", "b": 0, "c": 0})
 
 
 class TestGroupNorms:

@@ -17,6 +17,7 @@ from groupopt.cli import (
 )
 from groupopt import cli, training
 from groupopt.model import load_checkpoint
+from groupopt.optimizers import OPTIMIZER_NAMES
 from groupopt.training import ConfigError
 
 TINY = {
@@ -96,8 +97,10 @@ class TestBuildConfig:
         assert config.model.num_fields == config.data.num_fields
 
     def test_unknown_preset(self):
-        with pytest.raises(ConfigError, match="unknown name"):
+        with pytest.raises(ConfigError) as info:
             build_config(parse(["train", "--preset", "nope"]))
+        assert str(info.value) == ("preset: must be one of "
+                                   + ", ".join(map(repr, sorted(cli.PRESETS))) + ", got 'nope'")
 
     # config file < preset < flags: the preset's values replace the file's,
     # the flags' replace the preset's, and reg merges key by key
@@ -116,7 +119,7 @@ class TestBuildConfig:
     def test_config_file_unknown_field(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"modle": {}}))
-        with pytest.raises(ConfigError, match="modle: unknown field"):
+        with pytest.raises(ConfigError, match="^modle: unknown field$"):
             build_config(parse(["train", "--config", str(path)]))
 
     # the CLI and the library read a document by one rule: config_from_dict
@@ -132,7 +135,7 @@ class TestBuildConfig:
     def test_config_file_nested_unknown_field(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"data": {"vocab": 5}}))
-        with pytest.raises(ConfigError, match="data.vocab: unknown field"):
+        with pytest.raises(ConfigError, match=r"^data\.vocab: unknown field$"):
             build_config(parse(["train", "--config", str(path)]))
 
 
@@ -161,7 +164,8 @@ class TestParseGrid:
         monkeypatch.setattr(training, "train_model", never)
         code = main(["sweep", "--config", write_tiny_config(tmp_path), "--grid", ","])
         assert code == EXIT_CONFIG
-        assert capsys.readouterr().err == "config error: lambda21 grid: must be nonempty\n"
+        assert capsys.readouterr().err == ("config error: lambda21 grid: must be a nonempty "
+                                           "sequence, got []\n")
 
 
 class TestTrainCommand:
@@ -229,11 +233,14 @@ class TestTrainCommand:
         monkeypatch.setattr(training, "train_model", never)
         code = main(["train", "--config", write_tiny_config(tmp_path), "--save-checkpoint"])
         assert code == EXIT_CONFIG
-        assert "config error: save-checkpoint: needs --output-dir" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("config error: save-checkpoint: needs --output-dir "
+                                           "or output_dir in the config\n")
 
     def test_bad_optimizer_exits_2(self, capsys):
         assert main(["train", "--optimizer", "adamw"]) == EXIT_CONFIG
-        assert "config error" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("config error: optimizer: must be one of "
+                                           + ", ".join(map(repr, OPTIMIZER_NAMES))
+                                           + ", got 'adamw'\n")
 
     def test_missing_config_file_exits_2(self):
         assert main(["train", "--config", "/nonexistent/c.json"]) == EXIT_CONFIG
@@ -241,7 +248,8 @@ class TestTrainCommand:
     def test_string_apply_to_exits_2(self, tmp_path, capsys):
         path = write_tiny_config(tmp_path, reg={"lambda21": 0.1, "apply_to": "embedding"})
         assert main(["train", "--config", path]) == EXIT_CONFIG
-        assert "reg: apply_to" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("config error: reg: apply_to: must be a collection "
+                                           "of block names or None, got 'embedding'\n")
 
     # a name that is no block of the model, a typo or a layer of a per-layer
     # layout, would train with no penalty at all
@@ -249,8 +257,9 @@ class TestTrainCommand:
     def test_apply_to_unknown_block_exits_2(self, tmp_path, capsys, name):
         path = write_tiny_config(tmp_path, reg={"lambda21": 0.5, "apply_to": [name]})
         assert main(["train", "--config", path]) == EXIT_CONFIG
-        assert (f"config error: reg: apply_to: no block named {name!r}"
-                in capsys.readouterr().err)
+        assert capsys.readouterr().err == (f"config error: reg: apply_to: no block named "
+                                           f"{name!r}; the model's blocks are 'embedding' "
+                                           "and 'dense'\n")
 
     # each message names the data file once, as data: <path>: ...
     @pytest.mark.parametrize("body", ["2 0:1 20:1 40:1\n", "1 oops\n", "1 -3:1\n",
@@ -296,7 +305,9 @@ class TestTrainCommand:
         code = main(["train", "--config", write_tiny_config(tmp_path, model=TINY_MODEL),
                      "--data", str(path)])
         assert code == EXIT_CONFIG
-        assert f"config error: data: the {split} split" in capsys.readouterr().err
+        size = {"train": 18, "test": 2}[split]
+        assert capsys.readouterr().err == (f"config error: data: the {split} split ({size} of "
+                                           "20 samples) holds fewer than two label classes\n")
 
     def test_one_class_generated_split_exits_2_before_training(self, tmp_path, capsys,
                                                                monkeypatch):
@@ -308,8 +319,8 @@ class TestTrainCommand:
         code = main(["train", "--config", write_tiny_config(
             tmp_path, data={**TINY["data"], "num_samples": 10})])
         assert code == EXIT_CONFIG
-        assert ("config error: data: the test split (1 of 10 samples) holds fewer "
-                "than two label classes") in capsys.readouterr().err
+        assert capsys.readouterr().err == ("config error: data: the test split (1 of 10 "
+                                           "samples) holds fewer than two label classes\n")
 
     def test_feature_id_out_of_range_exits_2_before_training(self, tmp_path, capsys,
                                                              monkeypatch):
@@ -324,8 +335,8 @@ class TestTrainCommand:
         code = main(["train", "--config", write_tiny_config(tmp_path, model=TINY_MODEL),
                      "--data", str(path)])
         assert code == EXIT_CONFIG
-        assert ("config error: data: feature id 60 is out of range for "
-                "model.num_features 60") in capsys.readouterr().err
+        assert capsys.readouterr().err == ("config error: data: feature id 60 is out of range "
+                                           "for model.num_features 60\n")
 
     @pytest.mark.parametrize("flags, unused", [
         (["--optimizer", "adam", "--lambda1", "0.1", "--lambda21", "0.5"], "'adam' applies no "
@@ -337,94 +348,116 @@ class TestTrainCommand:
                                                           unused):
         code = main(["train", "--config", write_tiny_config(tmp_path), *flags])
         assert code == EXIT_CONFIG
-        assert f"config error: reg: {unused};" in capsys.readouterr().err
+        assert capsys.readouterr().err == (f"config error: reg: {unused}; set it to 0 or use "
+                                           "a group- optimizer\n")
 
     # NaN passes a check written as x < 0; json writes and reads it as NaN
     @pytest.mark.parametrize("extra, message", [
-        ({"lr": float("nan")}, "lr: must be > 0"),
-        ({"reg": {"lambda1": float("nan")}}, "reg: penalties must be >= 0"),
-        ({"reg": {"lambda21": float("nan")}}, "reg: penalties must be >= 0"),
-        ({"reg": {"lambda2": float("nan")}}, "reg: penalties must be >= 0"),
-        ({"epsilon": float("nan"), "optimizer": "group-adagrad"}, "epsilon must be >= 0"),
+        ({"lr": float("nan")}, "lr: must be a real number in (0, inf), got nan"),
+        ({"reg": {"lambda1": float("nan")}},
+         "reg: lambda1: must be a real number in [0, inf), got nan"),
+        ({"reg": {"lambda21": float("nan")}},
+         "reg: lambda21: must be a real number in [0, inf), got nan"),
+        ({"reg": {"lambda2": float("nan")}},
+         "reg: lambda2: must be a real number in [0, inf), got nan"),
+        ({"epsilon": float("nan"), "optimizer": "group-adagrad"},
+         "epsilon: must be a real number in [0, inf), got nan"),
         # inf passes a check written as x > 0 or x >= 0 and would fail on the first step
-        ({"lr": float("inf")}, "lr: must be > 0 and finite"),
+        ({"lr": float("inf")}, "lr: must be a real number in (0, inf), got inf"),
         ({"epsilon": float("inf"), "optimizer": "group-adagrad"},
-         "epsilon must be >= 0 and finite"),
+         "epsilon: must be a real number in [0, inf), got inf"),
     ])
     def test_nan_hyperparameter_exits_2(self, tmp_path, capsys, extra, message):
         code = main(["train", "--config", write_tiny_config(tmp_path, **extra)])
         assert code == EXIT_CONFIG
-        assert f"config error: {message}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     # a count that is not an integer, or a bool (which json writes as true),
     # is refused before any data is generated or read
     @pytest.mark.parametrize("extra, message", [
-        ({"batch_size": 32.5}, "batch_size: must be an integer, got 32.5"),
-        ({"epochs": 1.5}, "epochs: must be an integer, got 1.5"),
-        ({"epochs": True}, "epochs: must be an integer, got True"),
-        ({"repeats": 2.5}, "repeats: must be an integer, got 2.5"),
-        ({"seed": 1.5}, "seed: must be an integer, got 1.5"),
+        ({"batch_size": 32.5}, "batch_size: must be an integer >= 1, got 32.5"),
+        ({"epochs": 1.5}, "epochs: must be an integer >= 1, got 1.5"),
+        ({"epochs": True}, "epochs: must be an integer >= 1, got True"),
+        ({"repeats": 2.5}, "repeats: must be an integer >= 1, got 2.5"),
+        ({"seed": 1.5}, "seed: must be an integer >= 0, got 1.5"),
         ({"model": {"embed_dim": 4.0, "hidden_dims": [8]}},
-         "model: embed_dim: must be an integer, got 4.0"),
+         "model: embed_dim: must be an integer >= 1, got 4.0"),
         ({"model": {"embed_dim": 4, "hidden_dims": [8.5]}},
-         "model: hidden_dims: must be integers, got [8.5]"),
+         "model: hidden_dims: must be a sequence of integers >= 1, got [8.5]"),
+        # one size, not a list: it used to be refused as "'int' object is not iterable"
+        ({"model": {"embed_dim": 4, "hidden_dims": 8}},
+         "model: hidden_dims: must be a sequence of integers >= 1, got 8"),
         ({"model": {**TINY_MODEL, "num_features": 60.0}},
-         "model: num_features: must be an integer, got 60.0"),
+         "model: num_features: must be an integer >= 1, got 60.0"),
         ({"model": {**TINY_MODEL, "num_fields": True}},
-         "model: num_fields: must be an integer, got True"),
+         "model: num_fields: must be an integer >= 1, got True"),
         ({"data": {**TINY["data"], "num_samples": 300.5}},
-         "data: num_samples: must be an integer, got 300.5"),
+         "data: num_samples: must be an integer >= 1, got 300.5"),
     ])
     def test_non_integer_count_exits_2_before_loading_data(self, tmp_path, capsys,
                                                            monkeypatch, extra, message):
         assert train_without_data(tmp_path, monkeypatch, extra) == EXIT_CONFIG
-        assert f"config error: {message}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    # it used to train the whole run, then escape main as a TypeError (exit 1)
+    @pytest.mark.parametrize("output_dir", [5, True, ["out"]])
+    def test_output_dir_that_is_no_string_exits_2_before_loading_data(
+            self, tmp_path, capsys, monkeypatch, output_dir):
+        extra = {"output_dir": output_dir}
+        assert train_without_data(tmp_path, monkeypatch, extra) == EXIT_CONFIG
+        assert capsys.readouterr().err == ("config error: output_dir: must be a string or "
+                                           f"None, got {output_dir!r}\n")
 
     # schedule fields, lr, the penalties and the data's real fields are
     # checked by name before any data are read: out of range, not a number
     # (a string, or a bool, which would read as 1), or infinite
     @pytest.mark.parametrize("extra, message", [
-        ({"beta1": 1.5}, "beta1 must be in [0, 1), got 1.5"),
-        ({"beta1": "0.9"}, "beta1 must be a real number, got '0.9'"),
-        ({"gamma": None}, "gamma must be a real number, got None"),
-        ({"beta2": True}, "beta2 must be a real number, got True"),
-        ({"epsilon": float("inf")}, "epsilon must be >= 0 and finite, got inf"),
-        ({"lr": float("inf")}, "lr: must be > 0 and finite, got inf"),
-        ({"lr": "0.1"}, "lr must be a real number, got '0.1'"),
-        ({"lr": True}, "lr must be a real number, got True"),
-        ({"reg": {"lambda1": "0.1"}}, "reg: lambda1 must be a real number, got '0.1'"),
-        ({"reg": {"lambda21": True}}, "reg: lambda21 must be a real number, got True"),
-        ({"reg": {"lambda2": None}}, "reg: lambda2 must be a real number, got None"),
-        ({"reg": {"lambda1": float("inf")}}, "reg: penalties must be >= 0 and finite"),
-        ({"reg": {"lambda21": float("inf")}}, "reg: penalties must be >= 0 and finite"),
-        ({"reg": {"lambda2": float("inf")}}, "reg: penalties must be >= 0 and finite"),
+        ({"beta1": 1.5}, "beta1: must be a real number in [0, 1), got 1.5"),
+        ({"beta1": "0.9"}, "beta1: must be a real number in [0, 1), got '0.9'"),
+        ({"gamma": None}, "gamma: must be a real number in [0, 1), got None"),
+        ({"beta2": True}, "beta2: must be a real number in [0, 1), got True"),
+        ({"epsilon": float("inf")}, "epsilon: must be a real number in [0, inf), got inf"),
+        ({"lr": float("inf")}, "lr: must be a real number in (0, inf), got inf"),
+        ({"lr": "0.1"}, "lr: must be a real number in (0, inf), got '0.1'"),
+        ({"lr": True}, "lr: must be a real number in (0, inf), got True"),
+        ({"reg": {"lambda1": "0.1"}},
+         "reg: lambda1: must be a real number in [0, inf), got '0.1'"),
+        ({"reg": {"lambda21": True}},
+         "reg: lambda21: must be a real number in [0, inf), got True"),
+        ({"reg": {"lambda2": None}}, "reg: lambda2: must be a real number in [0, inf), got None"),
+        ({"reg": {"lambda1": float("inf")}},
+         "reg: lambda1: must be a real number in [0, inf), got inf"),
+        ({"reg": {"lambda21": float("inf")}},
+         "reg: lambda21: must be a real number in [0, inf), got inf"),
+        ({"reg": {"lambda2": float("inf")}},
+         "reg: lambda2: must be a real number in [0, inf), got inf"),
         ({"data": {**TINY["data"], "informative_fraction": "0.1"}},
-         "data: informative_fraction must be a real number, got '0.1'"),
+         "data: informative_fraction: must be a real number in (0, 1], got '0.1'"),
         ({"data": {**TINY["data"], "noise": True}},
-         "data: noise must be a real number, got True"),
+         "data: noise: must be a real number in [0, 1], got True"),
         ({"data": {**TINY["data"], "skew": [1.0]}},
-         "data: skew must be a real number, got [1.0]"),
+         "data: skew: must be a real number in [0, inf], got [1.0]"),
     ])
     def test_bad_schedule_field_exits_2_before_loading_data(self, tmp_path, capsys,
                                                             monkeypatch, extra, message):
         assert train_without_data(tmp_path, monkeypatch, extra) == EXIT_CONFIG
-        assert f"config error: {message}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     @pytest.mark.parametrize("extra, message", [
-        ({"seed": -1}, "seed: must be >= 0, got -1"),
-        ({"data": {**TINY["data"], "seed": -1}}, "data: seed: must be >= 0, got -1"),
+        ({"seed": -1}, "seed: must be an integer >= 0, got -1"),
+        ({"data": {**TINY["data"], "seed": -1}}, "data: seed: must be an integer >= 0, got -1"),
     ])
     def test_negative_seed_exits_2_before_loading_data(self, tmp_path, capsys,
                                                        monkeypatch, extra, message):
         assert train_without_data(tmp_path, monkeypatch, extra) == EXIT_CONFIG
-        assert f"config error: {message}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     def test_model_seed_is_an_unknown_field(self, tmp_path, capsys, monkeypatch):
         # the parameters are drawn from the run seed; a model seed would be
         # reported, yet never used
         extra = {"model": {**TINY["model"], "seed": 1}}
         assert train_without_data(tmp_path, monkeypatch, extra) == EXIT_CONFIG
-        assert "config error: model.seed: unknown field" in capsys.readouterr().err
+        assert capsys.readouterr().err == "config error: model.seed: unknown field\n"
 
     # a section that is not an object used to escape as an AttributeError
     # traceback (exit 1), and data 5 read as a file path without a model
@@ -484,7 +517,8 @@ class TestSweepCommand:
         code = main(["sweep", "--config", write_tiny_config(tmp_path),
                      "--optimizer", "adam", "--grid", "0,2.5e-2"])
         assert code == EXIT_CONFIG
-        assert "config error: reg: 'adam' applies no lambda21;" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("config error: reg: 'adam' applies no lambda21; "
+                                           "set it to 0 or use a group- optimizer\n")
 
     def test_repeats_exit_2_before_loading_data(self, tmp_path, capsys, monkeypatch):
         # each grid point trains once; repeats were reported, yet never run
@@ -496,8 +530,8 @@ class TestSweepCommand:
         code = main(["sweep", "--config", write_tiny_config(tmp_path),
                      "--grid", "0,0.01", "--repeats", "3"])
         assert code == EXIT_CONFIG
-        assert capsys.readouterr().err == ("config error: repeats: sweep trains each point "
-                                           "once, so repeats must be 1, got 3\n")
+        assert capsys.readouterr().err == ("config error: repeats: must be 1, as sweep trains "
+                                           "each point once, got 3\n")
 
     def test_bad_grid_exits_2(self, tmp_path):
         assert main(["sweep", "--config", write_tiny_config(tmp_path),
@@ -536,10 +570,13 @@ class TestPruneBaselineCommand:
          "target: give one of target_keep and target_sparsity, got both"),
         (["--target-keep", "5", "--target-sparsity", "2"],
          "target: give one of target_keep and target_sparsity, got both"),
-        (["--target-keep", "-1"], "target_keep: must be an integer >= 0, got -1"),
-        (["--target-sparsity", "1.5"], "target_sparsity: must be in [0, 1], got 1.5"),
-        (["--target-sparsity", "-0.5"], "target_sparsity: must be in [0, 1], got -0.5"),
-        (["--target-sparsity", "nan"], "target_sparsity: must be in [0, 1], got nan"),
+        (["--target-keep", "-1"], "target_keep: must be an integer >= 0 or None, got -1"),
+        (["--target-sparsity", "1.5"],
+         "target_sparsity: must be a real number in [0, 1] or None, got 1.5"),
+        (["--target-sparsity", "-0.5"],
+         "target_sparsity: must be a real number in [0, 1] or None, got -0.5"),
+        (["--target-sparsity", "nan"],
+         "target_sparsity: must be a real number in [0, 1] or None, got nan"),
     ])
     def test_bad_target_exits_2_before_training(self, tmp_path, capsys, monkeypatch,
                                                 flags, message):
@@ -563,8 +600,8 @@ class TestPruneBaselineCommand:
         code = main(["prune-baseline", "--config", write_tiny_config(tmp_path),
                      "--optimizer", "adagrad", "--repeats", "3", *flags])
         assert code == EXIT_CONFIG
-        assert capsys.readouterr().err == ("config error: repeats: prune_baseline trains "
-                                           "each point once, so repeats must be 1, got 3\n")
+        assert capsys.readouterr().err == ("config error: repeats: must be 1, as "
+                                           "prune_baseline trains each point once, got 3\n")
 
 
 class TestProxSelftestCommand:
@@ -581,9 +618,9 @@ class TestProxSelftestCommand:
 
     # a self-test of no case checks nothing, and a negative seed has no stream
     @pytest.mark.parametrize("flags, message", [
-        (["--cases", "0"], "cases: --cases must be >= 1, got 0"),
-        (["--cases", "-5"], "cases: --cases must be >= 1, got -5"),
-        (["--seed", "-1"], "seed: --seed must be >= 0, got -1"),
+        (["--cases", "0"], "cases: must be an integer >= 1, got 0"),
+        (["--cases", "-5"], "cases: must be an integer >= 1, got -5"),
+        (["--seed", "-1"], "seed: must be an integer >= 0, got -1"),
     ])
     def test_bad_count_exits_2_before_any_case(self, monkeypatch, capsys, flags, message):
         def never(*args, **kwargs):
@@ -592,7 +629,7 @@ class TestProxSelftestCommand:
         monkeypatch.setattr(cli, "random_problem", never)
         assert main(["prox-selftest", *flags]) == EXIT_CONFIG
         captured = capsys.readouterr()
-        assert f"config error: {message}" in captured.err
+        assert captured.err == f"config error: {message}\n"
         assert captured.out == ""
 
 
@@ -635,7 +672,7 @@ class TestRegretCommand:
 
         monkeypatch.setattr(cli, "run_regret", never)
         assert main(["regret", "--horizon", "64", "--seed", "-1"]) == EXIT_CONFIG
-        assert "config error: seed: must be >= 0, got -1" in capsys.readouterr().err
+        assert capsys.readouterr().err == "config error: seed: must be an integer >= 0, got -1\n"
 
     def test_bad_optimizer_exits_2(self):
         assert main(["regret", "--horizon", "64",
@@ -651,7 +688,8 @@ class TestRegretCommand:
         # a plain name runs no penalty, so it must not run group-adam's
         code = main(["regret", "--horizon", "64", "--optimizer", "adam", "--lambda1", "0.1"])
         assert code == EXIT_CONFIG
-        assert "config error: reg: 'adam' applies no lambda1;" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("config error: reg: 'adam' applies no lambda1; "
+                                           "set it to 0 or use a group- optimizer\n")
 
     def test_reports_where_kappa_is_reached(self, capsys):
         assert main(["regret", "--horizon", "64"]) == EXIT_OK
@@ -661,11 +699,12 @@ class TestRegretCommand:
         assert 2 <= payload["kappa_step"] <= 64 and 0 <= payload["kappa_coord"] < 8
 
     # the regret lab's lr reaches the optimizer step's own check
-    @pytest.mark.parametrize("flag, message", [("--lr", "lr must be > 0"),
-                                               ("--lambda21", "penalties must be >= 0")])
+    @pytest.mark.parametrize("flag, message", [
+        ("--lr", "lr: must be a real number in (0, inf), got nan"),
+        ("--lambda21", "lambda21: must be a real number in [0, inf), got nan")])
     def test_nan_hyperparameter_exits_2(self, capsys, flag, message):
         assert main(["regret", "--horizon", "64", flag, "nan"]) == EXIT_CONFIG
-        assert f"config error: {message}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     @pytest.mark.parametrize("flag", ["--lambda1", "--lambda21", "--lambda2"])
     def test_infinite_penalty_exits_2_before_the_run(self, monkeypatch, capsys, flag):
@@ -676,13 +715,14 @@ class TestRegretCommand:
         monkeypatch.setattr(cli, "run_regret", never)
         assert main(["regret", "--horizon", "64", "--optimizer", "group-adagrad",
                      flag, "inf"]) == EXIT_CONFIG
-        assert ("config error: penalties must be >= 0 and finite"
-                in capsys.readouterr().err)
+        assert capsys.readouterr().err == (f"config error: {flag[2:]}: must be a real number "
+                                           "in [0, inf), got inf\n")
 
     def test_infinite_lr_exits_2(self, capsys):
         # it used to exit 3, a numeric failure on the first step
         assert main(["regret", "--horizon", "64", "--lr", "inf"]) == EXIT_CONFIG
-        assert "config error: lr must be > 0 and finite, got inf" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("config error: lr: must be a real number in "
+                                           "(0, inf), got inf\n")
 
 
 class TestExitCodes:

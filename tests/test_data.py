@@ -18,17 +18,18 @@ class TestSynthSpec:
         assert spec.vocab == 400
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SynthSpec(informative_fraction=0.0)
-        with pytest.raises(ValueError):
-            SynthSpec(noise=-0.5)
-        with pytest.raises(ValueError):
-            SynthSpec(num_samples=0)
         # NaN noise meant no noise, noise above 1 flips every label, and a
         # NaN skew failed only inside the draw, naming no field
-        for field, bad in (("noise", float("nan")), ("noise", 1.5), ("skew", float("nan"))):
-            with pytest.raises(ValueError, match=f"{field} must be"):
+        for field, bad, domain in (
+                ("informative_fraction", 0.0, "a real number in (0, 1]"),
+                ("noise", -0.5, "a real number in [0, 1]"),
+                ("num_samples", 0, "an integer >= 1"),
+                ("noise", float("nan"), "a real number in [0, 1]"),
+                ("noise", 1.5, "a real number in [0, 1]"),
+                ("skew", float("nan"), "a real number in [0, inf]")):
+            with pytest.raises(ValueError) as info:
                 SynthSpec(**{field: bad})
+            assert str(info.value) == f"{field}: must be {domain}, got {bad!r}"
         assert SynthSpec(noise=1.0, skew=float("inf")).noise == 1.0
 
 
@@ -139,37 +140,37 @@ class TestLibsvm:
         path = tmp_path / "f.libsvm"
         for body in ("", "\n\n"):
             path.write_text(body)
-            with pytest.raises(ValueError, match="no samples"):
+            with pytest.raises(ValueError, match="^no samples$"):
                 load_libsvm(path)
 
     def test_ragged_rejected(self, tmp_path):
         path = tmp_path / "f.libsvm"
         path.write_text("1 1:1 2:1\n\n0 1:1\n")
-        with pytest.raises(ValueError, match="1 fields at line 3"):
+        with pytest.raises(ValueError, match="^1 fields at line 3, the first sample has 2$"):
             load_libsvm(path)
 
     def test_bad_label(self, tmp_path):
         path = tmp_path / "f.libsvm"
         path.write_text("1 1:1\n2 1:1\n")
-        with pytest.raises(ValueError, match="bad label '2' at line 2"):
+        with pytest.raises(ValueError, match="^bad label '2' at line 2$"):
             load_libsvm(path)
 
     def test_malformed_pair(self, tmp_path):
         path = tmp_path / "f.libsvm"
         path.write_text("1 oops\n")
-        with pytest.raises(ValueError, match="malformed pair 'oops' at line 1"):
+        with pytest.raises(ValueError, match="^malformed pair 'oops' at line 1$"):
             load_libsvm(path)
 
     def test_negative_index(self, tmp_path):
         path = tmp_path / "f.libsvm"
         path.write_text("1 -3:1\n")
-        with pytest.raises(ValueError, match="negative index at line 1"):
+        with pytest.raises(ValueError, match="^negative index at line 1$"):
             load_libsvm(path)
 
     def test_non_one_hot_value(self, tmp_path):
         path = tmp_path / "f.libsvm"
         path.write_text("1 3:0.5\n")
-        with pytest.raises(ValueError, match="non-one-hot value at line 1"):
+        with pytest.raises(ValueError, match="^non-one-hot value at line 1$"):
             load_libsvm(path)
 
 

@@ -110,8 +110,30 @@ class TestForward:
     def test_id_out_of_range(self):
         config = small_config()
         blocks = init_params(config)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^feature id out of range$"):
             forward(blocks, np.array([[0, config.num_features]]), config)
+
+    # bool ids used to read rows 0 and 1, and float ids to escape take as a
+    # TypeError; forward and logits refuse both by the ids' dtype
+    @pytest.mark.parametrize("score", [forward, logits], ids=["forward", "logits"])
+    @pytest.mark.parametrize("dtype", [bool, np.float64, np.float32, complex, object, str])
+    def test_ids_of_no_integer_dtype_refused(self, score, dtype):
+        config = small_config()
+        blocks = init_params(config)
+        ids = np.zeros((3, config.num_fields), dtype=dtype)
+        with pytest.raises(ValueError) as info:
+            score(blocks, ids, config)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"ids: must be an integer dtype, got {ids.dtype!r}"
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int32, np.uint64, np.intp])
+    def test_ids_of_any_integer_dtype_read(self, dtype):
+        config = small_config()
+        blocks = init_params(config)
+        ids = np.arange(2 * config.num_fields).reshape(2, -1) % config.num_features
+        want = forward(blocks, ids, config).logits
+        assert forward(blocks, ids.astype(dtype), config).logits.tobytes() == want.tobytes()
+        assert logits(blocks, ids.astype(dtype), config).tobytes() == want.tobytes()
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 40))
@@ -429,7 +451,8 @@ class TestCheckpoint:
         doc = json.loads(path.read_text())
         doc["blocks"][EMBEDDING]["group_size"] = float(config.embed_dim)
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="group_size must be a positive integer"):
+        with pytest.raises(ValueError, match=f"^block 'embedding': group_size: must be an "
+                                             f"integer >= 1, got {float(config.embed_dim)}$"):
             load_checkpoint(path)
 
     def test_config_with_a_seed_refused(self, tmp_path):
@@ -443,6 +466,20 @@ class TestCheckpoint:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="^checkpoint config: .*'seed'"):
             load_checkpoint(path)
+
+    def test_config_with_one_hidden_size_refused(self, tmp_path):
+        # it used to escape as a bare TypeError ("'int' object is not iterable")
+        config = small_config()
+        path = tmp_path / "model.json"
+        save_checkpoint(path, config, init_params(config, 9))
+        doc = json.loads(path.read_text())
+        doc["config"]["hidden_dims"] = 8
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as info:
+            load_checkpoint(path)
+        assert type(info.value) is ValueError
+        assert str(info.value) == ("checkpoint config: hidden_dims: must be a sequence of "
+                                   "integers >= 1, got 8")
 
     @pytest.mark.parametrize("layout", ["per-layer blocks", "short dense block"])
     def test_other_layout_refused(self, tmp_path, layout):

@@ -163,22 +163,26 @@ class TestProxProblemValidation:
     @pytest.mark.parametrize("group_size", [0, -2, 3, 2.0, 1.5, True, None, "2"])
     def test_group_size_must_be_a_positive_integer_dividing_the_length(self, group_size):
         # 2.0 and True used to pass, and prox_oracle then failed with a TypeError
-        with pytest.raises(ValueError, match="group_size"):
+        with pytest.raises(ValueError) as info:
             ProxProblem(z=np.ones(4), cum_diag=np.ones(4), group_size=group_size)
+        assert str(info.value) == ("group_size 3 does not divide the length 4"
+                                   if group_size == 3 else
+                                   f"group_size: must be an integer >= 1, got {group_size!r}")
 
     @pytest.mark.parametrize("value", [-0.1, float("nan")])
     @pytest.mark.parametrize("penalty", ["lambda1", "lambda21", "lambda2"])
     def test_penalties_must_be_nonnegative(self, penalty, value):
         # NaN passes a check written as x < 0, and prox_solve then reported
         # a nonpositive effective diagonal
-        with pytest.raises(ValueError, match="penalties"):
+        with pytest.raises(ValueError) as info:
             ProxProblem(z=np.ones(4), cum_diag=np.ones(4), group_size=2, **{penalty: value})
+        assert str(info.value) == f"{penalty}: must be a real number in [0, inf), got {value!r}"
 
     @pytest.mark.parametrize("diag", [-1.0, float("nan")])
     def test_diagonal_must_be_nonnegative(self, diag):
         # a NaN diagonal used to pass, and prox_solve then reported a
         # nonpositive effective diagonal
-        with pytest.raises(ValueError, match="cum_diag"):
+        with pytest.raises(ValueError, match="^cum_diag has an entry below 0 or NaN$"):
             ProxProblem(z=np.ones(2), cum_diag=np.array([diag, 1.0]), group_size=1)
 
     def test_numpy_integer_group_size_accepted(self):

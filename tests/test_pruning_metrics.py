@@ -73,7 +73,7 @@ class TestAuc:
     def test_labels_other_than_0_and_1(self):
         # the one 0/1 pair ranks its negative above its positive: the label 2
         # must not turn that AUC of 0 into 1
-        with pytest.raises(ValueError, match="^labels must be 0 or 1$"):
+        with pytest.raises(ValueError, match="^labels are not all 0 or 1$"):
             auc([2, 1, 0], [0.1, 0.2, 0.3])
 
 
@@ -115,16 +115,17 @@ class TestMagnitudePrune:
 
     def test_rejects_bad_args(self):
         block = ParamBlock("emb", np.ones(4), group_size=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^keep: must be an integer >= 0, got -1$"):
             magnitude_prune(block, -1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^block 'w' is not grouped$"):
             magnitude_prune(ParamBlock("w", np.ones(4)), 2)
 
     @pytest.mark.parametrize("keep", NON_INTEGER_KEEPS)
     def test_keep_must_be_an_integer(self, keep):
         block = ParamBlock("emb", np.ones(4), group_size=2)
-        with pytest.raises(ValueError, match="keep must be an integer"):
+        with pytest.raises(ValueError) as info:
             magnitude_prune(block, keep)
+        assert str(info.value) == f"keep: must be an integer >= 0, got {keep!r}"
 
     def test_numpy_integer_keep_accepted(self):
         block = ParamBlock("emb", np.array([1.0, 3.0, 2.0]), group_size=1)

@@ -10,7 +10,7 @@ from groupopt.blocks import make_rng
 from groupopt.data import Dataset, SynthSpec, write_libsvm
 from groupopt.metrics import nonzero_groups
 from groupopt.model import DENSE, EMBEDDING, ModelConfig, init_params
-from groupopt.optimizers import GroupOptimizer, RegConfig
+from groupopt.optimizers import OPTIMIZER_NAMES, GroupOptimizer, RegConfig
 from groupopt.training import (
     ConfigError,
     ExperimentConfig,
@@ -43,19 +43,20 @@ def tiny_config(**overrides):
 
 class TestExperimentConfig:
     def test_rejects_bad_fields(self):
-        with pytest.raises(ConfigError, match="unknown name"):
-            tiny_config(optimizer="adamw")
-        with pytest.raises(ConfigError, match="lr"):
-            tiny_config(lr=0.0)
-        with pytest.raises(ConfigError):
-            tiny_config(epochs=0)
-        with pytest.raises(ConfigError):
-            tiny_config(repeats=0)
+        for field, value, message in (
+                ("optimizer", "adamw", "optimizer: must be one of "
+                 + ", ".join(map(repr, OPTIMIZER_NAMES)) + ", got 'adamw'"),
+                ("lr", 0.0, "lr: must be a real number in (0, inf), got 0.0"),
+                ("epochs", 0, "epochs: must be an integer >= 1, got 0"),
+                ("repeats", 0, "repeats: must be an integer >= 1, got 0")):
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                tiny_config(**{field: value})
 
     @pytest.mark.parametrize("field", ["epochs", "batch_size", "repeats", "seed"])
     @pytest.mark.parametrize("value", [2.0, 2.5, True, "2", None])
     def test_counts_must_be_integers(self, field, value):
-        with pytest.raises(ConfigError, match=f"^{field}: must be an integer"):
+        message = f"{field}: must be an integer >= {0 if field == 'seed' else 1}, got {value!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             tiny_config(**{field: value})
 
     def test_numpy_integer_counts_accepted(self):
@@ -90,7 +91,8 @@ class TestExperimentConfig:
     def test_string_apply_to_rejected(self):
         doc = tiny_config().to_dict()
         doc["reg"]["apply_to"] = "embedding"
-        with pytest.raises(ConfigError, match="reg: apply_to"):
+        with pytest.raises(ConfigError, match=r"^reg: apply_to: must be a collection of block "
+                                              r"names or None, got 'embedding'$"):
             config_from_dict(doc)
 
     # a section that is not an object used to escape as a bare TypeError, or
@@ -119,7 +121,8 @@ class TestExperimentConfig:
     ])
     def test_penalties_the_optimizer_does_not_apply_rejected(self, optimizer, penalties,
                                                              unused):
-        with pytest.raises(ConfigError, match=f"reg: '{optimizer}' applies no {unused};"):
+        with pytest.raises(ConfigError, match=f"^reg: '{optimizer}' applies no {unused}; "
+                                              "set it to 0 or use a group- optimizer$"):
             tiny_config(optimizer=optimizer, reg=RegConfig(**penalties))
 
     def test_ftrl_takes_lambda1(self):
@@ -279,7 +282,8 @@ class TestSweep:
                               b.blocks[EMBEDDING].values)
 
     def test_empty_grid(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError,
+                           match=r"^lambda21 grid: must be a nonempty sequence, got \[\]$"):
             sweep(tiny_config(), [])
 
     def test_nonzero_grid_for_a_plain_optimizer_rejected_before_training(self, monkeypatch):
@@ -287,7 +291,8 @@ class TestSweep:
             raise AssertionError("train_model entered")
 
         monkeypatch.setattr(training, "train_model", never)
-        with pytest.raises(ConfigError, match="reg: 'adam' applies no lambda21"):
+        with pytest.raises(ConfigError, match="^reg: 'adam' applies no lambda21; set it to 0 "
+                                              "or use a group- optimizer$"):
             sweep(tiny_config(optimizer="adam", reg=RegConfig()), [0.0, 1e-3])
 
 
@@ -314,7 +319,7 @@ class TestLoadDataset:
     def test_field_count_mismatch(self, tmp_path):
         path = tmp_path / "d.libsvm"
         path.write_text("1 0:1 1:1\n0 2:1 3:1\n")
-        with pytest.raises(ConfigError, match="2 fields, model expects 3"):
+        with pytest.raises(ConfigError, match="^data: file has 2 fields, model expects 3$"):
             load_dataset(tiny_config(data=str(path)))
 
 
@@ -324,8 +329,8 @@ class TestLoadDataset:
         ids = np.arange(60).reshape(20, 3)
         ids[-1, 2] = 75
         write_libsvm(path, ids, np.array([0, 1] * 10))
-        with pytest.raises(ConfigError, match="data: feature id 75 is out of range for "
-                                              "model.num_features 60"):
+        with pytest.raises(ConfigError, match=r"^data: feature id 75 is out of range for "
+                                              r"model\.num_features 60$"):
             load_dataset(tiny_config(data=str(path)))
 
     @pytest.mark.parametrize("labels, split", [([1] * 20, "train"),
@@ -334,7 +339,10 @@ class TestLoadDataset:
         path = tmp_path / "d.libsvm"
         ids = np.arange(60).reshape(20, 3)
         write_libsvm(path, ids, np.array(labels))
-        with pytest.raises(ConfigError, match=f"data: the {split} split"):
+        size = {"train": 18, "test": 2}[split]
+        message = (f"data: the {split} split ({size} of 20 samples) holds fewer than two "
+                   "label classes")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             load_dataset(tiny_config(data=str(path)))
 
 
@@ -364,14 +372,20 @@ class TestEvaluateMemory:
         assert peaks[50_000] - peaks[5_000] <= 8 * 8 * 45_000
 
 
+KEEP_REFUSED = "target_keep: must be an integer >= 0 or None, got "
+FRACTIONS_REFUSED = "fractions: must be a nonempty sequence of real numbers in [0, 1], got "
+
+
+# every refusal is a ConfigError: a fraction out of range used to be a plain
+# ValueError, worded unlike the others
 @pytest.mark.parametrize("target_keep, fractions, message", [
-    (2.5, (0.0,), "target_keep"), (float("nan"), (0.0, 0.1), "target_keep"),
-    (3, (0.0, 1.5), "finetune_fraction"), (3, (), "fractions"),
-    (-1, (0.0,), "target_keep: must be an integer >= 0, got -1"),
-    (1, (1.5,), "finetune_fraction must be in"),
-    (3, ("0.1",), "finetune_fraction: must be a real number, got '0.1'"),
-    (3, (True,), "finetune_fraction: must be a real number, got True"),
-    *[(keep, (0.0,), "target_keep: must be an integer") for keep in NON_INTEGER_KEEPS]])
+    (2.5, (0.0,), KEEP_REFUSED + "2.5"), (float("nan"), (0.0, 0.1), KEEP_REFUSED + "nan"),
+    (3, (0.0, 1.5), FRACTIONS_REFUSED + "(0.0, 1.5)"), (3, (), FRACTIONS_REFUSED + "()"),
+    (-1, (0.0,), KEEP_REFUSED + "-1"),
+    (1, (1.5,), FRACTIONS_REFUSED + "(1.5,)"),
+    (3, ("0.1",), FRACTIONS_REFUSED + "('0.1',)"),
+    (3, (True,), FRACTIONS_REFUSED + "(True,)"),
+    *[(keep, (0.0,), KEEP_REFUSED + repr(keep)) for keep in NON_INTEGER_KEEPS]])
 def test_prune_baseline_refuses_bad_arguments_before_training(monkeypatch, target_keep,
                                                                fractions, message):
     def entered(*args, **kwargs):
@@ -379,7 +393,7 @@ def test_prune_baseline_refuses_bad_arguments_before_training(monkeypatch, targe
 
     monkeypatch.setattr(training, "train_model", entered)
     monkeypatch.setattr(training, "load_dataset", entered)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         prune_baseline(tiny_config(optimizer="adagrad", reg=RegConfig()), target_keep,
                        fractions=fractions)
 
@@ -388,11 +402,9 @@ def test_prune_baseline_refuses_bad_arguments_before_training(monkeypatch, targe
     ({}, "target: give one of target_keep and target_sparsity, got neither"),
     ({"target_keep": 5, "target_sparsity": 0.5},
      "target: give one of target_keep and target_sparsity, got both"),
-    ({"target_sparsity": 1.5}, "target_sparsity: must be in [0, 1], got 1.5"),
-    ({"target_sparsity": -0.1}, "target_sparsity: must be in [0, 1], got -0.1"),
-    ({"target_sparsity": float("nan")}, "target_sparsity: must be in [0, 1], got nan"),
-    ({"target_sparsity": "0.5"}, "target_sparsity: must be a real number, got '0.5'"),
-    ({"target_sparsity": True}, "target_sparsity: must be a real number, got True")])
+    *(({"target_sparsity": value},
+       f"target_sparsity: must be a real number in [0, 1] or None, got {value!r}")
+      for value in (1.5, -0.1, float("nan"), "0.5", True))])
 def test_prune_baseline_takes_one_target_before_training(monkeypatch, targets, message):
     def entered(*args, **kwargs):
         raise AssertionError("trained or loaded data")
@@ -414,7 +426,8 @@ def test_repeats_refused_before_loading_data(monkeypatch, run):
 
     monkeypatch.setattr(training, "train_model", entered)
     monkeypatch.setattr(training, "load_dataset", entered)
-    with pytest.raises(ConfigError, match="^repeats: .* repeats must be 1, got 3$"):
+    with pytest.raises(ConfigError, match=r"^repeats: must be 1, as (sweep|prune_baseline) "
+                                          r"trains each point once, got 3$"):
         run(tiny_config(optimizer="adagrad", reg=RegConfig(), repeats=3))
 
 
