@@ -10,6 +10,10 @@ arithmetic prints the same lines. The runs are
   table of one STEP_ROWS chunk and at a chunked one;
 * sweep, and prune_baseline (wall_ms aside), for adagrad, adam and ftrl,
   and prune_baseline for adagrad by target_sparsity;
+* the optimizer state (z, the moments, prev_scaled_root, t and prev_lr) and
+  the values after four GroupOptimizer.step calls, for every optimizer
+  name, on a grouped table of one STEP_ROWS chunk and of three, with the
+  table-shaped gradient and with rows, and on an ungrouped block;
 * run_regret for every schedule, lambda1 0 and 0.05, step decay none and
   sqrt_t, on a stochastic and an alternating quadratic stream;
 * the prox self-test's closed-form and oracle solutions, 1,000 cases of
@@ -54,8 +58,9 @@ from groupopt import (EMBEDDING, ExperimentConfig, ModelConfig, OnlineProblem,  
                       RegConfig, SynthSpec, generate, prox_oracle, prox_solve,
                       prune_baseline, random_problem, run_regret, sweep, train_model)
 from groupopt import cli as groupopt_cli, optimizers  # noqa: E402
-from groupopt.blocks import make_rng  # noqa: E402
-from groupopt.optimizers import OPTIMIZER_NAMES, SCHEDULE_KINDS, name_reg  # noqa: E402
+from groupopt.blocks import ParamBlock, make_rng  # noqa: E402
+from groupopt.optimizers import (OPTIMIZER_NAMES, SCHEDULE_KINDS, STEP_ROWS,  # noqa: E402
+                                 make_optimizer, name_reg)
 from workloads import WORKLOADS  # noqa: E402
 
 REG = RegConfig(lambda1=1e-3, lambda21=0.05, lambda2=1e-5, variant="exact")
@@ -118,6 +123,36 @@ def training() -> None:
     emit("prune_baseline adagrad target_sparsity=0.1", without_wall(doc["base"]),
          doc["target_keep"], *(without_wall(row) for row in doc["fractions"]),
          without_wall(doc["best"]))
+
+
+def state_parts(optimizer, block: ParamBlock) -> list:
+    state = optimizer.states[block.name]
+    return [*(part for item in sorted(state.arrays.items()) for part in item),
+            state.t, state.prev_lr, block.values]
+
+
+def optimizer_states(steps: int = 4) -> None:
+    # 300 groups of 4 are one chunk, 2,560 three; rows: about a tenth of them
+    for name in OPTIMIZER_NAMES:
+        for num_groups in (300, 5 * STEP_ROWS // 2):
+            for with_rows in (False, True):
+                rng = make_rng(5)
+                block = ParamBlock("e", rng.normal(scale=0.05, size=4 * num_groups), 4)
+                optimizer = make_optimizer(name, 0.05, name_reg(name, REG))
+                for _ in range(steps):
+                    if with_rows:
+                        rows = np.flatnonzero(rng.random(num_groups) < 0.1)
+                        optimizer.step(block, rng.normal(scale=0.05, size=4 * rows.size), rows)
+                    else:
+                        optimizer.step(block, rng.normal(scale=0.05, size=block.values.size))
+                emit(f"state {name} groups={num_groups} with_rows={with_rows}",
+                     *state_parts(optimizer, block))
+        rng = make_rng(6)
+        block = ParamBlock("d", rng.normal(scale=0.05, size=37))
+        optimizer = make_optimizer(name, 0.05, name_reg(name, REG))
+        for _ in range(steps):
+            optimizer.step(block, rng.normal(scale=0.05, size=block.values.size))
+        emit(f"state {name} ungrouped size=37", *state_parts(optimizer, block))
 
 
 def regret() -> None:
@@ -327,6 +362,7 @@ def cli() -> None:
 if __name__ == "__main__":
     workloads()
     training()
+    optimizer_states()
     regret()
     prox_selftest()
     cli()
