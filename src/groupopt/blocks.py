@@ -18,12 +18,14 @@ import numpy as np
 
 # np.count_nonzero's C function: on 8 bools, the Python wrapper and dispatch
 # numpy puts around it take two thirds of its ~0.3 us (numpy 2.4, x86-64);
+# c_einsum, the C function np.einsum calls unoptimized (its default), with
+# its bits and, like it, no overflow warning, without its ~1 us wrapper;
 # clip, the ufunc behind np.clip: min(max(x, lo), hi) in one call, NaN kept
 try:
-    from numpy._core.multiarray import count_nonzero
+    from numpy._core.multiarray import c_einsum, count_nonzero
     from numpy._core.umath import clip
 except ImportError:  # numpy < 2 names the modules numpy.core
-    from numpy.core.multiarray import count_nonzero
+    from numpy.core.multiarray import c_einsum, count_nonzero
     from numpy.core.umath import clip
 
 # glibc's malloc maps a block of at least the mmap threshold afresh (faulted
@@ -176,5 +178,5 @@ def group_l2_norms(block: ParamBlock) -> np.ndarray:
     if not block.grouped:
         raise ValueError(f"block {block.name!r} is not grouped")
     v = block.values.reshape(block.num_groups, block.group_size)
-    return np.sqrt(np.einsum("ij,ij->i", v, v))
+    return np.sqrt(c_einsum("ij,ij->i", v, v))
 

@@ -31,8 +31,10 @@ from the original eps each step. The amsgrad running max and its bias
 correction reuse the adam lines with the max-accumulated second moment.
 
 A step is elementwise arithmetic on a state's arrays around a group-wise prox
-(_dual_step, _prox): step_group runs it on a state's own arrays, and
-GroupOptimizer.step on views of them chunk by chunk, or on gathered rows.
+(_dual_step, _prox): step_group runs it on a state's own arrays, and so does
+GroupOptimizer.step on a block of one chunk, which keeps the step's R_t as
+the state's by rebinding; on a larger block it runs on views of them chunk
+by chunk, and a lazy row step on gathered rows.
 sgd, momentum and adagrad recompute R_{t-1} from the state (the step count,
 the accumulator and prev_lr, the lr of the last step); adam and amsgrad
 store it, as theirs depends on every earlier step's bias correction. The
@@ -245,28 +247,35 @@ def _dual_step(a, t, x, grad, schedule, lr, prev_lr):
     return m, scaled_root
 
 
-def _prox(a, scaled_root, block: ParamBlock, reg: RegConfig, t: int) -> np.ndarray:
+def _prox(a, scaled_root, block: ParamBlock, reg: RegConfig, t: int,
+          own_root: bool = False) -> np.ndarray:
     """The new values of the coordinates of block whose state arrays a hold
     step t's dual z and whose root R_t is scaled_root; R_t is then stored as
-    prev_scaled_root where a keeps one. group_shrink fails whenever z is not
-    finite, and only then is z looked at: PoisonedStateError says "dual" and
-    R_t is not stored, or it says "prox" and R_t is stored."""
+    prev_scaled_root where a keeps one: as scaled_root itself if own_root
+    (no caller keeps it, and a is the state's own dict), else copied into
+    a's array. group_shrink fails whenever z is not finite, and only then is
+    z looked at: PoisonedStateError says "dual" and R_t is not stored, or it
+    says "prox" and R_t is stored."""
     if reg.apply_to is None or block.name in reg.apply_to:  # reg.applies_to(block.name)
         lam1, lam21, lam2 = reg.lambda1, reg.lambda21, reg.lambda2
     else:
         lam1 = lam21 = lam2 = 0.0
     s = soft_threshold(a["z"], lam1)
+    failure = None
     try:
         x = group_shrink(s, scaled_root, block.group_size or 1, lam21, lam2, reg.variant)
     except NonpositiveDiagonalError as exc:
         if not np.isfinite(a["z"]).all():
             raise PoisonedStateError("non-finite dual", block.name, t, "dual") from None
-        if "prev_scaled_root" in a:
-            a["prev_scaled_root"][...] = scaled_root
-        raise PoisonedStateError(f"{exc}: no finite parameters", block.name, t,
-                                 "prox") from exc
+        failure = exc
     if "prev_scaled_root" in a:
-        a["prev_scaled_root"][...] = scaled_root
+        if own_root:
+            a["prev_scaled_root"] = scaled_root
+        else:
+            a["prev_scaled_root"][...] = scaled_root
+    if failure is not None:
+        raise PoisonedStateError(f"{failure}: no finite parameters", block.name, t,
+                                 "prox") from failure
     return x
 
 
@@ -325,15 +334,22 @@ def _check_rows(block: ParamBlock, grad, rows) -> np.ndarray:
     return rows.astype(np.intp, copy=False)
 
 
-def _groups_grad(grad, rows, lo: int, hi: int, out) -> np.ndarray:
-    """The flat dense gradient of groups [lo, hi), given rows (checked by
-    _check_rows) and grad, their gradients: those scattered into zeros in
-    the first hi - lo rows of out, a (rows, group_size) array."""
-    out = out[:hi - lo]
+def _groups_grad(grad, rows, lo: int, hi: int, out, d: int) -> np.ndarray:
+    """The flat dense gradient of groups [lo, hi) of d coordinates, given
+    rows (checked by _check_rows) and grad, their gradients: those scattered
+    as whole rows into zeros at the head of out, a flat buffer. The rows are
+    looked up only if some row falls outside [lo, hi)."""
+    out = out[:(hi - lo) * d]
     out.fill(0.0)
-    a, b = rows.searchsorted((lo, hi))
-    out[rows[a:b] - lo] = np.reshape(grad, (-1, out.shape[1]))[a:b]
-    return out.ravel()
+    if lo or rows.size and rows[-1] >= hi:
+        a, b = rows.searchsorted((lo, hi))
+        rows, grad = rows[a:b] - lo, grad[a * d:b * d]
+    # each row as one item of d doubles, as the lazy row step writes back;
+    # a view of void items needs contiguous doubles, which a caller's
+    # strided grad is not
+    row = np.dtype((np.void, 8 * d))
+    out.view(row)[rows] = np.ascontiguousarray(grad).view(row)
+    return out
 
 
 class GroupOptimizer:
@@ -365,10 +381,11 @@ class GroupOptimizer:
         0. This is the lazy update of McMahan et al. (KDD 2013), with the
         bits of the dense step.
 
-        Other steps are dense: step_group's arithmetic on views of the
-        state's arrays, STEP_ROWS groups at a time (one chunk if the block is
-        ungrouped). Only the new values are table-sized; they replace the
-        block's after the last chunk, with the bits of one whole-block step.
+        Other steps are dense: step_group's arithmetic, on the state's own
+        arrays if the block is ungrouped or has at most STEP_ROWS groups,
+        else on views of them STEP_ROWS groups at a time. Only the new values
+        are table-sized; they replace the block's after the last chunk, with
+        the bits of one whole-block step.
         If a step raises, the state is poisoned and the block keeps its
         values; as in step_group, a prox failure with a finite dual counts as
         a step, and t and prev_lr advance.
@@ -397,20 +414,25 @@ class GroupOptimizer:
                     a.view(row)[rows] = part[k].view(row)
             else:
                 d, n = (block.group_size, block.num_groups) if block.grouped else (grad.size, 1)
-                buf = None if rows is None else np.empty((min(n, STEP_ROWS), d))
-                values = np.empty_like(block.values) if n > STEP_ROWS else None
-                for lo in range(0, max(n, 1), STEP_ROWS):  # an empty block is one chunk
-                    hi = min(lo + STEP_ROWS, n)
-                    chunk = slice(lo * d, hi * d)
-                    part = {k: a[chunk] for k, a in st.arrays.items()}
-                    g = grad[chunk] if rows is None else _groups_grad(grad, rows, lo, hi, buf)
-                    _, root = _dual_step(part, t, block.values[chunk], g, schedule, lr,
+                buf = None if rows is None else np.empty(min(n, STEP_ROWS) * d)
+                if n <= STEP_ROWS:
+                    # one chunk, an empty block too: the state's own arrays,
+                    # whose R_t no caller sees and the state keeps as it is
+                    g = grad if rows is None else _groups_grad(grad, rows, 0, n, buf, d)
+                    _, root = _dual_step(st.arrays, t, block.values, g, schedule, lr,
                                          st.prev_lr)
-                    new = _prox(part, root, block, self.reg, t)
-                    if values is None:
-                        values = new
-                    else:
-                        values[chunk] = new
+                    values = _prox(st.arrays, root, block, self.reg, t, own_root=True)
+                else:
+                    values = np.empty_like(block.values)
+                    for lo in range(0, n, STEP_ROWS):
+                        hi = min(lo + STEP_ROWS, n)
+                        chunk = slice(lo * d, hi * d)
+                        part = {k: a[chunk] for k, a in st.arrays.items()}
+                        g = (grad[chunk] if rows is None
+                             else _groups_grad(grad, rows, lo, hi, buf, d))
+                        _, root = _dual_step(part, t, block.values[chunk], g, schedule, lr,
+                                             st.prev_lr)
+                        values[chunk] = _prox(part, root, block, self.reg, t)
                 block.values = values
         except PoisonedStateError as exc:
             st.poisoned = True

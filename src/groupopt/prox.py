@@ -23,10 +23,13 @@ Two gating norms n_g are supported:
   It keeps the same dead zone, sign, and whole-group-zeroing structure but
   is not the exact minimizer unless A is the identity.
 
-``group_shrink`` is unmasked: a dead group's ratio c/0 is inf, silently,
-and its factor max(1 - inf, 0) is +0.0; s + 0.0 turns -0.0 into +0.0, so a coordinate without dual mass comes out
-+0.0; only if a diagonal is not positive does it look for mass there, raise
-if there is any, and divide the massless coordinates by 1.0 instead. With
+``group_shrink`` is unmasked. With c = sqrt(d_g)*lambda21 > 0 it forms a
+group's factor as 1 - c / max(n_g, c), which is max(1 - c/n_g, 0) bit for
+bit and divides by no zero: a group at or inside the dead zone, n_g = 0
+included, gets 1 - c/c = +0.0, an infinite norm 1, a NaN norm NaN. s + 0.0
+turns -0.0 into +0.0, so a coordinate without dual mass comes out +0.0;
+only if a diagonal is not positive does it look for mass there, raise if
+there is any, and divide the massless coordinates by 1.0 instead. With
 groups of one coordinate and lambda21 = 0 it works elementwise: a gate norm
 is positive where |s| > ``SQUARE_UNDERFLOW``, and where every coordinate is
 live, s holds no zero and x is s / denom. ``soft_threshold`` is a clip and a
@@ -46,7 +49,9 @@ penalties, vectors of equal length and an int group_size pass at once;
 only when it fails are the arguments looked at one by one, to accept them
 (an int penalty, a numpy integer group size, arrays that are not 1-D) or
 to raise the refusal that names one. ``blocks.count_nonzero`` counts a
-mask without numpy's Python wrapper.
+mask and ``blocks.c_einsum`` sums a group's squares without numpy's Python
+wrappers, and no call sets ``np.errstate`` unless a diagonal is not
+positive.
 
 Penalties are real numbers in [0, inf), ``blocks.PENALTY``: ``RegConfig``
 and ``ProxProblem`` declare it for their ``PENALTY_FIELDS``, and
@@ -65,7 +70,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import COUNT, PENALTY, check_fields, clip, count_nonzero, names
+from .blocks import COUNT, PENALTY, c_einsum, check_fields, clip, count_nonzero, names
 
 VARIANTS = ("practical", "exact")
 PENALTIES = ("lambda1", "lambda21", "lambda2")
@@ -163,10 +168,13 @@ def group_shrink(
 
     # cum_diag + 0.0 only turns -0.0 into +0.0, which the result never shows
     denom = cum_diag + 2.0 * lambda2 if lambda2 else cum_diag
-    # half > 0 implies denom > 0, so the exact gate checks only half
+    # half > 0 implies denom > 0, so the exact gate checks only half. At
+    # lambda2 = 0, half + 0.0 would only turn -0.0 into +0.0, and a half of
+    # -0.0 fails that check either way, where its coordinate raises or takes 1.0
     if variant == "exact":
         half = 0.5 * cum_diag
-        half += lambda2
+        if lambda2:
+            half += lambda2
     else:
         half = denom
     positive = half > _ZERO
@@ -199,15 +207,16 @@ def group_shrink(
     else:
         gate = gate.reshape(-1, group_size)
         # einsum, unlike gate * gate, does not warn where a square overflows
-        squares = np.einsum("ij,ij->i", gate, gate)
+        squares = c_einsum("ij,ij->i", gate, gate)
         if lambda21:
-            # max(1 - c/norm, 0), in the norms' place: a dead group's norm
-            # is 0, its ratio c/0 = inf and its factor +0.0
+            # 1 - c / max(norm, c), in the norms' place: max(1 - c/norm, 0)
+            # without a division by 0, as c > 0. A norm <= c gives c/c = 1
+            # and +0.0; a norm > c gives c/norm, which rounds to at most 1
+            c = math.sqrt(group_size) * lambda21
             factor = np.sqrt(squares, out=squares)
-            with np.errstate(divide="ignore"):
-                np.divide(math.sqrt(group_size) * lambda21, factor, out=factor)
+            np.maximum(factor, c, out=factor)
+            np.divide(c, factor, out=factor)
             np.subtract(_ONE, factor, out=factor)
-            np.maximum(factor, _ZERO, out=factor)
         else:
             # max(1 - 0/norm, 0) is 1 for a live group, whose norm
             # sqrt(squares) > 0.0, and +0.0 for a dead one

@@ -15,8 +15,8 @@ from dataclasses import MISSING, dataclass, field, asdict, replace
 
 import numpy as np
 
-from .blocks import (COUNT, FRACTION, LR, OBJECT, SEED, ConfigError, Domain, check_fields,
-                     make_rng, names, optional, sequence)
+from .blocks import (COUNT, FRACTION, LR, OBJECT, PENALTY, SEED, ConfigError, Domain,
+                     check_fields, make_rng, names, optional, sequence)
 from .data import Dataset, SynthSpec, chronological_split, generate, load_libsvm
 from .metrics import auc, nonzero_groups, sparsity
 from .model import (DENSE, EMBEDDING, ModelConfig, backward, check_ids, forward,
@@ -27,14 +27,20 @@ from .pruning import KEEP, magnitude_prune
 
 SCHEMA_VERSION = 1
 
-CONFIG_FIELDS = {"optimizer": names(*OPTIMIZER_NAMES), "lr": LR, **SCHEDULE_FIELDS,
+CONFIG_FIELDS = {"model": Domain("a ModelConfig", lambda v: isinstance(v, ModelConfig)),
+                 "data": Domain("a SynthSpec or a file path string",
+                                lambda v: isinstance(v, (SynthSpec, str))),
+                 "optimizer": names(*OPTIMIZER_NAMES), "lr": LR, **SCHEDULE_FIELDS,
+                 "reg": Domain("a RegConfig", lambda v: isinstance(v, RegConfig)),
                  "epochs": COUNT, "batch_size": COUNT, "seed": SEED,
                  "output_dir": optional(Domain("a string", lambda v: isinstance(v, str))),
                  "repeats": COUNT}
 # a document's data: a SynthSpec's fields, or a libsvm file's path
 DATA = Domain("a spec object or a file path", lambda v: isinstance(v, (dict, str)))
-# sweep's lambda21 values, each of which RegConfig checks
+# sweep's lambda21 values, checked in turn: a nonempty sequence, then one of
+# penalties, so that an empty grid is refused as empty
 GRID = sequence(nonempty=True)
+GRID_VALUES = sequence(PENALTY)
 # prune_baseline's arguments, checked before any training
 PRUNE_ARGS = {"target_keep": optional(KEEP), "target_sparsity": optional(FRACTION),
               "fractions": sequence(FRACTION, nonempty=True)}
@@ -260,7 +266,8 @@ def require_one_run(config: ExperimentConfig, what: str) -> None:
 def sweep(config: ExperimentConfig, lambda21_grid) -> list[RunReport]:
     """One run per grid value at fixed seed; reg otherwise unchanged."""
     require_one_run(config, "sweep")
-    GRID.check("lambda21 grid", lambda21_grid, ConfigError)
+    for domain in (GRID, GRID_VALUES):
+        domain.check("lambda21 grid", lambda21_grid, ConfigError)
     # every point's config is checked before the first run
     points = [replace(config, reg=replace(config.reg, lambda21=float(lam21)))
               for lam21 in lambda21_grid]

@@ -879,6 +879,51 @@ class TestInPlaceStep:
             assert (m.tobytes(), root.tobytes()) == (m_bits, root_bits)
 
 
+class TestOneChunkStep:
+    """A dense driver step of a block of one chunk runs on the state's own
+    arrays and keeps R_t as the state's prev_scaled_root, which must then be
+    an array of its own, with the bits of step_group's R_t."""
+
+    @pytest.mark.parametrize("kind", ["adam", "amsgrad"])
+    @pytest.mark.parametrize("layout", ["grouped", "rows", "ungrouped"])
+    def test_stored_root_is_its_own_array_with_step_groups_bits(self, kind, layout):
+        rng = make_rng(11)
+        schedule = MomentSchedule(kind=kind)
+        reg = RegConfig(lambda1=1e-3, lambda21=0.05, lambda2=1e-5)
+        group_size = None if layout == "ungrouped" else 3
+        x0 = rng.normal(scale=0.1, size=12)
+        block, twin = (ParamBlock("e", x0.copy(), group_size) for _ in range(2))
+        opt, state = GroupOptimizer(schedule, 0.1, reg), OptimizerState(12, kind)
+        for _ in range(3):
+            grad = rng.normal(size=12)
+            rows = None
+            if layout == "rows":
+                rows = np.array([0, 2])
+                grad.reshape(4, 3)[[1, 3]] = 0.0
+            opt.step(block, *((grad.reshape(4, 3)[rows].ravel(), rows) if rows is not None
+                              else (grad,)))
+            _, root = step_group(state, twin, grad, schedule, 0.1, reg)
+            arrays = opt.states["e"].arrays
+            stored = arrays["prev_scaled_root"]
+            assert stored.tobytes() == root.tobytes()
+            for other in (block.values, grad, *(a for k, a in arrays.items()
+                                                if k != "prev_scaled_root")):
+                assert not np.shares_memory(stored, other)
+            assert block.values.tobytes() == twin.values.tobytes()
+
+    def test_strided_row_gradient(self):
+        # a caller's grad may be a view with a stride, which a view of whole
+        # rows as void items refuses
+        rng = make_rng(12)
+        rows = np.array([1, 4, 5])
+        wide = rng.normal(size=(rows.size * 4, 2))
+        opts = [make_optimizer("group-adam", 0.1, RegConfig(lambda21=0.05)) for _ in range(2)]
+        blocks = [ParamBlock("e", np.full(24, 0.1), 4) for _ in range(2)]
+        opts[0].step(blocks[0], wide[:, 0], rows)
+        opts[1].step(blocks[1], wide[:, 0].copy(), rows)
+        assert state_bits(opts[0], blocks[0]) == state_bits(opts[1], blocks[1])
+
+
 def model_blocks(seed, num_features=12, embed_dim=3, num_fields=2, hidden_dims=(5, 4)):
     """The CTR model's blocks, the embedding table and the flat dense block,
     and the dense block's members: (name, slice) of each layer's weights and

@@ -103,6 +103,66 @@ REFUSALS = [
 ]
 
 
+C = 0.3
+SUBNORMAL = 5e-324
+
+
+def old_factor(norms, c):
+    """The reference group factor max(1 - c/norm, 0): a dead group's c/0 is
+    inf under np.errstate, and its factor +0.0."""
+    with np.errstate(divide="ignore"):
+        return np.maximum(1.0 - c / norms, 0.0)
+
+
+class TestGroupFactor:
+    """group_shrink forms a group's factor as 1 - c / max(norm, c), which must
+    give the bits of max(1 - c/norm, 0) at every edge of the dead zone."""
+
+    @pytest.mark.parametrize("s, lambda21", [
+        ([0.0], C), ([-0.0], C),  # norm 0
+        ([SUBNORMAL], C),  # its square underflows: norm 0
+        ([1e-160], C),  # a subnormal square: norm 1e-160 < c
+        ([0.0], SUBNORMAL), ([1e-160], SUBNORMAL),  # c subnormal; c/norm underflows
+        ([C], C), ([-C], C),  # norm exactly c
+        ([math.nextafter(C, 0.0)], C), ([math.nextafter(C, math.inf)], C),
+        ([3.0, 4.0], 5.0 / math.sqrt(2.0)),  # norm 5 = c, as sqrt(2) * lambda21 rounds
+        ([1e200, -1e200], C),  # squares overflow: norm +inf, factor 1
+        ([1e-3, 2e-3, 0.0, 0.5, -0.5, 0.0], C)])  # three groups of 2: dead, live, live
+    def test_factor_has_the_bits_of_max_one_minus_ratio(self, s, lambda21):
+        s = np.array(s)
+        group_size = 2 if s.size % 2 == 0 else 1
+        cum_diag = np.full(s.size, 1.5)
+        gate = s.reshape(-1, group_size)
+        norms = np.sqrt(np.einsum("ij,ij->i", gate, gate))
+        factor = old_factor(norms, math.sqrt(group_size) * lambda21)
+        expected = (s + 0.0) * factor.repeat(group_size) / cum_diag
+        got = group_shrink(s, cum_diag, group_size, lambda21, 0.0)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_nan_norm_gives_nan_and_raises_as_before(self):
+        c = np.array([C])
+        assert np.isnan(1.0 - c / np.maximum(np.array([math.nan]), c)).all()
+        assert np.isnan(old_factor(np.array([math.nan]), C)).all()
+        with pytest.raises(NonpositiveDiagonalError):
+            group_shrink(np.array([math.nan, 1.0]), np.ones(2), 2, C, 0.0)
+
+    @pytest.mark.parametrize("variant", ["practical", "exact"])
+    @pytest.mark.parametrize("lambda2", [0.0, 1e-3])
+    def test_same_bits_under_a_callers_errstate_raise(self, variant, lambda2):
+        # dead groups (norm 0, and a gate norm at or below c) divide by no 0
+        rng = make_rng(9)
+        s = rng.normal(size=24)
+        s[:4] = 0.0
+        s[4:8] *= 1e-3
+        cum_diag = rng.uniform(0.5, 2.0, 24)
+        args = (s, cum_diag, 4, 0.2, lambda2, variant)
+        expected = group_shrink(*args)
+        with np.errstate(all="raise"):
+            got = group_shrink(*args)
+        assert got.tobytes() == expected.tobytes()
+        assert not got[:8].any() and got[8:].all()
+
+
 @pytest.mark.parametrize("call, message", [case[1:] for case in REFUSALS],
                          ids=[case[0] for case in REFUSALS])
 def test_prox_refusals(call, message):

@@ -63,6 +63,19 @@ class TestExperimentConfig:
         config = tiny_config(epochs=np.int64(2), seed=np.int32(3))
         assert (config.epochs, config.seed) == (2, 3)
 
+    @pytest.mark.parametrize("field, value, words", [
+        ("model", {"num_features": 60}, "a ModelConfig"),
+        ("model", None, "a ModelConfig"),
+        ("data", {"num_fields": 3}, "a SynthSpec or a file path string"),
+        ("data", 5, "a SynthSpec or a file path string"),
+        ("reg", {"lambda21": 0.1}, "a RegConfig"),
+        ("reg", None, "a RegConfig")])
+    def test_sections_of_another_type_rejected_at_construction(self, field, value, words):
+        # a dict used to construct, then fail in train_model with an AttributeError
+        message = f"{field}: must be {words}, got {value!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            tiny_config(**{field: value})
+
     def test_dict_round_trip(self):
         config = tiny_config()
         rebuilt = config_from_dict(config.to_dict())
@@ -285,6 +298,24 @@ class TestSweep:
         with pytest.raises(ConfigError,
                            match=r"^lambda21 grid: must be a nonempty sequence, got \[\]$"):
             sweep(tiny_config(), [])
+
+    @pytest.mark.parametrize("grid", [[True, "0.001"], [1e-3, "0.001"], [False],
+                                      [1e-3, -1e-3], [float("nan")], [float("inf")], [None]])
+    def test_grid_value_that_is_no_penalty_rejected_before_data_are_read(self, monkeypatch,
+                                                                          grid):
+        # a bool or a string used to train as float(value): lambda21 1.0 and 0.001
+        loaded = []
+        monkeypatch.setattr(training, "load_dataset", lambda config: loaded.append(config))
+        message = f"lambda21 grid: must be a sequence of real numbers in [0, inf), got {grid!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            sweep(tiny_config(), grid)
+        assert loaded == []
+
+    def test_numpy_and_integer_grid_values_accepted(self):
+        a, b = sweep(tiny_config(), np.array([0, 1e-3]))
+        c, d = sweep(tiny_config(), [0, 1e-3])
+        for x, y in ((a, c), (b, d)):
+            assert x.blocks[EMBEDDING].values.tobytes() == y.blocks[EMBEDDING].values.tobytes()
 
     def test_nonzero_grid_for_a_plain_optimizer_rejected_before_training(self, monkeypatch):
         def never(*args, **kwargs):
