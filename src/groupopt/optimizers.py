@@ -30,20 +30,21 @@ the first adagrad accumulation, and eps_t = eps/sqrt(1-b2^t) is recomputed
 from the original eps each step. The amsgrad running max and its bias
 correction reuse the adam lines with the max-accumulated second moment.
 
-A step is elementwise arithmetic on a state's arrays around a group-wise prox
-(_dual_step, _prox): step_group runs it on a state's own arrays, and so does
-GroupOptimizer.step on a block of one chunk, which keeps the step's R_t as
-the state's by rebinding; on a larger block it runs on views of them chunk
-by chunk, and a lazy row step on gathered rows.
-sgd, momentum and adagrad recompute R_{t-1} from the state (the step count,
-the accumulator and prev_lr, the lr of the last step); adam and amsgrad
-store it, as theirs depends on every earlier step's bias correction. The
-step checks the gradient finite; a non-finite dual always makes the prox's
-check of the new values fail, and only then is the dual itself looked at.
+step_group and GroupOptimizer.step run one body, _step: elementwise
+arithmetic on a state's arrays (_dual_step) around a group-wise prox
+(_prox), in one loop over chunks of groups. A block of one chunk (always,
+for step_group) steps on the state's own arrays, a larger one on views of
+them, and a lazy adagrad row step on gathered copies of its rows. sgd,
+momentum and adagrad recompute R_{t-1} from the state (the step count, the
+accumulator and prev_lr, the lr of the last step); adam and amsgrad store
+it, as theirs depends on every earlier step's bias correction. The gradient
+is checked finite; a non-finite dual always makes the prox's check of the
+new values fail, and only then is the dual looked at. _prox poisons the
+state on either failure: the one failure rule of every path.
 
 A step of a few coordinates costs its numpy calls, so each argument is
-checked once: _check_step takes the state, lr and the gradient, which must
-be finite before any state changes; RegConfig checked the penalties, and
+checked once: _check_step takes the state, lr, the gradient and any rows,
+all before any state changes; RegConfig checked the penalties, and
 soft_threshold and group_shrink pass them in their single argument test.
 The prox's constants are 0-d float64 arrays (see prox). lr and prev_lr stay
 Python floats: a 0-d array built each step would cost what it saves.
@@ -72,6 +73,7 @@ OPTIMIZER_NAMES = SCHEDULE_KINDS + ("ftrl",) + GROUP_NAMES
 # the schedule's hyperparameters; epsilon shares the penalties' [0, inf)
 SCHEDULE_FIELDS = {"gamma": BETA, "beta1": BETA, "beta2": BETA, "epsilon": PENALTY}
 SCHEDULE_KIND = names(*SCHEDULE_KINDS)
+OPTIMIZER_NAME = names(*OPTIMIZER_NAMES)
 # apply_to: any collection of names (a string would be a set of its
 # characters), or None for every block
 REG_FIELDS = {**PENALTY_FIELDS, "apply_to": Domain(
@@ -168,10 +170,13 @@ _MOMENTS = {"sgd": (), "momentum": ("m_hat",), "adagrad": ("v_hat",),
 
 
 def _check_step(state: OptimizerState, block: ParamBlock, grad, kind: str, lr: float,
-                rows=None) -> np.ndarray:
-    """grad as float64 once the state, its kind, lr and grad pass; a
-    non-finite grad poisons the state. Given rows, grad holds those groups'
-    gradients, a shape _check_rows has checked."""
+                rows=None, states: dict | None = None) -> np.ndarray:
+    """grad as float64 once the state, its kind, lr, grad and any rows pass,
+    which must be strictly increasing integer ids (numpy would wrap a
+    negative one to another row) of the groups of block whose gradients grad
+    holds. Once rows pass, states, a driver's, keeps the state under the
+    block's name; a refused step changes nothing else, a non-finite grad
+    poisons the state."""
     grad = np.asarray(grad, dtype=np.float64)
     if state.poisoned:
         raise PoisonedStateError("optimizer state is poisoned")
@@ -179,7 +184,20 @@ def _check_step(state: OptimizerState, block: ParamBlock, grad, kind: str, lr: f
         LR.check("lr", lr)
     if state.kind != kind:
         raise ValueError(f"a {state.kind} state cannot take a {kind} step")
-    if rows is None and (grad.shape != block.values.shape or state.dim != grad.size):
+    shape = block.values.shape
+    if rows is not None:
+        rows, n = np.asarray(rows), block.num_groups
+        if rows.ndim != 1 or rows.size and not (
+                rows.dtype.kind in "iu" and rows[0] >= 0 and rows[-1] < n
+                and count_nonzero(rows[1:] > rows[:-1]) == rows.size - 1):
+            raise ValueError(f"rows are not strictly increasing integer group ids in [0, {n})")
+        shape = (rows.size * block.group_size,)
+        if grad.shape != shape:
+            raise ValueError(f"rows: gradient of shape {grad.shape} for {rows.size} "
+                             f"groups of {block.group_size}")
+    if states is not None:
+        states[block.name] = state
+    if grad.shape != shape or state.dim != block.values.size:
         raise ValueError(f"gradient/block/state dimension mismatch for block {block.name!r}")
     finite = np.isfinite(grad)
     if count_nonzero(finite) != finite.size:
@@ -191,8 +209,8 @@ def _check_step(state: OptimizerState, block: ParamBlock, grad, kind: str, lr: f
 def _dual_step(a, t, x, grad, schedule, lr, prev_lr):
     """Step t of a, the state arrays of coordinates with values x and gradient
     grad, in place: the moments, then z, which may come out non-finite (the
-    prox then fails). prev_lr is the lr of step t - 1. Returns (m_t, R_t),
-    grad or new arrays."""
+    prox then fails). prev_lr is the lr of step t - 1. Returns (m_t, R_t):
+    grad or a new array, but momentum's m_t is a's m_hat itself."""
     kind = schedule.kind
     # drift is (R_t - R_{t-1}) * x; a Python float difference subtracts as
     # the arrays it fills would
@@ -201,9 +219,10 @@ def _dual_step(a, t, x, grad, schedule, lr, prev_lr):
         m, scaled_root = grad, np.full(grad.shape, root)
         drift = (root - math.sqrt(t - 1) / prev_lr) * x
     elif kind == "momentum":
-        a["m_hat"] *= schedule.gamma
-        a["m_hat"] += grad
-        m, scaled_root = a["m_hat"].copy(), np.full(grad.shape, 1.0 / lr)
+        m = a["m_hat"]
+        m *= schedule.gamma
+        m += grad
+        scaled_root = np.full(grad.shape, 1.0 / lr)
         drift = (1.0 / lr - 1.0 / prev_lr) * x
     elif kind == "adagrad":
         drift = np.sqrt(a["v_hat"])
@@ -247,15 +266,16 @@ def _dual_step(a, t, x, grad, schedule, lr, prev_lr):
     return m, scaled_root
 
 
-def _prox(a, scaled_root, block: ParamBlock, reg: RegConfig, t: int,
-          own_root: bool = False) -> np.ndarray:
-    """The new values of the coordinates of block whose state arrays a hold
-    step t's dual z and whose root R_t is scaled_root; R_t is then stored as
-    prev_scaled_root where a keeps one: as scaled_root itself if own_root
-    (no caller keeps it, and a is the state's own dict), else copied into
-    a's array. group_shrink fails whenever z is not finite, and only then is
-    z looked at: PoisonedStateError says "dual" and R_t is not stored, or it
-    says "prox" and R_t is stored."""
+def _prox(st: OptimizerState, a, scaled_root, block: ParamBlock, reg: RegConfig,
+          lr: float) -> np.ndarray:
+    """The new values of the coordinates of block whose arrays a (st's own
+    dict, or views or copies of its arrays) hold step st.t + 1's dual z and
+    whose R_t is scaled_root, stored as a's prev_scaled_root if a keeps one:
+    rebound in st's own dict, copied otherwise. group_shrink fails whenever
+    z is not finite, and only then is z looked at; st is poisoned and
+    PoisonedStateError says "dual", R_t not stored, or "prox", R_t stored
+    and t and prev_lr advanced: a prox failure counts as a step."""
+    t = st.t + 1
     if reg.apply_to is None or block.name in reg.apply_to:  # reg.applies_to(block.name)
         lam1, lam21, lam2 = reg.lambda1, reg.lambda21, reg.lambda2
     else:
@@ -265,18 +285,66 @@ def _prox(a, scaled_root, block: ParamBlock, reg: RegConfig, t: int,
     try:
         x = group_shrink(s, scaled_root, block.group_size or 1, lam21, lam2, reg.variant)
     except NonpositiveDiagonalError as exc:
+        st.poisoned = True
         if not np.isfinite(a["z"]).all():
             raise PoisonedStateError("non-finite dual", block.name, t, "dual") from None
         failure = exc
     if "prev_scaled_root" in a:
-        if own_root:
+        if a is st.arrays:
             a["prev_scaled_root"] = scaled_root
         else:
             a["prev_scaled_root"][...] = scaled_root
     if failure is not None:
+        st.t, st.prev_lr = t, lr
         raise PoisonedStateError(f"{failure}: no finite parameters", block.name, t,
                                  "prox") from failure
     return x
+
+
+def _step(st: OptimizerState, block: ParamBlock, grad: np.ndarray, schedule: MomentSchedule,
+          lr: float, reg: RegConfig, rows=None, step_rows=math.inf):
+    """Step st.t + 1 of block, given grad that _check_step passed and, if
+    grad holds only their gradients, rows as intp group ids; returns the
+    last chunk's (m_t, R_t). An adagrad rows step after the first steps
+    gathered copies of those groups; any other is dense, in chunks of at
+    most step_rows groups: one chunk on the state's own arrays, more on
+    views of them. The block's values change only once no chunk failed."""
+    t = st.t + 1
+    if rows is not None and schedule.kind == "adagrad" and st.t:
+        # the values, as x, and the state's arrays; take copies rows as
+        # a[rows] would, at a third of its cost
+        full = {"x": block.values, **st.arrays}
+        part = {k: a.reshape(-1, block.group_size).take(rows, axis=0).ravel()
+                for k, a in full.items()}
+        m, root = _dual_step(part, t, part["x"], grad, schedule, lr, st.prev_lr)
+        part["x"] = _prox(st, part, root, block, reg, lr)
+        # each row back as one item of group_size doubles, which a[rows] =
+        # ... on the 2-D view copies at twice the cost
+        row = np.dtype((np.void, 8 * block.group_size))
+        for k, a in full.items():
+            a.view(row)[rows] = part[k].view(row)
+    else:
+        d = block.group_size  # not block.num_groups: a property call step_group notices
+        n = 1 if d is None else block.values.size // d
+        one = n <= step_rows  # the block is its only chunk, an empty block too
+        buf = None if rows is None else np.empty(min(n, step_rows) * d)
+        values = None if one else np.empty_like(block.values)
+        for lo in (0,) if one else range(0, n, step_rows):
+            if one:  # the state's own arrays, where the prox rebinds R_t
+                a, x, hi = st.arrays, block.values, n
+            else:
+                hi = min(lo + step_rows, n)
+                chunk = slice(lo * d, hi * d)
+                a, x = {k: v[chunk] for k, v in st.arrays.items()}, block.values[chunk]
+            g = (_groups_grad(grad, rows, lo, hi, buf, d) if rows is not None
+                 else grad if one else grad[chunk])
+            m, root = _dual_step(a, t, x, g, schedule, lr, st.prev_lr)
+            new = _prox(st, a, root, block, reg, lr)
+            if not one:
+                values[chunk] = new
+        block.values = new if one else values
+    st.t, st.prev_lr = t, lr
+    return m, root
 
 
 def step_group(
@@ -304,39 +372,19 @@ def step_group(
     failure with a finite dual counts as a step, a non-finite dual not.
     """
     grad = _check_step(state, block, grad, schedule.kind, lr)
-    t = state.t + 1
-    m, scaled_root = _dual_step(state.arrays, t, block.values, grad, schedule, lr,
-                                state.prev_lr)
-    try:
-        block.values = _prox(state.arrays, scaled_root, block, reg, t)
-    except PoisonedStateError as exc:
-        state.poisoned = True
-        if exc.check == "prox":
-            state.t, state.prev_lr = t, lr
-        raise
-    state.t, state.prev_lr = t, lr
+    m, scaled_root = _step(state, block, grad, schedule, lr, reg)
+    # copies of what the state keeps: momentum's m_t is its m_hat, and an
+    # adam or amsgrad state keeps R_t as its prev_scaled_root
+    if schedule.kind == "momentum":
+        return m.copy(), scaled_root
+    if schedule.kind in ("adam", "amsgrad"):
+        return m, scaled_root.copy()
     return m, scaled_root
-
-
-def _check_rows(block: ParamBlock, grad, rows) -> np.ndarray:
-    """rows as intp ids, once grad is known to hold exactly the gradients of
-    these groups of block; checked here, as numpy would wrap a negative id
-    to another row."""
-    rows = np.asarray(rows)
-    n = block.num_groups
-    if rows.size and not (rows.ndim == 1 and rows.dtype.kind in "iu" and rows[0] >= 0
-                          and rows[-1] < n
-                          and count_nonzero(rows[1:] > rows[:-1]) == rows.size - 1):
-        raise ValueError(f"rows are not strictly increasing integer group ids in [0, {n})")
-    if np.shape(grad) != (rows.size * block.group_size,):
-        raise ValueError(f"rows: gradient of shape {np.shape(grad)} for {rows.size} "
-                         f"groups of {block.group_size}")
-    return rows.astype(np.intp, copy=False)
 
 
 def _groups_grad(grad, rows, lo: int, hi: int, out, d: int) -> np.ndarray:
     """The flat dense gradient of groups [lo, hi) of d coordinates, given
-    rows (checked by _check_rows) and grad, their gradients: those scattered
+    rows (checked by _check_step) and grad, their gradients: those scattered
     as whole rows into zeros at the head of out, a flat buffer. The rows are
     looked up only if some row falls outside [lo, hi)."""
     out = out[:(hi - lo) * d]
@@ -374,72 +422,22 @@ class GroupOptimizer:
         increasing integer ids of groups of a grouped block, and grad holds
         len(rows) * group_size values in their order, as model.backward
         returns the embedding gradient. This is checked, and grad is checked
-        finite, before any state changes. On the adagrad schedule
-        (group-adagrad, adagrad, ftrl) the driver then steps copies of only
-        those groups from its second step on and scatters them back: a group
-        with zero gradient is a fixed point there, as its accumulator gains
-        0. This is the lazy update of McMahan et al. (KDD 2013), with the
-        bits of the dense step.
+        finite, before any state changes; bad rows make no state. On the
+        adagrad schedule (group-adagrad, adagrad, ftrl) a step from the
+        second on steps copies of only those groups and scatters them back:
+        a group with zero gradient is a fixed point there, as its
+        accumulator gains 0. This is the lazy update of McMahan et al. (KDD
+        2013), with the bits of the dense step.
 
-        Other steps are dense: step_group's arithmetic, on the state's own
-        arrays if the block is ungrouped or has at most STEP_ROWS groups,
-        else on views of them STEP_ROWS groups at a time. Only the new values
-        are table-sized; they replace the block's after the last chunk, with
-        the bits of one whole-block step.
-        If a step raises, the state is poisoned and the block keeps its
-        values; as in step_group, a prox failure with a finite dual counts as
-        a step, and t and prev_lr advance.
+        Other steps are dense, step_group's loop STEP_ROWS groups at a time,
+        with the bits of one whole-block step; only the new values are
+        table-sized. Failures follow step_group's rule.
         """
-        if rows is not None:
-            rows = _check_rows(block, grad, rows)
         schedule, lr = self._schedule, self._lr
-        st = self.states.get(block.name)
-        if st is None:
-            st = self.states[block.name] = OptimizerState(block.values.size, schedule.kind)
-        grad = _check_step(st, block, grad, schedule.kind, lr, rows)
-        t = st.t + 1
-        try:
-            if rows is not None and schedule.kind == "adagrad" and st.t:
-                # the values, as x, and the state's arrays; take copies rows
-                # as a[rows] would, at a third of its cost
-                full = {"x": block.values, **st.arrays}
-                part = {k: a.reshape(-1, block.group_size).take(rows, axis=0).ravel()
-                        for k, a in full.items()}
-                _, root = _dual_step(part, t, part["x"], grad, schedule, lr, st.prev_lr)
-                part["x"] = _prox(part, root, block, self.reg, t)
-                # each row back as one item of group_size doubles, which
-                # a[rows] = ... on the 2-D view copies at twice the cost
-                row = np.dtype((np.void, 8 * block.group_size))
-                for k, a in full.items():
-                    a.view(row)[rows] = part[k].view(row)
-            else:
-                d, n = (block.group_size, block.num_groups) if block.grouped else (grad.size, 1)
-                buf = None if rows is None else np.empty(min(n, STEP_ROWS) * d)
-                if n <= STEP_ROWS:
-                    # one chunk, an empty block too: the state's own arrays,
-                    # whose R_t no caller sees and the state keeps as it is
-                    g = grad if rows is None else _groups_grad(grad, rows, 0, n, buf, d)
-                    _, root = _dual_step(st.arrays, t, block.values, g, schedule, lr,
-                                         st.prev_lr)
-                    values = _prox(st.arrays, root, block, self.reg, t, own_root=True)
-                else:
-                    values = np.empty_like(block.values)
-                    for lo in range(0, n, STEP_ROWS):
-                        hi = min(lo + STEP_ROWS, n)
-                        chunk = slice(lo * d, hi * d)
-                        part = {k: a[chunk] for k, a in st.arrays.items()}
-                        g = (grad[chunk] if rows is None
-                             else _groups_grad(grad, rows, lo, hi, buf, d))
-                        _, root = _dual_step(part, t, block.values[chunk], g, schedule, lr,
-                                             st.prev_lr)
-                        values[chunk] = _prox(part, root, block, self.reg, t)
-                block.values = values
-        except PoisonedStateError as exc:
-            st.poisoned = True
-            if exc.check == "prox":
-                st.t, st.prev_lr = t, lr
-            raise
-        st.t, st.prev_lr = t, lr
+        st = self.states.get(block.name) or OptimizerState(block.values.size, schedule.kind)
+        grad = _check_step(st, block, grad, schedule.kind, lr, rows, self.states)
+        _step(st, block, grad, schedule, lr, self.reg,
+              None if rows is None else np.asarray(rows, dtype=np.intp), STEP_ROWS)
 
 
 def name_reg(name: str, reg: RegConfig) -> RegConfig:
@@ -473,6 +471,7 @@ def make_optimizer(name: str, lr: float, reg: RegConfig = NO_REG,
     FTRL-Proximal, the adagrad schedule at epsilon 0 (schedule_args are not
     used) with l1 on every block.
     """
+    OPTIMIZER_NAME.check("name", name)
     reg = name_reg(name, reg)
     if name == "ftrl":
         return GroupOptimizer(MomentSchedule(kind="adagrad", epsilon=0.0), lr, reg)

@@ -16,12 +16,12 @@ from dataclasses import MISSING, dataclass, field, asdict, replace
 import numpy as np
 
 from .blocks import (COUNT, FRACTION, LR, OBJECT, PENALTY, SEED, ConfigError, Domain,
-                     check_fields, make_rng, names, optional, sequence)
+                     check_fields, make_rng, optional, sequence)
 from .data import Dataset, SynthSpec, chronological_split, generate, load_libsvm
 from .metrics import auc, nonzero_groups, sparsity
 from .model import (DENSE, EMBEDDING, ModelConfig, backward, check_ids, forward,
                     init_params, logits, logloss)
-from .optimizers import (OPTIMIZER_NAMES, SCHEDULE_FIELDS, RegConfig, check_name_reg,
+from .optimizers import (OPTIMIZER_NAME, SCHEDULE_FIELDS, RegConfig, check_name_reg,
                          make_optimizer, name_reg)
 from .pruning import KEEP, magnitude_prune
 
@@ -30,7 +30,7 @@ SCHEMA_VERSION = 1
 CONFIG_FIELDS = {"model": Domain("a ModelConfig", lambda v: isinstance(v, ModelConfig)),
                  "data": Domain("a SynthSpec or a file path string",
                                 lambda v: isinstance(v, (SynthSpec, str))),
-                 "optimizer": names(*OPTIMIZER_NAMES), "lr": LR, **SCHEDULE_FIELDS,
+                 "optimizer": OPTIMIZER_NAME, "lr": LR, **SCHEDULE_FIELDS,
                  "reg": Domain("a RegConfig", lambda v: isinstance(v, RegConfig)),
                  "epochs": COUNT, "batch_size": COUNT, "seed": SEED,
                  "output_dir": optional(Domain("a string", lambda v: isinstance(v, str))),

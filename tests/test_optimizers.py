@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -590,9 +591,9 @@ class TestRowPath:
             opts[1].step(blocks[1], grad)
         assert state_bits(opts[0], blocks[0]) == state_bits(opts[1], blocks[1])
 
-    # out of range, not integer, repeated, unsorted
+    # out of range, not integer, repeated, unsorted, not 1-D (empty too)
     @pytest.mark.parametrize("rows", [[-3], [3], [1, 3], [1.0], np.array([0.5]),
-                                      [1, 1], [2, 0], [[0, 1]]])
+                                      [1, 1], [2, 0], [[0, 1]], np.zeros((0, 3), int)])
     def test_bad_row_ids_rejected_before_any_change(self, rows):
         for name in ROW_CHECKED:
             opt = make_optimizer(name, 0.1)
@@ -620,6 +621,20 @@ class TestRowPath:
             with pytest.raises(ValueError, match=r"^rows: gradient of shape \(2, 2\) for 2 "
                                                  r"groups of 2$"):
                 opt.step(block, np.ones((2, 2)), rows=[0, 2])
+            assert state_bits(opt, block) == before, name
+            assert opt.states["e"].t == 1 and not opt.states["e"].poisoned, name
+
+    @pytest.mark.parametrize("rows", [[0], [3]])
+    def test_state_of_another_size_rejected_before_any_change(self, rows):
+        # the state of a 3x2 block "e", then rows of a 4x2 block of that name
+        for name in ("group-adagrad", "group-adam"):
+            opt = make_optimizer(name, 0.1)
+            opt.step(ParamBlock("e", np.zeros(6), group_size=2), np.ones(6))
+            block = ParamBlock("e", np.zeros(8), group_size=2)
+            before = state_bits(opt, block)
+            with pytest.raises(ValueError, match="^gradient/block/state dimension mismatch "
+                                                 "for block 'e'$"):
+                opt.step(block, np.ones(2), rows=rows)
             assert state_bits(opt, block) == before, name
             assert opt.states["e"].t == 1 and not opt.states["e"].poisoned, name
 
@@ -881,10 +896,11 @@ class TestInPlaceStep:
 
 class TestOneChunkStep:
     """A dense driver step of a block of one chunk runs on the state's own
-    arrays and keeps R_t as the state's prev_scaled_root, which must then be
-    an array of its own, with the bits of step_group's R_t."""
+    arrays and must give step_group's bits: the block's values, every state
+    array and t. An adam or amsgrad state keeps R_t as its
+    prev_scaled_root, which must then be an array of its own."""
 
-    @pytest.mark.parametrize("kind", ["adam", "amsgrad"])
+    @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("layout", ["grouped", "rows", "ungrouped"])
     def test_stored_root_is_its_own_array_with_step_groups_bits(self, kind, layout):
         rng = make_rng(11)
@@ -904,12 +920,16 @@ class TestOneChunkStep:
                               else (grad,)))
             _, root = step_group(state, twin, grad, schedule, 0.1, reg)
             arrays = opt.states["e"].arrays
-            stored = arrays["prev_scaled_root"]
-            assert stored.tobytes() == root.tobytes()
-            for other in (block.values, grad, *(a for k, a in arrays.items()
-                                                if k != "prev_scaled_root")):
-                assert not np.shares_memory(stored, other)
             assert block.values.tobytes() == twin.values.tobytes()
+            assert ({k: a.tobytes() for k, a in arrays.items()}
+                    == {k: a.tobytes() for k, a in state.arrays.items()})
+            assert opt.states["e"].t == state.t
+            if "prev_scaled_root" in arrays:
+                stored = arrays["prev_scaled_root"]
+                assert stored.tobytes() == root.tobytes()
+                for other in (block.values, grad, *(a for k, a in arrays.items()
+                                                    if k != "prev_scaled_root")):
+                    assert not np.shares_memory(stored, other)
 
     def test_strided_row_gradient(self):
         # a caller's grad may be a view with a stride, which a view of whole
@@ -1115,10 +1135,12 @@ class TestMakeOptimizer:
             assert type(make_optimizer(name, 0.1)) is GroupOptimizer
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            make_optimizer("group-ftrl", 0.1)
-        with pytest.raises(ValueError):
-            make_optimizer("adamw", 0.1)
+        # "ftrl" is a name, not a kind: the name is checked, and named
+        words = re.escape(", ".join(map(repr, OPTIMIZER_NAMES)))
+        for name in ("group-ftrl", "adamw"):
+            with pytest.raises(ValueError, match=f"^name: must be one of {words}, "
+                                                 f"got {name!r}$"):
+                make_optimizer(name, 0.1)
 
 
 # the arrays each schedule keeps beside z: its moments and, where R_{t-1}
