@@ -32,15 +32,16 @@ correction reuse the adam lines with the max-accumulated second moment.
 
 step_group and GroupOptimizer.step run one body, _step: elementwise
 arithmetic on a state's arrays (_dual_step) around a group-wise prox
-(_prox), in one loop over chunks of groups. A block of one chunk (always,
-for step_group) steps on the state's own arrays, a larger one on views of
-them, and a lazy adagrad row step on gathered copies of its rows. sgd,
-momentum and adagrad recompute R_{t-1} from the state (the step count, the
-accumulator and prev_lr, the lr of the last step); adam and amsgrad store
-it, as theirs depends on every earlier step's bias correction. The gradient
-is checked finite; a non-finite dual always makes the prox's check of the
-new values fail, and only then is the dual looked at. _prox poisons the
-state on either failure: the one failure rule of every path.
+(_prox). A dense step runs once, on the state's own arrays and the whole
+block; a lazy adagrad row step runs on gathered copies of its rows. No
+table-sized temporary outlives its use, so a dense step of a table peaks
+at about three table sizes. sgd, momentum and adagrad recompute R_{t-1}
+from the state (the step count, the accumulator and prev_lr, the lr of the
+last step); adam and amsgrad store it, as theirs depends on every earlier
+step's bias correction. The gradient is
+checked finite; a non-finite dual always makes the prox's check of the new
+values fail, and only then is the dual looked at. _prox poisons the state
+on either failure: the one failure rule of every path.
 
 A step of a few coordinates costs its numpy calls, so each argument is
 checked once: _check_step takes the state, lr, the gradient and any rows,
@@ -61,10 +62,6 @@ from .blocks import (BETA, LR, PENALTY, ConfigError, Domain, ParamBlock, check_f
                      count_nonzero, names)
 from .prox import (PENALTIES, PENALTY_FIELDS, NonpositiveDiagonalError, group_shrink,
                    soft_threshold)
-
-# GroupOptimizer.step takes a dense step of a grouped block this many groups
-# at a time, so its working memory scales with the chunk, not the table
-STEP_ROWS = 1024
 
 SCHEDULE_KINDS = ("sgd", "momentum", "adagrad", "adam", "amsgrad")
 GROUP_NAMES = tuple(f"group-{k}" for k in SCHEDULE_KINDS)
@@ -174,9 +171,9 @@ def _check_step(state: OptimizerState, block: ParamBlock, grad, kind: str, lr: f
     """grad as float64 once the state, its kind, lr, grad and any rows pass,
     which must be strictly increasing integer ids (numpy would wrap a
     negative one to another row) of the groups of block whose gradients grad
-    holds. Once rows pass, states, a driver's, keeps the state under the
-    block's name; a refused step changes nothing else, a non-finite grad
-    poisons the state."""
+    holds. Once the shapes pass, states, a driver's, keeps the state under
+    the block's name; a refused step changes nothing, a non-finite grad
+    poisons the kept state."""
     grad = np.asarray(grad, dtype=np.float64)
     if state.poisoned:
         raise PoisonedStateError("optimizer state is poisoned")
@@ -195,10 +192,10 @@ def _check_step(state: OptimizerState, block: ParamBlock, grad, kind: str, lr: f
         if grad.shape != shape:
             raise ValueError(f"rows: gradient of shape {grad.shape} for {rows.size} "
                              f"groups of {block.group_size}")
-    if states is not None:
-        states[block.name] = state
     if grad.shape != shape or state.dim != block.values.size:
         raise ValueError(f"gradient/block/state dimension mismatch for block {block.name!r}")
+    if states is not None:
+        states[block.name] = state
     finite = np.isfinite(grad)
     if count_nonzero(finite) != finite.size:
         state.poisoned = True
@@ -209,19 +206,23 @@ def _check_step(state: OptimizerState, block: ParamBlock, grad, kind: str, lr: f
 def _dual_step(a, t, x, grad, schedule, lr, prev_lr):
     """Step t of a, the state arrays of coordinates with values x and gradient
     grad, in place: the moments, then z, which may come out non-finite (the
-    prox then fails). prev_lr is the lr of step t - 1. Returns (m_t, R_t):
-    grad or a new array, but momentum's m_t is a's m_hat itself."""
+    prox then fails). prev_lr is the lr of step t - 1. Returns R_t, a new
+    array: adam's and amsgrad's m_t is a scratch that is gone on return."""
     kind = schedule.kind
-    # drift is (R_t - R_{t-1}) * x; a Python float difference subtracts as
-    # the arrays it fills would
+    # z + m_t - drift in its left-to-right order, m_t added first; drift is
+    # (R_t - R_{t-1}) * x, and a Python float difference subtracts as the
+    # arrays it fills would
+    z = a["z"]
     if kind == "sgd":
         root = math.sqrt(t) / lr
-        m, scaled_root = grad, np.full(grad.shape, root)
+        z += grad
+        scaled_root = np.full(grad.shape, root)
         drift = (root - math.sqrt(t - 1) / prev_lr) * x
     elif kind == "momentum":
         m = a["m_hat"]
         m *= schedule.gamma
         m += grad
+        z += m
         scaled_root = np.full(grad.shape, 1.0 / lr)
         drift = (1.0 / lr - 1.0 / prev_lr) * x
     elif kind == "adagrad":
@@ -231,13 +232,13 @@ def _dual_step(a, t, x, grad, schedule, lr, prev_lr):
         if t == 1:
             scaled_root += schedule.epsilon
         a["v_hat"] += scaled_root
-        m = grad
+        z += grad
         np.sqrt(a["v_hat"], out=scaled_root)
         scaled_root /= lr
         np.subtract(scaled_root, drift, out=drift)
         drift *= x
     else:  # adam, amsgrad: b1*m + (1-b1)*g and b2*v + (1-b2)*g*g, left to right
-        # one scratch holds (1-b1)*g, then (1-b2)*g*g, then the drift
+        # one scratch holds (1-b1)*g, then (1-b2)*g*g, then m_t, then the drift
         b1, b2 = schedule.beta1, schedule.beta2
         m_hat, v_hat = a["m_hat"], a["v_hat"]
         m_hat *= b1
@@ -256,44 +257,38 @@ def _dual_step(a, t, x, grad, schedule, lr, prev_lr):
         np.sqrt(scaled_root, out=scaled_root)
         scaled_root += schedule.epsilon / math.sqrt(bc2)  # the bits of np.sqrt
         scaled_root /= lr
-        m = m_hat / (1.0 - b1**t)
+        z += np.divide(m_hat, 1.0 - b1**t, out=drift)
         np.subtract(scaled_root, a["prev_scaled_root"], out=drift)
         drift *= x
-    # z + m - drift in its left-to-right order
-    z = a["z"]
-    z += m
     z -= drift
-    return m, scaled_root
+    return scaled_root
 
 
 def _prox(st: OptimizerState, a, scaled_root, block: ParamBlock, reg: RegConfig,
           lr: float) -> np.ndarray:
     """The new values of the coordinates of block whose arrays a (st's own
-    dict, or views or copies of its arrays) hold step st.t + 1's dual z and
-    whose R_t is scaled_root, stored as a's prev_scaled_root if a keeps one:
-    rebound in st's own dict, copied otherwise. group_shrink fails whenever
-    z is not finite, and only then is z looked at; st is poisoned and
-    PoisonedStateError says "dual", R_t not stored, or "prox", R_t stored
-    and t and prev_lr advanced: a prox failure counts as a step."""
+    dict, or copies of its rows) hold step st.t + 1's dual z and whose R_t
+    is scaled_root, kept as a's prev_scaled_root if a has one. group_shrink
+    fails whenever z is not finite, and only then is z looked at; st is
+    poisoned and PoisonedStateError says "dual", R_t not kept, or "prox",
+    R_t kept and t and prev_lr advanced: a prox failure counts as a step."""
     t = st.t + 1
     if reg.apply_to is None or block.name in reg.apply_to:  # reg.applies_to(block.name)
         lam1, lam21, lam2 = reg.lambda1, reg.lambda21, reg.lambda2
     else:
         lam1 = lam21 = lam2 = 0.0
-    s = soft_threshold(a["z"], lam1)
     failure = None
     try:
-        x = group_shrink(s, scaled_root, block.group_size or 1, lam21, lam2, reg.variant)
+        # no name holds soft_threshold's result, so group_shrink can drop it
+        x = group_shrink(soft_threshold(a["z"], lam1), scaled_root, block.group_size or 1,
+                         lam21, lam2, reg.variant)
     except NonpositiveDiagonalError as exc:
         st.poisoned = True
         if not np.isfinite(a["z"]).all():
             raise PoisonedStateError("non-finite dual", block.name, t, "dual") from None
         failure = exc
     if "prev_scaled_root" in a:
-        if a is st.arrays:
-            a["prev_scaled_root"] = scaled_root
-        else:
-            a["prev_scaled_root"][...] = scaled_root
+        a["prev_scaled_root"] = scaled_root
     if failure is not None:
         st.t, st.prev_lr = t, lr
         raise PoisonedStateError(f"{failure}: no finite parameters", block.name, t,
@@ -302,13 +297,12 @@ def _prox(st: OptimizerState, a, scaled_root, block: ParamBlock, reg: RegConfig,
 
 
 def _step(st: OptimizerState, block: ParamBlock, grad: np.ndarray, schedule: MomentSchedule,
-          lr: float, reg: RegConfig, rows=None, step_rows=math.inf):
+          lr: float, reg: RegConfig, rows=None) -> np.ndarray:
     """Step st.t + 1 of block, given grad that _check_step passed and, if
-    grad holds only their gradients, rows as intp group ids; returns the
-    last chunk's (m_t, R_t). An adagrad rows step after the first steps
-    gathered copies of those groups; any other is dense, in chunks of at
-    most step_rows groups: one chunk on the state's own arrays, more on
-    views of them. The block's values change only once no chunk failed."""
+    grad holds only their gradients, rows as intp group ids; returns R_t.
+    An adagrad rows step after the first steps gathered copies of those
+    groups; any other is dense, once, on the state's own arrays and the
+    whole block. The block's values change only if the step did not fail."""
     t = st.t + 1
     if rows is not None and schedule.kind == "adagrad" and st.t:
         # the values, as x, and the state's arrays; take copies rows as
@@ -316,7 +310,7 @@ def _step(st: OptimizerState, block: ParamBlock, grad: np.ndarray, schedule: Mom
         full = {"x": block.values, **st.arrays}
         part = {k: a.reshape(-1, block.group_size).take(rows, axis=0).ravel()
                 for k, a in full.items()}
-        m, root = _dual_step(part, t, part["x"], grad, schedule, lr, st.prev_lr)
+        root = _dual_step(part, t, part["x"], grad, schedule, lr, st.prev_lr)
         part["x"] = _prox(st, part, root, block, reg, lr)
         # each row back as one item of group_size doubles, which a[rows] =
         # ... on the 2-D view copies at twice the cost
@@ -324,27 +318,13 @@ def _step(st: OptimizerState, block: ParamBlock, grad: np.ndarray, schedule: Mom
         for k, a in full.items():
             a.view(row)[rows] = part[k].view(row)
     else:
-        d = block.group_size  # not block.num_groups: a property call step_group notices
-        n = 1 if d is None else block.values.size // d
-        one = n <= step_rows  # the block is its only chunk, an empty block too
-        buf = None if rows is None else np.empty(min(n, step_rows) * d)
-        values = None if one else np.empty_like(block.values)
-        for lo in (0,) if one else range(0, n, step_rows):
-            if one:  # the state's own arrays, where the prox rebinds R_t
-                a, x, hi = st.arrays, block.values, n
-            else:
-                hi = min(lo + step_rows, n)
-                chunk = slice(lo * d, hi * d)
-                a, x = {k: v[chunk] for k, v in st.arrays.items()}, block.values[chunk]
-            g = (_groups_grad(grad, rows, lo, hi, buf, d) if rows is not None
-                 else grad if one else grad[chunk])
-            m, root = _dual_step(a, t, x, g, schedule, lr, st.prev_lr)
-            new = _prox(st, a, root, block, reg, lr)
-            if not one:
-                values[chunk] = new
-        block.values = new if one else values
+        # no name holds a scattered row gradient, which is gone before the prox
+        root = _dual_step(st.arrays, t, block.values,
+                          grad if rows is None else _groups_grad(grad, rows, block),
+                          schedule, lr, st.prev_lr)
+        block.values = _prox(st, st.arrays, root, block, reg, lr)
     st.t, st.prev_lr = t, lr
-    return m, root
+    return root
 
 
 def step_group(
@@ -372,30 +352,26 @@ def step_group(
     failure with a finite dual counts as a step, a non-finite dual not.
     """
     grad = _check_step(state, block, grad, schedule.kind, lr)
-    m, scaled_root = _step(state, block, grad, schedule, lr, reg)
+    scaled_root = _step(state, block, grad, schedule, lr, reg)
     # copies of what the state keeps: momentum's m_t is its m_hat, and an
-    # adam or amsgrad state keeps R_t as its prev_scaled_root
+    # adam or amsgrad state keeps R_t as its prev_scaled_root; their m_t is
+    # rebuilt by the step's own division
     if schedule.kind == "momentum":
-        return m.copy(), scaled_root
+        return state.arrays["m_hat"].copy(), scaled_root
     if schedule.kind in ("adam", "amsgrad"):
-        return m, scaled_root.copy()
-    return m, scaled_root
+        return (state.arrays["m_hat"] / (1.0 - schedule.beta1**state.t),
+                scaled_root.copy())
+    return grad, scaled_root
 
 
-def _groups_grad(grad, rows, lo: int, hi: int, out, d: int) -> np.ndarray:
-    """The flat dense gradient of groups [lo, hi) of d coordinates, given
-    rows (checked by _check_step) and grad, their gradients: those scattered
-    as whole rows into zeros at the head of out, a flat buffer. The rows are
-    looked up only if some row falls outside [lo, hi)."""
-    out = out[:(hi - lo) * d]
-    out.fill(0.0)
-    if lo or rows.size and rows[-1] >= hi:
-        a, b = rows.searchsorted((lo, hi))
-        rows, grad = rows[a:b] - lo, grad[a * d:b * d]
-    # each row as one item of d doubles, as the lazy row step writes back;
-    # a view of void items needs contiguous doubles, which a caller's
-    # strided grad is not
-    row = np.dtype((np.void, 8 * d))
+def _groups_grad(grad, rows, block: ParamBlock) -> np.ndarray:
+    """The flat dense gradient of block, given rows (checked by _check_step)
+    and grad, their gradients: those scattered as whole rows into zeros."""
+    out = np.zeros(block.values.size)
+    # each row as one item of group_size doubles, as the lazy row step
+    # writes back; a view of void items needs contiguous doubles, which a
+    # caller's strided grad is not
+    row = np.dtype((np.void, 8 * block.group_size))
     out.view(row)[rows] = np.ascontiguousarray(grad).view(row)
     return out
 
@@ -422,22 +398,22 @@ class GroupOptimizer:
         increasing integer ids of groups of a grouped block, and grad holds
         len(rows) * group_size values in their order, as model.backward
         returns the embedding gradient. This is checked, and grad is checked
-        finite, before any state changes; bad rows make no state. On the
+        finite, before any state changes; a refused step makes no state. On the
         adagrad schedule (group-adagrad, adagrad, ftrl) a step from the
         second on steps copies of only those groups and scatters them back:
         a group with zero gradient is a fixed point there, as its
         accumulator gains 0. This is the lazy update of McMahan et al. (KDD
         2013), with the bits of the dense step.
 
-        Other steps are dense, step_group's loop STEP_ROWS groups at a time,
-        with the bits of one whole-block step; only the new values are
-        table-sized. Failures follow step_group's rule.
+        Other steps are dense, on the whole block, with step_group's bits;
+        the rows' gradients are scattered into a table-shaped gradient for
+        them. Failures follow step_group's rule.
         """
         schedule, lr = self._schedule, self._lr
         st = self.states.get(block.name) or OptimizerState(block.values.size, schedule.kind)
         grad = _check_step(st, block, grad, schedule.kind, lr, rows, self.states)
         _step(st, block, grad, schedule, lr, self.reg,
-              None if rows is None else np.asarray(rows, dtype=np.intp), STEP_ROWS)
+              None if rows is None else np.asarray(rows, dtype=np.intp))
 
 
 def name_reg(name: str, reg: RegConfig) -> RegConfig:

@@ -41,7 +41,10 @@ quotient is infinite: the result, which then raises, or the exact gate's
 rescaled dual at |s| > ~1e146 or diagonal 5e-324.
 
 A step of a few coordinates costs its numpy calls, not its arithmetic, so
-both functions keep the calls few. The constants a ufunc takes on every
+both functions keep the calls few. A step of a large table costs memory:
+group_shrink keeps no name for s once it has formed s + 0.0, and builds the
+denominator last, so besides what its caller holds it keeps x and at most
+one table-sized temporary. The constants a ufunc takes on every
 step (0, 1 and ``SQUARE_UNDERFLOW``) are 0-d float64 arrays, which numpy takes
 about 0.2 us faster than a Python float (numpy 2.4, 8 doubles, x86-64).
 Each function checks its arguments in one condition, which float
@@ -166,48 +169,60 @@ def group_shrink(
             raise ValueError(refusal)
         s, cum_diag = s.ravel(), cum_diag.ravel()
 
-    # cum_diag + 0.0 only turns -0.0 into +0.0, which the result never shows
-    denom = cum_diag + 2.0 * lambda2 if lambda2 else cum_diag
-    # half > 0 implies denom > 0, so the exact gate checks only half. At
-    # lambda2 = 0, half + 0.0 would only turn -0.0 into +0.0, and a half of
-    # -0.0 fails that check either way, where its coordinate raises or takes 1.0
-    if variant == "exact":
+    # x = s + 0.0 turns -0.0 into +0.0, so a coordinate without dual mass
+    # comes out +0.0, and a square does not see the sign of a zero: the gate
+    # is taken from x, and s goes once x is formed (the optimizers keep no
+    # other name for it). Groups of one coordinate without a group penalty
+    # keep s, which they divide in one call where every coordinate is live
+    elementwise = group_size == 1 and not lambda21
+    x = s if elementwise else s + _ZERO
+    del s
+    exact = variant == "exact"
+    # The denominator cum_diag + 2*lambda2 is formed last, once the gate is
+    # gone; cum_diag + 0.0 would only turn -0.0 into +0.0, which the result
+    # never shows, and a half of -0.0 fails the check below either way. The
+    # denominator is > 0 where half > 0, so the exact gate checks only half;
+    # the practical gate checks cum_diag > -2*lambda2, which holds exactly
+    # where the denominator is > 0, as a sum of doubles rounds to a value of
+    # its exact sign
+    if exact:
         half = 0.5 * cum_diag
         if lambda2:
             half += lambda2
+        positive = count_nonzero(half > _ZERO)
     else:
-        half = denom
-    positive = half > _ZERO
-    if count_nonzero(positive) == positive.size:
-        if variant == "exact":  # s / sqrt(half), in half's place
-            gate = np.sqrt(half, out=half)
-            np.divide(s, gate, out=gate)
-        else:
-            gate = s
+        positive = count_nonzero(cum_diag > -2.0 * lambda2 if lambda2 else cum_diag > _ZERO)
+    if positive == x.size:
+        # x / sqrt(half), in half's place
+        gate = np.divide(x, np.sqrt(half, out=half), out=half) if exact else x
     else:
-        empty = s == 0.0
+        empty = x == 0.0
+        denom = cum_diag + 2.0 * lambda2 if lambda2 else cum_diag
         if ((denom <= 0.0) & ~empty).any():
             raise NonpositiveDiagonalError("nonpositive effective diagonal")
-        # a massless coordinate may have any diagonal: divide it by 1.0
-        denom, half = np.where(empty, 1.0, denom), np.where(empty, 1.0, half)
+        # a massless coordinate may have any diagonal: divide it by 1.0, the
+        # denominator of a cum_diag of 1.0 at lambda2 = 0
+        cum_diag, lambda2 = np.where(empty, 1.0, denom), 0.0
         # a positive diagonal whose half rounds to 0 (5e-324 at lambda2 = 0)
         # gates dual mass as s / 0, an infinite norm; the division is meant
         with np.errstate(divide="ignore"):
-            gate = s / np.sqrt(half) if variant == "exact" else s
-    if group_size == 1 and not lambda21:
+            gate = x / np.sqrt(np.where(empty, 1.0, half)) if exact else x
+    half = None  # from here only the gate may hold half's buffer
+    if elementwise:
         # groups of one coordinate, no group penalty: live where gate * gate > 0, that is
         # |gate| > SQUARE_UNDERFLOW, without einsum's dispatch or an overflow warning
         live = np.abs(gate) > _SQUARE_UNDERFLOW
+        denom = cum_diag + 2.0 * lambda2 if lambda2 else cum_diag
         if count_nonzero(live) == live.size:
-            x = s / denom  # s * 1.0, bit for bit: no coordinate is live at s = ±0
+            x = x / denom  # s * 1.0, bit for bit: no coordinate is live at s = ±0
         else:
-            # s + 0.0 turns -0.0 into +0.0, so x is +0.0 wherever s is ±0
-            x = (s + _ZERO) * live
+            x = (x + _ZERO) * live
             x /= denom
     else:
         gate = gate.reshape(-1, group_size)
         # einsum, unlike gate * gate, does not warn where a square overflows
         squares = c_einsum("ij,ij->i", gate, gate)
+        gate = None
         if lambda21:
             # 1 - c / max(norm, c), in the norms' place: max(1 - c/norm, 0)
             # without a division by 0, as c > 0. A norm <= c gives c/c = 1
@@ -221,12 +236,11 @@ def group_shrink(
             # max(1 - 0/norm, 0) is 1 for a live group, whose norm
             # sqrt(squares) > 0.0, and +0.0 for a dead one
             factor = (squares > 0.0).astype(np.float64)
-        # s + 0.0 as above; the gate's squares do not see the sign of a zero.
         # factor.repeat is one flat multiply, where factor[:, None] broadcasts
-        # a short inner loop per group
-        x = s + _ZERO
+        # a short inner loop per group. With the denominator formed after
+        # it, cum_diag, x and one temporary are the table-sized arrays held
         x *= factor.repeat(group_size)
-        x /= denom
+        x /= cum_diag + 2.0 * lambda2 if lambda2 else cum_diag
     # x overflows where the diagonal is tiny against the dual, and is rejected
     finite = np.isfinite(x)
     if count_nonzero(finite) != finite.size:

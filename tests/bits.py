@@ -6,14 +6,14 @@ Run it at two commits and `diff` the outputs: a change that keeps the
 arithmetic prints the same lines. The runs are
 
 * the benchmark's workload digests (perfbench/workloads.py) on seeds 0 and 7;
-* train_model for every optimizer name under both apply_to settings, at a
-  table of one STEP_ROWS chunk and at a chunked one;
+* train_model for every optimizer name under both apply_to settings, at
+  tables of 800 and 1,200 rows;
 * sweep, and prune_baseline (wall_ms aside), for adagrad, adam and ftrl,
   and prune_baseline for adagrad by target_sparsity;
 * the optimizer state (z, the moments, prev_scaled_root, t and prev_lr) and
   the values after four GroupOptimizer.step calls, for every optimizer
-  name, on a grouped table of one STEP_ROWS chunk and of three, with the
-  table-shaped gradient and with rows, and on an ungrouped block;
+  name, on grouped tables of 300 and 2,560 groups, with the table-shaped
+  gradient and with rows, and on an ungrouped block;
 * run_regret for every schedule, lambda1 0 and 0.05, step decay none and
   sqrt_t, on a stochastic and an alternating quadratic stream;
 * the prox self-test's closed-form and oracle solutions, 1,000 cases of
@@ -59,8 +59,8 @@ from groupopt import (EMBEDDING, ExperimentConfig, ModelConfig, OnlineProblem,  
                       prune_baseline, random_problem, run_regret, sweep, train_model)
 from groupopt import cli as groupopt_cli, optimizers  # noqa: E402
 from groupopt.blocks import ParamBlock, make_rng  # noqa: E402
-from groupopt.optimizers import (OPTIMIZER_NAMES, SCHEDULE_KINDS, STEP_ROWS,  # noqa: E402
-                                 make_optimizer, name_reg)
+from groupopt.optimizers import (OPTIMIZER_NAMES, SCHEDULE_KINDS, make_optimizer,  # noqa: E402
+                                 name_reg)
 from workloads import WORKLOADS  # noqa: E402
 
 REG = RegConfig(lambda1=1e-3, lambda21=0.05, lambda2=1e-5, variant="exact")
@@ -102,7 +102,7 @@ def workloads() -> None:
 
 
 def training() -> None:
-    # 200 and 300 ids per field: 800 rows, one chunk, and 1,200 rows, two
+    # 200 and 300 ids per field: tables of 800 and 1,200 rows
     for vocab_per_field in (200, 300):
         for name in OPTIMIZER_NAMES:
             for apply_to in (None, frozenset({EMBEDDING})):
@@ -132,9 +132,9 @@ def state_parts(optimizer, block: ParamBlock) -> list:
 
 
 def optimizer_states(steps: int = 4) -> None:
-    # 300 groups of 4 are one chunk, 2,560 three; rows: about a tenth of them
+    # tables of 300 and 2,560 groups of 4; rows: about a tenth of them
     for name in OPTIMIZER_NAMES:
-        for num_groups in (300, 5 * STEP_ROWS // 2):
+        for num_groups in (300, 2560):
             for with_rows in (False, True):
                 rng = make_rng(5)
                 block = ParamBlock("e", rng.normal(scale=0.05, size=4 * num_groups), 4)

@@ -1,4 +1,3 @@
-import itertools
 import math
 import re
 import tracemalloc
@@ -13,6 +12,7 @@ from groupopt import optimizers
 from groupopt.blocks import ParamBlock, make_rng
 from groupopt.model import DENSE, EMBEDDING, ModelConfig, init_params
 from groupopt.optimizers import (
+    GROUP_NAMES,
     GroupOptimizer,
     MomentSchedule,
     NO_REG,
@@ -390,8 +390,7 @@ def failing_step(path, check):
     for rows, g in (([0], [1.0, -1.0]), ([0], [0.5, 0.5]), ([2], [planted, 0.0])):
         rows = np.array(rows)
         dense = scatter_rows(block, g, rows)
-        with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
-            patch.setattr(optimizers, "STEP_ROWS", 1 if path == "chunked" else 3)
+        with np.errstate(all="ignore"):
             try:
                 if path == "step_group":
                     step_group(state, block, dense, schedule, 0.1)
@@ -407,7 +406,7 @@ class TestFailureReports:
     """A PoisonedStateError says which check fired, for which block and at
     which step."""
 
-    @pytest.mark.parametrize("path", ["step_group", "dense", "chunked", "lazy"])
+    @pytest.mark.parametrize("path", ["step_group", "dense", "lazy"])
     @pytest.mark.parametrize("check, message", [
         ("gradient", "non-finite gradient"), ("dual", "non-finite dual"),
         ("prox", "nonpositive effective diagonal: no finite parameters")])
@@ -560,23 +559,19 @@ class TestRowPath:
             assert opts[0].states["e"].t == opts[1].states["e"].t
 
     def test_adagrad_steps_only_the_listed_rows(self, monkeypatch):
-        # the update sees the whole block on step 1 and the listed row after;
-        # a block of more than STEP_ROWS groups it sees that many at a time
+        # the update sees the whole block on step 1 and the listed row after
         seen = []
         update = optimizers._dual_step
         monkeypatch.setattr(optimizers, "_dual_step",
                             lambda a, *args: (seen.append(a["z"].size), update(a, *args))[1])
-        for name, (step_rows, sizes) in itertools.product(
-                ADAGRAD_FAMILY, [(3, [6, 2]), (2, [4, 2, 2])]):
-            monkeypatch.setattr(optimizers, "STEP_ROWS", step_rows)
+        for name in ADAGRAD_FAMILY:
             opt = make_optimizer(name, 0.1)
             seen.clear()
             block = ParamBlock("e", np.zeros(6), group_size=2)
             opt.step(block, np.ones(2), rows=np.array([0]))
             before = block.values.copy()
             opt.step(block, np.ones(2), rows=np.array([2]))
-            assert seen == sizes, name
-            assert max(seen) <= step_rows * block.group_size, name
+            assert seen == [6, 2], name
             assert np.array_equal(block.values[:4], before[:4]), name
             assert not np.array_equal(block.values[4:], before[4:]), name
 
@@ -667,64 +662,19 @@ class TestRowPath:
                 opt.step(block, np.zeros(2), rows=np.array([0]))
 
 
-def step_in_chunks_of(step_rows, opt, block, grad, rows):
-    """opt.step with STEP_ROWS set to step_rows; True if it raised
-    PoisonedStateError. Overflow and 0/0 are meant: their warnings are off."""
-    with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
-        patch.setattr(optimizers, "STEP_ROWS", step_rows)
-        try:
-            opt.step(block, grad, rows=rows)
-        except PoisonedStateError:
-            return True
-    return False
-
-
-class TestChunkedStep:
-    """A dense step of a grouped block of more than STEP_ROWS groups, here 3,
-    goes STEP_ROWS groups at a time and must give the bits of one step_group
-    call on the whole block, which takes a block of at most 10 groups whole
-    when STEP_ROWS is 10."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(name=st.sampled_from(OPTIMIZER_NAMES),
-           seed=st.integers(0, 2**31 - 1), num_groups=st.integers(1, 10),
-           group_size=st.integers(1, 4), steps=st.integers(1, 6),
-           with_rows=st.booleans(), scale=st.sampled_from([1.0, 1.0, 1e-170, 1e160]),
-           epsilon=st.sampled_from([0.0, 1e-8]),
-           variant=st.sampled_from(["practical", "exact"]),
-           lambda1=penalty, lambda21=penalty, lambda2=penalty)
-    def test_chunks_match_the_whole_block_bit_for_bit(self, name, seed, num_groups,
-                                                      group_size, steps, with_rows, scale,
-                                                      epsilon, variant,
-                                                      lambda1, lambda21, lambda2):
-        # gradients of 1e-170 square to 0 (a prox failure at epsilon 0), and
-        # of 1e160 to inf (a dual failure): both paths must poison alike
-        reg = RegConfig(lambda1=lambda1, lambda21=lambda21, lambda2=lambda2,
-                        variant=variant)
-        x0 = make_rng(seed + 1).uniform(-0.5, 0.5, num_groups * group_size)
-        opts = [make_optimizer(name, 0.3, reg, {"epsilon": epsilon}) for _ in range(2)]
-        blocks = [ParamBlock("e", x0.copy(), group_size=group_size) for _ in range(2)]
-        for grad, rows in sparse_row_stream(seed, num_groups, group_size, steps):
-            grad, rows = row_form(scale * grad, rows, group_size) if with_rows else (
-                scale * grad, None)
-            raised = [step_in_chunks_of(step_rows, opt, block, grad, rows)
-                      for step_rows, opt, block in zip((3, 10), opts, blocks)]
-            assert raised[0] == raised[1]
-            if raised[0]:
-                assert opts[0].states["e"].poisoned and opts[1].states["e"].poisoned
-                assert blocks[0].values.tobytes() == blocks[1].values.tobytes()
-                break
-            assert state_bits(opts[0], blocks[0]) == state_bits(opts[1], blocks[1])
+class TestDenseStep:
+    """A dense step runs once on the whole block: a failure leaves the
+    values as they were, and a large table's step stays within a memory
+    bound."""
 
     @pytest.mark.parametrize("with_rows", [True, False], ids=["rows", "dense"])
     @pytest.mark.parametrize("failure", ["gradient", "prox", "dual"])
-    def test_failure_in_a_later_chunk_keeps_the_values(self, monkeypatch, failure,
+    def test_failing_whole_table_step_keeps_the_values(self, monkeypatch, failure,
                                                        with_rows):
-        # 9 groups of 2 in chunks of 3; group 7, in the last chunk, fails. A
-        # NaN gradient is found before the first chunk; at epsilon 0 a
-        # gradient of 1e-170 squares to 0, dual mass on a zero root; under
+        # 9 groups of 2, of which group 7 fails, in one step of all 18
+        # coordinates. A NaN gradient is found before the step; at epsilon 0
+        # a gradient of 1e-170 squares to 0, dual mass on a zero root; under
         # sgd a second gradient of 1e308 overflows the dual
-        monkeypatch.setattr(optimizers, "STEP_ROWS", 3)
         calls = []
         update = optimizers._dual_step
         monkeypatch.setattr(optimizers, "_dual_step",
@@ -733,8 +683,8 @@ class TestChunkedStep:
                              schedule_args={"epsilon": 0.0})
         planted, message, stepped = {
             "gradient": (np.nan, "non-finite gradient", []),
-            "prox": (1e-170, "nonpositive effective diagonal: no finite parameters", [6] * 3),
-            "dual": (1e308, "non-finite dual", [6] * 3)}[failure]
+            "prox": (1e-170, "nonpositive effective diagonal: no finite parameters", [18]),
+            "dual": (1e308, "non-finite dual", [18])}[failure]
         block = ParamBlock("e", np.full(18, 0.5), group_size=2)
         grad = np.zeros(18)
         grad[:2] = 1.0
@@ -758,16 +708,24 @@ class TestChunkedStep:
         with pytest.raises(PoisonedStateError, match="poisoned"):
             opt.step(block, np.zeros(18))
 
-    @pytest.mark.parametrize("name", ["group-adagrad", "group-adam"])
-    def test_dense_step_of_a_large_table_peaks_below_two_tables(self, name):
+    @pytest.mark.parametrize("name", GROUP_NAMES)
+    @pytest.mark.parametrize("variant", ["practical", "exact"])
+    @pytest.mark.parametrize("penalties", [{"lambda21": 0.05},
+                                           {"lambda1": 1e-3, "lambda21": 0.05, "lambda2": 1e-5}],
+                             ids=["lambda21", "all"])
+    def test_dense_step_of_a_large_table_peaks_below_two_tables(self, name, variant,
+                                                                penalties):
         # a 10,000 x 8 table and ~600 rows, as on the 10k-row benchmark
-        # workload, where the first adagrad step and every adam step are
-        # dense. Whole, such a step held a dozen table-sized temporaries
-        # (7.4 and 8.7 MB); in chunks only the new values are table-sized
+        # workload, where the first adagrad step and every other schedule's
+        # step are dense. A whole step holds at most three new table-sized
+        # arrays at once: the scattered gradient, a scratch and R_t in the
+        # dual step, then R_t, the new values and a scratch in the prox
+        # (3.13 tables at the peak; 5.3 to 8.3 when each temporary lived to
+        # the end of its function)
         rng = make_rng(0)
         rows = np.unique(rng.integers(0, 10_000, 620))
         grad = rng.normal(size=rows.size * 8)
-        reg = RegConfig(lambda21=0.05, variant="exact")
+        reg = RegConfig(variant=variant, **penalties)
         make_optimizer(name, 0.01, reg).step(ParamBlock("w", np.ones(16), group_size=8),
                                              np.ones(16))  # lazy imports allocate too
         opt = make_optimizer(name, 0.01, reg)
@@ -796,7 +754,7 @@ def try_step(step):
 
 
 # step_group at a constant lr and at lr/sqrt(t); the driver's dense step,
-# in chunks, and its row step, lazy on adagrad
+# and its row step, lazy on adagrad
 STEP_GROUP_PATHS = ("step_group", "decay")
 PATHS = (*STEP_GROUP_PATHS, "dense", "rows")
 
@@ -837,40 +795,36 @@ class TestStoredRootStep:
         opt = GroupOptimizer(schedule, 0.3, reg)
         opt.states["e"] = state
         last_lr = math.inf
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(optimizers, "STEP_ROWS", 3)
-            for t, scale in enumerate(scales, start=1):
-                # some groups without gradient, as most rows of a batch
-                live = rng.random(num_groups) < 0.7
-                grad = np.where(np.repeat(live, group_size),
-                                scale * rng.normal(scale=10.0 ** rng.uniform(-2, 1), size=size),
-                                0.0)
-                lr = 0.3 / math.sqrt(t) if path == "decay" else 0.3
-                expected = try_step(lambda: fresh_step_group(oracle, blocks[1], grad, schedule,
-                                                             lr, reg, roots=roots))
-                if path in STEP_GROUP_PATHS:
-                    got = try_step(lambda: step_group(state, blocks[0], grad, schedule, lr, reg))
-                    assert got == expected
-                else:
-                    rows = np.flatnonzero(live)
-                    args = ((grad.reshape(num_groups, group_size)[rows].ravel(), rows)
-                            if path == "rows" else (grad, None))
-                    got = try_step(lambda: opt.step(blocks[0], *args))
-                    assert got[1] == expected[1]
-                assert blocks[0].values.tobytes() == blocks[1].values.tobytes()
-                assert state.poisoned == oracle.poisoned
-                if oracle.t == t:
-                    last_lr = lr
-                assert (state.t, state.prev_lr) == (oracle.t, last_lr)
-                # a failing driver step leaves the arrays as it goes (later
-                # chunks, or the lazy rows, are not stepped)
-                if (expected[1] is None or path in STEP_GROUP_PATHS
-                        or "gradient" in expected[1]):
-                    reference = {**oracle.arrays, **roots}
-                    for name, array in state.arrays.items():
-                        assert array.tobytes() == reference[name].tobytes(), name
-                if expected[1] is not None:
-                    break
+        for t, scale in enumerate(scales, start=1):
+            # some groups without gradient, as most rows of a batch
+            live = rng.random(num_groups) < 0.7
+            grad = np.where(np.repeat(live, group_size),
+                            scale * rng.normal(scale=10.0 ** rng.uniform(-2, 1), size=size),
+                            0.0)
+            lr = 0.3 / math.sqrt(t) if path == "decay" else 0.3
+            expected = try_step(lambda: fresh_step_group(oracle, blocks[1], grad, schedule,
+                                                         lr, reg, roots=roots))
+            if path in STEP_GROUP_PATHS:
+                got = try_step(lambda: step_group(state, blocks[0], grad, schedule, lr, reg))
+                assert got == expected
+            else:
+                rows = np.flatnonzero(live)
+                args = ((grad.reshape(num_groups, group_size)[rows].ravel(), rows)
+                        if path == "rows" else (grad, None))
+                got = try_step(lambda: opt.step(blocks[0], *args))
+                assert got[1] == expected[1]
+            assert blocks[0].values.tobytes() == blocks[1].values.tobytes()
+            assert state.poisoned == oracle.poisoned
+            if oracle.t == t:
+                last_lr = lr
+            assert (state.t, state.prev_lr) == (oracle.t, last_lr)
+            # a failing lazy row step does not scatter its rows back
+            if expected[1] is None or path != "rows" or "gradient" in expected[1]:
+                reference = {**oracle.arrays, **roots}
+                for name, array in state.arrays.items():
+                    assert array.tobytes() == reference[name].tobytes(), name
+            if expected[1] is not None:
+                break
 
 
 class TestInPlaceStep:
@@ -894,11 +848,11 @@ class TestInPlaceStep:
             assert (m.tobytes(), root.tobytes()) == (m_bits, root_bits)
 
 
-class TestOneChunkStep:
-    """A dense driver step of a block of one chunk runs on the state's own
-    arrays and must give step_group's bits: the block's values, every state
-    array and t. An adam or amsgrad state keeps R_t as its
-    prev_scaled_root, which must then be an array of its own."""
+class TestDenseDriverStep:
+    """A dense driver step runs on the state's own arrays and must give
+    step_group's bits: the block's values, every state array and t. An adam
+    or amsgrad state keeps R_t as its prev_scaled_root, which must then be
+    an array of its own."""
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("layout", ["grouped", "rows", "ungrouped"])
@@ -1100,7 +1054,21 @@ class TestStepAll:
                                                  "block 'dense'$"):
                 opt.step(blocks[DENSE], grad)
         assert np.array_equal(blocks[DENSE].values, before)
-        assert opt.states[DENSE].t == 0 and not opt.states[DENSE].poisoned
+        assert DENSE not in opt.states
+
+    def test_right_sized_block_steps_after_a_refused_first_step(self):
+        # a refused first step keeps no state, so it cannot refuse the next
+        opt = make_optimizer("adam", 0.1)
+        with pytest.raises(ValueError, match="^gradient/block/state dimension mismatch for "
+                                             "block 'w'$"):
+            opt.step(ParamBlock("w", np.zeros(6)), np.zeros(4))
+        assert not opt.states
+        block, twin = ParamBlock("w", np.zeros(8)), ParamBlock("w", np.zeros(8))
+        state, grad = OptimizerState(8, "adam"), np.linspace(-1.0, 1.0, 8)
+        opt.step(block, grad)
+        step_group(state, twin, grad, opt.schedule, 0.1)
+        assert opt.states["w"].t == 1 and not opt.states["w"].poisoned
+        assert block.values.tobytes() == twin.values.tobytes()
 
 
 class TestDeterminism:

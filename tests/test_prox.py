@@ -9,6 +9,7 @@ from groupopt.blocks import make_rng
 from groupopt.optimizers import RegConfig
 from groupopt.prox import (
     PENALTIES,
+    VARIANTS,
     NonpositiveDiagonalError,
     ProxProblem,
     group_shrink,
@@ -73,6 +74,40 @@ class TestGroupShrink:
     def test_numpy_integer_group_size_accepted(self):
         x = group_shrink(np.array([2.0, 4.0]), np.array([2.0, 4.0]), np.int64(2), 0.0, 0.0)
         assert_allclose(x, [1.0, 1.0])
+
+
+class TestInputsKeepTheirBits:
+    """soft_threshold and group_shrink write none of their inputs: a step
+    hands group_shrink an adam or amsgrad state's prev_scaled_root as
+    cum_diag, and a caller's s or z is its own."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("lambda2", [0.0, 1e-3])
+    @pytest.mark.parametrize("lambda1", [0.0, 0.5])
+    @pytest.mark.parametrize("group_size, lambda21", [(1, 0.0), (1, 0.1), (3, 0.0), (3, 0.1)])
+    @pytest.mark.parametrize("diagonal", ["positive", "massless", "with mass"])
+    def test_inputs_keep_their_bits(self, variant, lambda2, lambda1, group_size, lambda21,
+                                    diagonal):
+        # a zero and a negative diagonal entry where s is 0 take the
+        # nonpositive-diagonal branch, and one where s is not raises there
+        rng = make_rng(3)
+        z = rng.normal(size=12)
+        z[[2, 7]], z[5] = 0.0, -0.0
+        cum_diag = rng.uniform(0.5, 2.0, 12)
+        if diagonal != "positive":
+            cum_diag[[2, 7]] = (0.0, -1.0)
+        if diagonal == "with mass":
+            cum_diag[0] = -1.0
+        z_bits, diag_bits = z.tobytes(), cum_diag.tobytes()
+        s = soft_threshold(z, lambda1)
+        s_bits = s.tobytes()
+        try:
+            group_shrink(s, cum_diag, group_size, lambda21, lambda2, variant)
+        except NonpositiveDiagonalError:
+            assert diagonal == "with mass"
+        else:
+            assert diagonal != "with mass"
+        assert (z.tobytes(), s.tobytes(), cum_diag.tobytes()) == (z_bits, s_bits, diag_bits)
 
 
 def _shrink(s=np.ones(8), cum_diag=np.ones(8), group_size=2, lambda21=0.1, lambda2=0.0,
