@@ -6,6 +6,8 @@ Run it at two commits and `diff` the outputs: a change that keeps the
 arithmetic prints the same lines. The runs are
 
 * the benchmark's workload digests (perfbench/workloads.py) on seeds 0 and 7;
+* generate's ids and labels, on seeds 0 and 7, for vocabularies of 1,000 at
+  skew 1.3 and 5,000 at skew 0.5, at skew inf, and for a vocabulary of 1;
 * train_model for every optimizer name under both apply_to settings, at
   tables of 800 and 1,200 rows;
 * sweep, and prune_baseline (wall_ms aside), for adagrad, adam and ftrl,
@@ -99,6 +101,15 @@ def workloads() -> None:
             inputs = workload.setup(seed)
             _, digest = workload.outputs(workload.run(inputs))
             emit(f"workload {workload.name} seed={seed}", digest)
+
+
+def synthetic_data() -> None:
+    for vocab_per_field, skew in ((1000, 1.3), (5000, 0.5), (1000, float("inf")), (1, 1.3)):
+        for seed in (0, 7):
+            data = generate(SynthSpec(num_fields=3, vocab_per_field=vocab_per_field,
+                                      num_samples=4000, noise=0.1, skew=skew, seed=seed))
+            emit(f"generate vocab={vocab_per_field} skew={skew} seed={seed}", data.train_ids,
+                 data.train_labels, data.test_ids, data.test_labels)
 
 
 def training() -> None:
@@ -361,6 +372,7 @@ def cli() -> None:
 
 if __name__ == "__main__":
     workloads()
+    synthetic_data()
     training()
     optimizer_states()
     regret()

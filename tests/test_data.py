@@ -91,14 +91,15 @@ class TestInPlaceGenerate:
             assert a.tobytes() == b.tobytes(), name
         assert got.support == want.support
 
+    @pytest.mark.parametrize("vocab_per_field", [100, 1000])
     @pytest.mark.parametrize("skew", [0.0, 1.3])
-    def test_peak_memory_is_the_returned_arrays_plus_a_column(self, skew):
+    def test_peak_memory_is_the_returned_arrays_plus_a_column(self, skew, vocab_per_field):
         # The returned ids and labels are 4.2 MiB here. A skewed field's
         # rank draw holds two 8-byte vectors of num_samples (rng.choice's
         # uniforms and indices, or the ranks and their permuted ids); the
         # weights and one row chunk's gather are under 0.2 MiB. Building
         # whole (n, fields) arrays peaked at 12.2 MiB.
-        spec = SynthSpec(num_fields=10, vocab_per_field=100, num_samples=50_000,
+        spec = SynthSpec(num_fields=10, vocab_per_field=vocab_per_field, num_samples=50_000,
                          skew=skew, noise=0.1, seed=0)
         generate(SynthSpec(num_samples=10))  # lazy imports allocate too
         tracemalloc.start()
