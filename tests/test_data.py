@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from groupopt.data import SynthSpec, generate, load_libsvm, write_libsvm
+from groupopt.blocks import make_rng
+from groupopt.data import (GUIDE, SynthSpec, _skewed_ids, draw_ranks, generate, guide_table,
+                           load_libsvm, write_libsvm)
 from groupopt.model import EVAL_ROWS
 
 import oracles
@@ -95,10 +97,12 @@ class TestInPlaceGenerate:
     @pytest.mark.parametrize("skew", [0.0, 1.3])
     def test_peak_memory_is_the_returned_arrays_plus_a_column(self, skew, vocab_per_field):
         # The returned ids and labels are 4.2 MiB here. A skewed field's
-        # rank draw holds two 8-byte vectors of num_samples (rng.choice's
-        # uniforms and indices, or the ranks and their permuted ids); the
-        # weights and one row chunk's gather are under 0.2 MiB. Building
-        # whole (n, fields) arrays peaked at 12.2 MiB.
+        # rank draw, before the labels exist, holds two 8-byte vectors of
+        # num_samples (the uniforms and their ranks, or the ranks and their
+        # permuted ids), the 64-KiB guide table and the search of the
+        # uniforms in split buckets; the noise draw holds one vector and its
+        # mask; the weights and one row chunk's gather are under 0.2 MiB.
+        # Building whole (n, fields) arrays peaked at 12.2 MiB.
         spec = SynthSpec(num_fields=10, vocab_per_field=vocab_per_field, num_samples=50_000,
                          skew=skew, noise=0.1, seed=0)
         generate(SynthSpec(num_samples=10))  # lazy imports allocate too
@@ -111,6 +115,55 @@ class TestInPlaceGenerate:
         kept = sum(getattr(data, name).nbytes for name in
                    ("train_ids", "train_labels", "test_ids", "test_labels"))
         assert peak <= kept + 2 * 8 * spec.num_samples + 0.25 * 2**20
+
+
+SKEWS = [1e-3, 0.5, 1.3, 3.0, 60.0, math.inf]
+
+
+def zipf_probs(vocab: int, skew: float) -> np.ndarray:
+    probs = (np.arange(vocab) + 1.0) ** -skew  # skew 60 or inf: 0 past the head
+    return probs / probs.sum()
+
+
+class TestGuideTable:
+    """The guide-table draw against the calls it replaces:
+    cdf.searchsorted(u, side="right") and Generator.choice."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(probs=st.one_of(
+               st.builds(zipf_probs, st.integers(1, 5000), st.sampled_from(SKEWS)),
+               # zeros make ties, tiny masses cdf values within a bucket
+               st.lists(st.sampled_from([0.0, 1e-300, 1e-9, 1e-4, 0.3, 1.0]),
+                        min_size=1, max_size=300)
+               .filter(any).map(np.array)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_ranks_are_the_search(self, probs, seed):
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        inside = cdf[cdf < 1.0]
+        u = np.concatenate([
+            np.arange(GUIDE) / GUIDE,  # every bucket edge
+            inside, np.nextafter(inside, 0.0), np.nextafter(inside, 1.0),
+            make_rng(seed).random(500)])
+        u = u[u < 1.0]
+        before = u.copy()
+        ranks = draw_ranks(cdf, guide_table(cdf), u)
+        want = cdf.searchsorted(u, side="right")
+        assert ranks.dtype == want.dtype
+        assert np.array_equal(ranks, want)
+        assert np.array_equal(u, before)
+
+    @settings(max_examples=60, deadline=None)
+    @given(vocab=st.integers(1, 5000), skew=st.sampled_from(SKEWS),
+           n=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1))
+    def test_generate_draws_the_ranks_of_choice(self, vocab, skew, n, seed):
+        spec = SynthSpec(num_fields=1, vocab_per_field=vocab, num_samples=n, skew=skew)
+        got_rng, want_rng = make_rng(seed), make_rng(seed)
+        ids = _skewed_ids(got_rng, spec, np.zeros(1, dtype=np.int64))
+        perm = want_rng.permutation(vocab)
+        want = want_rng.choice(vocab, size=n, p=zipf_probs(vocab, skew))
+        assert np.array_equal(np.argsort(perm).take(ids[:, 0]), want)
+        assert got_rng.random() == want_rng.random()
 
 
 class TestLibsvm:
