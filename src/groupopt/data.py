@@ -13,10 +13,10 @@ size=n, p=probs) draws them, by the inverse of the same cdf at the same
 uniforms, so the ranks and the generator's stream are choice's, bit for
 bit. Only the search differs: a guide table over GUIDE equal buckets of
 [0, 1) gives the rank of every uniform whose bucket holds no cdf value,
-and cdf.searchsorted runs on the rest, about 9% of them at 1,000 ids and
+and cdf.searchsorted runs on the rest, about 6% of them at 1,000 ids and
 skew 1.3 (Chen and Asau, 1974; Devroye 1986, III.2.4). Besides what it
 returns, generate holds at most two vectors of num_samples numbers, the
-64-KiB table and the search of the split buckets' uniforms.
+128-KiB table and the search of the split buckets' uniforms.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .model import EVAL_ROWS, sigmoid
 
 # buckets of a skewed draw's guide table (see guide_table); a power of two,
 # so u * GUIDE and b / GUIDE are exact
-GUIDE = 2**13
+GUIDE = 2**14
 
 SPEC_FIELDS = {"num_fields": COUNT, "vocab_per_field": COUNT,
                "informative_fraction": reals(0, 1, "(]"), "num_samples": COUNT,

@@ -99,7 +99,7 @@ class TestInPlaceGenerate:
         # The returned ids and labels are 4.2 MiB here. A skewed field's
         # rank draw, before the labels exist, holds two 8-byte vectors of
         # num_samples (the uniforms and their ranks, or the ranks and their
-        # permuted ids), the 64-KiB guide table and the search of the
+        # permuted ids), the 128-KiB guide table and the search of the
         # uniforms in split buckets; the noise draw holds one vector and its
         # mask; the weights and one row chunk's gather are under 0.2 MiB.
         # Building whole (n, fields) arrays peaked at 12.2 MiB.
